@@ -1,9 +1,11 @@
 """Verification-harness tests: critical values, the claim checks, and the
 frozen discrepancy surface of the default parameter grid."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
+from test_golden import golden_text
 
 from udyn.exactnum import InvalidArgument, TruncatedPadic
 from udyn.mapengine import PoleHit, validate_params
@@ -18,6 +20,7 @@ from udyn.oracle import (
     run_verification,
 )
 from udyn.oracle import _interval_reachable  # tested directly: it is a certificate
+from udyn.portrait import classify
 from udyn.radiusmaps import Radius, lambda_interval
 
 
@@ -248,6 +251,10 @@ def test_default_grid_surface_is_frozen():
         surface = {e.name: e.status for e in report.checks if e.status != "PASS"}
         assert surface == GRID_SURFACE[key], key
         assert not report.has_fail, key
+        # the same run, byte for byte, against the pinned CLI output
+        assert report.to_json() + "\n" == golden_text("verify", key), key
+        classified = json.dumps(classify(params).to_dict(), sort_keys=True, separators=(",", ":"))
+        assert classified + "\n" == golden_text("classify", key), key
 
 
 def test_radius_lemmas_have_no_failures():
