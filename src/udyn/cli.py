@@ -2,7 +2,8 @@
 the report as plain text or byte-stable JSON.
 
 Exit codes: 0 success (or verification with no FAIL), 1 usage or input
-error, 2 a verification FAIL is present, 3 degenerate parameters.
+error, 2 a verification FAIL is present, 3 degenerate parameters.  When
+``grid`` meets both a FAIL and a degenerate row, the FAIL wins.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .exactnum import TOP, ExactError, InvalidArgument, QuadExt
+from .exactnum import ExactError, InvalidArgument, QuadExt
 from .mapengine import (
     Completed,
     DegenerateParams,
@@ -23,6 +24,7 @@ from .mapengine import (
     fixed_points,
     orbit,
     point_val,
+    val_str,
     validate_params,
 )
 from .oracle import run_verification
@@ -129,21 +131,8 @@ def _dump(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _params_dict(params: MapParams) -> dict:
-    return {
-        "p": params.p,
-        "a": str(params.a),
-        "b": str(params.b),
-        "c": str(params.c),
-    }
-
-
 def _params_line(params: MapParams) -> str:
     return f"params: p={params.p} a={params.a} b={params.b} c={params.c}"
-
-
-def _val_text(v) -> str:
-    return "TOP" if v is TOP else str(v)
 
 
 def _fp_line(d: dict) -> str:
@@ -188,7 +177,7 @@ def _print_portrait(portrait) -> None:
     print(f"flags: {', '.join(data['flags']) if data['flags'] else '(none)'}")
 
 
-def _print_verification(report, flags) -> None:
+def _print_verification(report) -> None:
     print(_params_line(report.params))
     print(f"seed: {report.seed}  horizon: {report.horizon}")
     for e in report.checks:
@@ -198,13 +187,11 @@ def _print_verification(report, flags) -> None:
         print(line)
         if e.counterexample is not None:
             print(f"{'':<12} counterexample: {_dump(e.counterexample)}")
-    counts = {s: 0 for s in ("PASS", "FLAGGED", "INCONCLUSIVE", "FAIL")}
-    for e in report.checks:
-        counts[e.status] = counts.get(e.status, 0) + 1
     print(
         f"summary: {len(report.checks)} checks — "
-        + ", ".join(f"{n} {s}" for s, n in counts.items())
+        + ", ".join(f"{n} {s}" for s, n in report.counts().items())
     )
+    flags = report.portrait.flags
     print(f"portrait flags: {', '.join(flags) if flags else '(none)'}")
     print(f"result: {'FAIL' if report.has_fail else 'PASS'}")
 
@@ -234,7 +221,7 @@ def cmd_fixed_points(args) -> int:
                 {
                     "schema": 1,
                     "fixed_points": {
-                        "params": _params_dict(params),
+                        "params": params.to_dict(),
                         "points": [i.to_dict() for i in infos],
                     },
                 }
@@ -264,10 +251,10 @@ def cmd_orbit(args) -> int:
                 {
                     "schema": 1,
                     "orbit": {
-                        "params": _params_dict(params),
+                        "params": params.to_dict(),
                         "x": str(x),
                         "points": [str(pt) for pt in points],
-                        "valuations": [_val_text(v) for v in vals],
+                        "valuations": [val_str(v) for v in vals],
                         "termination": termination.to_dict(),
                     },
                 }
@@ -277,7 +264,7 @@ def cmd_orbit(args) -> int:
         print(_params_line(params))
         print(f"{'step':<6} {'valuation':<10} point")
         for i, (pt, v) in enumerate(zip(points, vals)):
-            print(f"{i:<6} {_val_text(v):<10} {pt}")
+            print(f"{i:<6} {val_str(v):<10} {pt}")
         print(f"termination: {_dump(termination.to_dict())}")
     return EXIT_OK
 
@@ -292,7 +279,7 @@ def cmd_radius_orbit(args) -> int:
                 {
                     "schema": 1,
                     "radius_orbit": {
-                        "params": _params_dict(params),
+                        "params": params.to_dict(),
                         "start": str(start),
                         "trajectory": [str(r) for r in result.trajectory],
                         "verdict": result.verdict.to_dict(),
@@ -319,7 +306,7 @@ def cmd_verify(args) -> int:
     if args.output == "json":
         print(report.to_json())
     else:
-        _print_verification(report, classify(params).flags)
+        _print_verification(report)
     return EXIT_FAIL if report.has_fail else EXIT_OK
 
 
@@ -332,8 +319,6 @@ def cmd_grid(args) -> int:
         return EXIT_USAGE
     seed = _resolve_seed(args.seed)
     rows: List[dict] = []
-    any_degenerate = False
-    any_fail = False
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -355,7 +340,6 @@ def cmd_grid(args) -> int:
         try:
             params = validate_params(p, a, b, c)
         except DegenerateParams as exc:
-            any_degenerate = True
             rows.append({"params": pdict, "status": "DEGENERATE", "error": str(exc)})
             continue
         except InvalidArgument as exc:
@@ -368,15 +352,11 @@ def cmd_grid(args) -> int:
             seed=seed,
             precision=args.precision,
         )
-        counts = {s: 0 for s in ("PASS", "FLAGGED", "INCONCLUSIVE", "FAIL")}
-        for e in report.checks:
-            counts[e.status] = counts.get(e.status, 0) + 1
-        any_fail = any_fail or report.has_fail
         rows.append(
             {
                 "params": pdict,
                 "status": "FAIL" if report.has_fail else "PASS",
-                "counts": counts,
+                "counts": report.counts(),
             }
         )
     summary = {
@@ -413,9 +393,9 @@ def cmd_grid(args) -> int:
             f"summary: {summary['rows']} parameter set(s) — {summary['pass']} PASS, "
             f"{summary['fail']} FAIL, {summary['degenerate']} DEGENERATE"
         )
-    if any_degenerate:
-        return EXIT_DEGENERATE
-    return EXIT_FAIL if any_fail else EXIT_OK
+    if summary["fail"]:
+        return EXIT_FAIL
+    return EXIT_DEGENERATE if summary["degenerate"] else EXIT_OK
 
 
 _COMMANDS: Dict[str, Callable] = {

@@ -38,9 +38,6 @@ __all__ = [
     "is_qp_square",
     "hensel_sqrt",
     "QuadExt",
-    "quad_mul",
-    "quad_inv",
-    "quad_norm",
     "quad_val",
     "TruncatedPadic",
 ]
@@ -131,13 +128,20 @@ class _TopValuation:
 TOP = _TopValuation()
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13 (Sorenson-Webster 2017): the least strong pseudoprime to all of
+# _MR_BASES, so the test below is exact for every smaller n
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
+    """Deterministic Miller-Rabin primality test over the first 13 prime
+    bases: exact for n < psi_13 = 3317044064679887385961981, and an
+    ``InvalidArgument`` at or above it, where it could be wrong."""
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise InvalidArgument(f"primality of {n} >= {_MR_LIMIT} is not certified")
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
@@ -451,18 +455,6 @@ class QuadExt:
 
     def __str__(self) -> str:
         return f"({self.u} + {self.v}*sqrt({self.a}))"
-
-
-def quad_mul(x: QuadExt, y: QuadExt) -> QuadExt:
-    return x * y
-
-
-def quad_inv(x: QuadExt) -> QuadExt:
-    return x.inverse()
-
-
-def quad_norm(x: QuadExt) -> Fraction:
-    return x.norm()
 
 
 def quad_val(x: QuadExt, p: int):

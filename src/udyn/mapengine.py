@@ -109,6 +109,9 @@ class MapParams:
     def pole(self) -> Fraction:
         return -self.c
 
+    def to_dict(self) -> dict:
+        return {"p": self.p, "a": str(self.a), "b": str(self.b), "c": str(self.c)}
+
     def radius_spec(
         self,
         crit_b: Optional[Radius] = None,
@@ -390,7 +393,8 @@ def character_of(multiplier_val) -> Character:
     return Character.INDIFFERENT
 
 
-def _val_str(v) -> str:
+def val_str(v) -> str:
+    """A valuation as text: its value, or "TOP" for the valuation of zero."""
     return "TOP" if v is TOP else str(v)
 
 
@@ -408,9 +412,9 @@ class FixedPointInfo:
         return {
             "which": self.which,
             "location": str(self.location),
-            "location_val": _val_str(self.location_val),
+            "location_val": val_str(self.location_val),
             "multiplier": str(self.multiplier),
-            "multiplier_val": _val_str(self.multiplier_val),
+            "multiplier_val": val_str(self.multiplier_val),
             "multiplier_abs": str(self.multiplier_abs),
             "character": self.character.value,
         }

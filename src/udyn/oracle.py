@@ -7,6 +7,16 @@ the observed valuations against the radius-map predictions and the
 phase-portrait claims.  Every check is exact: a PASS is an identity of
 valuations, never a float comparison.
 
+Every sampled portrait claim runs through one sampling engine,
+``_sampled_entry``.  The table ``_CLAIM_CHECKS`` maps each claim kind to
+its check; for the sampled kinds that is a ``_Plan``, which fixes the
+seed stride between probe radii, the per-radius sample budget, the orbit
+length and a judge.  The engine draws the points on each radius, keeps
+those the claim's condition admits, runs their orbits and hands each
+orbit to the judge, whose verdict is pass, pending, flagged or a FAIL
+counterexample; one tail turns the tally into the ``CheckEntry``.  Claim
+i of a portrait is checked with seed ``seed + 37 * i``.
+
 Statuses: PASS (verified on all samples), FAIL (exact counterexample,
 carried in the entry), FLAGGED (a discrepancy in the stated behaviour —
 either a stated-vs-computed disagreement the classifier already reported
@@ -20,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactnum import (
     TOP,
@@ -43,14 +53,21 @@ from .mapengine import (
     sample_sphere,
     validate_params,
 )
-from .portrait import PhasePortrait, character_from_multiplier, classify
+from .portrait import PhasePortrait, classify, separation_identity
 from .radiusmaps import (
     CriticalValueNeeded,
+    Cycle,
+    EventuallyConstantAt,
+    EventuallyInLambda,
+    FixedAt,
+    HorizonExceeded,
+    NeedsCriticalValue,
     Radius,
     RadiusMapSpec,
     Regime,
     ToInfinity,
     ToZero,
+    TwoCycleRegion,
     fix_set,
     lambda_interval,
     limit_classify,
@@ -95,12 +112,42 @@ class CheckEntry:
         }
 
 
+def _pass_fail(
+    name: str, ok: bool, cex: dict, note: str = "", samples: int = 1, tag: str = "FP"
+) -> CheckEntry:
+    """A check that either holds or fails with the counterexample ``cex``."""
+    if ok:
+        return CheckEntry(name, tag, samples, "PASS", None, note)
+    return CheckEntry(name, tag, samples, "FAIL", cex, note)
+
+
+def _agreement(agree: Optional[bool], disagree: str, unstated: str) -> Tuple[str, str]:
+    """Status and note of a stated-against-computed comparison."""
+    if agree is True:
+        return "PASS", ""
+    return "FLAGGED", disagree if agree is False else unstated
+
+
+STATUSES = ("PASS", "FLAGGED", "INCONCLUSIVE", "FAIL")
+
+
 @dataclass
 class VerificationReport:
+    """The checks of one verification run.  ``portrait`` is the phase
+    portrait the claims were checked against; it is not serialized."""
+
     params: MapParams
     seed: int
     horizon: int
     checks: List[CheckEntry] = field(default_factory=list)
+    portrait: Optional[PhasePortrait] = None
+
+    def counts(self) -> Dict[str, int]:
+        """Number of checks with each status, in ``STATUSES`` order."""
+        out = dict.fromkeys(STATUSES, 0)
+        for e in self.checks:
+            out[e.status] += 1
+        return out
 
     @property
     def has_fail(self) -> bool:
@@ -118,12 +165,7 @@ class VerificationReport:
         return {
             "schema": 1,
             "verification": {
-                "params": {
-                    "p": self.params.p,
-                    "a": str(self.params.a),
-                    "b": str(self.params.b),
-                    "c": str(self.params.c),
-                },
+                "params": self.params.to_dict(),
                 "seed": self.seed,
                 "horizon": self.horizon,
                 "checks": [e.to_dict() for e in self.checks],
@@ -349,123 +391,72 @@ def _separation_radius(params: MapParams, x1, x2) -> Optional[Radius]:
     return Radius.from_val(p, point_val(diff, p))
 
 
-def check_fixed_points(params: MapParams, precision: int = 64) -> List[CheckEntry]:
+def check_fixed_points(
+    params: MapParams,
+    precision: int = 64,
+    portrait: Optional[PhasePortrait] = None,
+) -> List[CheckEntry]:
     """Fixed-point algebra: residuals, multipliers, branch symmetry,
-    the separation identity, and character agreement."""
-    entries: List[CheckEntry] = []
+    the separation identity, and character agreement.  The characters
+    are read from ``portrait``, classified here when not given."""
+    if portrait is None:
+        portrait = classify(params, precision=precision)
     infos = fixed_points(params, precision=precision)
-    p = params.p
-
     lam0 = params.a * params.b**2 / params.c**2
-    ok = infos[0].multiplier == lam0
-    entries.append(
-        CheckEntry(
-            "fp-lambda0",
-            "FP",
-            1,
-            "PASS" if ok else "FAIL",
-            None if ok else {"expected": str(lam0), "got": str(infos[0].multiplier)},
-        )
-    )
-
+    got = infos[0].multiplier
+    entries = [
+        _pass_fail("fp-lambda0", got == lam0, {"expected": str(lam0), "got": str(got)})
+    ]
     for info in infos[1:]:
         res = _exact_eq(eval_f(info.location, params), info.location)
         entries.append(
-            CheckEntry(
+            _pass_fail(
                 f"fp-residual:{info.which}",
-                "FP",
-                1,
-                "PASS" if res is not False else "FAIL",
-                None if res is not False else {"which": info.which},
+                res is not False,
+                {"which": info.which},
                 "" if res else "vanishes to working precision",
             )
         )
         der = derivative_at(info.location, params)
         res = _exact_eq(der, info.multiplier)
         entries.append(
-            CheckEntry(
+            _pass_fail(
                 f"fp-multiplier:{info.which}",
-                "FP",
-                1,
-                "PASS" if res is not False else "FAIL",
-                None
-                if res is not False
-                else {"derivative": str(der), "closed_form": str(info.multiplier)},
+                res is not False,
+                {"derivative": str(der), "closed_form": str(info.multiplier)},
                 "" if res else "agrees to working precision",
             )
         )
 
     swapped = fixed_points(params, precision=precision, conjugate_root=True)
-    if isinstance(infos[1].location, TruncatedPadic):
-        swap_ok = (
-            swapped[1].location_val == infos[2].location_val
-            and swapped[2].location_val == infos[1].location_val
-        )
-        note = "valuation comparison (truncated root)"
-    else:
-        swap_ok = (
-            swapped[1].location == infos[2].location
-            and swapped[2].location == infos[1].location
-        )
-        note = ""
-    entries.append(
-        CheckEntry(
-            "fp-branch-swap",
-            "FP",
-            2,
-            "PASS" if swap_ok else "FAIL",
-            None if swap_ok else {"swapped_x1": str(swapped[1].location)},
-            note,
-        )
-    )
+    truncated = isinstance(infos[1].location, TruncatedPadic)
+    key = "location_val" if truncated else "location"
+    pairs = ((swapped[1], infos[2]), (swapped[2], infos[1]))
+    swap_ok = all(getattr(one, key) == getattr(other, key) for one, other in pairs)
+    note = "valuation comparison (truncated root)" if truncated else ""
+    cex = {"swapped_x1": str(swapped[1].location)}
+    entries.append(_pass_fail("fp-branch-swap", swap_ok, cex, note, samples=2))
 
-    # x1 - x2 = 2 sqrt(a) (c - b) / (a - 1), an identity of the quadratic
     actual = _separation_radius(params, infos[1].location, infos[2].location)
-    expected = Radius.from_val(
-        p,
-        vp_rat(2, p)
-        + Fraction(params.val_a, 2)
-        + vp_rat(params.c - params.b, p)
-        - vp_rat(params.a - 1, p),
-    )
     if actual is None:
         entries.append(
-            CheckEntry(
-                "fp-separation", "FP", 1, "INCONCLUSIVE", None, "beyond precision"
-            )
+            CheckEntry("fp-separation", "FP", 1, "INCONCLUSIVE", None, "beyond precision")
         )
     else:
-        entries.append(
-            CheckEntry(
-                "fp-separation",
-                "FP",
-                1,
-                "PASS" if actual == expected else "FAIL",
-                None
-                if actual == expected
-                else {"actual": str(actual), "identity": str(expected)},
-            )
-        )
+        expected = separation_identity(params)
+        cex = {"actual": str(actual), "identity": str(expected)}
+        entries.append(_pass_fail("fp-separation", actual == expected, cex))
 
-    for which in ("x1", "x2"):
-        computed, admissible, agree = character_from_multiplier(
-            params, which, precision=precision
+    for claim in portrait.claims_of_kind("fp-character"):
+        status, note = _agreement(
+            claim.detail("agree"),
+            "stated and computed characters disagree",
+            "the applicable case names no character",
         )
-        if agree is True:
-            status, note = "PASS", ""
-        elif agree is False:
-            status, note = "FLAGGED", "stated and computed characters disagree"
-        else:
-            status, note = "FLAGGED", "the applicable case names no character"
+        computed, admissible = claim.detail("computed"), claim.detail("admissible")
+        note = note or f"computed {computed.value}; admissible {list(admissible)}"
         entries.append(
-            CheckEntry(
-                f"fp-character:{which}",
-                "FP",
-                1,
-                status,
-                None,
-                note or f"computed {computed.value}; admissible {list(admissible)}",
-            )
+            CheckEntry(f"fp-character:{claim.detail('which')}", "FP", 1, status, None, note)
         )
     return entries
 
@@ -485,305 +476,192 @@ def _radii_in_region(region, probes: List[Radius]) -> List[Radius]:
     return [r for r in probes if region.contains(r)][:8]
 
 
-def _threshold_entry(
-    name: str,
-    tag: str,
-    direction: str,  # "zero" | "infinity"
-    radii: List[Radius],
-    params: MapParams,
-    spec: RadiusMapSpec,
-    sample_count: int,
-    horizon: int,
-    seed: int,
-    precision: int,
-    qualifier=None,
+class _Context(NamedTuple):
+    """What the checks of one portrait's claims share."""
+
+    params: MapParams
+    spec: RadiusMapSpec
+    probes: List[Radius]
+    infos: dict  # which -> FixedPointInfo
+    sample_count: int
+    horizon: int
+    precision: int
+
+
+# A judge's verdict on one sample: None passes, _PENDING is undecided
+# within the horizon, _FLAGGED is a certified exception, and a dict is a
+# FAIL counterexample.
+_PENDING = "pending"
+_FLAGGED = "flagged"
+
+
+class _Tally:
+    """Verdict counts of one check.  ``exhibit`` is the counterexample a
+    FLAGGED entry carries; ``memo`` holds per-radius facts a judge
+    computes once."""
+
+    def __init__(self) -> None:
+        self.samples = self.passed = self.pending = self.flagged = 0
+        self.fail: Optional[dict] = None
+        self.exhibit: Optional[dict] = None
+        self.memo: dict = {}
+
+
+class _Plan(NamedTuple):
+    """How the sampling engine checks one claim kind, and how its verdict
+    is worded.
+
+    The engine draws ``per`` points on the i-th radius with seed
+    ``seed + stride * i``: sample_count // share of them (at least one),
+    where share 0 splits sample_count over the radii and None takes all of
+    it.  It keeps the points the claim's condition admits, runs each for
+    ``steps(horizon, i)`` steps (0 runs no orbit) and calls
+    ``judge(ctx, claim, tally, i, radius, x0, record)`` for a verdict.
+    ``pending`` and ``passed`` are notes formatted with the tally's counts;
+    ``settles`` makes one passing sample decide the claim, so undecided ones
+    only count as having stayed; without ``stop_on_fail`` every sample is
+    judged and the last FAIL is reported.
+    """
+
+    judge: Optional[Callable] = None
+    stride: int = 0
+    share: Optional[int] = 0
+    steps: Callable[[int, int], int] = lambda horizon, i: horizon
+    empty: str = "no representable sample"
+    pending: str = ""
+    passed: str = ""
+    flagged: Optional[Callable[[_Tally], Tuple[Optional[dict], str]]] = None
+    fail_note: str = ""
+    settles: bool = False
+    stop_on_fail: bool = True
+
+    def __call__(self, claim, ctx: _Context, seed: int) -> List[CheckEntry]:
+        return [_sampled_entry(claim, ctx, seed, self)]
+
+
+def _sampled_entry(
+    claim, ctx: _Context, seed: int, plan: _Plan, radii=None, suffix=""
 ) -> CheckEntry:
-    """Shared engine for limit-zero / escape style claims.
+    """The sampling engine: one claim's samples, judged one by one."""
+    if radii is None:
+        radii = _radii_in_region(claim.region, ctx.probes)
+    if plan.share is None:
+        per = ctx.sample_count
+    else:
+        per = max(1, ctx.sample_count // (plan.share or max(1, len(radii))))
+    qualifier = _condition_qualifier(claim, ctx)
+    name = f"portrait:{claim.tag}:{claim.kind}{suffix}"
+    t = _Tally()
+    for i, radius in enumerate(radii):
+        for x0 in _sample(radius, ctx.params, per, seed + plan.stride * i):
+            if qualifier is not None and not qualifier(x0):
+                continue
+            t.samples += 1
+            steps = plan.steps(ctx.horizon, i)
+            rec = _run_orbit(x0, ctx.params, steps, ctx.precision) if steps else None
+            verdict = plan.judge(ctx, claim, t, i, radius, x0, rec)
+            if verdict is None:
+                t.passed += 1
+            elif verdict is _PENDING:
+                t.pending += 1
+            elif verdict is _FLAGGED:
+                t.flagged += 1
+            else:
+                t.fail = verdict
+                if plan.stop_on_fail:
+                    return _tail(name, claim.tag, plan, t)
+    return _tail(name, claim.tag, plan, t)
+
+
+def _tail(name: str, tag: str, plan: _Plan, t: _Tally) -> CheckEntry:
+    """The entry for a tally: FAIL, else no sample, else FLAGGED, else
+    undecided, else PASS."""
+    if t.fail is not None:
+        return CheckEntry(name, tag, t.samples, "FAIL", t.fail, plan.fail_note)
+    if t.samples == 0:
+        return CheckEntry(name, tag, 0, "INCONCLUSIVE", None, plan.empty)
+    if t.flagged:
+        return CheckEntry(name, tag, t.samples, "FLAGGED", *plan.flagged(t))
+    if t.pending and not (plan.settles and t.passed):
+        note = plan.pending.format(**vars(t))
+        return CheckEntry(name, tag, t.samples, "INCONCLUSIVE", None, note)
+    return CheckEntry(name, tag, t.samples, "PASS", None, plan.passed.format(**vars(t)))
+
+
+# ------------------------------------------------------------------ judges
+
+
+def _judge_threshold(ctx, claim, t, i, radius, x0, rec):
+    """limit-zero / escape style claims.
 
     A sample passes by crossing p**(+-THRESH) within the horizon or by a
     closed-form radius certificate from its last certified valuation; it
     fails by crossing the opposite threshold or by a certificate of the
     opposite fate.
     """
-    samples = 0
-    pending = 0
-    per = max(1, sample_count // max(1, len(radii))) if radii else 0
-    other = "infinity" if direction == "zero" else "zero"
-    for i, radius in enumerate(radii):
-        for x0 in _sample(radius, params, per, seed + 2003 * i):
-            if qualifier is not None and not qualifier(x0):
-                continue
-            samples += 1
-            rec = _run_orbit(x0, params, horizon, precision)
-            vals = rec.valuations
-            hit = _reached(vals, _THRESH) if direction == "zero" else _escaped(vals, _THRESH)
-            bad = _escaped(vals, _THRESH) if direction == "zero" else _reached(vals, _THRESH)
-            if bad is not None:
-                return CheckEntry(
-                    name,
-                    tag,
-                    samples,
-                    "FAIL",
-                    {
-                        "x": str(x0),
-                        "step": bad,
-                        "valuation": str(vals[bad]),
-                        "claimed": direction,
-                    },
-                )
-            cert = _fate_certificate(vals, params, spec)
-            if cert == other:
-                return CheckEntry(
-                    name,
-                    tag,
-                    samples,
-                    "FAIL",
-                    {"x": str(x0), "certified": other, "claimed": direction},
-                )
-            if hit is None and cert != direction:
-                pending += 1
-    if samples == 0:
-        return CheckEntry(name, tag, 0, "INCONCLUSIVE", None, "no qualifying sample")
-    if pending:
-        return CheckEntry(
-            name,
-            tag,
-            samples,
-            "INCONCLUSIVE",
-            None,
-            f"{pending} orbit(s) undecided within the horizon",
-        )
-    return CheckEntry(name, tag, samples, "PASS")
+    vals = rec.valuations
+    if claim.kind.endswith("escape"):
+        claimed, other, hit, bad = "infinity", "zero", _escaped, _reached
+    else:
+        claimed, other, hit, bad = "zero", "infinity", _reached, _escaped
+    k = bad(vals, _THRESH)
+    if k is not None:
+        return {"x": str(x0), "step": k, "valuation": str(vals[k]), "claimed": claimed}
+    cert = _fate_certificate(vals, ctx.params, ctx.spec)
+    if cert == other:
+        return {"x": str(x0), "certified": other, "claimed": claimed}
+    if hit(vals, _THRESH) is None and cert != claimed:
+        return _PENDING
+    return None
 
 
-def _no_convergence_entry(
-    name, tag, radii, params, spec, sample_count, horizon, seed, precision
-) -> CheckEntry:
+def _judge_outside(ctx, claim, t, i, radius, x0, rec):
     """Points outside a claimed basin must not fall into it."""
-    samples = 0
-    per = max(1, sample_count // max(1, len(radii))) if radii else 0
-    for i, radius in enumerate(radii):
-        for x0 in _sample(radius, params, per, seed + 8009 * i):
-            samples += 1
-            rec = _run_orbit(x0, params, horizon, precision)
-            k = _reached(rec.valuations, _THRESH)
-            cert = _fate_certificate(rec.valuations, params, spec)
-            if k is not None or cert == "zero":
-                return CheckEntry(
-                    name,
-                    tag,
-                    samples,
-                    "FAIL",
-                    {"x": str(x0), "note": "converged to zero outside the basin"},
-                )
-    if samples == 0:
-        return CheckEntry(name, tag, 0, "INCONCLUSIVE", None, "no representable sample")
-    return CheckEntry(name, tag, samples, "PASS")
+    vals = rec.valuations
+    cert = _fate_certificate(vals, ctx.params, ctx.spec)
+    if _reached(vals, _THRESH) is not None or cert == "zero":
+        return {"x": str(x0), "note": "converged to zero outside the basin"}
+    return None
 
 
-def _constant_entry(
-    name, tag, radii, params, sample_count, horizon, seed, precision
-) -> CheckEntry:
-    samples = 0
-    per = max(1, sample_count // max(1, len(radii))) if radii else 0
-    for i, radius in enumerate(radii):
-        for x0 in _sample(radius, params, per, seed + 3001 * i):
-            samples += 1
-            vals = _run_orbit(x0, params, horizon, precision).valuations
-            for k, v in enumerate(vals):
-                if v != vals[0]:
-                    return CheckEntry(
-                        name,
-                        tag,
-                        samples,
-                        "FAIL",
-                        {
-                            "x": str(x0),
-                            "step": k,
-                            "expected": str(vals[0]),
-                            "got": str(v),
-                        },
-                    )
-    if samples == 0:
-        return CheckEntry(name, tag, 0, "INCONCLUSIVE", None, "no representable sample")
-    return CheckEntry(name, tag, samples, "PASS")
+def _judge_constant(ctx, claim, t, i, radius, x0, rec):
+    vals = rec.valuations
+    for k, v in enumerate(vals):
+        if v != vals[0]:
+            return {"x": str(x0), "step": k, "expected": str(vals[0]), "got": str(v)}
+    return None
 
 
-def _eventually_constant_entry(
-    name, tag, radii, params, sample_count, horizon, seed, precision, qualifier=None
-) -> CheckEntry:
-    samples = 0
-    pending = 0
-    per = max(1, sample_count // max(1, len(radii))) if radii else 0
-    for i, radius in enumerate(radii):
-        for x0 in _sample(radius, params, per, seed + 4001 * i):
-            if qualifier is not None and not qualifier(x0):
-                continue
-            samples += 1
-            vals = _run_orbit(x0, params, horizon, precision).valuations
-            k = len(vals) - 1
-            while k > 0 and vals[k - 1] == vals[-1]:
-                k -= 1
-            if len(vals) - k < 5:
-                pending += 1
-    if samples == 0:
-        return CheckEntry(name, tag, 0, "INCONCLUSIVE", None, "no qualifying sample")
-    if pending:
-        return CheckEntry(
-            name,
-            tag,
-            samples,
-            "INCONCLUSIVE",
-            None,
-            f"{pending} orbit(s) without >= 5 stable trailing steps",
-        )
-    return CheckEntry(name, tag, samples, "PASS")
+def _judge_eventually_constant(ctx, claim, t, i, radius, x0, rec):
+    vals = rec.valuations
+    k = len(vals) - 1
+    while k > 0 and vals[k - 1] == vals[-1]:
+        k -= 1
+    return _PENDING if len(vals) - k < 5 else None
 
 
-def _enters_sphere_entry(claim, params, spec, sample_count, seed, precision) -> CheckEntry:
-    ladder = claim.region.ladder
+def _judge_enters_sphere(ctx, claim, t, k, radius, x0, rec):
+    """A point on ladder element k is on the critical sphere after k steps."""
+    if rec is None:
+        return None  # on the sphere already, by construction
+    vals = rec.valuations
+    if len(vals) <= k:
+        return None  # pole or precision loss before step k; rare
+    spec = ctx.spec
     target = spec.sphere_b() if claim.detail("sphere") == "b" else spec.sphere_c()
-    target_val = -Fraction(target.q2, 2)
-    name = f"portrait:{claim.tag}:{claim.kind}"
-    samples = 0
-    per = max(1, sample_count // 3)
-    for k in range(3):
-        for x0 in _sample(ladder.element(k), params, per, seed + 5003 * k):
-            samples += 1
-            if k == 0:
-                continue  # on the sphere already, by construction
-            rec = _run_orbit(x0, params, k, precision)
-            if len(rec.valuations) <= k:
-                continue  # pole or precision loss before step k; rare
-            if rec.valuations[k] != target_val:
-                return CheckEntry(
-                    name,
-                    claim.tag,
-                    samples,
-                    "FAIL",
-                    {
-                        "x": str(x0),
-                        "k": k,
-                        "expected": str(target),
-                        "got": str(rec.valuations[k]),
-                    },
-                )
-    if samples == 0:
-        return CheckEntry(name, claim.tag, 0, "INCONCLUSIVE", None, "no representable sample")
-    return CheckEntry(name, claim.tag, samples, "PASS")
+    if vals[k] != -Fraction(target.q2, 2):
+        return {"x": str(x0), "k": k, "expected": str(target), "got": str(vals[k])}
+    return None
 
 
-def _crit_targeted_samples(
-    params: MapParams, which: str, ladder, count: int, seed: int
-) -> List[Tuple[object, int]]:
-    """Points on the |which| sphere whose critical value is ladder
-    element k, built by placing x near -b (deep numerator) or near -c
-    (deep denominator) at the exact depth the ladder element requires.
-
-    Every candidate is post-verified; a wrong sphere or wrong critical
-    value drops it, so the construction can only under-sample.
-    """
-    p = params.p
-    w_val = params.val_b if which == "b" else params.val_c
-    v_cb = vp_rat(params.c - params.b, p)
-    out: List[Tuple[object, int]] = []
-    for k in range(6):
-        target = ladder.element(k)
-        t_val = -Fraction(target.q2, 2)
-        for anchor, v_delta in (
-            (-params.b, Fraction(t_val - params.val_a - w_val, 2) + v_cb),
-            (-params.c, Fraction(params.val_a + w_val - t_val, 2) + v_cb),
-        ):
-            if v_delta.denominator > 2:
-                continue
-            for d in _sample(Radius.from_val(p, v_delta), params, 2, seed + 101 * k):
-                x0 = anchor + d
-                if point_val(x0, p) != w_val:
-                    continue
-                try:
-                    crit = critical_value_at(x0, params, which)
-                except (PoleHit, PrecisionExhausted):
-                    continue
-                if crit == target and ladder.member(crit) == k:
-                    out.append((x0, k))
-                    if len(out) >= count:
-                        return out
-    return out
-
-
-def _returns_entry(claim, params, spec, sample_count, seed, precision) -> CheckEntry:
-    """Critical value on ladder element k => f^(k+1) lands back on the
-    sphere; the samples are constructed to hit each ladder element."""
-    which = "b" if claim.detail("condition").startswith("b*") else "c"
-    name = f"portrait:{claim.tag}:{claim.kind}"
-    eset = relevant_exceptional(spec)
-    if eset is None:
-        return CheckEntry(name, claim.tag, 0, "INCONCLUSIVE", None, "no ladder")
-    sphere = spec.sphere_b() if which == "b" else spec.sphere_c()
-    sphere_val = -Fraction(sphere.q2, 2)
-    built = _crit_targeted_samples(params, which, eset, max(4, sample_count // 4), seed)
-    samples = 0
-    for x0, k in built:
-        samples += 1
-        rec = _run_orbit(x0, params, k + 1, precision)
-        if len(rec.valuations) <= k + 1:
-            continue
-        if rec.valuations[k + 1] != sphere_val:
-            return CheckEntry(
-                name,
-                claim.tag,
-                samples,
-                "FAIL",
-                {
-                    "x": str(x0),
-                    "k": k,
-                    "expected": str(sphere),
-                    "got": str(rec.valuations[k + 1]),
-                },
-            )
-    if samples == 0:
-        return CheckEntry(
-            name, claim.tag, 0, "INCONCLUSIVE", None, "no constructible sample"
-        )
-    return CheckEntry(name, claim.tag, samples, "PASS")
-
-
-def _two_cycle_entry(claim, params, sample_count, horizon, seed, precision) -> CheckEntry:
-    lam = claim.region.interval
-    name = f"portrait:{claim.tag}:{claim.kind}"
-    samples = 0
-    flagged = 0
-    for i, radius in enumerate(lam.lattice_members()):
-        for x0 in _sample(radius, params, max(1, sample_count // 4), seed + 6007 * i):
-            samples += 1
-            steps = max(2, horizon - horizon % 2)
-            vals = _run_orbit(x0, params, steps, precision).valuations
-            if any(vals[j] != vals[0] for j in range(0, len(vals), 2)):
-                if lam.in_core(radius):
-                    return CheckEntry(
-                        name,
-                        claim.tag,
-                        samples,
-                        "FAIL",
-                        {
-                            "x": str(x0),
-                            "radius": str(radius),
-                            "valuations": [str(v) for v in vals[:6]],
-                        },
-                    )
-                flagged += 1
-    if samples == 0:
-        return CheckEntry(name, claim.tag, 0, "INCONCLUSIVE", None, "no representable sample")
-    if flagged:
-        return CheckEntry(
-            name,
-            claim.tag,
-            samples,
-            "FLAGGED",
-            None,
-            f"{flagged} sample(s) outside the certified core broke the two-step return",
-        )
-    return CheckEntry(name, claim.tag, samples, "PASS")
+def _judge_two_cycle(ctx, claim, t, i, radius, x0, rec):
+    vals = rec.valuations
+    if all(vals[j] == vals[0] for j in range(0, len(vals), 2)):
+        return None
+    if claim.region.interval.in_core(radius):
+        shown = [str(v) for v in vals[:6]]
+        return {"x": str(x0), "radius": str(radius), "valuations": shown}
+    return _FLAGGED
 
 
 def _interval_reachable(
@@ -834,129 +712,144 @@ def _interval_reachable(
     return False
 
 
-def _enters_region_entry(
-    claim, params, spec, sample_count, horizon, seed, precision
-) -> CheckEntry:
+def _judge_enters_region(ctx, claim, t, i, radius, x0, rec):
     """Orbits from outside the two-cycle interval eventually enter it.
 
     A probe radius whose whole reachability web misses the interval can
-    never satisfy the claim; those are surfaced as FLAGGED with the
-    certificate rather than counted as failures of the engine.
+    never satisfy the claim; its samples are FLAGGED with the certificate
+    rather than counted as failures of the engine.
     """
     lam = claim.region.interval
-    name = f"portrait:{claim.tag}:{claim.kind}"
-    probes = [r for r in _probe_radii(params) if claim.region.contains(r)][:8]
-    samples = 0
-    pending = 0
-    entered_count = 0
-    blocked: List[str] = []
-    contradiction = None
-    for i, radius in enumerate(probes):
-        points = _sample(radius, params, max(1, sample_count // 6), seed + 7001 * i)
-        if not points:
-            continue
+    key = str(radius)
+    if key not in t.memo:
         vstep = 1 if radius.q2 % 2 else 2
-        certified_blocked = _interval_reachable(radius, spec, lam, vstep) is False
-        if certified_blocked:
-            blocked.append(str(radius))
-        for x0 in points:
-            samples += 1
-            vals = _run_orbit(x0, params, horizon, precision).valuations
-            entered = any(
-                v is not TOP and lam.contains(Radius.from_val(params.p, v))
-                for v in vals
-            )
-            if entered and certified_blocked:
-                contradiction = {"x": str(x0), "radius": str(radius)}
-            elif entered:
-                entered_count += 1
-            elif not certified_blocked:
-                pending += 1
-    if contradiction is not None:
-        return CheckEntry(
-            name,
-            claim.tag,
-            samples,
-            "FAIL",
-            contradiction,
-            "an orbit entered from a radius certified as blocked",
-        )
-    if blocked:
-        return CheckEntry(
-            name,
-            claim.tag,
-            samples,
-            "FLAGGED",
-            {"blocked_radii": blocked},
-            f"the stated entry is impossible from {len(blocked)} probe "
-            f"radius(es): every branch of the radius walk stays outside the "
-            f"interval; {entered_count} orbit(s) from other radii entered",
-        )
-    if samples == 0:
-        return CheckEntry(name, claim.tag, 0, "INCONCLUSIVE", None, "no sample drawn")
-    if pending:
-        return CheckEntry(
-            name,
-            claim.tag,
-            samples,
-            "INCONCLUSIVE",
-            None,
-            f"{pending} orbit(s) had not entered within the horizon",
-        )
-    return CheckEntry(name, claim.tag, samples, "PASS")
+        t.memo[key] = _interval_reachable(radius, ctx.spec, lam, vstep) is False
+    blocked = t.memo[key]
+    p = ctx.params.p
+    entered = any(
+        v is not TOP and lam.contains(Radius.from_val(p, v)) for v in rec.valuations
+    )
+    if entered:
+        return {"x": str(x0), "radius": str(radius)} if blocked else None
+    return _FLAGGED if blocked else _PENDING
 
 
-def _dichotomy_entry(claim, params, sample_count, horizon, seed, precision) -> CheckEntry:
-    """Orbits on the sphere either stay forever or leave once and keep a
-    constant radius afterwards; report the observed branches."""
-    sphere = claim.region.radius
-    sphere_val = -Fraction(sphere.q2, 2)
-    name = f"portrait:{claim.tag}:{claim.kind}"
-    samples = 0
-    left = 0
-    for x0 in _sample(sphere, params, sample_count, seed):
-        samples += 1
-        vals = _run_orbit(x0, params, horizon, precision).valuations
-        k = next((j for j, v in enumerate(vals) if v != sphere_val), None)
-        if k is None:
-            continue  # stayed within the horizon
-        tail = vals[k:]
-        if any(v != tail[0] for v in tail):
-            return CheckEntry(
-                name,
-                claim.tag,
-                samples,
-                "FAIL",
-                {
-                    "x": str(x0),
-                    "left_at": k,
-                    "valuations": [str(v) for v in vals[: k + 4]],
-                },
-            )
-        if len(tail) >= 3:
-            left += 1
-    if samples == 0:
-        return CheckEntry(name, claim.tag, 0, "INCONCLUSIVE", None, "no representable sample")
-    if left == 0:
-        return CheckEntry(
-            name,
-            claim.tag,
-            samples,
-            "INCONCLUSIVE",
-            None,
-            "all sampled orbits stayed on the sphere within the horizon",
-        )
-    return CheckEntry(
-        name,
-        claim.tag,
-        samples,
-        "PASS",
-        None,
-        f"{left} orbit(s) settled off the sphere, {samples - left} stayed",
+def _blocked_radii(t: _Tally):
+    blocked = [r for r, is_blocked in t.memo.items() if is_blocked]
+    return (
+        {"blocked_radii": blocked},
+        f"the stated entry is impossible from {len(blocked)} probe "
+        f"radius(es): every branch of the radius walk stays outside the "
+        f"interval; {t.passed} orbit(s) from other radii entered",
     )
 
 
-def _expansion_entry(claim, params, info, sample_count, seed) -> CheckEntry:
+def _judge_dichotomy(ctx, claim, t, i, radius, x0, rec):
+    """Orbits on the sphere either stay forever or leave once and keep a
+    constant radius afterwards."""
+    vals = rec.valuations
+    sphere_val = -Fraction(radius.q2, 2)
+    k = next((j for j, v in enumerate(vals) if v != sphere_val), None)
+    if k is None:
+        return _PENDING  # stayed within the horizon
+    tail = vals[k:]
+    if any(v != tail[0] for v in tail):
+        return {"x": str(x0), "left_at": k, "valuations": [str(v) for v in vals[: k + 4]]}
+    return None if len(tail) >= 3 else _PENDING
+
+
+_THRESHOLD = _Plan(
+    _judge_threshold,
+    stride=2003,
+    empty="no qualifying sample",
+    pending="{pending} orbit(s) undecided within the horizon",
+)
+_CONSTANT = _Plan(_judge_constant, stride=3001, steps=lambda horizon, i: min(horizon, 30))
+_OUTSIDE = _Plan(_judge_outside, stride=8009)
+
+
+# ------------------------------------------------------ claim checks by kind
+
+
+def _basin_checks(claim, ctx: _Context, seed: int) -> List[CheckEntry]:
+    entries = _THRESHOLD(claim, ctx, seed)
+    outside = [r for r in ctx.probes if not claim.region.contains(r)][:6]
+    if outside:
+        entries.append(_sampled_entry(claim, ctx, seed + 1, _OUTSIDE, outside, ":outside"))
+    return entries
+
+
+def _crit_targeted_samples(
+    params: MapParams, which: str, ladder, count: int, seed: int
+) -> List[Tuple[object, int]]:
+    """Points on the |which| sphere whose critical value is ladder
+    element k, built by placing x near -b (deep numerator) or near -c
+    (deep denominator) at the exact depth the ladder element requires.
+
+    Every candidate is post-verified; a wrong sphere or wrong critical
+    value drops it, so the construction can only under-sample.
+    """
+    p = params.p
+    w_val = params.val_b if which == "b" else params.val_c
+    v_cb = vp_rat(params.c - params.b, p)
+    out: List[Tuple[object, int]] = []
+    for k in range(6):
+        target = ladder.element(k)
+        t_val = -Fraction(target.q2, 2)
+        for anchor, v_delta in (
+            (-params.b, Fraction(t_val - params.val_a - w_val, 2) + v_cb),
+            (-params.c, Fraction(params.val_a + w_val - t_val, 2) + v_cb),
+        ):
+            if v_delta.denominator > 2:
+                continue
+            for d in _sample(Radius.from_val(p, v_delta), params, 2, seed + 101 * k):
+                x0 = anchor + d
+                if point_val(x0, p) != w_val:
+                    continue
+                try:
+                    crit = critical_value_at(x0, params, which)
+                except (PoleHit, PrecisionExhausted):
+                    continue
+                if crit == target and ladder.member(crit) == k:
+                    out.append((x0, k))
+                    if len(out) >= count:
+                        return out
+    return out
+
+
+# the two kinds that draw their own samples still word their verdicts by plan
+_RETURNS = _Plan(empty="no constructible sample")
+_EXPANSION = _Plan(
+    empty="no sample",
+    flagged=lambda t: (t.exhibit, "inequality breaks on the sphere through the pole"),
+)
+
+
+def _returns_check(claim, ctx: _Context, seed: int) -> List[CheckEntry]:
+    """Critical value on ladder element k => f^(k+1) lands back on the
+    sphere; the samples are constructed to hit each ladder element."""
+    which = "b" if claim.detail("condition").startswith("b*") else "c"
+    name = f"portrait:{claim.tag}:{claim.kind}"
+    eset = relevant_exceptional(ctx.spec)
+    if eset is None:
+        return [CheckEntry(name, claim.tag, 0, "INCONCLUSIVE", None, "no ladder")]
+    sphere = ctx.spec.sphere_b() if which == "b" else ctx.spec.sphere_c()
+    sphere_val = -Fraction(sphere.q2, 2)
+    built = _crit_targeted_samples(
+        ctx.params, which, eset, max(4, ctx.sample_count // 4), seed
+    )
+    t = _Tally()
+    for x0, k in built:
+        t.samples += 1
+        vals = _run_orbit(x0, ctx.params, k + 1, ctx.precision).valuations
+        if len(vals) > k + 1 and vals[k + 1] != sphere_val:
+            got = str(vals[k + 1])
+            t.fail = {"x": str(x0), "k": k, "expected": str(sphere), "got": got}
+            break
+    return [_tail(name, claim.tag, _RETURNS, t)]
+
+
+def _expansion_check(claim, ctx: _Context, seed: int) -> List[CheckEntry]:
     """|f(x) - x_i| > |x - x_i| on the punctured ball around a repelling
     fixed point, verified with exact arithmetic.
 
@@ -965,90 +858,88 @@ def _expansion_entry(claim, params, info, sample_count, seed) -> CheckEntry:
     breaks, so exhibits on that exact sphere are FLAGGED rather than
     FAILed.  A violation on any other sphere is an engine-level FAIL.
     """
+    params = ctx.params
+    info = ctx.infos[claim.detail("which")]
     name = f"portrait:{claim.tag}:{claim.kind}:{info.which}"
     xi = info.location
     if isinstance(xi, TruncatedPadic):
-        return CheckEntry(
-            name, claim.tag, 0, "INCONCLUSIVE", None, "truncated fixed point"
-        )
+        note = "truncated fixed point"
+        return [CheckEntry(name, claim.tag, 0, "INCONCLUSIVE", None, note)]
     p = params.p
     ball = claim.region.radius
     pole_val = point_val(-params.c - xi, p)
-    samples = 0
-    flagged = None
+    per = max(1, ctx.sample_count // 3)
+    t = _Tally()
     for j in range(1, 4):
-        for d in _sample(
-            ball.scaled_by_power(-2 * j), params, max(1, sample_count // 3), seed + j
-        ):
+        for d in _sample(ball.scaled_by_power(-2 * j), params, per, seed + j):
             x = xi + d
             try:
                 fx = eval_f(x, params)
             except PoleHit:
                 continue
-            samples += 1
+            t.samples += 1
             before = point_val(x - xi, p)
             after = point_val(fx - xi, p)
             expanded = after is not TOP and before is not TOP and after < before
             if not expanded:
                 exhibit = {"x": str(x), "v_before": str(before), "v_after": str(after)}
-                if before == pole_val:
-                    flagged = exhibit
-                else:
-                    return CheckEntry(name, claim.tag, samples, "FAIL", exhibit)
-    if samples == 0:
-        return CheckEntry(name, claim.tag, 0, "INCONCLUSIVE", None, "no sample")
-    if flagged is not None:
-        return CheckEntry(
-            name,
-            claim.tag,
-            samples,
-            "FLAGGED",
-            flagged,
-            "inequality breaks on the sphere through the pole",
-        )
-    return CheckEntry(name, claim.tag, samples, "PASS")
+                if before != pole_val:
+                    t.fail = exhibit
+                    return [_tail(name, claim.tag, _EXPANSION, t)]
+                t.flagged += 1
+                t.exhibit = exhibit
+    return [_tail(name, claim.tag, _EXPANSION, t)]
 
 
-def _distance_entry(claim, params: MapParams, infos) -> CheckEntry:
+def _distance_check(claim, ctx: _Context, seed: int) -> List[CheckEntry]:
     name = f"portrait:{claim.tag}:{claim.kind}"
-    actual = _separation_radius(params, infos["x1"].location, infos["x2"].location)
+    actual = _separation_radius(
+        ctx.params, ctx.infos["x1"].location, ctx.infos["x2"].location
+    )
     recomputed = claim.detail("recomputed")
     stated = claim.detail("stated")
+    status, cex, note = "PASS", None, ""
     if actual is None:
-        return CheckEntry(
-            name, claim.tag, 1, "INCONCLUSIVE", None, "distance beyond precision"
-        )
-    if actual != recomputed:
-        return CheckEntry(
-            name,
-            claim.tag,
-            1,
-            "FAIL",
-            {"actual": str(actual), "recomputed": str(recomputed)},
-            "identity recomputation does not match the engine",
-        )
-    if actual != stated:
-        return CheckEntry(
-            name,
-            claim.tag,
-            1,
-            "FLAGGED",
-            None,
-            f"stated {stated} but the exact distance is {actual}",
-        )
-    return CheckEntry(name, claim.tag, 1, "PASS")
+        status, note = "INCONCLUSIVE", "distance beyond precision"
+    elif actual != recomputed:
+        status = "FAIL"
+        cex = {"actual": str(actual), "recomputed": str(recomputed)}
+        note = "identity recomputation does not match the engine"
+    elif actual != stated:
+        status, note = "FLAGGED", f"stated {stated} but the exact distance is {actual}"
+    return [CheckEntry(name, claim.tag, 1, status, cex, note)]
 
 
-def _condition_qualifier(claim, params: MapParams, spec: RadiusMapSpec, precision: int):
+def _stated_check(claim, ctx: _Context, seed: int) -> List[CheckEntry]:
+    """fp-location / fp-character: the classifier already compared the
+    stated value with the computed one."""
+    status, note = _agreement(
+        claim.detail("agree"),
+        "stated and computed values disagree",
+        "the applicable case leaves this unspecified",
+    )
+    if (
+        claim.detail("agree") is False
+        and claim.kind == "fp-location"
+        and claim.region is not None
+        and claim.detail("computed") == claim.region.radius
+    ):
+        note = "computed location sits exactly on the boundary sphere"
+    name = f"portrait:{claim.tag}:{claim.kind}:{claim.detail('which')}"
+    return [CheckEntry(name, claim.tag, 1, status, None, note)]
+
+
+def _condition_qualifier(claim, ctx: _Context):
     """Sample filter for conditional claims: evaluates the critical value
     at the orbit's arrival on the critical sphere and keeps the sample
     when the stated condition holds."""
     cond = claim.detail("condition")
     if cond is None:
         return None
+    params = ctx.params
     which = "b" if cond.startswith("b*") else "c"
     want_in = not cond.endswith("-not-in-ladder")
-    eset = relevant_exceptional(spec)
+    eset = relevant_exceptional(ctx.spec)
 
     def qualifier(x0) -> bool:
         region = claim.region
@@ -1060,7 +951,7 @@ def _condition_qualifier(claim, params: MapParams, spec: RadiusMapSpec, precisio
             if k is None:
                 return False
             if k > 0:
-                rec = _run_orbit(x0, params, k, precision)
+                rec = _run_orbit(x0, params, k, ctx.precision)
                 if len(rec.points) <= k:
                     return False
                 y = rec.points[k]
@@ -1074,6 +965,59 @@ def _condition_qualifier(claim, params: MapParams, spec: RadiusMapSpec, precisio
     return qualifier
 
 
+# Each claim kind's check: (claim, context, seed) -> entries.
+_CLAIM_CHECKS: Dict[str, Callable] = {
+    "limit-zero": _THRESHOLD,
+    "conditional-limit-zero": _THRESHOLD,
+    "escape": _THRESHOLD,
+    "conditional-escape": _THRESHOLD,
+    "basin": _basin_checks,
+    "invariant-sphere": _CONSTANT,
+    "siegel": _CONSTANT,
+    "eventually-constant-radius": _Plan(
+        _judge_eventually_constant,
+        stride=4001,
+        empty="no qualifying sample",
+        pending="{pending} orbit(s) without >= 5 stable trailing steps",
+    ),
+    "enters-sphere": _Plan(
+        _judge_enters_sphere, stride=5003, share=3, steps=lambda horizon, k: k
+    ),
+    "returns-to-sphere": _returns_check,
+    "two-cycle-region": _Plan(
+        _judge_two_cycle,
+        stride=6007,
+        share=4,
+        steps=lambda horizon, i: max(2, horizon - horizon % 2),
+        flagged=lambda t: (
+            None,
+            f"{t.flagged} sample(s) outside the certified core broke the two-step return",
+        ),
+    ),
+    "enters-region": _Plan(
+        _judge_enters_region,
+        stride=7001,
+        share=6,
+        empty="no sample drawn",
+        pending="{pending} orbit(s) had not entered within the horizon",
+        flagged=_blocked_radii,
+        fail_note="an orbit entered from a radius certified as blocked",
+        stop_on_fail=False,
+    ),
+    "dichotomy": _Plan(
+        _judge_dichotomy,
+        share=None,
+        pending="all sampled orbits stayed on the sphere within the horizon",
+        passed="{passed} orbit(s) settled off the sphere, {pending} stayed",
+        settles=True,
+    ),
+    "fp-location": _stated_check,
+    "fp-character": _stated_check,
+    "fp-distance": _distance_check,
+    "fp-expansion": _expansion_check,
+}
+
+
 def check_portrait(
     params: MapParams,
     portrait: Optional[PhasePortrait] = None,
@@ -1085,104 +1029,18 @@ def check_portrait(
     """Verify every claim the portrait makes, claim by claim."""
     if portrait is None:
         portrait = classify(params)
-    spec = params.radius_spec()
-    probes = _probe_radii(params)
+    ctx = _Context(
+        params,
+        params.radius_spec(),
+        _probe_radii(params),
+        {i.which: i for i in portrait.fixed_points},
+        sample_count,
+        horizon,
+        precision,
+    )
     entries: List[CheckEntry] = []
-    infos = {i.which: i for i in portrait.fixed_points}
-
     for idx, claim in enumerate(portrait.claims):
-        cseed = seed + 37 * idx
-        name = f"portrait:{claim.tag}:{claim.kind}"
-        kind = claim.kind
-        if kind in (
-            "limit-zero",
-            "basin",
-            "escape",
-            "conditional-limit-zero",
-            "conditional-escape",
-        ):
-            direction = "infinity" if kind.endswith("escape") else "zero"
-            radii = _radii_in_region(claim.region, probes)
-            qualifier = _condition_qualifier(claim, params, spec, precision)
-            entries.append(
-                _threshold_entry(
-                    name, claim.tag, direction, radii, params, spec,
-                    sample_count, horizon, cseed, precision, qualifier,
-                )
-            )
-            if kind == "basin":
-                outside = [r for r in probes if not claim.region.contains(r)][:6]
-                if outside:
-                    entries.append(
-                        _no_convergence_entry(
-                            name + ":outside", claim.tag, outside, params, spec,
-                            sample_count, horizon, cseed + 1, precision,
-                        )
-                    )
-        elif kind in ("invariant-sphere", "siegel"):
-            radii = _radii_in_region(claim.region, probes)
-            entries.append(
-                _constant_entry(
-                    name, claim.tag, radii, params,
-                    sample_count, min(horizon, 30), cseed, precision,
-                )
-            )
-        elif kind == "eventually-constant-radius":
-            radii = _radii_in_region(claim.region, probes)
-            qualifier = _condition_qualifier(claim, params, spec, precision)
-            entries.append(
-                _eventually_constant_entry(
-                    name, claim.tag, radii, params,
-                    sample_count, horizon, cseed, precision, qualifier,
-                )
-            )
-        elif kind == "enters-sphere":
-            entries.append(
-                _enters_sphere_entry(claim, params, spec, sample_count, cseed, precision)
-            )
-        elif kind == "returns-to-sphere":
-            entries.append(
-                _returns_entry(claim, params, spec, sample_count, cseed, precision)
-            )
-        elif kind == "two-cycle-region":
-            entries.append(
-                _two_cycle_entry(claim, params, sample_count, horizon, cseed, precision)
-            )
-        elif kind == "enters-region":
-            entries.append(
-                _enters_region_entry(
-                    claim, params, spec, sample_count, horizon, cseed, precision
-                )
-            )
-        elif kind == "dichotomy":
-            entries.append(
-                _dichotomy_entry(claim, params, sample_count, horizon, cseed, precision)
-            )
-        elif kind in ("fp-location", "fp-character"):
-            agree = claim.detail("agree")
-            which = claim.detail("which")
-            if agree is True:
-                status, note = "PASS", ""
-            elif agree is False:
-                status, note = "FLAGGED", "stated and computed values disagree"
-                if (
-                    kind == "fp-location"
-                    and claim.region is not None
-                    and claim.detail("computed") == claim.region.radius
-                ):
-                    note = "computed location sits exactly on the boundary sphere"
-            else:
-                status, note = "FLAGGED", "the applicable case leaves this unspecified"
-            entries.append(
-                CheckEntry(f"{name}:{which}", claim.tag, 1, status, None, note)
-            )
-        elif kind == "fp-distance":
-            entries.append(_distance_entry(claim, params, infos))
-        elif kind == "fp-expansion":
-            which = claim.detail("which")
-            entries.append(
-                _expansion_entry(claim, params, infos[which], sample_count, cseed)
-            )
+        entries.extend(_CLAIM_CHECKS[claim.kind](claim, ctx, seed + 37 * idx))
     return entries
 
 
@@ -1190,16 +1048,6 @@ def check_portrait(
 
 
 def _verdicts_compatible(r: Radius, orbit_v, limit_v) -> bool:
-    from .radiusmaps import (
-        Cycle,
-        EventuallyConstantAt,
-        EventuallyInLambda,
-        FixedAt,
-        HorizonExceeded,
-        NeedsCriticalValue,
-        TwoCycleRegion,
-    )
-
     if orbit_v == limit_v:
         return True
     if isinstance(limit_v, (TwoCycleRegion, EventuallyInLambda)):
@@ -1246,35 +1094,29 @@ def check_radius_lemmas(
                 }
                 break
         entries.append(
-            CheckEntry(
+            _pass_fail(
                 f"radius:classify-vs-orbit:{label}",
-                "RAD",
-                len(probes),
-                "FAIL" if bad else "PASS",
+                bad is None,
                 bad,
+                samples=len(probes),
+                tag="RAD",
             )
         )
 
         fs = fix_set(spec)
-        fix_ok = True
-        cex = None
-        count = len(fs.members)
-        for m in fs.members:
-            if radius_step(m, spec) != m:
-                fix_ok, cex = False, {"radius": str(m)}
-        for ray in fs.rays:
-            for e2 in (-3, -1) if ray.side == "below" else (1, 3):
-                count += 1
-                probe = ray.bound.scaled_by_power(e2)
-                if radius_step(probe, spec) != probe:
-                    fix_ok, cex = False, {"radius": str(probe)}
+        fixed = list(fs.members) + [
+            ray.bound.scaled_by_power(e2)
+            for ray in fs.rays
+            for e2 in ((-3, -1) if ray.side == "below" else (1, 3))
+        ]
+        moved = [r for r in fixed if radius_step(r, spec) != r]
         entries.append(
-            CheckEntry(
+            _pass_fail(
                 f"radius:fix-set:{label}",
-                "RAD",
-                count,
-                "PASS" if fix_ok else "FAIL",
-                cex,
+                not moved,
+                {"radius": str(moved[-1])} if moved else None,
+                samples=len(fixed),
+                tag="RAD",
             )
         )
 
@@ -1354,7 +1196,8 @@ def check_radius_lemmas(
 
 
 def default_grid() -> Tuple[MapParams, ...]:
-    """Parameter roster covering every case and both odd and even p."""
+    """Parameter roster over odd and even p covering 11 of the 13 cases:
+    T1.4.2 and T1.4.3-5 have no row."""
     rosters = [
         (3, Fraction(9), 3, 1),
         (3, Fraction(2), 3, 1),
@@ -1386,12 +1229,14 @@ def run_verification(
     """The full suite for one parameter set: fixed-point algebra, the
     point-vs-radius bridge, every portrait claim, and the radius-level
     lemmas for this spec."""
-    report = VerificationReport(params, seed, horizon)
-    report.checks.extend(check_fixed_points(params, precision=max(64, precision)))
+    portrait = classify(params)
+    report = VerificationReport(params, seed, horizon, portrait=portrait)
+    report.checks.extend(
+        check_fixed_points(params, precision=max(64, precision), portrait=portrait)
+    )
     report.checks.extend(
         check_lemma1(params, sample_count, min(horizon, 15), seed, precision)
     )
-    portrait = classify(params)
     report.checks.extend(
         check_portrait(params, portrait, sample_count, horizon, seed, precision)
     )

@@ -6,6 +6,19 @@ and emits every claim that case makes — invariant spheres, basins,
 Siegel disks, escape regions, exceptional-ladder conditionals, and
 fixed-point locations/characters — as structured data with exact radii.
 
+The claims come from one case table, ``_CASES``, with a row per leaf of
+``case_of``.  Eight leaves (T1.2, T1.4.3-5, T2.A, T2.C, T3.II, T3.III,
+T3.V, T3.VI) share a ladder skeleton: an optional invariant sphere, the
+fate off the exceptional ladder, enters-sphere on it, the fate under the
+condition that the critical value misses the ladder, returns-to-sphere
+when it hits it, then the fixed-point locations and characters.  Their
+rows differ only in tags, the critical sphere (b or c), the fate
+(limit-zero, escape or eventually-constant-radius), where the conditional
+fate is claimed (on the ladder or on the sphere), the location relation
+and the admissible characters.  The other five leaves list their claims
+directly.  Where p = 2 changes the admissible characters, the row points
+to a small rule over the valuations.
+
 Claims are never silently corrected: where the computed algebra
 contradicts a claim (boundary fixed-point locations, the distance
 formula, some p = 2 characters), the portrait carries an explicit flag
@@ -14,9 +27,10 @@ and both values.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .exactnum import InvalidArgument, vp_rat
 from .mapengine import (
@@ -36,6 +50,14 @@ from .radiusmaps import (
 )
 
 # ------------------------------------------------------------------- regions
+
+
+def _ladder_dict(eset: ExceptionalSet) -> dict:
+    return {
+        "kind": eset.kind,
+        "step_q2": eset.step_q2,
+        "elements": [str(eset.element(k)) for k in range(4)],
+    }
 
 
 @dataclass(frozen=True)
@@ -82,11 +104,7 @@ class Region:
         if self.radius is not None:
             out["radius"] = str(self.radius)
         if self.ladder is not None:
-            out["ladder"] = {
-                "kind": self.ladder.kind,
-                "step_q2": self.ladder.step_q2,
-                "elements": [str(self.ladder.element(k)) for k in range(4)],
-            }
+            out["ladder"] = _ladder_dict(self.ladder)
         if self.interval is not None:
             out["interval"] = self.interval.to_dict()
         return out
@@ -186,10 +204,6 @@ class PhasePortrait:
         return tuple(c for c in self.claims if c.kind in kinds)
 
     @property
-    def invariant_spheres(self) -> Tuple[Claim, ...]:
-        return self.claims_of_kind("invariant-sphere")
-
-    @property
     def basin_of_zero(self) -> Optional[Claim]:
         found = self.claims_of_kind("basin")
         return found[0] if found else None
@@ -199,25 +213,10 @@ class PhasePortrait:
         found = self.claims_of_kind("siegel")
         return found[0] if found else None
 
-    @property
-    def escape_claims(self) -> Tuple[Claim, ...]:
-        return self.claims_of_kind("escape", "conditional-escape")
-
-    @property
-    def fixed_point_reports(self) -> Tuple[Claim, ...]:
-        return self.claims_of_kind(
-            "fp-location", "fp-character", "fp-distance", "fp-expansion"
-        )
-
     def to_dict(self) -> dict:
         out = {
             "schema": 1,
-            "params": {
-                "p": self.params.p,
-                "a": str(self.params.a),
-                "b": str(self.params.b),
-                "c": str(self.params.c),
-            },
+            "params": self.params.to_dict(),
             "regime": self.params.radius_spec().regime.name,
             "theorem": self.theorem,
             "case": self.case,
@@ -228,11 +227,7 @@ class PhasePortrait:
             "lambda": None,
         }
         if self.exceptional is not None:
-            out["exceptional"] = {
-                "kind": self.exceptional.kind,
-                "step_q2": self.exceptional.step_q2,
-                "elements": [str(self.exceptional.element(k)) for k in range(4)],
-            }
+            out["exceptional"] = _ladder_dict(self.exceptional)
         if self.lambda_region is not None:
             out["lambda"] = self.lambda_region.to_dict()
         return out
@@ -241,8 +236,12 @@ class PhasePortrait:
 # ------------------------------------------------------- fixed-point claims
 
 
-def _location_radius(info: FixedPointInfo, p: int) -> Radius:
-    return Radius.from_val(p, info.location_val)
+# fp-location relations: |x_i| against the stated radius
+_RELATIONS = {
+    "on-sphere": operator.eq,
+    "in-closed-ball": operator.le,
+    "off-closed-ball": operator.gt,
+}
 
 
 def _fp_location_claims(
@@ -255,13 +254,8 @@ def _fp_location_claims(
 ) -> list:
     claims = []
     for info in infos[1:]:
-        where = _location_radius(info, p)
-        if relation == "on-sphere":
-            agree = where == rho
-        elif relation == "in-closed-ball":
-            agree = where <= rho
-        else:  # off-closed-ball
-            agree = where > rho
+        where = Radius.from_val(p, info.location_val)
+        agree = _RELATIONS[relation](where, rho)
         if not agree:
             flags.add("BOUNDARY" if where == rho else "LOCATION-DISAGREE")
         region = Region("sphere" if relation == "on-sphere" else "closed-ball", rho)
@@ -308,26 +302,29 @@ def _fp_character_claims(
     return claims
 
 
-def _distance_claim(params: MapParams, flags: set) -> Claim:
-    """|x1 - x2|: the stated value against the exact identity
-    x1 - x2 = 2*sqrt(a)*(c - b)/(a - 1)."""
+def separation_identity(params: MapParams) -> Radius:
+    """|x1 - x2| from the exact identity x1 - x2 = 2*sqrt(a)*(c - b)/(a - 1)."""
     p = params.p
-    spec = params.radius_spec()
-    stated = spec.sphere_c()
-    if p == 2:
-        stated = stated.scaled_by_power(-2)  # |c| / 2
     v = (
         vp_rat(2, p)
         + Fraction(params.val_a, 2)
         + vp_rat(params.c - params.b, p)
         - vp_rat(params.a - 1, p)
     )
-    recomputed = Radius.from_val(p, v)
+    return Radius.from_val(p, v)
+
+
+def _distance_claim(tag: str, params: MapParams, flags: set) -> Claim:
+    """|x1 - x2|: the stated value against the exact identity."""
+    stated = params.radius_spec().sphere_c()
+    if params.p == 2:
+        stated = stated.scaled_by_power(-2)  # |c| / 2
+    recomputed = separation_identity(params)
     agree = stated == recomputed
     if not agree:
         flags.add("DISCREPANCY")
     return Claim.make(
-        "T1.2.3",
+        tag,
         "fp-distance",
         None,
         stated=stated,
@@ -336,349 +333,260 @@ def _distance_claim(params: MapParams, flags: set) -> Claim:
     )
 
 
+# --------------------------------------------------------------- case table
+
+
+def _t1_2_at_2(spec: RadiusMapSpec) -> Tuple[str, ...]:
+    """|a| against 2**-2."""
+    va = spec.val_a
+    return ("repelling",) if va > 2 else ("attracting",) if va == 2 else ("indifferent",)
+
+
+def _by_margin(margin: int) -> Tuple[str, ...]:
+    if margin > 0:
+        return ("repelling",)
+    return ("attracting",) if margin == 0 else ()
+
+
+def _t1_4_5_at_2(spec: RadiusMapSpec) -> Tuple[str, ...]:
+    """|b|sqrt|a| against 2|c|, compared by doubled exponents."""
+    return _by_margin((-2 * spec.val_b - spec.val_a) - (2 - 2 * spec.val_c))
+
+
+def _t3_ii_at_2(spec: RadiusMapSpec) -> Tuple[str, ...]:
+    """|c| against 2|b|sqrt|a|, compared by doubled exponents."""
+    return _by_margin(-2 * spec.val_c - (2 - 2 * spec.val_b - spec.val_a))
+
+
+def _indifferent_at_2(spec: RadiusMapSpec) -> Tuple[str, ...]:
+    return ("indifferent",)
+
+
+# The radius each row's claims refer to.
+_SPHERES = {
+    "b": RadiusMapSpec.sphere_b,
+    "c": RadiusMapSpec.sphere_c,
+    "|c|/sqrt|a|": lambda spec: Radius.from_exponent(spec.p, spec.val_a - 2 * spec.val_c),
+    "|b|sqrt|a|": lambda spec: Radius.from_exponent(spec.p, -spec.val_a - 2 * spec.val_b),
+}
+
+# The conditional claim of a ladder row, by the row's fate off the ladder.
+_CONDITIONAL = {
+    "limit-zero": "conditional-limit-zero",
+    "escape": "conditional-escape",
+    "eventually-constant-radius": "eventually-constant-radius",
+}
+
+
+class _Row(NamedTuple):
+    """The claims of one leaf of ``case_of``.
+
+    Claims come out in this order: ``lead`` (tag, kind, region kind)
+    claims on the row's sphere; for ladder rows (``fate`` set) the fate
+    off the ladder, enters-sphere on it, the conditional fate and, when
+    that is conditioned on the sphere, returns-to-sphere; the fixed-point
+    locations; the distance claim; the characters; the expansion claims.
+    ``tags`` holds the ladder claims' tags followed by the fixed-point tag.
+    """
+
+    sphere: str
+    tags: Tuple[str, ...]
+    location: Optional[str]  # fp-location relation, None when unstated
+    admissible: Tuple[str, ...]
+    at_2: Optional[Callable[[RadiusMapSpec], Tuple[str, ...]]] = None
+    lead: Tuple[Tuple[str, str, str], ...] = ()
+    fate: Optional[str] = None
+    conditional: str = "sphere"  # region of the conditional fate
+    character_tags: Optional[Tuple[str, str]] = None  # (odd p, p = 2)
+    distance: bool = False
+    expansion: bool = False  # at odd p only
+
+
+def _ladder_row(prefix, sphere, fate, location, admissible, at_2=None, invariant=None):
+    """A row with the lettered ladder skeleton: prefix.a to prefix.e."""
+    return _Row(
+        sphere,
+        tuple(f"{prefix}.{letter}" for letter in "abcde"),
+        location,
+        admissible,
+        at_2,
+        lead=(("T3.I", "invariant-sphere", invariant),) if invariant else (),
+        fate=fate,
+    )
+
+
+_REPELLING = ("repelling",)
+_INDIFFERENT_OR_ATTRACTING = ("indifferent", "attracting")
+_ATTRACTING_OR_INDIFFERENT = ("attracting", "indifferent")
+
+_CASES = {
+    "T1.2": _Row(
+        "c",
+        ("T1.2.1", "T1.2.2", "T1.2.2", "T1.2.3"),
+        "on-sphere",
+        _REPELLING,
+        _t1_2_at_2,
+        fate="limit-zero",
+        conditional="on-ladder",
+        character_tags=("T1.2.4", "T1.2.5"),
+        distance=True,
+        expansion=True,
+    ),
+    "T1.3": _Row(
+        "c",
+        ("T1.3",),
+        "off-closed-ball",
+        _INDIFFERENT_OR_ATTRACTING,
+        _indifferent_at_2,
+        lead=(("T1.1", "invariant-sphere", "above"), ("T1.3", "basin", "ball")),
+    ),
+    "T1.4.1": _Row(
+        "|c|/sqrt|a|",
+        ("T1.4.1",),
+        "on-sphere",
+        _INDIFFERENT_OR_ATTRACTING,
+        _indifferent_at_2,
+        lead=(
+            ("T1.1", "invariant-sphere", "sphere"),
+            ("T1.4.1", "basin", "ball"),
+            ("T1.4.1", "escape", "above"),
+        ),
+    ),
+    "T1.4.2": _Row(
+        "b",
+        ("T1.4.2",),
+        "in-closed-ball",
+        _INDIFFERENT_OR_ATTRACTING,
+        _indifferent_at_2,
+        lead=(
+            ("T1.1", "invariant-sphere", "ball"),
+            ("T1.4.2", "siegel", "ball"),
+            ("T1.4.2", "escape", "above"),
+        ),
+    ),
+    "T1.4.3-5": _Row(
+        "b",
+        ("T1.4.3", "T1.4.4", "T1.4.4", "T1.4.5"),
+        "on-sphere",
+        _REPELLING,
+        _t1_4_5_at_2,
+        fate="escape",
+        conditional="on-ladder",
+    ),
+    "T2.A": _ladder_row("T2.A", "b", "limit-zero", "on-sphere", _REPELLING),
+    "T2.B": _Row(
+        "b",
+        ("T2.B",),
+        None,
+        (),
+        lead=(
+            ("T2.B", "invariant-sphere", "all-but-sphere"),
+            ("T2.B", "dichotomy", "sphere"),
+        ),
+    ),
+    "T2.C": _ladder_row("T2.C", "b", "escape", "on-sphere", _REPELLING),
+    "T3.II": _ladder_row("T3.II", "c", "limit-zero", "on-sphere", _REPELLING, _t3_ii_at_2),
+    "T3.III": _ladder_row(
+        "T3.III",
+        "c",
+        "eventually-constant-radius",
+        "in-closed-ball",
+        _ATTRACTING_OR_INDIFFERENT,
+        invariant="ball",
+    ),
+    "T3.IV": _Row(
+        "|b|sqrt|a|",
+        ("T3.IV",),
+        None,
+        (),
+        lead=(
+            ("T3.I", "invariant-sphere", "sphere"),
+            ("T3.IV", "two-cycle-region", "interval"),
+            ("T3.IV", "enters-region", "off-interval"),
+        ),
+    ),
+    "T3.V": _ladder_row(
+        "T3.V",
+        "b",
+        "eventually-constant-radius",
+        "off-closed-ball",
+        _ATTRACTING_OR_INDIFFERENT,
+        invariant="above",
+    ),
+    "T3.VI": _ladder_row("T3.VI", "b", "escape", "on-sphere", _REPELLING),
+}
+
+
+def _ladder_claims(row: _Row, eset: Optional[ExceptionalSet], sphere: Radius) -> list:
+    fate_tag, enters_tag, conditional_tag = row.tags[:3]
+    on = Region("on-ladder", ladder=eset)
+    where = on if row.conditional == "on-ladder" else Region("sphere", sphere)
+    claims = [
+        Claim.make(fate_tag, row.fate, Region("off-ladder", ladder=eset)),
+        Claim.make(enters_tag, "enters-sphere", on, sphere=row.sphere),
+        Claim.make(
+            conditional_tag,
+            _CONDITIONAL[row.fate],
+            where,
+            condition=f"{row.sphere}*-not-in-ladder",
+        ),
+    ]
+    if row.conditional == "sphere":
+        claims.append(
+            Claim.make(
+                row.tags[3],
+                "returns-to-sphere",
+                where,
+                condition=f"{row.sphere}*-in-ladder",
+            )
+        )
+    return claims
+
+
 # --------------------------------------------------------------- classifier
-
-
-def _indiff_or_attr(p: int) -> Tuple[str, ...]:
-    return ("indifferent",) if p == 2 else ("indifferent", "attracting")
 
 
 def classify(params: MapParams, precision: int = 64) -> PhasePortrait:
     """Emit the applicable case's claims for these parameters."""
     spec = params.radius_spec()
     theorem, case = case_of(spec)
+    row = _CASES[case]
     infos = fixed_points(params, precision=precision)
     eset = relevant_exceptional(spec)
     lam = lambda_interval(spec) if case == "T3.IV" else None
     p = params.p
-    claims: list = []
+    sphere = _SPHERES[row.sphere](spec)
     flags: set = set()
-    s_b, s_c = spec.sphere_b(), spec.sphere_c()
 
-    if case == "T1.2":
-        claims.append(
-            Claim.make("T1.2.1", "limit-zero", Region("off-ladder", ladder=eset))
-        )
-        claims.append(
-            Claim.make(
-                "T1.2.2",
-                "enters-sphere",
-                Region("on-ladder", ladder=eset),
-                sphere="c",
-            )
-        )
-        claims.append(
-            Claim.make(
-                "T1.2.2",
-                "conditional-limit-zero",
-                Region("on-ladder", ladder=eset),
-                condition="c*-not-in-ladder",
-            )
-        )
-        claims.extend(_fp_location_claims("T1.2.3", "on-sphere", s_c, infos, p, flags))
-        claims.append(_distance_claim(params, flags))
-        if p >= 3:
-            claims.extend(_fp_character_claims("T1.2.4", ("repelling",), infos, flags))
-            for info in infos[1:]:
-                claims.append(
-                    Claim.make(
-                        "T1.2.4",
-                        "fp-expansion",
-                        Region("ball", s_c),
-                        which=info.which,
-                    )
-                )
+    claims = []
+    for tag, kind, where in row.lead:
+        if where.endswith("interval"):
+            claims.append(Claim.make(tag, kind, Region(where, interval=lam)))
         else:
-            va = spec.val_a
-            admissible = (
-                ("repelling",)
-                if va > 2
-                else ("attracting",) if va == 2 else ("indifferent",)
-            )
-            claims.extend(_fp_character_claims("T1.2.5", admissible, infos, flags))
-    elif case == "T1.3":
-        claims.append(Claim.make("T1.1", "invariant-sphere", Region("above", s_c)))
-        claims.append(Claim.make("T1.3", "basin", Region("ball", s_c)))
+            claims.append(Claim.make(tag, kind, Region(where, sphere)))
+    if row.fate is not None:
+        claims.extend(_ladder_claims(row, eset, sphere))
+    fp_tag = row.tags[-1]
+    if row.location is not None:
+        claims.extend(_fp_location_claims(fp_tag, row.location, sphere, infos, p, flags))
+    if row.distance:
+        claims.append(_distance_claim(fp_tag, params, flags))
+    admissible = row.at_2(spec) if p == 2 and row.at_2 is not None else row.admissible
+    character_tag = fp_tag if row.character_tags is None else row.character_tags[p == 2]
+    claims.extend(_fp_character_claims(character_tag, admissible, infos, flags))
+    if row.expansion and p >= 3:
+        ball = Region("ball", sphere)
         claims.extend(
-            _fp_location_claims("T1.3", "off-closed-ball", s_c, infos, p, flags)
+            Claim.make(character_tag, "fp-expansion", ball, which=info.which)
+            for info in infos[1:]
         )
-        claims.extend(_fp_character_claims("T1.3", _indiff_or_attr(p), infos, flags))
-    elif case == "T1.4.1":
-        rho = Radius.from_exponent(p, spec.val_a - 2 * spec.val_c)  # |c|/sqrt|a|
-        claims.append(Claim.make("T1.1", "invariant-sphere", Region("sphere", rho)))
-        claims.append(Claim.make("T1.4.1", "basin", Region("ball", rho)))
-        claims.append(Claim.make("T1.4.1", "escape", Region("above", rho)))
-        claims.extend(
-            _fp_location_claims("T1.4.1", "on-sphere", rho, infos, p, flags)
-        )
-        claims.extend(_fp_character_claims("T1.4.1", _indiff_or_attr(p), infos, flags))
-    elif case == "T1.4.2":
-        claims.append(Claim.make("T1.1", "invariant-sphere", Region("ball", s_b)))
-        claims.append(Claim.make("T1.4.2", "siegel", Region("ball", s_b)))
-        claims.append(Claim.make("T1.4.2", "escape", Region("above", s_b)))
-        claims.extend(
-            _fp_location_claims("T1.4.2", "in-closed-ball", s_b, infos, p, flags)
-        )
-        claims.extend(_fp_character_claims("T1.4.2", _indiff_or_attr(p), infos, flags))
-    elif case == "T1.4.3-5":
-        claims.append(
-            Claim.make("T1.4.3", "escape", Region("off-ladder", ladder=eset))
-        )
-        claims.append(
-            Claim.make(
-                "T1.4.4",
-                "enters-sphere",
-                Region("on-ladder", ladder=eset),
-                sphere="b",
-            )
-        )
-        claims.append(
-            Claim.make(
-                "T1.4.4",
-                "conditional-escape",
-                Region("on-ladder", ladder=eset),
-                condition="b*-not-in-ladder",
-            )
-        )
-        claims.extend(
-            _fp_location_claims("T1.4.5", "on-sphere", s_b, infos, p, flags)
-        )
-        if p >= 3:
-            claims.extend(_fp_character_claims("T1.4.5", ("repelling",), infos, flags))
-        else:
-            # |b|sqrt|a| against 2|c|, compared by doubled exponents
-            lhs = -2 * spec.val_b - spec.val_a
-            rhs = 2 - 2 * spec.val_c
-            if lhs == rhs:
-                admissible: Tuple[str, ...] = ("attracting",)
-            elif lhs > rhs:
-                admissible = ("repelling",)
-            else:
-                admissible = ()
-            claims.extend(_fp_character_claims("T1.4.5", admissible, infos, flags))
-    elif case == "T2.A":
-        claims.append(
-            Claim.make("T2.A.a", "limit-zero", Region("off-ladder", ladder=eset))
-        )
-        claims.append(
-            Claim.make(
-                "T2.A.b", "enters-sphere", Region("on-ladder", ladder=eset), sphere="b"
-            )
-        )
-        claims.append(
-            Claim.make(
-                "T2.A.c",
-                "conditional-limit-zero",
-                Region("sphere", s_b),
-                condition="b*-not-in-ladder",
-            )
-        )
-        claims.append(
-            Claim.make(
-                "T2.A.d",
-                "returns-to-sphere",
-                Region("sphere", s_b),
-                condition="b*-in-ladder",
-            )
-        )
-        claims.extend(_fp_location_claims("T2.A.e", "on-sphere", s_b, infos, p, flags))
-        claims.extend(_fp_character_claims("T2.A.e", ("repelling",), infos, flags))
-    elif case == "T2.B":
-        claims.append(
-            Claim.make("T2.B", "invariant-sphere", Region("all-but-sphere", s_b))
-        )
-        claims.append(Claim.make("T2.B", "dichotomy", Region("sphere", s_b)))
-        claims.extend(_fp_character_claims("T2.B", (), infos, flags))
-    elif case == "T2.C":
-        claims.append(
-            Claim.make("T2.C.a", "escape", Region("off-ladder", ladder=eset))
-        )
-        claims.append(
-            Claim.make(
-                "T2.C.b", "enters-sphere", Region("on-ladder", ladder=eset), sphere="b"
-            )
-        )
-        claims.append(
-            Claim.make(
-                "T2.C.c",
-                "conditional-escape",
-                Region("sphere", s_b),
-                condition="b*-not-in-ladder",
-            )
-        )
-        claims.append(
-            Claim.make(
-                "T2.C.d",
-                "returns-to-sphere",
-                Region("sphere", s_b),
-                condition="b*-in-ladder",
-            )
-        )
-        claims.extend(_fp_location_claims("T2.C.e", "on-sphere", s_b, infos, p, flags))
-        claims.extend(_fp_character_claims("T2.C.e", ("repelling",), infos, flags))
-    elif case == "T3.II":
-        claims.append(
-            Claim.make("T3.II.a", "limit-zero", Region("off-ladder", ladder=eset))
-        )
-        claims.append(
-            Claim.make(
-                "T3.II.b", "enters-sphere", Region("on-ladder", ladder=eset), sphere="c"
-            )
-        )
-        claims.append(
-            Claim.make(
-                "T3.II.c",
-                "conditional-limit-zero",
-                Region("sphere", s_c),
-                condition="c*-not-in-ladder",
-            )
-        )
-        claims.append(
-            Claim.make(
-                "T3.II.d",
-                "returns-to-sphere",
-                Region("sphere", s_c),
-                condition="c*-in-ladder",
-            )
-        )
-        claims.extend(_fp_location_claims("T3.II.e", "on-sphere", s_c, infos, p, flags))
-        if p >= 3:
-            admissible = ("repelling",)
-        else:
-            lhs = -2 * spec.val_c
-            rhs = 2 + (-2 * spec.val_b - spec.val_a)  # 2|b|sqrt|a|, doubled exps
-            if lhs > rhs:
-                admissible = ("repelling",)
-            elif lhs == rhs:
-                admissible = ("attracting",)
-            else:
-                admissible = ()
-        claims.extend(_fp_character_claims("T3.II.e", admissible, infos, flags))
-    elif case == "T3.III":
-        claims.append(Claim.make("T3.I", "invariant-sphere", Region("ball", s_c)))
-        claims.append(
-            Claim.make(
-                "T3.III.a",
-                "eventually-constant-radius",
-                Region("off-ladder", ladder=eset),
-            )
-        )
-        claims.append(
-            Claim.make(
-                "T3.III.b",
-                "enters-sphere",
-                Region("on-ladder", ladder=eset),
-                sphere="c",
-            )
-        )
-        claims.append(
-            Claim.make(
-                "T3.III.c",
-                "eventually-constant-radius",
-                Region("sphere", s_c),
-                condition="c*-not-in-ladder",
-            )
-        )
-        claims.append(
-            Claim.make(
-                "T3.III.d",
-                "returns-to-sphere",
-                Region("sphere", s_c),
-                condition="c*-in-ladder",
-            )
-        )
-        claims.extend(
-            _fp_location_claims("T3.III.e", "in-closed-ball", s_c, infos, p, flags)
-        )
-        claims.extend(
-            _fp_character_claims("T3.III.e", ("attracting", "indifferent"), infos, flags)
-        )
-    elif case == "T3.IV":
-        rho_star = Radius.from_exponent(p, -spec.val_a - 2 * spec.val_b)
-        claims.append(
-            Claim.make("T3.I", "invariant-sphere", Region("sphere", rho_star))
-        )
-        claims.append(
-            Claim.make("T3.IV", "two-cycle-region", Region("interval", interval=lam))
-        )
-        claims.append(
-            Claim.make("T3.IV", "enters-region", Region("off-interval", interval=lam))
-        )
-        claims.extend(_fp_character_claims("T3.IV", (), infos, flags))
-    elif case == "T3.V":
-        claims.append(Claim.make("T3.I", "invariant-sphere", Region("above", s_b)))
-        claims.append(
-            Claim.make(
-                "T3.V.a",
-                "eventually-constant-radius",
-                Region("off-ladder", ladder=eset),
-            )
-        )
-        claims.append(
-            Claim.make(
-                "T3.V.b", "enters-sphere", Region("on-ladder", ladder=eset), sphere="b"
-            )
-        )
-        claims.append(
-            Claim.make(
-                "T3.V.c",
-                "eventually-constant-radius",
-                Region("sphere", s_b),
-                condition="b*-not-in-ladder",
-            )
-        )
-        claims.append(
-            Claim.make(
-                "T3.V.d",
-                "returns-to-sphere",
-                Region("sphere", s_b),
-                condition="b*-in-ladder",
-            )
-        )
-        claims.extend(
-            _fp_location_claims("T3.V.e", "off-closed-ball", s_b, infos, p, flags)
-        )
-        claims.extend(
-            _fp_character_claims("T3.V.e", ("attracting", "indifferent"), infos, flags)
-        )
-    else:  # T3.VI
-        claims.append(
-            Claim.make("T3.VI.a", "escape", Region("off-ladder", ladder=eset))
-        )
-        claims.append(
-            Claim.make(
-                "T3.VI.b", "enters-sphere", Region("on-ladder", ladder=eset), sphere="b"
-            )
-        )
-        claims.append(
-            Claim.make(
-                "T3.VI.c",
-                "conditional-escape",
-                Region("sphere", s_b),
-                condition="b*-not-in-ladder",
-            )
-        )
-        claims.append(
-            Claim.make(
-                "T3.VI.d",
-                "returns-to-sphere",
-                Region("sphere", s_b),
-                condition="b*-in-ladder",
-            )
-        )
-        claims.extend(_fp_location_claims("T3.VI.e", "on-sphere", s_b, infos, p, flags))
-        claims.extend(_fp_character_claims("T3.VI.e", ("repelling",), infos, flags))
-
-    ladder_used = any(
-        c.region is not None and c.region.ladder is not None for c in claims
-    )
     return PhasePortrait(
         params=params,
         theorem=theorem,
         case=case,
         claims=tuple(claims),
         fixed_points=infos,
-        exceptional=eset if ladder_used else None,
+        exceptional=eset if row.fate is not None else None,
         lambda_region=lam,
         flags=tuple(sorted(flags)),
     )

@@ -51,7 +51,6 @@ __all__ = [
     "ExceptionalSet",
     "exceptional_set",
     "relevant_exceptional",
-    "member_exceptional",
     "RadiusRay",
     "FixSet",
     "fix_set",
@@ -695,10 +694,6 @@ def relevant_exceptional(spec: RadiusMapSpec) -> Optional[ExceptionalSet]:
     if va > 0 and s < 0:
         return None  # two-cycle case
     return exceptional_set(spec, "L")
-
-
-def member_exceptional(r: Radius, eset: ExceptionalSet) -> Optional[int]:
-    return eset.member(r)
 
 
 # ------------------------------------------------------------------ fixed set

@@ -7,6 +7,7 @@ import pytest
 
 from udyn.cli import main, parse_point, parse_radius
 from udyn.exactnum import InvalidArgument, QuadExt
+from udyn.oracle import CheckEntry, VerificationReport
 from udyn.radiusmaps import Radius
 
 
@@ -174,6 +175,15 @@ def test_verify_worked_example_exits_clean(capsys):
     assert "FAIL" not in out.replace("0 FAIL", "")
 
 
+def test_verify_text_prints_portrait_flags(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--p", "3", "--a", "9", "--b", "3", "--c", "1",
+        "--samples", "4",
+    )
+    assert code == 0
+    assert "portrait flags: DISCREPANCY" in out
+
+
 def test_verify_json_is_byte_stable(capsys):
     argv = (
         "verify", "--p", "3", "--a", "4", "--b", "1", "--c", "3",
@@ -225,6 +235,21 @@ def test_grid_degenerate_row_exits_3(capsys, tmp_path):
     assert "DEGENERATE" in out
 
 
+def test_grid_fail_outranks_degenerate_row(capsys, tmp_path, monkeypatch):
+    def failing(params, sample_count, horizon, seed, precision):
+        report = VerificationReport(params, seed, horizon)
+        report.checks.append(CheckEntry("fake", "T", 1, "FAIL", {"x": "0"}))
+        return report
+
+    monkeypatch.setattr("udyn.cli.run_verification", failing)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("3 1 3 1\n3 9 3 1\n")
+    code, out, _ = run(capsys, "grid", str(grid))
+    assert code == 2
+    assert "DEGENERATE" in out
+    assert "1 FAIL, 1 DEGENERATE" in out
+
+
 def test_grid_json_shape(capsys, tmp_path):
     grid = tmp_path / "grid.txt"
     grid.write_text("3 9 3 1\n")
@@ -273,6 +298,15 @@ def test_usage_errors_exit_1(capsys):
         capsys, "radius-orbit", "--p", "3", "--a", "9", "--b", "3", "--c", "1",
         "--r", "2^1",
     )[0] == 1
+
+
+def test_uncertified_prime_exits_1(capsys):
+    code, _, err = run(
+        capsys, "classify", "--p", "3317044064679887385961981",
+        "--a", "2", "--b", "1", "--c", "3",
+    )
+    assert code == 1
+    assert "not certified" in err
 
 
 def test_help_exits_zero(capsys):

@@ -19,8 +19,6 @@ from udyn.exactnum import (
     hensel_sqrt,
     is_prime,
     is_qp_square,
-    quad_inv,
-    quad_norm,
     quad_val,
     sqrt_class,
     unit_part,
@@ -89,6 +87,15 @@ def test_is_prime():
     assert is_prime(10**9 + 7)
     assert not is_prime(561)  # Carmichael number
     assert not is_prime(10**9 + 6)
+
+
+def test_is_prime_is_exact_below_psi13():
+    # psi_12 is a strong pseudoprime to every prime base up to 37
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1)
+    for n in (3317044064679887385961981, 2**89 - 1):  # psi_13, a prime above it
+        with pytest.raises(InvalidArgument):
+            is_prime(n)
 
 
 # ------------------------------------------------------- square classification
@@ -193,11 +200,11 @@ def t(a=2):
 
 def test_quad_norm_example():
     x = QuadExt(1, 1, 2)  # 1 + sqrt(2)
-    assert quad_norm(x) == -1
+    assert x.norm() == -1
 
 
 def test_quad_inv_example():
-    assert quad_inv(t()) == QuadExt(0, F(1, 2), 2)  # 1/sqrt(2) = sqrt(2)/2
+    assert t().inverse() == QuadExt(0, F(1, 2), 2)  # 1/sqrt(2) = sqrt(2)/2
 
 
 def test_quad_val_examples():
@@ -234,7 +241,7 @@ def test_quad_field_arithmetic():
     assert x**3 == x * x * x
     assert 2 * x == x + x
     assert 1 / x == x.inverse()
-    assert quad_norm(x * y) == quad_norm(x) * quad_norm(y)
+    assert (x * y).norm() == x.norm() * y.norm()
     with pytest.raises(ZeroDivisor):
         QuadExt(0, 0, 5).inverse()
 

@@ -50,6 +50,18 @@ def test_validate_params_accepts():
     assert params.sqrt_mode.root == 3
 
 
+def test_validate_params_rejects_uncertified_p():
+    # psi_12 passes Miller-Rabin to every prime base up to 37 but is composite
+    for p in (318665857834031151167461, 3317044064679887385961981):
+        with pytest.raises(InvalidArgument):
+            validate_params(p, 2, 1, 3)
+
+
+def test_params_to_dict():
+    params = validate_params(3, F(1, 9), 1, 2)
+    assert params.to_dict() == {"p": 3, "a": "1/9", "b": "1", "c": "2"}
+
+
 def test_validate_params_degenerate_factors():
     with pytest.raises(DegenerateParams) as exc:
         validate_params(3, 0, 2, 5)

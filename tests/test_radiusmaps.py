@@ -25,7 +25,6 @@ from udyn.radiusmaps import (
     fix_set,
     lambda_interval,
     limit_classify,
-    member_exceptional,
     radius_orbit,
     radius_step,
     regime_of,
@@ -275,7 +274,7 @@ def test_exceptional_h_and_l():
     assert l.kind == "L"
     assert l.member(lt.sphere_b()) == 0
     assert l.element(1) == rad(3, -8)  # base -2 plus one step of 2s = -6
-    assert member_exceptional(rad(3, -8), l) == 1
+    assert l.member(rad(3, -8)) == 1
 
 
 def test_exceptional_degenerate_step():
