@@ -1,12 +1,15 @@
-"""Byte-for-byte pins of the classify and verify JSON.
+"""Byte-for-byte pins of the classify, verify and truncated orbit JSON.
 
 ``tests/golden/`` holds output written before the classifier and the
 verifier were rebuilt on tables: the ``classify`` and ``verify --seed 0`` JSON of every
 ``default_grid()`` row and of the four rows in ``EXTRA_ROWS`` (the two
 cases the grid misses, at p = 2 and at an odd p), plus one sha256 per case
-over the classify JSON of a seeded 1,500-set roster.  A refactor must
-reproduce these bytes exactly; the files are never regenerated to make a
-change pass.  ``python tests/test_golden.py`` writes them.
+over the classify JSON of a seeded 1,500-set roster.  ``tests/golden/orbit/``
+holds the ``orbit --force-truncated`` JSON of ``ORBIT_ROWS``, written before
+the truncated kernel was sped up; it prints every point's unit, so it pins
+the kernel bit for bit.  A refactor must reproduce these bytes exactly; the
+files are never regenerated to make a change pass.
+``python tests/test_golden.py`` writes them.
 
 The grid rows are compared inside ``test_default_grid_surface_is_frozen``
 (``test_oracle.py``) so the grid verification runs only once.
@@ -32,6 +35,17 @@ EXTRA_ROWS = (
     (2, "25/528", "656/49", "136/39"),
     (3, "2/81", "3", "1"),
 )
+
+# (p, a, b, c, x, n, precision) for ``orbit --force-truncated``.  The first
+# row loses a digit per step to cancellation on the |c| sphere and ends
+# precision-exhausted at index 64.
+ORBIT_ROWS = (
+    (3, "9", "3", "1", "7/5", 100, 64),
+    (3, "9", "3", "1", "7/5", 200, 1536),
+    (2, "20", "4", "1", "3/5", 200, 1536),
+    (5, "2", "1", "3", "7/3", 200, 1536),
+)
+_LABELS = ("p", "a", "b", "c", "x", "n", "prec")
 
 ROSTER_SEED = 0
 ROSTER_SIZE = 1500
@@ -78,7 +92,7 @@ def row_key(params) -> tuple:
 
 
 def golden_path(command: str, row: tuple) -> Path:
-    label = "_".join(f"{k}{v}" for k, v in zip("pabc", row))
+    label = "_".join(f"{k}{v}" for k, v in zip(_LABELS, row))
     return GOLDEN / command / (label.replace("/", "over").replace("-", "m") + ".json")
 
 
@@ -87,14 +101,17 @@ def golden_text(command: str, row: tuple) -> str:
 
 
 def cli_output(command: str, row: tuple) -> str:
-    """stdout of ``udyn <command> --output json`` (verify at seed 0)."""
+    """stdout of ``udyn <command> --output json`` (verify at seed 0, orbit
+    truncated from ``row``'s x, n and precision)."""
     from udyn.cli import main
 
     argv = [command]
-    for flag, value in zip("pabc", row):
+    for flag, value in zip(("p", "a", "b", "c", "x", "n", "precision"), row):
         argv.append(f"--{flag}={value}")
     if command == "verify":
         argv += ["--seed", "0"]
+    if command == "orbit":
+        argv += ["--force-truncated"]
     argv += ["--output", "json"]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -148,6 +165,11 @@ def test_extra_row_matches_golden(command, row):
     assert cli_output(command, row) == golden_text(command, row)
 
 
+@pytest.mark.parametrize("row", ORBIT_ROWS)
+def test_truncated_orbit_matches_golden(row):
+    assert cli_output("orbit", row) == golden_text("orbit", row)
+
+
 def test_extra_rows_cover_the_missing_cases():
     from udyn.mapengine import validate_params
     from udyn.portrait import case_of
@@ -182,6 +204,9 @@ def write_golden() -> None:
         (GOLDEN / command).mkdir(parents=True, exist_ok=True)
         for row in rows:
             golden_path(command, row).write_text(cli_output(command, row), encoding="utf-8")
+    (GOLDEN / "orbit").mkdir(parents=True, exist_ok=True)
+    for row in ORBIT_ROWS:
+        golden_path("orbit", row).write_text(cli_output("orbit", row), encoding="utf-8")
     digests = roster_digests(classify(pr) for pr in roster())
     (GOLDEN / "roster_seed0.json").write_text(
         json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8"
