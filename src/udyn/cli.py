@@ -311,6 +311,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    if args.samples < 1:
+        raise InvalidArgument(f"--samples must be >= 1, got {args.samples}")
     try:
         with open(args.file, encoding="utf-8") as handle:
             lines = handle.read().splitlines()

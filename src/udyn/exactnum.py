@@ -8,7 +8,10 @@ Everything here is exact: integers and :class:`fractions.Fraction`
 throughout, no floating point.  The truncated type models an element of Q_p
 by a unit times a power of p, known to a fixed number of significant p-adic
 digits; it tracks what is certified and refuses to answer questions the
-retained digits cannot settle.
+retained digits cannot settle.  Its division inverts the divisor's unit
+modulo p**k by Newton (Hensel) lifting from the inverse modulo p, as do the
+square-root lifts (X. Caruso, *Computations with p-adic numbers*,
+arXiv:1701.06794).
 """
 
 from __future__ import annotations
@@ -195,6 +198,27 @@ def _unit_mod(u: Fraction, modulus: int) -> int:
     return u.numerator * pow(u.denominator, -1, modulus) % modulus
 
 
+def _inv_unit(u: int, p: int, k: int) -> int:
+    """Inverse of an integer prime to p, modulo p**k.
+
+    Newton's iteration y <- y*(2 - u*y) squares the error 1 - u*y, so it
+    doubles the correct digits of the inverse mod p at each step.  The
+    precisions are k, ceil(k/2), ceil(k/4), ... run from the bottom up, so
+    the last step lands on k exactly and the earlier ones work on short
+    operands; the result equals ``pow(u, -1, p**k)`` at a fraction of the
+    extended-gcd cost when k is large.
+    """
+    ladder = []
+    while k > 1:
+        ladder.append(k)
+        k = (k + 1) // 2
+    y = pow(u % p, -1, p)
+    for j in reversed(ladder):
+        m = p**j
+        y = y * (2 - u % m * y) % m
+    return y
+
+
 class SqrtKind(enum.Enum):
     RATIONAL_SQUARE = "rational-square"
     QP_SQUARE_NOT_RATIONAL = "qp-square-not-rational"
@@ -291,7 +315,7 @@ def _sqrt_unit_odd(u: Fraction, p: int, digits: int) -> int:
         k = min(2 * k, digits)
         m = p**k
         uk = _unit_mod(u, m)
-        r = (r + uk * pow(r, -1, m)) * pow(2, -1, m) % m
+        r = (r + uk * _inv_unit(r, p, k)) * _inv_unit(2, p, k) % m
     if r % p != canon:
         r = p**digits - r
     return r
@@ -639,6 +663,8 @@ class TruncatedPadic:
         )
 
     def __truediv__(self, other: object):
+        """Quotient to min(digits) digits; the divisor's unit is inverted
+        modulo p**k by Newton lifting (:func:`_inv_unit`)."""
         o = self._same(other)
         if o is None:
             return NotImplemented
@@ -653,21 +679,24 @@ class TruncatedPadic:
         if self.digits == 0:
             return TruncatedPadic(self.p, val=self.val - o.val)
         k = min(self.digits, o.digits)
-        m = self.p**k
-        unit = self.unit * pow(o.unit, -1, m) % m
+        unit = self.unit * _inv_unit(o.unit, self.p, k) % self.p**k
         return TruncatedPadic(self.p, self.val - o.val, unit, k)
 
     def __pow__(self, n: int):
+        """Square-and-multiply; x**0 is 1 to max(digits, 1) digits."""
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = TruncatedPadic.from_rational(1, self.p, max(self.digits, 1))
+        if n == 0:
+            return TruncatedPadic.from_rational(1, self.p, max(self.digits, 1))
+        out = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def __str__(self) -> str:
         if self.exact_zero:

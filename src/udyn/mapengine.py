@@ -14,6 +14,7 @@ scalar domains and every operation keeps them there:
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -146,7 +147,10 @@ def point_val(x: Point, p: int):
     raise InvalidArgument(f"unsupported point type {type(x).__name__}")
 
 
+@functools.lru_cache(maxsize=256)
 def _lift(q: Rational, p: int, digits: int) -> TruncatedPadic:
+    """q to ``digits`` digits, lifted once per (q, p, digits): an orbit
+    reuses the lifted a, b and c at every step of the same precision."""
     return TruncatedPadic.from_rational(q, p, digits)
 
 
@@ -183,7 +187,8 @@ def eval_f(x: Point, params: MapParams) -> Point:
         w = max(x.digits, 32)
         a_t, b_t, c_t = (_lift(q, params.p, w) for q in (params.a, params.b, params.c))
         den = _truncated_denominator(x, c_t)
-        return a_t * x * ((x + b_t) / den) ** 2
+        q = (x + b_t) / den
+        return a_t * x * (q * q)
     raise InvalidArgument(f"unsupported point type {type(x).__name__}")
 
 

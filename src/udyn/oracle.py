@@ -45,6 +45,7 @@ from .mapengine import (
     PoleHit,
     PrecisionExhaustedAt,
     UnsupportedRadius,
+    _lift,
     derivative_at,
     eval_f,
     fixed_points,
@@ -194,8 +195,8 @@ def critical_value_at(x, params: MapParams, which: str) -> Radius:
             f"point valuation {point_val(x, p)!s} is off the |{which}| sphere"
         )
     if isinstance(x, TruncatedPadic):
-        num = x + TruncatedPadic.from_rational(params.b, p, x.digits)
-        den = x + TruncatedPadic.from_rational(params.c, p, x.digits)
+        num = x + _lift(params.b, p, x.digits)
+        den = x + _lift(params.c, p, x.digits)
         if den.exact_zero:
             raise PoleHit("x = -c is the pole")
     else:
@@ -1228,7 +1229,9 @@ def run_verification(
 ) -> VerificationReport:
     """The full suite for one parameter set: fixed-point algebra, the
     point-vs-radius bridge, every portrait claim, and the radius-level
-    lemmas for this spec."""
+    lemmas for this spec.  ``sample_count`` must be at least 1."""
+    if sample_count < 1:
+        raise InvalidArgument(f"sample count must be >= 1, got {sample_count}")
     portrait = classify(params)
     report = VerificationReport(params, seed, horizon, portrait=portrait)
     report.checks.extend(

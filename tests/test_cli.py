@@ -210,6 +210,19 @@ def test_verify_seed_env_fallback(capsys, monkeypatch):
     assert via_env == via_flag
 
 
+@pytest.mark.parametrize(
+    "row, samples",
+    [(("5", "2", "1", "3"), "0"), (("3", "9", "3", "1"), "0"), (("3", "9", "3", "1"), "-3")],
+    ids=["T2.B", "T2.A", "T2.A-negative"],
+)
+def test_verify_rejects_sample_count_below_one(capsys, row, samples):
+    flags = [f"--{k}={v}" for k, v in zip("pabc", row)]
+    code, out, err = run(capsys, "verify", *flags, "--samples", samples)
+    assert code == 1
+    assert out == ""
+    assert "sample count must be >= 1" in err
+
+
 # --------------------------------------------------------------------- grid
 
 
@@ -260,6 +273,16 @@ def test_grid_json_shape(capsys, tmp_path):
     data = json.loads(out)["grid"]
     assert data["summary"] == {"rows": 1, "degenerate": 0, "fail": 0, "pass": 1}
     assert data["rows"][0]["status"] == "PASS"
+
+
+@pytest.mark.parametrize("rows", ["3 9 3 1\n", "3 1 3 1\n"], ids=["valid", "degenerate"])
+def test_grid_rejects_sample_count_below_one(capsys, tmp_path, rows):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(rows)
+    code, out, err = run(capsys, "grid", str(grid), "--samples", "0")
+    assert code == 1
+    assert out == ""
+    assert "--samples must be >= 1" in err
 
 
 def test_grid_bad_line_is_usage_error(capsys, tmp_path):

@@ -1,10 +1,12 @@
 """Tests for the exact-arithmetic layer: valuations, square roots,
 quadratic extensions, and truncated p-adics."""
 
+import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from udyn.exactnum import (
@@ -25,6 +27,7 @@ from udyn.exactnum import (
     vp_int,
     vp_rat,
 )
+from udyn.exactnum import _inv_unit
 
 F = Fraction
 
@@ -338,6 +341,68 @@ def test_pow_matches_exact():
     x = TruncatedPadic.from_rational(F(2, 5), 3, 12)
     assert _matches(x**3, F(8, 125), 3)
     assert (x**0).valuation() == 0
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        TruncatedPadic.from_rational(F(2, 5), 3, 12),
+        TruncatedPadic.from_rational(F(-7, 4), 2, 40),
+        TruncatedPadic.unknown(5, 3),
+        TruncatedPadic.zero(3),
+    ],
+    ids=["certified-p3", "certified-p2", "uncertified", "exact-zero"],
+)
+def test_pow_equals_repeated_products(x, monkeypatch):
+    one = TruncatedPadic.from_rational(1, x.p, max(x.digits, 1))
+    expected = [reduce(lambda acc, _: acc * x, range(n), one) for n in range(10)]
+    mul = TruncatedPadic.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedPadic, "__mul__", counted)
+    for n in range(10):
+        calls.clear()
+        assert x**n == expected[n]
+        # square-and-multiply with no squaring after the last bit
+        assert len(calls) == max(n.bit_length() + bin(n).count("1") - 2, 0)
+
+
+@st.composite
+def _units_mod_pk(draw):
+    """(p, k, u) with 0 < u < p**k and u prime to p."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 10007]))
+    k = draw(st.integers(1, 2000))
+    u = draw(st.integers(0, p ** (k - 1) - 1)) * p + draw(st.integers(1, p - 1))
+    return p, k, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_units_mod_pk())
+@example(case=(2, 1, 1))
+@example(case=(3, 1536, 3**1536 - 1))
+@example(case=(5, 1023, 2))
+@example(case=(10007, 2000, 10007**2000 - 2))
+def test_inv_unit_matches_pow(case):
+    p, k, u = case
+    assert _inv_unit(u, p, k) == pow(u, -1, p**k)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_division_at_1536_digits_matches_pow_inverse(p):
+    rng = random.Random(p)
+    m = p**1536
+    for _ in range(10):
+        x, y = (
+            TruncatedPadic(p, rng.randint(-5, 5), rng.randrange(1, m // p) * p + 1, 1536)
+            for _ in range(2)
+        )
+        q = x / y
+        assert (q.val, q.digits) == (x.val - y.val, 1536)
+        assert q.unit == x.unit * pow(y.unit, -1, m) % m
 
 
 def test_mixed_prime_rejected():

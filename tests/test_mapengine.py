@@ -22,6 +22,7 @@ from udyn.mapengine import (
     PoleHit,
     PoleHitAt,
     UnsupportedRadius,
+    _lift,
     abs_f,
     derivative_at,
     eval_f,
@@ -208,6 +209,28 @@ def test_orbit_depth_cap_and_truncated_mode():
     rec = orbit(F(9), params, 5, max_exact_steps=5)
     assert rec.termination == Completed(5)
     assert isinstance(rec.points[-1], F)
+
+
+def test_truncated_orbit_lifts_coefficients_once(monkeypatch):
+    params = validate_params(5, 2, 1, 3)
+    _lift.cache_clear()
+    lift = TruncatedPadic.from_rational
+    lifted = []
+
+    def counted(q, p, digits):
+        lifted.append((q, digits))
+        return lift(q, p, digits)
+
+    monkeypatch.setattr(TruncatedPadic, "from_rational", counted)
+    rec = orbit(F(7, 3), params, 50, precision=256)
+    assert rec.termination == Completed(50)
+    # the start point, then a, b and c once per digit count the orbit
+    # runs at: not three lifts per step
+    widths = list(dict.fromkeys(pt.digits for pt in rec.points[:-1]))
+    assert len(widths) < 5
+    assert lifted == [(F(7, 3), 256)] + [
+        (q, w) for w in widths for q in (params.a, params.b, params.c)
+    ]
 
 
 def test_orbit_quadratic_points():
