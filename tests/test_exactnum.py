@@ -18,6 +18,7 @@ from udyn.exactnum import (
     SqrtKind,
     TruncatedPadic,
     ZeroDivisor,
+    _inv_unit,
     hensel_sqrt,
     is_prime,
     is_qp_square,
@@ -27,7 +28,6 @@ from udyn.exactnum import (
     vp_int,
     vp_rat,
 )
-from udyn.exactnum import _inv_unit
 
 F = Fraction
 
