@@ -4,7 +4,11 @@
 verifier were rebuilt on tables: the ``classify`` and ``verify --seed 0`` JSON of every
 ``default_grid()`` row and of the four rows in ``EXTRA_ROWS`` (the two
 cases the grid misses, at p = 2 and at an odd p), plus one sha256 per case
-over the classify JSON of a seeded 1,500-set roster.  ``tests/golden/orbit/``
+over the classify JSON of a seeded 1,500-set roster.  It also holds the
+``verify`` JSON of ``RAMIFIED_VERIFY_ROWS``, the four grid rows whose
+samples include points of the ramified extension by sqrt(a), at a second
+seed and sample count; they were written while those samples still ran
+as exact quadratic-extension orbits.  ``tests/golden/orbit/``
 holds the ``orbit --force-truncated`` JSON of ``ORBIT_ROWS``, written before
 the truncated kernel was sped up; it prints every point's unit, so it pins
 the kernel bit for bit; it also holds the exact ``orbit`` JSON of
@@ -40,6 +44,15 @@ EXTRA_ROWS = (
     (3, "2/81", "3", "1"),
 )
 
+# (p, a, b, c, seed, samples) for ``verify``: the grid rows with a ramified
+# sqrt(a), whose half-integer spheres are sampled in Q_p(sqrt(a)).
+RAMIFIED_VERIFY_ROWS = (
+    (3, "1/3", "3", "1", 7, 40),
+    (3, "27", "1", "6", 7, 40),
+    (3, "3", "1", "6", 7, 40),
+    (3, "1/3", "1", "3", 7, 40),
+)
+
 # (p, a, b, c, x, n, precision) for ``orbit --force-truncated``.  The first
 # row loses a digit per step to cancellation on the |c| sphere and ends
 # precision-exhausted at index 64.
@@ -68,8 +81,12 @@ FIXED_POINT_ROWS = (
 _FLAGS = {
     "fixed-points": ("p", "a", "b", "c", "precision"),
     "orbit": ("p", "a", "b", "c", "x", "n", "precision"),
+    "verify": ("p", "a", "b", "c", "seed", "samples"),
 }
-_LABELS = {"fixed-points": ("p", "a", "b", "c", "prec")}
+_LABELS = {
+    "fixed-points": ("p", "a", "b", "c", "prec"),
+    "verify": ("p", "a", "b", "c", "seed", "samples"),
+}
 _DEFAULT_LABELS = ("p", "a", "b", "c", "x", "n", "prec")
 _LABEL_CHARS = str.maketrans({"/": "over", "-": "m", "+": "p", "*": None, "(": None, ")": None})
 
@@ -128,15 +145,16 @@ def golden_text(command: str, row: tuple) -> str:
 
 
 def cli_output(command: str, row: tuple) -> str:
-    """stdout of ``udyn <command> --output json`` (verify at seed 0, orbit
-    from ``row``'s x and n, truncated when the row gives a precision)."""
+    """stdout of ``udyn <command> --output json`` (verify at seed 0 unless
+    ``row`` gives a seed and sample count, orbit from ``row``'s x and n,
+    truncated when the row gives a precision)."""
     from udyn.cli import main
 
     argv = [command]
     flags = _FLAGS.get(command, ("p", "a", "b", "c"))
     for flag, value in zip(flags, row):
         argv.append(f"--{flag}={value}")
-    if command == "verify":
+    if command == "verify" and len(row) == 4:
         argv += ["--seed", "0"]
     if command == "orbit" and len(row) == len(flags):
         argv += ["--force-truncated"]
@@ -191,6 +209,11 @@ def roster_digests(portraits) -> dict:
 @pytest.mark.parametrize("command", ["classify", "verify"])
 def test_extra_row_matches_golden(command, row):
     assert cli_output(command, row) == golden_text(command, row)
+
+
+@pytest.mark.parametrize("row", RAMIFIED_VERIFY_ROWS)
+def test_ramified_verify_matches_golden(row):
+    assert cli_output("verify", row) == golden_text("verify", row)
 
 
 @pytest.mark.parametrize("row", ORBIT_ROWS)
@@ -255,6 +278,8 @@ def write_golden() -> None:
         (GOLDEN / command).mkdir(parents=True, exist_ok=True)
         for row in rows:
             golden_path(command, row).write_text(cli_output(command, row), encoding="utf-8")
+    for row in RAMIFIED_VERIFY_ROWS:
+        golden_path("verify", row).write_text(cli_output("verify", row), encoding="utf-8")
     (GOLDEN / "orbit").mkdir(parents=True, exist_ok=True)
     for row in ORBIT_ROWS + EXACT_ORBIT_ROWS:
         golden_path("orbit", row).write_text(cli_output("orbit", row), encoding="utf-8")
