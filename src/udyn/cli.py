@@ -18,9 +18,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .exactnum import ExactError, InvalidArgument, QuadExt
 from .mapengine import (
+    EXACT_BITS,
     Completed,
     DegenerateParams,
     MapParams,
+    SizeBudgetAt,
     fixed_points,
     orbit,
     point_val,
@@ -266,6 +268,11 @@ def cmd_orbit(args) -> int:
         for i, (pt, v) in enumerate(zip(points, vals)):
             print(f"{i:<6} {val_str(v):<10} {pt}")
         print(f"termination: {_dump(termination.to_dict())}")
+        if isinstance(termination, SizeBudgetAt):
+            print(
+                f"exact points outgrew {EXACT_BITS} bits at step {termination.index};"
+                " --force-truncated runs deeper in certified truncated arithmetic"
+            )
     return EXIT_OK
 
 
@@ -457,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--force-truncated",
         action="store_true",
-        help="run in truncated p-adic arithmetic at --precision digits",
+        help="run in truncated p-adic arithmetic at --precision digits"
+        " (rational and sqrt(a) starts alike)",
     )
     sp.add_argument(
         "--precision", type=int, default=64, help="certified digits when truncated"

@@ -1,22 +1,29 @@
 """Exact p-adic arithmetic primitives.
 
 Valuations over the rationals, square classification in Q_p, Hensel lifting
-of square roots, quadratic extensions Q(sqrt(a)), and a capped-relative
-truncated p-adic number type whose valuations are certified exact.
+of square roots, quadratic extensions Q(sqrt(a)), and two capped-relative
+truncated types whose valuations are certified exact: p-adic numbers
+(``TruncatedPadic``) and points u + v*sqrt(a) of Q_p(sqrt(a)) whose
+coordinates are such numbers (``TruncatedQuad``).
 
 Everything here is exact: integers and :class:`fractions.Fraction`
-throughout, no floating point.  The truncated type models an element of Q_p
+throughout, no floating point.  ``TruncatedPadic`` models an element of Q_p
 by a unit times a power of p, known to a fixed number of significant p-adic
 digits; it tracks what is certified and refuses to answer questions the
 retained digits cannot settle.  Its division inverts the divisor's unit
 modulo p**k by Newton (Hensel) lifting from the inverse modulo p, as do the
 square-root lifts (X. Caruso, *Computations with p-adic numbers*,
-arXiv:1701.06794).
+arXiv:1701.06794).  ``TruncatedQuad`` divides through the conjugate and
+the truncated norm, and takes its valuation as half that of the norm, so
+its answers are certified in the same way.  Unlike exact ``QuadExt``
+points, whose coordinates roughly triple in size per step of the map, its
+operands keep a fixed size.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -43,6 +50,7 @@ __all__ = [
     "QuadExt",
     "quad_val",
     "TruncatedPadic",
+    "TruncatedQuad",
 ]
 
 
@@ -502,11 +510,17 @@ def quad_val(x: QuadExt, p: int):
         raise InvalidArgument(f"p must be prime, got {p}")
     if x.is_zero:
         return TOP
-    if is_qp_square(x.a, p):
-        raise InvalidExtension(
-            f"sqrt({x.a}) already lies in Q_{p}; valuation via the norm is invalid"
-        )
+    _require_extension(x.a, p)
     return Fraction(vp_rat(x.norm(), p), 2)
+
+
+def _require_extension(a: Fraction, p: int) -> None:
+    """Refuse a radicand that is a square of Q_p: there the norm form has
+    nontrivial zeros and v(norm)/2 is not a valuation."""
+    if is_qp_square(a, p):
+        raise InvalidExtension(
+            f"sqrt({a}) already lies in Q_{p}; valuation via the norm is invalid"
+        )
 
 
 @dataclass(frozen=True)
@@ -707,3 +721,144 @@ class TruncatedPadic:
         if self.digits == 0:
             return f"O({self.p}^{self.val})"
         return f"{self.unit}*{self.p}^{self.val} + O({self.p}^{self.val + self.digits})"
+
+
+@dataclass(frozen=True)
+class TruncatedQuad:
+    """u + v*sqrt(a) in Q_p(sqrt(a)) with capped-relative coordinates.
+
+    ``u`` and ``v`` are :class:`TruncatedPadic` values; ``a`` is the
+    radicand, lifted once by :meth:`from_quad` and shared by every element
+    computed from that one, and ``rad`` is its exact value.  Q_p scalars
+    (``TruncatedPadic``) mix in directly, and division goes through the
+    conjugate and the truncated norm u**2 - a*v**2.  The valuation is
+    v(norm)/2, so like every ``TruncatedPadic`` answer it is either
+    certified or :class:`PrecisionExhausted`.
+    """
+
+    u: TruncatedPadic
+    v: TruncatedPadic
+    a: TruncatedPadic
+    rad: Fraction
+
+    @classmethod
+    def from_quad(cls, x: QuadExt, p: int, digits: int) -> "TruncatedQuad":
+        """Lift an exact point (and its radicand) to ``digits`` digits; a
+        radicand that is a square of Q_p raises :class:`InvalidExtension`."""
+        _require_extension(x.a, p)
+        lift = TruncatedPadic.from_rational
+        return cls(lift(x.u, p, digits), lift(x.v, p, digits), lift(x.a, p, digits), x.a)
+
+    @property
+    def p(self) -> int:
+        return self.a.p
+
+    @property
+    def exact_zero(self) -> bool:
+        return self.u.exact_zero and self.v.exact_zero
+
+    @property
+    def digits(self) -> int:
+        """The fewest certified digits of a nonzero coordinate; 0 for an
+        exact zero."""
+        return min((c.digits for c in (self.u, self.v) if not c.exact_zero), default=0)
+
+    @functools.cached_property
+    def norm(self) -> TruncatedPadic:
+        """u**2 - a*v**2, computed once per element."""
+        return self.u * self.u - self.a * (self.v * self.v)
+
+    @property
+    def is_certified(self) -> bool:
+        """True when the exact valuation is known (incl. exact zero)."""
+        return self.exact_zero or self.norm.is_certified
+
+    def valuation(self):
+        """v(norm)/2, extending vp on Q_p; TOP for exact zero.
+
+        Raises :class:`PrecisionExhausted` when the norm is uncertified.
+        """
+        if self.exact_zero:
+            return TOP
+        return Fraction(self.norm.valuation(), 2)
+
+    def _split(self, other: object):
+        """(u, v) of an operand of this extension, with v None for a Q_p
+        scalar; None for an operand of another type."""
+        if isinstance(other, TruncatedQuad):
+            if other.a is not self.a and other.rad != self.rad:
+                raise InvalidExtension("operands live in different extensions")
+            return other.u, other.v
+        if isinstance(other, TruncatedPadic):
+            return other, None
+        return None
+
+    def _new(self, u: TruncatedPadic, v: TruncatedPadic) -> "TruncatedQuad":
+        return TruncatedQuad(u, v, self.a, self.rad)
+
+    def __add__(self, other: object):
+        o = self._split(other)
+        if o is None:
+            return NotImplemented
+        u, v = o
+        return self._new(self.u + u, self.v if v is None else self.v + v)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "TruncatedQuad":
+        return self._new(-self.u, -self.v)
+
+    def __sub__(self, other: object):
+        o = self._split(other)
+        if o is None:
+            return NotImplemented
+        u, v = o
+        return self._new(self.u - u, self.v if v is None else self.v - v)
+
+    def __rsub__(self, other: object):
+        o = self._split(other)
+        if o is None:
+            return NotImplemented
+        return -self + other
+
+    def __mul__(self, other: object):
+        o = self._split(other)
+        if o is None:
+            return NotImplemented
+        u, v = o
+        if v is None:
+            return self._new(self.u * u, self.v * u)
+        return self._new(self.u * u + self.a * (self.v * v), self.u * v + self.v * u)
+
+    __rmul__ = __mul__
+
+    def conj(self) -> "TruncatedQuad":
+        return self._new(self.u, -self.v)
+
+    def __truediv__(self, other: object):
+        """Quotient through the conjugate: x/y = x*conj(y)/norm(y)."""
+        o = self._split(other)
+        if o is None:
+            return NotImplemented
+        u, v = o
+        if v is None:
+            return self._new(self.u / u, self.v / u)
+        return self * other.conj() / other.norm
+
+    def __rtruediv__(self, other: object):
+        if self._split(other) is None:
+            return NotImplemented
+        return self.conj() * other / self.norm
+
+    def __pow__(self, n: int):
+        """Square-and-multiply (:func:`_power`); x**0 is 1 to
+        max(digits, 1) digits."""
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        if n == 0:
+            one = TruncatedPadic.from_rational(1, self.p, max(self.digits, 1))
+            return self._new(one, TruncatedPadic.zero(self.p))
+        return _power(self, n)
+
+    def __str__(self) -> str:
+        return f"(({self.u}) + ({self.v})*sqrt({self.rad}))"

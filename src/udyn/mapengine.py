@@ -1,18 +1,25 @@
 """The map f(x) = a*x*((x+b)/(x+c))**2 over exact p-adic scalars.
 
 Evaluation, orbits with pole detection, the three fixed points with their
-multipliers, and seeded sphere sampling.  Points live in one of three
+multipliers, and seeded sphere sampling.  Points live in one of four
 scalar domains and every operation keeps them there:
 
 * ``Fraction`` — plain rationals;
 * ``QuadExt`` — the quadratic extension by sqrt(a) when a is not a
   square of Q_p;
 * ``TruncatedPadic`` — capped-precision p-adics for deep orbits, with
-  certified valuations only.
+  certified valuations only;
+* ``TruncatedQuad`` — capped-precision points of Q_p(sqrt(a)), whose
+  coordinates are ``TruncatedPadic`` values.
+
+The two exact domains hold the fixed-point algebra and the sampled start
+points; orbits that must stay cheap run in the two truncated ones
+(``lift_point``).  An exact orbit is bounded by operand size: it ends at
+the first point larger than ``EXACT_BITS`` bits.
 
 f is written once, in ``_Bound``: f bound to the domain of one point,
 holding a, b and c in that domain and applying its pole rule (x + c
-exactly zero is the pole; a truncated x + c without a certified digit
+exactly zero is the pole; a truncated x + c that is not certified nonzero
 exhausts the precision).  f, f' and |f|, the fixed-point pair and every
 orbit step go through it.  A truncated orbit is bound once, at its start
 point: capped-relative arithmetic never gives f(x) more digits than x
@@ -40,6 +47,7 @@ from .exactnum import (
     SqrtClass,
     SqrtKind,
     TruncatedPadic,
+    TruncatedQuad,
     hensel_sqrt,
     is_prime,
     quad_val,
@@ -48,7 +56,14 @@ from .exactnum import (
 )
 from .radiusmaps import Radius, RadiusMapSpec
 
-Point = Union[Fraction, QuadExt, TruncatedPadic]
+Point = Union[Fraction, QuadExt, TruncatedPadic, TruncatedQuad]
+_TRUNCATED = (TruncatedPadic, TruncatedQuad)
+
+#: Bit size past which an exact orbit stops.  Exact points roughly triple
+#: in size per step, so the step that crosses it is the last cheap one, and
+#: every kept numerator and denominator prints within Python's default
+#: 4,300-digit int-to-str limit (about 14,000 bits).
+EXACT_BITS = 1 << 13
 
 
 class PoleHit(ExactError):
@@ -150,7 +165,7 @@ def point_val(x: Point, p: int):
         return vp_rat(x, p)
     if isinstance(x, QuadExt):
         return quad_val(x, p)
-    if isinstance(x, TruncatedPadic):
+    if isinstance(x, _TRUNCATED):
         if x.p != p:
             raise InvalidArgument("point and parameters use different primes")
         return x.valuation()
@@ -158,8 +173,8 @@ def point_val(x: Point, p: int):
 
 
 def _is_zero(z: Point) -> Optional[bool]:
-    """Whether z is zero; None when a truncated z has no certified digit."""
-    if isinstance(z, TruncatedPadic):
+    """Whether z is zero; None when truncated digits cannot tell."""
+    if isinstance(z, _TRUNCATED):
         return z.exact_zero if z.is_certified else None
     if isinstance(z, QuadExt):
         return z.is_zero
@@ -176,14 +191,15 @@ class _Bound:
     """f bound to the scalar domain of one point.
 
     The coefficients live in that domain: the rationals themselves for
-    ``Fraction`` and ``QuadExt`` points, and for a ``TruncatedPadic`` point
-    lifts to ``width`` digits (by default max(digits, 32)), made on first
-    use, so each is lifted at most once per binding.
+    ``Fraction`` and ``QuadExt`` points, and for a truncated point
+    ``TruncatedPadic`` lifts to ``width`` digits (by default
+    max(digits, 32)), made on first use, so each is lifted at most once
+    per binding.
     """
 
     def __init__(self, params: MapParams, x: Point, width: Optional[int] = None) -> None:
         self.params = params
-        if isinstance(x, TruncatedPadic):
+        if isinstance(x, _TRUNCATED):
             if x.p != params.p:
                 raise InvalidArgument("point and parameters use different primes")
             w = max(x.digits, 32) if width is None else width
@@ -213,7 +229,7 @@ class _Bound:
             raise PoleHit("x + c = 0: the point is the pole")
         if zero is None:
             raise PrecisionExhausted(
-                "x + c has no certified digit; cannot rule out the pole"
+                "x + c is not certified nonzero; cannot rule out the pole"
             )
         return den
 
@@ -289,7 +305,18 @@ class PrecisionExhaustedAt:
         return {"kind": "precision-exhausted", "index": self.index}
 
 
-Termination = Union[Completed, PoleHitAt, PrecisionExhaustedAt]
+@dataclass(frozen=True)
+class SizeBudgetAt:
+    """Exact orbit point ``index`` outgrew ``EXACT_BITS`` bits and was not
+    kept; a truncated orbit (``precision``) runs deeper."""
+
+    index: int
+
+    def to_dict(self) -> dict:
+        return {"kind": "size-budget", "index": self.index}
+
+
+Termination = Union[Completed, PoleHitAt, PrecisionExhaustedAt, SizeBudgetAt]
 
 
 @dataclass(frozen=True)
@@ -305,39 +332,46 @@ class OrbitRecord:
     termination: Termination
 
 
+def _bits(x: Point) -> int:
+    """Size of an exact point: its longest numerator or denominator."""
+    parts = (x.u, x.v) if isinstance(x, QuadExt) else (x,)
+    return max(max(q.numerator.bit_length(), q.denominator.bit_length()) for q in parts)
+
+
+def lift_point(x: Point, p: int, digits: int) -> Point:
+    """An exact point in truncated arithmetic at ``digits`` digits: a
+    rational as ``TruncatedPadic``, a ``QuadExt`` as ``TruncatedQuad``.
+    Truncated points are returned unchanged."""
+    if isinstance(x, (int, Fraction)):
+        return TruncatedPadic.from_rational(x, p, digits)
+    if isinstance(x, QuadExt):
+        return TruncatedQuad.from_quad(x, p, digits)
+    return x
+
+
 def orbit(
     x: Point,
     params: MapParams,
     n: int,
     *,
     precision: Optional[int] = None,
-    max_exact_steps: int = 25,
 ) -> OrbitRecord:
     """Iterate f up to n steps with per-step pole checks.
 
-    Exact scalars are kept exact only up to ``max_exact_steps`` — the
-    numerator bit length roughly triples per step — beyond which a
-    ``precision`` (certified p-adic digits) must be supplied and the
-    orbit runs in truncated arithmetic.  f is bound once, at the start
-    point, so a truncated orbit lifts a, b and c once, at its start width.
+    With ``precision`` (certified p-adic digits) an exact start is lifted
+    (:func:`lift_point`) and the orbit runs in truncated arithmetic.  An
+    exact orbit ends at the first point larger than ``EXACT_BITS`` bits
+    (:class:`SizeBudgetAt`): its size roughly triples per step.  f is
+    bound once, at the start point, so a truncated orbit lifts a, b and c
+    once, at its start width.
     """
     if n < 1:
         raise InvalidArgument("orbit length must be >= 1")
     if isinstance(x, int):
         x = Fraction(x)
     if precision is not None:
-        if isinstance(x, QuadExt):
-            raise InvalidArgument(
-                "truncated arithmetic covers rational points only"
-            )
-        if isinstance(x, Fraction):
-            x = TruncatedPadic.from_rational(x, params.p, precision)
-    elif not isinstance(x, TruncatedPadic) and n > max_exact_steps:
-        raise InvalidArgument(
-            f"exact orbits are capped at {max_exact_steps} steps because "
-            "point size grows ~3x per step; pass precision=<digits> to run "
-            "deeper in truncated arithmetic"
-        )
+        x = lift_point(x, params.p, precision)
+    exact = not isinstance(x, _TRUNCATED)
 
     f = _Bound(params, x).f
     points: list = []
@@ -352,6 +386,9 @@ def orbit(
     for i in range(n):
         try:
             nxt = f(points[i])
+            if exact and _bits(nxt) > EXACT_BITS:
+                termination = SizeBudgetAt(i + 1)
+                break
             v = point_val(nxt, params.p)
         except PoleHit:
             termination = PoleHitAt(i)

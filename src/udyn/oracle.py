@@ -1,8 +1,8 @@
 """Brute-force verification: iterate f exactly and cross-check every claim.
 
 The harness samples points with exactly known absolute values, runs the
-map with certified arithmetic (truncated p-adics for rational points,
-exact quadratic-extension arithmetic for ramified ones), and compares
+map with certified truncated arithmetic (p-adics for rational points,
+their pairs over Q_p(sqrt(a)) for ramified ones), and compares
 the observed valuations against the radius-map predictions and the
 phase-portrait claims.  Every check is exact: a PASS is an identity of
 valuations, never a float comparison.
@@ -50,6 +50,7 @@ from .mapengine import (
     eval_f,
     exact_eq,
     fixed_points,
+    lift_point,
     orbit,
     point_val,
     sample_sphere,
@@ -80,8 +81,9 @@ from .radiusmaps import (
 
 # |f^n(x)| <= p**-THRESH counts as converged to zero, >= p**THRESH as escaped
 _THRESH = 20
-# exact quadratic-extension orbits triple in size per step; keep them short
-# and let the radius-level fate certificate finish the argument
+# ramified samples run in truncated arithmetic like rational ones, so these
+# throttles no longer bound any cost; they hold the frozen verify output
+# (horizon and sample counts of the half-integer spheres) until it is rewritten
 _QUAD_CAP = 6
 _QUAD_SAMPLES = 2
 _MAX_DIGITS = 1 << 13
@@ -212,7 +214,7 @@ def _probe_radii(params: MapParams) -> List[Radius]:
 
 def _sample(radius: Radius, params: MapParams, count: int, seed: int) -> list:
     if radius.is_finite and radius.q2 % 2 != 0:
-        count = min(count, _QUAD_SAMPLES)  # extension points are expensive
+        count = min(count, _QUAD_SAMPLES)  # the frozen ramified sample count
     try:
         return sample_sphere(radius, params, count, seed)
     except UnsupportedRadius:
@@ -220,13 +222,16 @@ def _sample(radius: Radius, params: MapParams, count: int, seed: int) -> list:
 
 
 def _run_orbit(x0, params: MapParams, steps: int, precision: int):
-    """Orbit record with certified valuations; rational starts retry with
-    more digits on cancellation, extension points run exactly but shorter."""
+    """Orbit record with certified valuations.  Every start, rational or in
+    Q_p(sqrt(a)), is lifted to ``precision`` digits and run in truncated
+    arithmetic, retried with twice the digits while the precision runs out;
+    extension starts keep the ``_QUAD_CAP`` horizon."""
     if isinstance(x0, QuadExt):
-        return orbit(x0, params, min(steps, _QUAD_CAP))
+        steps = min(steps, _QUAD_CAP)
     digits = precision
     while True:
-        rec = orbit(Fraction(x0), params, steps, precision=digits)
+        start = lift_point(x0, params.p, digits)
+        rec = orbit(start, params, steps, precision=digits)
         if (
             not isinstance(rec.termination, PrecisionExhaustedAt)
             or digits >= _MAX_DIGITS

@@ -1,9 +1,11 @@
 """Command-line front end: flag parsing, rendering, and exit codes."""
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
+from test_golden import golden_text
 
 from udyn.cli import main, parse_point, parse_radius
 from udyn.exactnum import InvalidArgument, QuadExt
@@ -129,6 +131,35 @@ def test_orbit_truncated_mode(capsys):
     vals = json.loads(out)["orbit"]["valuations"]
     assert vals[:3] == ["2", "6", "10"]
     assert len(vals) == 40
+
+
+def test_orbit_truncated_sqrt_start_matches_exact_golden(capsys):
+    code, out, _ = run(
+        capsys, "orbit", "--p", "3", "--a", "1/3", "--b", "1", "--c", "3",
+        "--x", "1+2*sqrt(a)", "--n", "5", "--force-truncated", "--output", "json",
+    )
+    assert code == 0
+    data = json.loads(out)["orbit"]
+    row = (3, "1/3", "1", "3", "1+2*sqrt(a)", 5)
+    exact = json.loads(golden_text("orbit", row))["orbit"]
+    assert data["valuations"] == exact["valuations"]
+    assert data["termination"] == exact["termination"]
+    assert data["x"] == exact["x"]
+
+
+def test_orbit_exact_size_budget_returns_promptly(capsys):
+    argv = ("orbit", "--p", "3", "--a", "9", "--b", "3", "--c", "1", "--x", "7/5", "--n", "40")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv, "--output", "json")
+    # point 10 alone costs ~0.1 s and point 11 ~0.6 s; 39 steps never return
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    data = json.loads(out)["orbit"]
+    assert data["termination"] == {"kind": "size-budget", "index": 8}
+    assert len(data["valuations"]) == 8
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "--force-truncated" in out.splitlines()[-1]
 
 
 # ------------------------------------------------------------- radius orbit

@@ -13,6 +13,7 @@ from udyn.exactnum import (
     QuadExt,
     SqrtKind,
     TruncatedPadic,
+    TruncatedQuad,
     quad_val,
     vp_rat,
 )
@@ -22,7 +23,9 @@ from udyn.mapengine import (
     DegenerateParams,
     MapParams,
     PoleHit,
+    EXACT_BITS,
     PoleHitAt,
+    SizeBudgetAt,
     UnsupportedRadius,
     abs_f,
     derivative_at,
@@ -232,16 +235,20 @@ def test_orbit_constant_zero():
 
 def test_orbit_depth_cap_and_truncated_mode():
     params = validate_params(3, 9, 3, 1)
-    with pytest.raises(InvalidArgument):
-        orbit(F(9), params, 40)
+    # exact points grow ~3x per step: 7141 bits at index 7, 21421 at 8
+    rec = orbit(F(7, 5), params, 40)
+    assert rec.termination == SizeBudgetAt(8)
+    assert len(rec.points) == len(rec.valuations) == 8
+    assert all(isinstance(x, F) for x in rec.points)
+    assert max(x.numerator.bit_length() for x in rec.points) <= EXACT_BITS
+    deep = orbit(F(7, 5), params, 40, precision=60)
+    assert deep.valuations[:8] == rec.valuations
     rec = orbit(F(9), params, 40, precision=60)
     assert rec.termination == Completed(40)
     assert rec.valuations[-1] == 2 + 4 * 40
     assert all(isinstance(x, TruncatedPadic) for x in rec.points)
-    # the cap is configurable (here: tightened, keeping the orbit exact)
-    with pytest.raises(InvalidArgument):
-        orbit(F(9), params, 5, max_exact_steps=4)
-    rec = orbit(F(9), params, 5, max_exact_steps=5)
+    # below the budget an exact orbit runs every step it is asked for
+    rec = orbit(F(9), params, 5)
     assert rec.termination == Completed(5)
     assert isinstance(rec.points[-1], F)
 
@@ -273,8 +280,17 @@ def test_orbit_quadratic_points():
     rec = orbit(x, params, 4)
     assert rec.termination == Completed(4)
     assert rec.valuations[0] == F(1, 2)
-    with pytest.raises(InvalidArgument):
-        orbit(x, params, 4, precision=40)
+    # with a precision the start is lifted and the orbit runs truncated
+    deep = orbit(x, params, 4, precision=40)
+    assert deep.termination == Completed(4)
+    assert deep.valuations == rec.valuations
+    assert all(isinstance(pt, TruncatedQuad) for pt in deep.points)
+    for e, t in zip(rec.points, deep.points):
+        for ec, tc in ((e.u, t.u), (e.v, t.v)):
+            if tc.exact_zero:
+                assert ec == 0
+            else:
+                assert tc == TruncatedPadic.from_rational(ec, 3, tc.digits)
 
 
 def test_orbit_rejects_bad_length():

@@ -7,8 +7,8 @@ from fractions import Fraction as F
 import pytest
 from test_golden import golden_text
 
-from udyn.exactnum import InvalidArgument, TruncatedPadic
-from udyn.mapengine import PoleHit, validate_params
+from udyn.exactnum import InvalidArgument, QuadExt, TruncatedPadic, TruncatedQuad
+from udyn.mapengine import PoleHit, orbit, validate_params
 from udyn.oracle import (
     CheckEntry,
     WrongSphere,
@@ -20,6 +20,7 @@ from udyn.oracle import (
     run_verification,
 )
 from udyn.oracle import _interval_reachable  # tested directly: it is a certificate
+from udyn.oracle import _run_orbit, _sample
 from udyn.portrait import classify
 from udyn.radiusmaps import Radius, lambda_interval
 
@@ -160,6 +161,29 @@ def test_entry_flag_carries_trapped_radii():
 
 
 # ------------------------------------------------------------ determinism
+
+
+def test_ramified_samples_run_no_exact_quad_arithmetic(monkeypatch):
+    params = validate_params(3, F(1, 3), 3, 1)
+    x0 = _sample(Radius.from_val(3, F(-1, 2)), params, 1, 0)[0]
+    assert isinstance(x0, QuadExt)
+    exact = orbit(x0, params, 6)
+    calls = []
+    mul = QuadExt.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(QuadExt, "__mul__", counted)
+    monkeypatch.setattr(QuadExt, "__rmul__", counted)
+    rec = _run_orbit(x0, params, 25, 96)
+    assert calls == []
+    assert all(isinstance(pt, TruncatedQuad) for pt in rec.points)
+    # the _QUAD_CAP horizon of 6 steps; the exact orbit meets its size
+    # budget sooner, and agrees on its prefix
+    assert len(rec.valuations) == 7
+    assert rec.valuations[: len(exact.valuations)] == exact.valuations
 
 
 def test_verification_is_deterministic():
