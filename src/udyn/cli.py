@@ -320,6 +320,8 @@ def cmd_verify(args) -> int:
 def cmd_grid(args) -> int:
     if args.samples < 1:
         raise InvalidArgument(f"--samples must be >= 1, got {args.samples}")
+    if args.horizon < 1:
+        raise InvalidArgument(f"--horizon must be >= 1, got {args.horizon}")
     try:
         with open(args.file, encoding="utf-8") as handle:
             lines = handle.read().splitlines()

@@ -601,13 +601,6 @@ class TruncatedPadic:
             f"valuation not certified; only known to be >= {self.val}"
         )
 
-    @property
-    def val_floor(self):
-        """A lower bound on the valuation, always available."""
-        if self.exact_zero:
-            return TOP
-        return self.val
-
     def truncate(self, digits: int) -> "TruncatedPadic":
         """Reduce to at most ``digits`` certified digits."""
         if digits < 1:

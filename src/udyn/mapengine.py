@@ -538,10 +538,10 @@ def sample_sphere(
 ) -> list:
     """Seeded points x with |x| exactly the given radius, pole excluded.
 
-    Integer-valuation spheres are sampled as p**v * m/n with unit
-    numerator and denominator drawn from [1, 10**4]; half-integer
-    valuations need sqrt(a) ramified (a of odd valuation, not a square
-    of Q_p) and use multiples of sqrt(a).
+    A finite radius is p**(q2/2).  Integer-valuation spheres (even q2) are
+    sampled as p**v * m/n with unit numerator and denominator drawn from
+    [1, 10**4]; half-integer valuations (odd q2) need sqrt(a) ramified (a
+    of odd valuation, not a square of Q_p) and use multiples of sqrt(a).
     """
     p = params.p
     if radius.p != p:
@@ -550,11 +550,6 @@ def sample_sphere(
         raise InvalidArgument("count must be >= 1")
     if not radius.is_finite:
         raise InvalidArgument("spheres exist only for finite nonzero radii")
-    if not radius.is_lattice:
-        raise UnsupportedRadius(
-            f"absolute values take only powers of sqrt({p}); {radius} is off"
-            " that lattice"
-        )
     rng = random.Random(seed)
     out: list = []
     if radius.q2 % 2 == 0:

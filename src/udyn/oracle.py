@@ -1200,9 +1200,12 @@ def run_verification(
 ) -> VerificationReport:
     """The full suite for one parameter set: fixed-point algebra, the
     point-vs-radius bridge, every portrait claim, and the radius-level
-    lemmas for this spec.  ``sample_count`` must be at least 1."""
+    lemmas for this spec.  ``sample_count`` and ``horizon`` must be at
+    least 1."""
     if sample_count < 1:
         raise InvalidArgument(f"sample count must be >= 1, got {sample_count}")
+    if horizon < 1:
+        raise InvalidArgument(f"horizon must be >= 1, got {horizon}")
     portrait = classify(params)
     report = VerificationReport(params, seed, horizon, portrait=portrait)
     report.checks.extend(

@@ -3,7 +3,7 @@
 Over an ultrametric field the map f sends the sphere of radius r around 0
 onto a predictable radius except on the two critical spheres r = |b| and
 r = |c|, where the image radius depends on the point.  This module models
-radii exactly (``unit * p**(q2/2)`` with a p-free rational unit), implements
+radii exactly (``p**(q2/2)`` with an integer q2), implements
 the induced piecewise radius map and its orbits, the ladders of radii that
 land exactly on a critical sphere, the set of fixed radii, the interval of
 radii carrying two-cycles, and a closed-form limit classifier that decides
@@ -16,14 +16,13 @@ import dataclasses
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Dict, List, Optional, Tuple, Union
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from .exactnum import (
     TOP,
     ExactError,
     InvalidArgument,
     Rational,
-    unit_part,
     vp_rat,
 )
 
@@ -85,39 +84,25 @@ class RadiusKind(enum.Enum):
     INFINITE = "inf"
 
 
-def _bits(q: Fraction) -> int:
-    return q.numerator.bit_length() + q.denominator.bit_length()
+_RANK = {RadiusKind.ZERO: 0, RadiusKind.FINITE: 1, RadiusKind.INFINITE: 2}
 
 
 @dataclass(frozen=True)
 class Radius:
-    """An exact radius ``unit * p**(q2/2)`` (plus the zero and infinite ones).
+    """An exact radius ``p**(q2/2)`` (plus the zero and infinite ones).
 
-    ``unit`` is a positive rational with no factor of p; all powers of p are
-    carried by the even-or-odd integer ``q2``, so half-integer exponents (the
-    radii realized in ramified quadratic extensions) are exact.  ``unit == 1``
-    radii are called *lattice* radii: they are the absolute values points can
-    actually take.
+    Every absolute value a point of Q_p or of a quadratic extension can take
+    has this form, so the integer ``q2`` carries the radius exactly,
+    half-integer exponents (ramified extensions) included.
     """
 
     p: int
     kind: RadiusKind = RadiusKind.FINITE
-    unit: Fraction = Fraction(1)
     q2: int = 0
 
     def __post_init__(self) -> None:
         if self.kind is not RadiusKind.FINITE:
-            object.__setattr__(self, "unit", Fraction(1))
             object.__setattr__(self, "q2", 0)
-            return
-        u = Fraction(self.unit)
-        if u <= 0:
-            raise InvalidArgument("a finite radius must be positive")
-        v = vp_rat(u, self.p)
-        if v != 0:
-            object.__setattr__(self, "q2", self.q2 + 2 * v)
-            u = unit_part(u, self.p)
-        object.__setattr__(self, "unit", u)
 
     # ------------------------------------------------------------ constructors
 
@@ -130,9 +115,9 @@ class Radius:
         return cls(p, RadiusKind.INFINITE)
 
     @classmethod
-    def from_exponent(cls, p: int, q2: int, unit: Rational = 1) -> "Radius":
-        """The radius unit * p**(q2/2)."""
-        return cls(p, RadiusKind.FINITE, Fraction(unit), q2)
+    def from_exponent(cls, p: int, q2: int) -> "Radius":
+        """The radius p**(q2/2)."""
+        return cls(p, RadiusKind.FINITE, q2)
 
     @classmethod
     def from_val(cls, p: int, v) -> "Radius":
@@ -142,15 +127,7 @@ class Radius:
         q2 = Fraction(-2 * v)
         if q2.denominator != 1:
             raise InvalidArgument(f"valuation must lie in (1/2)Z, got {v}")
-        return cls(p, RadiusKind.FINITE, Fraction(1), int(q2))
-
-    @classmethod
-    def from_rational(cls, p: int, x: Rational) -> "Radius":
-        """The radius whose value is the positive rational x."""
-        x = Fraction(x)
-        if x <= 0:
-            raise InvalidArgument("radius value must be positive")
-        return cls(p, RadiusKind.FINITE, x, 0)
+        return cls(p, RadiusKind.FINITE, int(q2))
 
     # ------------------------------------------------------------- inspectors
 
@@ -166,29 +143,18 @@ class Radius:
     def is_finite(self) -> bool:
         return self.kind is RadiusKind.FINITE
 
-    @property
-    def is_lattice(self) -> bool:
-        """True when the radius is an actual absolute value, p**(q2/2)."""
-        return self.is_finite and self.unit == 1
-
-    def value_as_fraction(self) -> Optional[Fraction]:
-        """The exact rational value, when the exponent is integral."""
-        if not self.is_finite or self.q2 % 2 != 0:
-            return None
-        return self.unit * Fraction(self.p) ** (self.q2 // 2)
-
     # ------------------------------------------------------------- arithmetic
 
     def scaled_by_power(self, e2: int) -> "Radius":
         """Multiply by p**(e2/2)."""
         if not self.is_finite:
             return self
-        return Radius(self.p, RadiusKind.FINITE, self.unit, self.q2 + e2)
+        return Radius(self.p, RadiusKind.FINITE, self.q2 + e2)
 
     def cubed(self) -> "Radius":
         if not self.is_finite:
             return self
-        return Radius(self.p, RadiusKind.FINITE, self.unit**3, 3 * self.q2)
+        return Radius(self.p, RadiusKind.FINITE, 3 * self.q2)
 
     def inverted_into(self, e2: int) -> "Radius":
         """r -> p**(e2/2) / r (zero and infinity swap)."""
@@ -196,7 +162,7 @@ class Radius:
             return Radius.infinite(self.p)
         if self.is_infinite:
             return Radius.zero(self.p)
-        return Radius(self.p, RadiusKind.FINITE, 1 / self.unit, e2 - self.q2)
+        return Radius(self.p, RadiusKind.FINITE, e2 - self.q2)
 
     # -------------------------------------------------------------- ordering
 
@@ -205,26 +171,9 @@ class Radius:
             raise InvalidArgument("radii compare only with radii")
         if other.p != self.p:
             raise InvalidArgument("radii with different primes do not compare")
-        rank = {RadiusKind.ZERO: 0, RadiusKind.FINITE: 1, RadiusKind.INFINITE: 2}
-        ra, rb = rank[self.kind], rank[other.kind]
-        if ra != rb:
-            return -1 if ra < rb else 1
-        if self.kind is not RadiusKind.FINITE:
-            return 0
-        d = self.q2 - other.q2
-        if self.unit == other.unit:
-            return (d > 0) - (d < 0)
-        # Dominance shortcut: |log2 of the unit ratio squared| is below
-        # 2*(bit sizes); p**d with p >= 2 overwhelms it past that, so giant
-        # powers never need materializing.
-        slack = 2 * (_bits(self.unit) + _bits(other.unit)) + 8
-        if d > slack:
-            return 1
-        if d < -slack:
-            return -1
-        lhs = self.unit * self.unit * Fraction(self.p) ** d
-        rhs = other.unit * other.unit
-        return (lhs > rhs) - (lhs < rhs)
+        a = (_RANK[self.kind], self.q2)
+        b = (_RANK[other.kind], other.q2)
+        return (a > b) - (a < b)
 
     def __lt__(self, other: "Radius") -> bool:
         return self._cmp(other) < 0
@@ -243,15 +192,11 @@ class Radius:
             return "0"
         if self.is_infinite:
             return "inf"
-        if self.unit == 1:
-            if self.q2 == 0:
-                return "1"
-            if self.q2 % 2 == 0:
-                return f"{self.p}^{self.q2 // 2}"
-            return f"{self.p}^{self.q2}/2"
+        if self.q2 == 0:
+            return "1"
         if self.q2 % 2 == 0:
-            return str(self.value_as_fraction())
-        return f"{self.unit}*{self.p}^{self.q2}/2"
+            return f"{self.p}^{self.q2 // 2}"
+        return f"{self.p}^{self.q2}/2"
 
 
 class Regime(enum.Enum):
@@ -661,7 +606,7 @@ class ExceptionalSet:
 
     def member(self, r: Radius) -> Optional[int]:
         """The ladder index of r, or None if r is off the ladder."""
-        if not r.is_lattice:
+        if not r.is_finite:
             return None
         num = r.q2 - self.base_q2
         if self.step_q2 == 0:
@@ -775,7 +720,7 @@ def fix_set(spec: RadiusMapSpec) -> FixSet:
             conditional.append(name)
         elif crit == sphere:
             members.append(sphere)
-    members.sort(key=lambda r: (r.q2, r.unit))
+    members.sort(key=lambda r: r.q2)
     return FixSet(tuple(members), tuple(rays), tuple(conditional))
 
 
@@ -800,10 +745,8 @@ class _RadExpr:
         if not r.is_finite:
             raise InvalidArgument("only finite radii convert to expressions")
         if r.q2 % 2 == 0:
-            return cls(r.p, r.unit * Fraction(r.p) ** (r.q2 // 2), Fraction(0))
-        return cls(
-            r.p, Fraction(0), r.unit * Fraction(r.p) ** ((r.q2 - 1) // 2)
-        )
+            return cls(r.p, Fraction(r.p) ** (r.q2 // 2), Fraction(0))
+        return cls(r.p, Fraction(0), Fraction(r.p) ** ((r.q2 - 1) // 2))
 
     def _sign(self) -> int:
         if self.x == 0 and self.y == 0:
@@ -825,9 +768,6 @@ class _RadExpr:
 
     def __sub__(self, other: "_RadExpr") -> "_RadExpr":
         return _RadExpr(self.p, self.x - other.x, self.y - other.y)
-
-    def __add__(self, other: "_RadExpr") -> "_RadExpr":
-        return _RadExpr(self.p, self.x + other.x, self.y + other.y)
 
     def scaled(self, k: Rational) -> "_RadExpr":
         k = Fraction(k)
@@ -945,27 +885,12 @@ def _crossing(
     """Smallest k >= 1 after which r * p**(k*delta/2) has crossed (reached
     or passed) the target sphere, with the landing radius.
 
-    delta > 0 crosses upward, delta < 0 downward.  Exact: binary search on
-    the monotone predicate, using radius comparisons only.
+    delta > 0 crosses upward, delta < 0 downward.  In exponents the k-th
+    landing is r.q2 + k*delta, so k is the ceiling of
+    (target.q2 - r.q2) / delta in both directions, found in closed form.
     """
-    up = delta_q2 > 0
-    gap = abs(target.q2 - r.q2)
-    hi = max(1, gap // abs(delta_q2) + (_bits(r.unit) + _bits(target.unit)) + 4)
-
-    def crossed(k: int) -> bool:
-        land = r.scaled_by_power(k * delta_q2)
-        return land >= target if up else land <= target
-
-    while not crossed(hi):  # defensive; the bound above already suffices
-        hi *= 2
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if crossed(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo, r.scaled_by_power(lo * delta_q2)
+    k = max(1, -((r.q2 - target.q2) // delta_q2))
+    return k, r.scaled_by_power(k * delta_q2)
 
 
 def _missing_crit_shortcut(

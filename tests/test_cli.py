@@ -173,6 +173,14 @@ def test_radius_orbit_text(capsys):
     assert code == 0
     assert "trajectory: 3^2 -> 1" in out
     assert "needs-critical-value" in out
+    # the README's example: a start inside the two-cycle interval
+    code, out, _ = run(
+        capsys, "radius-orbit", "--p", "3", "--a", "9", "--b", "1", "--c", "9",
+        "--r", "3^-3/2",
+    )
+    assert code == 0
+    assert "trajectory: 3^-3/2 -> 3^-1/2\n" in out
+    assert 'verdict: {"kind":"cycle","radii":["3^-1/2","3^-3/2"]}' in out
 
 
 # ------------------------------------------------------------- fixed points
@@ -254,6 +262,17 @@ def test_verify_rejects_sample_count_below_one(capsys, row, samples):
     assert "sample count must be >= 1" in err
 
 
+@pytest.mark.parametrize("horizon", ["0", "-2"])
+def test_verify_rejects_horizon_below_one(capsys, horizon):
+    code, out, err = run(
+        capsys, "verify", "--p", "3", "--a", "9", "--b", "3", "--c", "1",
+        "--horizon", horizon,
+    )
+    assert code == 1
+    assert out == ""
+    assert "horizon must be >= 1" in err
+
+
 # --------------------------------------------------------------------- grid
 
 
@@ -314,6 +333,17 @@ def test_grid_rejects_sample_count_below_one(capsys, tmp_path, rows):
     assert code == 1
     assert out == ""
     assert "--samples must be >= 1" in err
+
+
+def test_grid_rejects_horizon_below_one_before_reading(capsys, tmp_path):
+    # the file is never opened: a missing one still reports the horizon
+    (tmp_path / "grid.txt").write_text("3 9 3 1\n")
+    for path in (tmp_path / "absent.txt", tmp_path / "grid.txt"):
+        code, out, err = run(capsys, "grid", str(path), "--horizon", "0")
+        assert code == 1
+        assert out == ""
+        assert "--horizon must be >= 1" in err
+        assert "cannot read grid file" not in err
 
 
 def test_grid_bad_line_is_usage_error(capsys, tmp_path):

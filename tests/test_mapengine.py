@@ -40,8 +40,8 @@ from udyn.oracle import critical_value_at
 from udyn.radiusmaps import Radius, Regime, radius_step
 
 
-def rad(p, q2, unit=1):
-    return Radius.from_exponent(p, q2, unit)
+def rad(p, q2):
+    return Radius.from_exponent(p, q2)
 
 
 # ------------------------------------------------------------------ parameters
@@ -142,7 +142,7 @@ def test_eval_f_truncated():
 def test_abs_f_pinned():
     params = validate_params(3, 9, 3, 1)
     assert abs_f(F(9), params) == Radius.from_val(3, 6)
-    assert abs_f(F(9), params) == Radius.from_rational(3, F(1, 729))
+    assert abs_f(F(9), params) == rad(3, -12)
     assert abs_f(F(0), params).is_zero
     assert abs_f(F(-3), params).is_zero  # x = -b maps to 0
     with pytest.raises(PoleHit):
@@ -411,8 +411,6 @@ def test_sample_sphere_rational():
         sample_sphere(Radius.zero(3), params, 3, seed=1)
     with pytest.raises(InvalidArgument):
         sample_sphere(Radius.infinite(3), params, 3, seed=1)
-    with pytest.raises(UnsupportedRadius):
-        sample_sphere(rad(3, 0, 2), params, 3, seed=1)
 
 
 def test_sample_sphere_half_integer():

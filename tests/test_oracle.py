@@ -126,6 +126,16 @@ def test_interval_reachable_all_integer_radii_trapped():
     assert _interval_reachable(Radius.from_exponent(3, -5), spec, lam, 1) is True
 
 
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_run_verification_rejects_horizon_below_one(monkeypatch, horizon):
+    def no_classify(params):
+        raise AssertionError("classified before the horizon was checked")
+
+    monkeypatch.setattr("udyn.oracle.classify", no_classify)
+    with pytest.raises(InvalidArgument, match="horizon must be >= 1"):
+        run_verification(validate_params(3, 9, 3, 1), horizon=horizon)
+
+
 # ------------------------------------------------------- flagged surfaces
 
 

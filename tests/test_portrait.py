@@ -10,8 +10,8 @@ from udyn.portrait import Region, case_of, character_from_multiplier, classify
 from udyn.radiusmaps import Radius
 
 
-def rad(p, q2, unit=1):
-    return Radius.from_exponent(p, q2, unit)
+def rad(p, q2):
+    return Radius.from_exponent(p, q2)
 
 
 def pick(portrait, kind, tag=None, which=None):

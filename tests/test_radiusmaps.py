@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from udyn.exactnum import TOP, InvalidArgument
 from udyn.radiusmaps import (
@@ -16,6 +18,7 @@ from udyn.radiusmaps import (
     InvalidRegime,
     NeedsCriticalValue,
     Radius,
+    RadiusKind,
     RadiusMapSpec,
     Regime,
     ToInfinity,
@@ -30,22 +33,24 @@ from udyn.radiusmaps import (
     regime_of,
     relevant_exceptional,
 )
+from udyn.radiusmaps import _crossing  # tested directly: limit_classify's jump
 
 
-def rad(p, q2, unit=1):
-    return Radius.from_exponent(p, q2, unit)
+def rad(p, q2):
+    return Radius.from_exponent(p, q2)
 
 
 # ---------------------------------------------------------------- Radius model
 
 
 def test_radius_canonical_form():
-    r = Radius.from_rational(3, F(18, 5))  # 18/5 = (2/5) * 3^2
-    assert r.unit == F(2, 5)
-    assert r.q2 == 4
-    assert r.value_as_fraction() == F(18, 5)
-    assert Radius.from_rational(3, F(1, 9)) == rad(3, -4)
-    assert rad(3, 0, F(9, 2)) == rad(3, 4, F(1, 2))
+    r = rad(3, 4)
+    assert r.q2 == 4 and r.is_finite
+    assert r == Radius(3, RadiusKind.FINITE, 4)
+    assert hash(r) == hash(rad(3, 4))
+    # the zero and infinite radii carry no exponent
+    assert Radius(3, RadiusKind.ZERO, 5) == Radius.zero(3)
+    assert Radius(3, RadiusKind.INFINITE, -7) == Radius.infinite(3)
 
 
 def test_radius_from_val():
@@ -61,12 +66,9 @@ def test_radius_ordering():
     one = rad(3, 0)
     assert zero < one < inf
     assert rad(3, -4) < rad(3, -3) < rad(3, 1)
-    assert rad(3, 1, 2) > rad(3, 1)  # 2*sqrt(3) > sqrt(3)
-    # unit against power: 10^6 vs 3^30 (3^30 ~ 2*10^14)
-    assert rad(3, 0, 10**6) < rad(3, 60)
-    # dominance shortcut: enormous exponent gap decided without big powers
-    assert rad(3, 10**9, F(1, 10**6)) > rad(3, 0, 10**6)
-    assert rad(3, -(10**9), 10**6) < rad(3, 0)
+    # enormous exponent gaps are decided without big powers
+    assert rad(3, 10**9) > rad(3, 0)
+    assert rad(3, -(10**9)) < rad(3, 0)
     with pytest.raises(InvalidArgument):
         rad(3, 0) < rad(5, 0)
 
@@ -77,8 +79,6 @@ def test_radius_str():
     assert str(rad(3, -4)) == "3^-2"
     assert str(rad(3, 0)) == "1"
     assert str(rad(2, 5)) == "2^5/2"
-    assert str(rad(3, -2, F(5, 7))) == "5/21"
-    assert str(rad(3, -1, 2)) == "2*3^-1/2"
 
 
 def test_radius_arithmetic_helpers():
@@ -86,11 +86,9 @@ def test_radius_arithmetic_helpers():
     assert r.scaled_by_power(-2) == rad(3, -6)
     assert r.cubed() == rad(3, -12)
     assert rad(3, -3).inverted_into(-4) == rad(3, -1)
-    assert rad(3, -3, 2).inverted_into(0) == rad(3, 3, F(1, 2))
+    assert rad(3, -3).inverted_into(0) == rad(3, 3)
     assert Radius.zero(3).inverted_into(0).is_infinite
     assert Radius.infinite(3).inverted_into(0).is_zero
-    assert not rad(3, -1, 2).is_lattice
-    assert rad(3, -1).is_lattice
 
 
 # --------------------------------------------------------------------- regimes
@@ -151,7 +149,6 @@ def test_radius_step_lt():
     spec = RadiusMapSpec.from_params(3, 9, 3, 1)
     # below |b|: multiply by |a b^2/c^2| = 3^-4
     assert radius_step(rad(3, -4), spec) == rad(3, -12)
-    assert radius_step(rad(3, -4), spec).value_as_fraction() == F(1, 729)
     # between |b| and |c|: r -> |a| r^3 / |c|^2
     assert radius_step(rad(3, -1), spec) == rad(3, -7)
     # above |c|: multiply by |a| = 3^-2
@@ -185,7 +182,6 @@ def test_radius_step_gt():
     assert radius_step(rad(3, -4), spec) == rad(3, 0)
     # between: inversion r -> |a b^2| / r
     assert radius_step(rad(3, -1), spec) == rad(3, 1)
-    assert radius_step(rad(3, -1, F(3, 2)), spec) == rad(3, 1, F(2, 3))
     # above |b|: multiply by |a| = 1
     assert radius_step(rad(3, 2), spec) == rad(3, 2)
     with pytest.raises(CriticalValueNeeded) as exc:
@@ -201,7 +197,7 @@ def test_radius_step_gt():
 
 def test_radius_orbit_to_zero():
     spec = RadiusMapSpec.from_params(3, 9, 3, 1)
-    res = radius_orbit(Radius.from_rational(3, F(1, 9)), spec)
+    res = radius_orbit(rad(3, -4), spec)
     assert res.verdict == ToZero()
     assert res.trajectory == (rad(3, -4),)
 
@@ -209,7 +205,7 @@ def test_radius_orbit_to_zero():
 def test_radius_orbit_to_infinity():
     spec = RadiusMapSpec.from_params(3, F(1, 9), 1, F(1, 3))
     assert spec.regime is Regime.LT  # |b| = 1 < |c| = 3
-    res = radius_orbit(Radius.from_rational(3, 81), spec)
+    res = radius_orbit(rad(3, 8), spec)
     assert res.verdict == ToInfinity()
 
 
@@ -240,13 +236,13 @@ def test_radius_orbit_needs_critical_value():
 
 
 def test_radius_orbit_horizon():
-    # a genuine two-cycle: 2/3 <-> 1/2 under inversion through 3^-1/2
-    spec = RadiusMapSpec.from_params(3, 3, 1, 6)
-    start = rad(3, -2, 2)  # value 2/3, strictly between |c| = 1/3 and |b| = 1
+    # a genuine two-cycle: 3^-3/2 <-> 3^-1/2 under inversion through 3^-1
+    spec = RadiusMapSpec.from_params(3, 9, 1, 9)
+    start = rad(3, -3)  # strictly between |c| = 3^-2 and |b| = 1
     res = radius_orbit(start, spec, max_iter=1)
     assert res.verdict == HorizonExceeded()
     res = radius_orbit(start, spec, max_iter=10)
-    assert res.verdict == Cycle((rad(3, -2, 2), rad(3, 0, F(1, 2))))
+    assert res.verdict == Cycle((rad(3, -1), rad(3, -3)))
 
 
 # ----------------------------------------------------------- exceptional sets
@@ -255,11 +251,11 @@ def test_radius_orbit_horizon():
 def test_exceptional_b_members():
     eset = ExceptionalSet("B", 3, 2, 1, 0)  # |a| = 1/9, |c| = 1
     assert eset.element(0) == rad(3, 0)
-    assert eset.element(2) == Radius.from_rational(3, 81)
-    assert eset.member(Radius.from_rational(3, 81)) == 2
-    assert eset.member(Radius.from_rational(3, 3)) is None
-    assert eset.member(rad(3, 8, 2)) is None  # non-lattice radii never land
+    assert eset.element(2) == rad(3, 8)
+    assert eset.member(rad(3, 8)) == 2
+    assert eset.member(rad(3, 2)) is None
     assert eset.member(rad(3, -4)) is None  # negative index is off the ladder
+    assert eset.member(Radius.zero(3)) is None
 
 
 def test_exceptional_h_and_l():
@@ -413,9 +409,6 @@ def test_limit_classify_lt_threshold():
     assert limit_classify(rho, spec) == FixedAt(rho)
     assert limit_classify(rad(3, -2), spec) == ToZero()
     assert limit_classify(rad(3, 1), spec) == ToInfinity()
-    # non-lattice radius at the threshold exponent moves off and resolves
-    assert limit_classify(rad(3, -1, 2), spec) == ToInfinity()
-    assert limit_classify(rad(3, -1, F(1, 2)), spec) == ToZero()
 
 
 def test_limit_classify_eq():
@@ -465,7 +458,7 @@ def test_limit_classify_gt_flat_top():
 
 def test_limit_classify_to_infinity_case():
     spec = RadiusMapSpec.from_params(3, F(1, 9), 1, F(1, 3))
-    assert limit_classify(Radius.from_rational(3, 81), spec) == ToInfinity()
+    assert limit_classify(rad(3, 8), spec) == ToInfinity()
 
 
 # ------------------------------------- orbit vs classifier agreement harness
@@ -516,11 +509,9 @@ def _crit_configs(spec):
 def _probe_radii(spec):
     lo_q2 = min(-2 * spec.val_b, -2 * spec.val_c) - 5
     hi_q2 = max(-2 * spec.val_b, -2 * spec.val_c) + 5
-    units = [F(1), F(2) if spec.p != 2 else F(3)]
     probes = [Radius.zero(spec.p), Radius.infinite(spec.p)]
     for q2 in range(lo_q2, hi_q2 + 1):
-        for u in units:
-            probes.append(Radius.from_exponent(spec.p, q2, u))
+        probes.append(Radius.from_exponent(spec.p, q2))
     return probes
 
 
@@ -610,3 +601,34 @@ def test_verdict_serialization():
     assert cyc == {"kind": "cycle", "radii": ["3^2", "1"]}
     ev = EventuallyConstantAt(rad(3, -2), 3).to_dict()
     assert ev == {"kind": "eventually-constant", "radius": "3^-1", "index": 3}
+
+
+# ------------------------------------------------- closed-form zone crossing
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    start=st.integers(-(10**4), 10**4),
+    gap=st.integers(0, 10**4),
+    step=st.integers(1, 7),
+    up=st.booleans(),
+)
+@example(start=0, gap=12, step=4, up=True)  # lands exactly on the target
+@example(start=0, gap=13, step=4, up=False)  # passes it with a remainder
+@example(start=5, gap=0, step=3, up=True)  # already there: one step
+def test_crossing_matches_stepping(start, gap, step, up):
+    delta = step if up else -step
+    r = rad(3, start)
+    target = rad(3, start + gap if up else start - gap)
+    k, land = _crossing(r, delta, target)
+    n, cur = 1, r.scaled_by_power(delta)
+    while not (cur >= target if up else cur <= target):
+        n, cur = n + 1, cur.scaled_by_power(delta)
+    assert (k, land) == (n, cur)
+
+
+def test_crossing_huge_gap_is_closed_form():
+    k, land = _crossing(rad(3, 0), 5, rad(3, 10**12 + 3))
+    assert (k, land) == (2 * 10**11 + 1, rad(3, 10**12 + 5))
+    k, land = _crossing(rad(3, 7), -6, rad(3, 7 - 10**12))
+    assert (k, land) == (10**12 // 6 + 1, rad(3, 7 - 6 * (10**12 // 6 + 1)))
