@@ -2,8 +2,9 @@
 the report as plain text or byte-stable JSON.
 
 Exit codes: 0 success (or verification with no FAIL), 1 usage or input
-error, 2 a verification FAIL is present, 3 degenerate parameters.  When
-``grid`` meets both a FAIL and a degenerate row, the FAIL wins.
+error (a closed stdout included), 2 a verification FAIL is present, 3
+degenerate parameters.  When ``grid`` meets both a FAIL and a degenerate
+row, the FAIL wins.
 """
 
 from __future__ import annotations
@@ -240,6 +241,8 @@ def cmd_orbit(args) -> int:
     params = _make_params(args)
     if args.n < 1:
         raise InvalidArgument("--n must be >= 1")
+    if args.force_truncated and args.precision < 1:
+        raise InvalidArgument(f"--precision must be >= 1, got {args.precision}")
     x = parse_point(args.x, params.a)
     precision = args.precision if args.force_truncated else None
     if args.n == 1:
@@ -322,6 +325,8 @@ def cmd_grid(args) -> int:
         raise InvalidArgument(f"--samples must be >= 1, got {args.samples}")
     if args.horizon < 1:
         raise InvalidArgument(f"--horizon must be >= 1, got {args.horizon}")
+    if args.precision < 1:
+        raise InvalidArgument(f"--precision must be >= 1, got {args.precision}")
     try:
         with open(args.file, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
@@ -512,7 +517,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the
+        # interpreter's final flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except DegenerateParams as exc:
         print(f"DegenerateParams: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

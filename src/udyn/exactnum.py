@@ -10,10 +10,12 @@ Everything here is exact: integers and :class:`fractions.Fraction`
 throughout, no floating point.  ``TruncatedPadic`` models an element of Q_p
 by a unit times a power of p, known to a fixed number of significant p-adic
 digits; it tracks what is certified and refuses to answer questions the
-retained digits cannot settle.  Its division inverts the divisor's unit
-modulo p**k by Newton (Hensel) lifting from the inverse modulo p, as do the
-square-root lifts (X. Caruso, *Computations with p-adic numbers*,
-arXiv:1701.06794).  ``TruncatedQuad`` divides through the conjugate and
+retained digits cannot settle.  Its moduli p**k are computed once per
+(p, k) and cached.  Its division Newton-lifts (Hensel-lifts) the inverse of
+the divisor's unit from modulo p to modulo p**ceil(k/2) only, as the
+square-root lifts lift their roots (X. Caruso, *Computations with p-adic
+numbers*, arXiv:1701.06794), and corrects the half-precision quotient once
+to k digits.  ``TruncatedQuad`` divides through the conjugate and
 the truncated norm, and takes its valuation as half that of the norm, so
 its answers are certified in the same way.  Unlike exact ``QuadExt``
 points, whose coordinates roughly triple in size per step of the map, its
@@ -206,6 +208,12 @@ def _unit_mod(u: Fraction, modulus: int) -> int:
     return u.numerator * pow(u.denominator, -1, modulus) % modulus
 
 
+@functools.lru_cache(maxsize=1024)
+def _pk(p: int, k: int) -> int:
+    """p**k, computed once per (p, k) while it stays in the cache."""
+    return p**k
+
+
 def _inv_unit(u: int, p: int, k: int) -> int:
     """Inverse of an integer prime to p, modulo p**k.
 
@@ -213,17 +221,20 @@ def _inv_unit(u: int, p: int, k: int) -> int:
     doubles the correct digits of the inverse mod p at each step.  The
     precisions are k, ceil(k/2), ceil(k/4), ... run from the bottom up, so
     the last step lands on k exactly and the earlier ones work on short
-    operands; the result equals ``pow(u, -1, p**k)`` at a fraction of the
-    extended-gcd cost when k is large.
+    operands.  u is reduced down the ladder once, rung by rung, u*y is
+    reduced mod p**j before the outer product, and every modulus comes from
+    the per-(p, k) cache.  The result equals ``pow(u, -1, p**k)`` at a
+    fraction of the extended-gcd cost when k is large.
     """
     ladder = []
     while k > 1:
-        ladder.append(k)
+        u %= _pk(p, k)
+        ladder.append((k, u))
         k = (k + 1) // 2
     y = pow(u % p, -1, p)
-    for j in reversed(ladder):
-        m = p**j
-        y = y * (2 - u % m * y) % m
+    for j, uj in reversed(ladder):
+        m = _pk(p, j)
+        y = y * (2 - uj * y % m) % m
     return y
 
 
@@ -335,11 +346,11 @@ def _sqrt_unit_odd(u: Fraction, p: int, digits: int) -> int:
     r, k = canon, 1
     while k < digits:
         k = min(2 * k, digits)
-        m = p**k
+        m = _pk(p, k)
         uk = _unit_mod(u, m)
         r = (r + uk * _inv_unit(r, p, k)) * _inv_unit(2, p, k) % m
     if r % p != canon:
-        r = p**digits - r
+        r = _pk(p, digits) - r
     return r
 
 
@@ -557,7 +568,7 @@ class TruncatedPadic:
         else:
             if self.digits < 0:
                 raise InvalidArgument("digits must be >= 0")
-            if not 0 < self.unit < self.p**self.digits:
+            if not 0 < self.unit < _pk(self.p, self.digits):
                 raise InvalidArgument("unit must lie in (0, p**digits)")
             if self.unit % self.p == 0:
                 raise InvalidArgument("unit must be coprime to p")
@@ -580,7 +591,7 @@ class TruncatedPadic:
             return cls.zero(p)
         v = vp_rat(q, p)
         u = unit_part(q, p)
-        return cls(p=p, val=v, unit=_unit_mod(u, p**digits), digits=digits)
+        return cls(p=p, val=v, unit=_unit_mod(u, _pk(p, digits)), digits=digits)
 
     @property
     def is_certified(self) -> bool:
@@ -607,8 +618,7 @@ class TruncatedPadic:
             raise InvalidArgument("digits must be >= 1")
         if self.exact_zero or self.digits <= digits:
             return self
-        m = self.p**digits
-        return TruncatedPadic(self.p, self.val, self.unit % m, digits)
+        return TruncatedPadic(self.p, self.val, self.unit % _pk(self.p, digits), digits)
 
     def _same(self, other: object) -> Optional["TruncatedPadic"]:
         if not isinstance(other, TruncatedPadic):
@@ -620,7 +630,7 @@ class TruncatedPadic:
     def __neg__(self) -> "TruncatedPadic":
         if self.exact_zero or self.digits == 0:
             return self
-        m = self.p**self.digits
+        m = _pk(self.p, self.digits)
         return TruncatedPadic(self.p, self.val, m - self.unit, self.digits)
 
     def __add__(self, other: object):
@@ -638,25 +648,23 @@ class TruncatedPadic:
             if cert.val < unc.val:
                 k = min(cert.digits, unc.val - cert.val)
                 return TruncatedPadic(
-                    self.p, cert.val, cert.unit % self.p**k, k
+                    self.p, cert.val, cert.unit % _pk(self.p, k), k
                 )
             return TruncatedPadic(self.p, val=unc.val)
         if self.val == o.val:
             k = min(self.digits, o.digits)
-            m = self.p**k
-            s = (self.unit + o.unit) % m
+            s = (self.unit + o.unit) % _pk(self.p, k)
             if s == 0:
                 # Cancellation beyond the retained digits.
                 return TruncatedPadic(self.p, val=self.val + k)
             c = vp_int(s, self.p)
             if c == 0:
                 return TruncatedPadic(self.p, self.val, s, k)
-            return TruncatedPadic(self.p, self.val + c, s // self.p**c, k - c)
+            return TruncatedPadic(self.p, self.val + c, s // _pk(self.p, c), k - c)
         lo, hi = (self, o) if self.val < o.val else (o, self)
         d = hi.val - lo.val
         k = min(lo.digits, hi.digits + d)
-        m = self.p**k
-        s = (lo.unit + hi.unit * self.p**d) % m
+        s = (lo.unit + hi.unit * _pk(self.p, d)) % _pk(self.p, k)
         return TruncatedPadic(self.p, lo.val, s, k)
 
     def __sub__(self, other: object):
@@ -674,14 +682,19 @@ class TruncatedPadic:
         if self.digits == 0 or o.digits == 0:
             return TruncatedPadic(self.p, val=self.val + o.val)
         k = min(self.digits, o.digits)
-        m = self.p**k
         return TruncatedPadic(
-            self.p, self.val + o.val, self.unit * o.unit % m, k
+            self.p, self.val + o.val, self.unit * o.unit % _pk(self.p, k), k
         )
 
     def __truediv__(self, other: object):
-        """Quotient to min(digits) digits; the divisor's unit is inverted
-        modulo p**k by Newton lifting (:func:`_inv_unit`)."""
+        """Quotient to k = min(digits) digits.
+
+        The divisor's unit u is inverted modulo p**h only, h = ceil(k/2), by
+        Newton lifting (:func:`_inv_unit`); the dividend's unit a then gives
+        q0 = a*y mod p**h, and one correction step, q = q0 + p**h *
+        (y*((a - u*q0)/p**h) mod p**(k-h)), yields a/u mod p**k exactly:
+        u*y = 1 mod p**h covers the k - h <= h digits of the correction.
+        """
         o = self._same(other)
         if o is None:
             return NotImplemented
@@ -696,7 +709,12 @@ class TruncatedPadic:
         if self.digits == 0:
             return TruncatedPadic(self.p, val=self.val - o.val)
         k = min(self.digits, o.digits)
-        unit = self.unit * _inv_unit(o.unit, self.p, k) % self.p**k
+        h = (k + 1) // 2
+        ph, pl = _pk(self.p, h), _pk(self.p, k - h)
+        y = _inv_unit(o.unit, self.p, h)
+        q0 = self.unit % ph * y % ph
+        e = (self.unit - o.unit * q0) // ph % pl
+        unit = q0 + ph * (y * e % pl)
         return TruncatedPadic(self.p, self.val - o.val, unit, k)
 
     def __pow__(self, n: int):

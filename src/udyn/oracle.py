@@ -1200,12 +1200,14 @@ def run_verification(
 ) -> VerificationReport:
     """The full suite for one parameter set: fixed-point algebra, the
     point-vs-radius bridge, every portrait claim, and the radius-level
-    lemmas for this spec.  ``sample_count`` and ``horizon`` must be at
-    least 1."""
+    lemmas for this spec.  ``sample_count``, ``horizon`` and ``precision``
+    must be at least 1."""
     if sample_count < 1:
         raise InvalidArgument(f"sample count must be >= 1, got {sample_count}")
     if horizon < 1:
         raise InvalidArgument(f"horizon must be >= 1, got {horizon}")
+    if precision < 1:
+        raise InvalidArgument(f"precision must be >= 1, got {precision}")
     portrait = classify(params)
     report = VerificationReport(params, seed, horizon, portrait=portrait)
     report.checks.extend(

@@ -1,12 +1,17 @@
 """Command-line front end: flag parsing, rendering, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from test_golden import golden_text
 
+import udyn
 from udyn.cli import main, parse_point, parse_radius
 from udyn.exactnum import InvalidArgument, QuadExt
 from udyn.oracle import CheckEntry, VerificationReport
@@ -147,6 +152,17 @@ def test_orbit_truncated_sqrt_start_matches_exact_golden(capsys):
     assert data["x"] == exact["x"]
 
 
+@pytest.mark.parametrize("precision", ["0", "-1"])
+def test_orbit_truncated_rejects_precision_below_one(capsys, precision):
+    code, out, err = run(
+        capsys, "orbit", "--p", "3", "--a", "9", "--b", "3", "--c", "1",
+        "--x", "9", "--n", "3", "--force-truncated", "--precision", precision,
+    )
+    assert code == 1
+    assert out == ""
+    assert "--precision must be >= 1" in err
+
+
 def test_orbit_exact_size_budget_returns_promptly(capsys):
     argv = ("orbit", "--p", "3", "--a", "9", "--b", "3", "--c", "1", "--x", "7/5", "--n", "40")
     start = time.perf_counter()
@@ -273,6 +289,17 @@ def test_verify_rejects_horizon_below_one(capsys, horizon):
     assert "horizon must be >= 1" in err
 
 
+@pytest.mark.parametrize("precision", ["0", "-3"])
+def test_verify_rejects_precision_below_one(capsys, precision):
+    code, out, err = run(
+        capsys, "verify", "--p", "3", "--a", "9", "--b", "3", "--c", "1",
+        "--precision", precision,
+    )
+    assert code == 1
+    assert out == ""
+    assert "precision must be >= 1" in err
+
+
 # --------------------------------------------------------------------- grid
 
 
@@ -346,6 +373,16 @@ def test_grid_rejects_horizon_below_one_before_reading(capsys, tmp_path):
         assert "cannot read grid file" not in err
 
 
+def test_grid_rejects_precision_below_one_before_reading(capsys, tmp_path):
+    (tmp_path / "grid.txt").write_text("3 9 3 1\n")
+    for path in (tmp_path / "absent.txt", tmp_path / "grid.txt"):
+        code, out, err = run(capsys, "grid", str(path), "--precision", "0")
+        assert code == 1
+        assert out == ""
+        assert "--precision must be >= 1" in err
+        assert "cannot read grid file" not in err
+
+
 def test_grid_bad_line_is_usage_error(capsys, tmp_path):
     grid = tmp_path / "grid.txt"
     grid.write_text("3 9 3\n")
@@ -382,6 +419,30 @@ def test_usage_errors_exit_1(capsys):
         capsys, "radius-orbit", "--p", "3", "--a", "9", "--b", "3", "--c", "1",
         "--r", "2^1",
     )[0] == 1
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # ~144 KB of output: more than a pipe holds, so the writer always meets
+    # the closed pipe
+    argv = [
+        "orbit", "--p", "3", "--a", "9", "--b", "3", "--c", "1", "--x", "7/5",
+        "--n", "200", "--force-truncated", "--precision", "1536",
+    ]
+    src = str(Path(udyn.__file__).resolve().parent.parent)
+    script = "import sys; from udyn.cli import main; sys.exit(main())"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.readline().startswith(b"params:")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert err == ""
 
 
 def test_uncertified_prime_exits_1(capsys):

@@ -383,9 +383,11 @@ def test_pow_equals_repeated_products(x, monkeypatch):
 
 
 @st.composite
-def _units_mod_pk(draw):
-    """(p, k, u) with 0 < u < p**k and u prime to p."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 11, 10007]))
+def _units_mod_pk(draw, p=None):
+    """(p, k, u) with 0 < u < p**k and u prime to p; p is drawn unless
+    given."""
+    if p is None:
+        p = draw(st.sampled_from([2, 3, 5, 7, 11, 10007]))
     k = draw(st.integers(1, 2000))
     u = draw(st.integers(0, p ** (k - 1) - 1)) * p + draw(st.integers(1, p - 1))
     return p, k, u
@@ -414,6 +416,40 @@ def test_division_at_1536_digits_matches_pow_inverse(p):
         q = x / y
         assert (q.val, q.digits) == (x.val - y.val, 1536)
         assert q.unit == x.unit * pow(y.unit, -1, m) % m
+
+
+@st.composite
+def _quotients(draw):
+    """(p, x, y) with certified operands of independent digit counts."""
+    p, k, u = draw(_units_mod_pk())
+    _, j, w = draw(_units_mod_pk(p))
+    val = st.integers(-3, 3)
+    return p, TruncatedPadic(p, draw(val), u, k), TruncatedPadic(p, draw(val), w, j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_quotients())
+@example(case=(2, TruncatedPadic(2, 0, 1, 1), TruncatedPadic(2, 0, 1, 1)))
+@example(case=(3, TruncatedPadic(3, 1, 2, 1), TruncatedPadic(3, 0, 5, 2)))
+@example(case=(5, TruncatedPadic(5, 0, 7, 2), TruncatedPadic(5, -1, 3, 2)))
+@example(case=(7, TruncatedPadic(7, 0, 300, 3), TruncatedPadic(7, 2, 5, 3)))
+@example(case=(2, TruncatedPadic(2, 0, 2**7 - 1, 7), TruncatedPadic(2, 0, 3, 9)))
+@example(case=(5, TruncatedPadic(5, 0, 5**1535 - 1, 1535), TruncatedPadic(5, 0, 2, 1536)))
+@example(case=(10007, TruncatedPadic(10007, 0, 2, 1999), TruncatedPadic(10007, 0, 3, 999)))
+def test_division_matches_pow_inverse(case):
+    p, x, y = case
+    q = x / y
+    k = min(x.digits, y.digits)
+    assert (q.val, q.digits) == (x.val - y.val, k)
+    assert q.unit == x.unit * pow(y.unit, -1, p**k) % p**k
+
+
+def test_range_check_holds_at_1536_digits():
+    m = 5**1536
+    assert TruncatedPadic(5, 0, m - 1, 1536).unit == m - 1
+    for p, unit in ((5, m), (5, m + 2), (5, 10), (5, 5**1535), (3, m - 1)):
+        with pytest.raises(InvalidArgument):
+            TruncatedPadic(p, 0, unit, 1536)
 
 
 def test_mixed_prime_rejected():

@@ -136,6 +136,16 @@ def test_run_verification_rejects_horizon_below_one(monkeypatch, horizon):
         run_verification(validate_params(3, 9, 3, 1), horizon=horizon)
 
 
+@pytest.mark.parametrize("precision", [0, -1])
+def test_run_verification_rejects_precision_below_one(monkeypatch, precision):
+    def no_classify(params):
+        raise AssertionError("classified before the precision was checked")
+
+    monkeypatch.setattr("udyn.oracle.classify", no_classify)
+    with pytest.raises(InvalidArgument, match="precision must be >= 1"):
+        run_verification(validate_params(3, 9, 3, 1), precision=precision)
+
+
 # ------------------------------------------------------- flagged surfaces
 
 
