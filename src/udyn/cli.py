@@ -518,7 +518,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         code = _COMMANDS[args.command](args)
-        sys.stdout.flush()
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
     except BrokenPipeError:
         # The reader closed stdout.  Point it at devnull so that the

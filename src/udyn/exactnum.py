@@ -12,10 +12,10 @@ by a unit times a power of p, known to a fixed number of significant p-adic
 digits; it tracks what is certified and refuses to answer questions the
 retained digits cannot settle.  Its moduli p**k are computed once per
 (p, k) and cached.  Its division Newton-lifts (Hensel-lifts) the inverse of
-the divisor's unit from modulo p to modulo p**ceil(k/2) only, as the
-square-root lifts lift their roots (X. Caruso, *Computations with p-adic
-numbers*, arXiv:1701.06794), and corrects the half-precision quotient once
-to k digits.  ``TruncatedQuad`` divides through the conjugate and
+the divisor's unit from modulo p to modulo p**ceil(k/2) only, then corrects
+the half-precision quotient once to k digits; the square-root lifts use the
+same Newton iteration (X. Caruso, *Computations with p-adic numbers*,
+arXiv:1701.06794).  ``TruncatedQuad`` divides through the conjugate and
 the truncated norm, and takes its valuation as half that of the norm, so
 its answers are certified in the same way.  Unlike exact ``QuadExt``
 points, whose coordinates roughly triple in size per step of the map, its
@@ -710,11 +710,11 @@ class TruncatedPadic:
             return TruncatedPadic(self.p, val=self.val - o.val)
         k = min(self.digits, o.digits)
         h = (k + 1) // 2
-        ph, pl = _pk(self.p, h), _pk(self.p, k - h)
+        ph, pkh = _pk(self.p, h), _pk(self.p, k - h)
         y = _inv_unit(o.unit, self.p, h)
         q0 = self.unit % ph * y % ph
-        e = (self.unit - o.unit * q0) // ph % pl
-        unit = q0 + ph * (y * e % pl)
+        e = (self.unit - o.unit * q0) // ph % pkh
+        unit = q0 + ph * (y * e % pkh)
         return TruncatedPadic(self.p, self.val - o.val, unit, k)
 
     def __pow__(self, n: int):
