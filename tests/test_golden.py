@@ -15,8 +15,12 @@ the kernel bit for bit; it also holds the exact ``orbit`` JSON of
 ``EXACT_ORBIT_ROWS``.  ``tests/golden/fixed_points/`` holds the
 ``fixed-points`` JSON of ``FIXED_POINT_ROWS``, whose truncated roots no grid
 row reaches.  Both were written before f was bound to one scalar-domain
-kernel.  A refactor must reproduce these bytes exactly; the
-files are never regenerated to make a change pass.
+kernel.  ``radius_lemmas_seed0.json`` holds one sha256 per case over the
+``check_radius_lemmas`` entries of the same roster, written before the
+radius lemmas became a table; it pins the known
+``radius:classify-vs-orbit`` FAILs as they stand.  A refactor must
+reproduce these bytes exactly; the files are never regenerated to make a
+change pass.
 ``python tests/test_golden.py`` writes them.
 
 The grid rows are compared inside ``test_default_grid_surface_is_frozen``
@@ -193,6 +197,22 @@ def roster(seed: int = ROSTER_SEED, size: int = ROSTER_SIZE) -> list:
     return out
 
 
+def radius_lemma_digests(params_list) -> dict:
+    """sha256 per case over the ``check_radius_lemmas`` entry lines, in
+    roster order."""
+    from udyn.oracle import check_radius_lemmas
+    from udyn.portrait import case_of
+
+    hashes: dict = {}
+    for params in params_list:
+        spec = params.radius_spec()
+        h = hashes.setdefault(case_of(spec)[1], hashlib.sha256())
+        for e in check_radius_lemmas([spec]):
+            line = json.dumps(e.to_dict(), sort_keys=True, separators=(",", ":"))
+            h.update(line.encode() + b"\n")
+    return {case: h.hexdigest() for case, h in sorted(hashes.items())}
+
+
 def roster_digests(portraits) -> dict:
     """sha256 per case over the classify JSON lines, in roster order."""
     hashes: dict = {}
@@ -266,6 +286,11 @@ def test_roster_digests_match_golden():
     assert roster_digests(portraits) == expected
 
 
+def test_radius_lemma_digests_match_golden():
+    expected = json.loads((GOLDEN / "radius_lemmas_seed0.json").read_text(encoding="utf-8"))
+    assert radius_lemma_digests(roster()) == expected
+
+
 # ------------------------------------------------------------------ writer
 
 
@@ -288,10 +313,13 @@ def write_golden() -> None:
         golden_path("fixed-points", row).write_text(
             cli_output("fixed-points", row), encoding="utf-8"
         )
-    digests = roster_digests(classify(pr) for pr in roster())
-    (GOLDEN / "roster_seed0.json").write_text(
-        json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    for name, digests in (
+        ("roster_seed0.json", roster_digests(classify(pr) for pr in roster())),
+        ("radius_lemmas_seed0.json", radius_lemma_digests(roster())),
+    ):
+        (GOLDEN / name).write_text(
+            json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+        )
 
 
 if __name__ == "__main__":

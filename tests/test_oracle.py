@@ -7,8 +7,15 @@ from fractions import Fraction as F
 import pytest
 from test_golden import golden_text
 
-from udyn.exactnum import InvalidArgument, QuadExt, TruncatedPadic, TruncatedQuad
-from udyn.mapengine import PoleHit, orbit, validate_params
+from udyn import oracle
+from udyn.exactnum import (
+    InvalidArgument,
+    PrecisionExhausted,
+    QuadExt,
+    TruncatedPadic,
+    TruncatedQuad,
+)
+from udyn.mapengine import OrbitRecord, PoleHit, PrecisionExhaustedAt, orbit, validate_params
 from udyn.oracle import (
     CheckEntry,
     WrongSphere,
@@ -79,6 +86,97 @@ def test_lemma1_bridge_passes(quad):
     (result,) = check_lemma1(params, sample_count=12, horizon=10, seed=3)
     assert result.status == "PASS"
     assert result.samples > 0
+
+
+def _precision_limited_critical_value(x, params, which):
+    raise PrecisionExhausted("patched")
+
+
+def _critical_value_one_step_off(x, params, which):
+    return _TRUE_CRITICAL_VALUE(x, params, which).scaled_by_power(-2)
+
+
+def _orbit_cut_to_start(x0, params, steps, precision):
+    rec = _TRUE_RUN_ORBIT(x0, params, steps, precision)
+    return OrbitRecord(rec.points[:1], rec.valuations[:1], PrecisionExhaustedAt(1))
+
+
+_TRUE_CRITICAL_VALUE = critical_value_at
+_TRUE_RUN_ORBIT = _run_orbit
+
+# Every verdict branch of the bridge on (3, 9, 3, 1), 12 samples, horizon
+# 10, seed 3; the expected entries were written by the code before the
+# bridge ran through the sampling engine.
+LEMMA1_BRANCHES = (
+    (None, None, ("PASS", 9, None, "")),
+    (
+        "critical_value_at",
+        _precision_limited_critical_value,
+        ("PASS", 9, None, "5 sample(s) precision-limited"),
+    ),
+    (
+        "critical_value_at",
+        _critical_value_one_step_off,
+        (
+            "FAIL",
+            4,
+            {"x": "9021/9445", "step": 1, "expected": "3^-6", "got": "3^-5"},
+            "",
+        ),
+    ),
+    (
+        "_run_orbit",
+        _orbit_cut_to_start,
+        ("INCONCLUSIVE", 9, None, "8 sample(s) precision-limited"),
+    ),
+)
+
+
+@pytest.mark.parametrize("attr, patch, expected", LEMMA1_BRANCHES)
+def test_lemma1_bridge_branches_are_pinned(monkeypatch, attr, patch, expected):
+    if attr is not None:
+        monkeypatch.setattr(oracle, attr, patch)
+    (result,) = check_lemma1(validate_params(3, 9, 3, 1), sample_count=12, horizon=10, seed=3)
+    assert result.name == "lemma1-bridge" and result.tag == "L1"
+    assert (result.status, result.samples, result.counterexample, result.note) == expected
+
+
+def _returns_entry(params, seed):
+    entries = oracle.check_portrait(params, seed=seed)
+    (found,) = [e for e in entries if e.name.endswith(":returns-to-sphere")]
+    return found.to_dict()
+
+
+def test_returns_to_sphere_fail_is_pinned(monkeypatch):
+    def landing_shifted(x0, params, steps, precision):
+        # moves the landing of every ladder element k >= 2 off the sphere
+        rec = _TRUE_RUN_ORBIT(x0, params, steps, precision)
+        if steps < 3:
+            return rec
+        vals = rec.valuations[:-1] + (rec.valuations[-1] + 2,)
+        return OrbitRecord(rec.points, vals, rec.termination)
+
+    monkeypatch.setattr(oracle, "_run_orbit", landing_shifted)
+    assert _returns_entry(validate_params(3, 4, 1, 3), seed=3) == {
+        "name": "portrait:T3.V.d:returns-to-sphere",
+        "tag": "T3.V.d",
+        "samples": 5,
+        "status": "FAIL",
+        "counterexample": {"x": "45896/9733", "k": 2, "expected": "1", "got": "2"},
+        "note": "",
+    }
+
+
+def test_returns_to_sphere_without_ladder_is_pinned(monkeypatch):
+    monkeypatch.setattr(oracle, "relevant_exceptional", lambda spec: None)
+    assert _returns_entry(validate_params(3, 4, 1, 3), seed=0) == {
+        "name": "portrait:T3.V.d:returns-to-sphere",
+        "tag": "T3.V.d",
+        "samples": 0,
+        "status": "INCONCLUSIVE",
+        "counterexample": None,
+        "note": "no ladder",
+    }
 
 
 # ------------------------------------------------------------ fixed points
