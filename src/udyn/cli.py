@@ -280,6 +280,8 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_radius_orbit(args) -> int:
+    if args.horizon < 1:
+        raise InvalidArgument(f"--horizon must be >= 1, got {args.horizon}")
     params = _make_params(args)
     start = parse_radius(args.r, args.p)
     result = radius_orbit(start, params.radius_spec(), max_iter=args.horizon)

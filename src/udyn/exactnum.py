@@ -663,6 +663,8 @@ class TruncatedPadic:
             return TruncatedPadic(self.p, self.val + c, s // _pk(self.p, c), k - c)
         lo, hi = (self, o) if self.val < o.val else (o, self)
         d = hi.val - lo.val
+        if d >= lo.digits:
+            return lo  # hi is 0 mod p**(lo.val + lo.digits): the sum is lo
         k = min(lo.digits, hi.digits + d)
         s = (lo.unit + hi.unit * _pk(self.p, d)) % _pk(self.p, k)
         return TruncatedPadic(self.p, lo.val, s, k)

@@ -7,15 +7,21 @@ the observed valuations against the radius-map predictions and the
 phase-portrait claims.  Every check is exact: a PASS is an identity of
 valuations, never a float comparison.
 
-Every sampled portrait claim runs through one sampling engine,
-``_sampled_entry``.  The table ``_CLAIM_CHECKS`` maps each claim kind to
-its check; for the sampled kinds that is a ``_Plan``, which fixes the
-seed stride between probe radii, the per-radius sample budget, the orbit
-length and a judge.  The engine draws the points on each radius, keeps
-those the claim's condition admits, runs their orbits and hands each
-orbit to the judge, whose verdict is pass, pending, flagged or a FAIL
-counterexample; one tail turns the tally into the ``CheckEntry``.  Claim
-i of a portrait is checked with seed ``seed + 37 * i``.
+Every check that runs sampled orbits goes through one sampling engine.
+A ``_Plan`` fixes the seed stride between probe radii, the per-radius
+sample budget, the orbit length and a judge.  The draw step ``_draws``
+yields the points drawn on each radius that a claim's condition admits;
+the judge loop ``_judged`` runs each one's orbit and hands it to the
+judge, whose verdict is pass, pending, flagged or a FAIL counterexample,
+and one tail turns the tally into the ``CheckEntry``.  The table
+``_CLAIM_CHECKS`` maps each portrait claim kind to its check, a ``_Plan``
+for the sampled kinds; claim i of a portrait is checked with seed
+``seed + 37 * i``.  The point-vs-radius bridge ``check_lemma1`` is a plan
+over every probe radius, and returns-to-sphere feeds the points it
+constructs on the critical sphere into the same judge loop.
+
+The radius-level lemmas are rows of the table ``_RADIUS_LEMMAS``, checked
+against one radius orbit per probe radius, computed once per spec.
 
 Statuses: PASS (verified on all samples), FAIL (exact counterexample,
 carried in the entry), FLAGGED (a discrepancy in the stated behaviour —
@@ -64,6 +70,7 @@ from .radiusmaps import (
     EventuallyInLambda,
     FixedAt,
     HorizonExceeded,
+    LambdaInterval,
     NeedsCriticalValue,
     Radius,
     RadiusMapSpec,
@@ -116,13 +123,12 @@ class CheckEntry:
         }
 
 
-def _pass_fail(
-    name: str, ok: bool, cex: dict, note: str = "", samples: int = 1, tag: str = "FP"
-) -> CheckEntry:
-    """A check that either holds or fails with the counterexample ``cex``."""
+def _pass_fail(name: str, ok: bool, cex: dict, note: str = "", samples: int = 1) -> CheckEntry:
+    """A fixed-point check that either holds or fails with the
+    counterexample ``cex``."""
     if ok:
-        return CheckEntry(name, tag, samples, "PASS", None, note)
-    return CheckEntry(name, tag, samples, "FAIL", cex, note)
+        return CheckEntry(name, "FP", samples, "PASS", None, note)
+    return CheckEntry(name, "FP", samples, "FAIL", cex, note)
 
 
 def _agreement(agree: Optional[bool], disagree: str, unstated: str) -> Tuple[str, str]:
@@ -275,83 +281,6 @@ def _fate_certificate(vals, params: MapParams, spec: RadiusMapSpec) -> Optional[
     return None
 
 
-# ------------------------------------------------------------ Lemma bridge
-
-
-def _bridge_one(x0, params: MapParams, spec: RadiusMapSpec, horizon: int, precision: int):
-    """Walk one sample, feeding point-level critical values to the radius
-    map at each critical-sphere visit.  Returns (ok, counterexample, note)."""
-    p = params.p
-    rec = _run_orbit(x0, params, horizon, precision)
-    if not rec.points:
-        return True, None, "start valuation not certified"
-    vals = rec.valuations
-    r = Radius.from_val(p, vals[0])
-    for i in range(len(rec.points) - 1):
-        use = None
-        if r == spec.sphere_b():
-            use = "b"
-        elif spec.regime is not Regime.EQ and r == spec.sphere_c():
-            use = "c"
-        step_spec = spec
-        if use is not None:
-            try:
-                crit = critical_value_at(rec.points[i], params, use)
-            except PrecisionExhausted:
-                return True, None, "critical value beyond working precision"
-            except PoleHit:
-                return True, None, ""
-            step_spec = params.radius_spec(
-                crit_b=crit if use == "b" else None,
-                crit_c=crit if use == "c" else None,
-            )
-        r = radius_step(r, step_spec)
-        got = Radius.from_val(p, vals[i + 1])
-        if got != r:
-            return (
-                False,
-                {"x": str(x0), "step": i + 1, "expected": str(r), "got": str(got)},
-                "",
-            )
-        if r.is_zero:
-            break
-    note = ""
-    if isinstance(rec.termination, PrecisionExhaustedAt):
-        note = "precision exhausted mid-orbit"
-    return True, None, note
-
-
-def check_lemma1(
-    params: MapParams,
-    sample_count: int = 20,
-    horizon: int = 15,
-    seed: int = 0,
-    precision: int = 96,
-) -> List[CheckEntry]:
-    """Point-level |f^n(x)| against the bridged radius-map iterate."""
-    spec = params.radius_spec()
-    probes = _probe_radii(params)
-    per = max(1, sample_count // max(1, len(probes)))
-    samples = 0
-    limited = 0
-    for i, radius in enumerate(probes):
-        for x0 in _sample(radius, params, per, seed + 1009 * i):
-            samples += 1
-            ok, cex, note = _bridge_one(x0, params, spec, horizon, precision)
-            if not ok:
-                return [CheckEntry("lemma1-bridge", "L1", samples, "FAIL", cex)]
-            if note:
-                limited += 1
-    if samples == 0:
-        return [
-            CheckEntry("lemma1-bridge", "L1", 0, "INCONCLUSIVE", None, "no samples")
-        ]
-    status = "INCONCLUSIVE" if limited == samples else "PASS"
-    note = f"{limited} sample(s) precision-limited" if limited else ""
-    # x = 0 is a trivial bridged sample: both sides stay at zero
-    return [CheckEntry("lemma1-bridge", "L1", samples + 1, status, None, note)]
-
-
 # ------------------------------------------------------------- fixed points
 
 
@@ -449,7 +378,7 @@ def _radii_in_region(region, probes: List[Radius]) -> List[Radius]:
 
 
 class _Context(NamedTuple):
-    """What the checks of one portrait's claims share."""
+    """What the sampled checks of one run share."""
 
     params: MapParams
     spec: RadiusMapSpec
@@ -491,8 +420,9 @@ class _Plan(NamedTuple):
     ``judge(ctx, claim, tally, i, radius, x0, record)`` for a verdict.
     ``pending`` and ``passed`` are notes formatted with the tally's counts;
     ``settles`` makes one passing sample decide the claim, so undecided ones
-    only count as having stayed; without ``stop_on_fail`` every sample is
-    judged and the last FAIL is reported.
+    only count as having stayed, and a settled PASS without a ``passed``
+    note keeps the ``pending`` one; without ``stop_on_fail`` every sample
+    is judged and the last FAIL is reported.
     """
 
     judge: Optional[Callable] = None
@@ -511,38 +441,51 @@ class _Plan(NamedTuple):
         return [_sampled_entry(claim, ctx, seed, self)]
 
 
-def _sampled_entry(
-    claim, ctx: _Context, seed: int, plan: _Plan, radii=None, suffix=""
-) -> CheckEntry:
-    """The sampling engine: one claim's samples, judged one by one."""
-    if radii is None:
-        radii = _radii_in_region(claim.region, ctx.probes)
+def _draws(ctx: _Context, plan: _Plan, radii: List[Radius], seed: int, qualifier=None):
+    """The draw step: ``(i, radius, x0)`` for each point drawn on the i-th
+    radius that ``qualifier`` admits, drawn and tested only as the judge
+    loop asks for the next one."""
     if plan.share is None:
         per = ctx.sample_count
     else:
         per = max(1, ctx.sample_count // (plan.share or max(1, len(radii))))
-    qualifier = _condition_qualifier(claim, ctx)
-    name = f"portrait:{claim.tag}:{claim.kind}{suffix}"
-    t = _Tally()
     for i, radius in enumerate(radii):
         for x0 in _sample(radius, ctx.params, per, seed + plan.stride * i):
-            if qualifier is not None and not qualifier(x0):
-                continue
-            t.samples += 1
-            steps = plan.steps(ctx.horizon, i)
-            rec = _run_orbit(x0, ctx.params, steps, ctx.precision) if steps else None
-            verdict = plan.judge(ctx, claim, t, i, radius, x0, rec)
-            if verdict is None:
-                t.passed += 1
-            elif verdict is _PENDING:
-                t.pending += 1
-            elif verdict is _FLAGGED:
-                t.flagged += 1
-            else:
-                t.fail = verdict
-                if plan.stop_on_fail:
-                    return _tail(name, claim.tag, plan, t)
-    return _tail(name, claim.tag, plan, t)
+            if qualifier is None or qualifier(x0):
+                yield i, radius, x0
+
+
+def _judged(name: str, tag: str, claim, ctx: _Context, plan: _Plan, draws) -> CheckEntry:
+    """The judge loop: runs each drawn sample's orbit, hands it to the
+    plan's judge and turns the tally of verdicts into one entry."""
+    t = _Tally()
+    for i, radius, x0 in draws:
+        t.samples += 1
+        steps = plan.steps(ctx.horizon, i)
+        rec = _run_orbit(x0, ctx.params, steps, ctx.precision) if steps else None
+        verdict = plan.judge(ctx, claim, t, i, radius, x0, rec)
+        if verdict is None:
+            t.passed += 1
+        elif verdict is _PENDING:
+            t.pending += 1
+        elif verdict is _FLAGGED:
+            t.flagged += 1
+        else:
+            t.fail = verdict
+            if plan.stop_on_fail:
+                break
+    return _tail(name, tag, plan, t)
+
+
+def _sampled_entry(
+    claim, ctx: _Context, seed: int, plan: _Plan, radii=None, suffix=""
+) -> CheckEntry:
+    """One claim's samples on the radii of its region (or ``radii``)."""
+    if radii is None:
+        radii = _radii_in_region(claim.region, ctx.probes)
+    draws = _draws(ctx, plan, radii, seed, _condition_qualifier(claim, ctx))
+    name = f"portrait:{claim.tag}:{claim.kind}{suffix}"
+    return _judged(name, claim.tag, claim, ctx, plan, draws)
 
 
 def _tail(name: str, tag: str, plan: _Plan, t: _Tally) -> CheckEntry:
@@ -557,7 +500,8 @@ def _tail(name: str, tag: str, plan: _Plan, t: _Tally) -> CheckEntry:
     if t.pending and not (plan.settles and t.passed):
         note = plan.pending.format(**vars(t))
         return CheckEntry(name, tag, t.samples, "INCONCLUSIVE", None, note)
-    return CheckEntry(name, tag, t.samples, "PASS", None, plan.passed.format(**vars(t)))
+    note = plan.passed or (plan.pending if t.pending else "")
+    return CheckEntry(name, tag, t.samples, "PASS", None, note.format(**vars(t)))
 
 
 # ------------------------------------------------------------------ judges
@@ -740,6 +684,69 @@ _CONSTANT = _Plan(_judge_constant, stride=3001, steps=lambda horizon, i: min(hor
 _OUTSIDE = _Plan(_judge_outside, stride=8009)
 
 
+# ------------------------------------------------------------ Lemma bridge
+
+
+def _judge_bridge(ctx, claim, t, i, radius, x0, rec):
+    """Walk the orbit's radii through the radius map, fed the point-level
+    critical value at each critical-sphere visit.  A start, critical value
+    or later point beyond the working precision leaves the sample pending
+    (precision-limited)."""
+    if not rec.points:
+        return _PENDING  # start valuation not certified
+    params, spec = ctx.params, ctx.spec
+    vals = rec.valuations
+    r = Radius.from_val(params.p, vals[0])
+    for j in range(len(rec.points) - 1):
+        use = None
+        if r == spec.sphere_b():
+            use = "b"
+        elif spec.regime is not Regime.EQ and r == spec.sphere_c():
+            use = "c"
+        step_spec = spec
+        if use is not None:
+            try:
+                crit = critical_value_at(rec.points[j], params, use)
+            except PrecisionExhausted:
+                return _PENDING
+            except PoleHit:
+                return None
+            step_spec = params.radius_spec(**{f"crit_{use}": crit})
+        r = radius_step(r, step_spec)
+        got = Radius.from_val(params.p, vals[j + 1])
+        if got != r:
+            return {"x": str(x0), "step": j + 1, "expected": str(r), "got": str(got)}
+        if r.is_zero:
+            break
+    return _PENDING if isinstance(rec.termination, PrecisionExhaustedAt) else None
+
+
+_BRIDGE = _Plan(
+    _judge_bridge,
+    stride=1009,
+    empty="no samples",
+    pending="{pending} sample(s) precision-limited",
+    settles=True,
+)
+
+
+def check_lemma1(
+    params: MapParams,
+    sample_count: int = 20,
+    horizon: int = 15,
+    seed: int = 0,
+    precision: int = 96,
+) -> List[CheckEntry]:
+    """Point-level |f^n(x)| against the bridged radius-map iterate, on
+    samples from every probe radius."""
+    probes = _probe_radii(params)
+    ctx = _Context(params, params.radius_spec(), probes, {}, sample_count, horizon, precision)
+    entry = _judged("lemma1-bridge", "L1", None, ctx, _BRIDGE, _draws(ctx, _BRIDGE, probes, seed))
+    if entry.status != "FAIL" and entry.samples:
+        entry.samples += 1  # x = 0 is a trivial bridged sample: both sides stay at zero
+    return [entry]
+
+
 # ------------------------------------------------------ claim checks by kind
 
 
@@ -753,18 +760,20 @@ def _basin_checks(claim, ctx: _Context, seed: int) -> List[CheckEntry]:
 
 def _crit_targeted_samples(
     params: MapParams, which: str, ladder, count: int, seed: int
-) -> List[Tuple[object, int]]:
-    """Points on the |which| sphere whose critical value is ladder
-    element k, built by placing x near -b (deep numerator) or near -c
-    (deep denominator) at the exact depth the ladder element requires.
+) -> List[Tuple[int, Radius, object]]:
+    """Draws ``(k, sphere, x0)`` of points x0 on the |which| sphere whose
+    critical value is ladder element k, built by placing x near -b (deep
+    numerator) or near -c (deep denominator) at the exact depth the ladder
+    element requires.
 
     Every candidate is post-verified; a wrong sphere or wrong critical
     value drops it, so the construction can only under-sample.
     """
     p = params.p
     w_val = params.val_b if which == "b" else params.val_c
+    sphere = Radius.from_val(p, w_val)
     v_cb = vp_rat(params.c - params.b, p)
-    out: List[Tuple[object, int]] = []
+    out: List[Tuple[int, Radius, object]] = []
     for k in range(6):
         target = ladder.element(k)
         t_val = -Fraction(target.q2, 2)
@@ -783,14 +792,23 @@ def _crit_targeted_samples(
                 except (PoleHit, PrecisionExhausted):
                     continue
                 if crit == target and ladder.member(crit) == k:
-                    out.append((x0, k))
+                    out.append((k, sphere, x0))
                     if len(out) >= count:
                         return out
     return out
 
 
-# the two kinds that draw their own samples still word their verdicts by plan
-_RETURNS = _Plan(empty="no constructible sample")
+def _judge_returns(ctx, claim, t, k, sphere, x0, rec):
+    """A point whose critical value is ladder element k is back on the
+    sphere after k + 1 steps."""
+    vals = rec.valuations
+    if len(vals) > k + 1 and vals[k + 1] != -Fraction(sphere.q2, 2):
+        return {"x": str(x0), "k": k, "expected": str(sphere), "got": str(vals[k + 1])}
+    return None
+
+
+_RETURNS = _Plan(_judge_returns, steps=lambda horizon, k: k + 1, empty="no constructible sample")
+# the expansion check runs no orbit, but words its verdict by plan
 _EXPANSION = _Plan(
     empty="no sample",
     flagged=lambda t: (t.exhibit, "inequality breaks on the sphere through the pole"),
@@ -800,25 +818,13 @@ _EXPANSION = _Plan(
 def _returns_check(claim, ctx: _Context, seed: int) -> List[CheckEntry]:
     """Critical value on ladder element k => f^(k+1) lands back on the
     sphere; the samples are constructed to hit each ladder element."""
-    which = "b" if claim.detail("condition").startswith("b*") else "c"
     name = f"portrait:{claim.tag}:{claim.kind}"
     eset = relevant_exceptional(ctx.spec)
     if eset is None:
         return [CheckEntry(name, claim.tag, 0, "INCONCLUSIVE", None, "no ladder")]
-    sphere = ctx.spec.sphere_b() if which == "b" else ctx.spec.sphere_c()
-    sphere_val = -Fraction(sphere.q2, 2)
-    built = _crit_targeted_samples(
-        ctx.params, which, eset, max(4, ctx.sample_count // 4), seed
-    )
-    t = _Tally()
-    for x0, k in built:
-        t.samples += 1
-        vals = _run_orbit(x0, ctx.params, k + 1, ctx.precision).valuations
-        if len(vals) > k + 1 and vals[k + 1] != sphere_val:
-            got = str(vals[k + 1])
-            t.fail = {"x": str(x0), "k": k, "expected": str(sphere), "got": got}
-            break
-    return [_tail(name, claim.tag, _RETURNS, t)]
+    which = "b" if claim.detail("condition").startswith("b*") else "c"
+    draws = _crit_targeted_samples(ctx.params, which, eset, max(4, ctx.sample_count // 4), seed)
+    return [_judged(name, claim.tag, claim, ctx, _RETURNS, draws)]
 
 
 def _expansion_check(claim, ctx: _Context, seed: int) -> List[CheckEntry]:
@@ -1038,6 +1044,94 @@ def _verdicts_compatible(r: Radius, orbit_v, limit_v) -> bool:
     return False
 
 
+def _classify_vs_orbit(spec: RadiusMapSpec, orbits, lam, horizon: int):
+    """The closed-form classifier against the mechanical iterator."""
+    for orb in orbits:
+        r = orb.trajectory[0]
+        limit_v = limit_classify(r, spec)
+        if not _verdicts_compatible(r, orb.verdict, limit_v):
+            kinds = {"orbit": type(orb.verdict).__name__, "classifier": type(limit_v).__name__}
+            return len(orbits), "FAIL", {"radius": str(r), **kinds}, ""
+    return len(orbits), "PASS", None, ""
+
+
+def _fix_set_check(spec: RadiusMapSpec, orbits, lam, horizon: int):
+    """The fixed-radius set, and radii on its rays, are fixed by the map."""
+    fs = fix_set(spec)
+    fixed = list(fs.members) + [
+        ray.bound.scaled_by_power(e2)
+        for ray in fs.rays
+        for e2 in ((-3, -1) if ray.side == "below" else (1, 3))
+    ]
+    moved = [r for r in fixed if radius_step(r, spec) != r]
+    if moved:
+        return len(fixed), "FAIL", {"radius": str(moved[-1])}, ""
+    return len(fixed), "PASS", None, ""
+
+
+def _lambda_two_cycle(spec: RadiusMapSpec, orbits, lam: LambdaInterval, horizon: int):
+    """Members of the interval return after two steps: a core member that
+    does not is a FAIL, any other is FLAGGED."""
+    members = lam.lattice_members()
+    flagged = 0
+    bad = None
+    for r in members:
+        try:
+            back = radius_step(radius_step(r, spec), spec)
+        except CriticalValueNeeded:
+            flagged += 1
+            continue
+        if back != r:
+            if lam.in_core(r):
+                bad = {"radius": str(r), "after_two_steps": str(back)}
+                break
+            flagged += 1
+    status = "FAIL" if bad else ("FLAGGED" if flagged else "PASS")
+    note = f"{flagged} member(s) outside the certified core misbehave" if flagged else ""
+    return len(members), status, bad, note
+
+
+def _lambda_entry(spec: RadiusMapSpec, orbits, lam: LambdaInterval, horizon: int):
+    """Probe radii outside the interval enter it within the horizon, or are
+    certified unable to.  The first ``horizon`` radii of a probe's radius
+    orbit are the radii a walk of ``horizon`` steps visits: the orbit stops
+    early where the walk stops (a critical sphere with no value), at a
+    repeat, after which the walk meets no new radius, or past an outer
+    critical sphere, beyond which the walk stays, outside the interval."""
+    vstep = 1 if spec.val_a % 2 else 2
+    entered = undecided = 0
+    trapped: List[str] = []
+    for orb in orbits:
+        start = orb.trajectory[0]
+        if not start.is_finite or start.is_zero or lam.contains(start):
+            continue
+        if any(lam.contains(r) for r in orb.trajectory[:horizon]):
+            entered += 1
+        elif _interval_reachable(start, spec, lam, vstep) is False:
+            trapped.append(str(start))
+        else:
+            undecided += 1
+    status = "FLAGGED" if trapped else ("PASS" if entered else "INCONCLUSIVE")
+    note = (
+        f"{entered} entered, {undecided} undetermined on critical "
+        f"spheres, {len(trapped)} certified unable to enter"
+    )
+    outside = entered + undecided + len(trapped)
+    return outside, status, {"trapped_radii": trapped} if trapped else None, note
+
+
+# Each radius lemma: (name, needs the two-cycle interval, check).  A check
+# takes (spec, orbits, interval, horizon), where orbits holds one radius
+# orbit of at most ``horizon`` steps per probe radius (its trajectory starts
+# at the probe), and returns (samples, status, counterexample, note).
+_RADIUS_LEMMAS = (
+    ("classify-vs-orbit", False, _classify_vs_orbit),
+    ("fix-set", False, _fix_set_check),
+    ("lambda-two-cycle", True, _lambda_two_cycle),
+    ("lambda-entry", True, _lambda_entry),
+)
+
+
 def check_radius_lemmas(
     specs: Optional[Sequence[RadiusMapSpec]] = None, horizon: int = 80
 ) -> List[CheckEntry]:
@@ -1053,114 +1147,14 @@ def check_radius_lemmas(
         probes = [Radius.zero(spec.p), Radius.infinite(spec.p)] + [
             Radius.from_exponent(spec.p, q2) for q2 in range(lo_q2, hi_q2 + 1)
         ]
-
-        bad = None
-        for r in probes:
-            orbit_v = radius_orbit(r, spec, max_iter=horizon).verdict
-            limit_v = limit_classify(r, spec)
-            if not _verdicts_compatible(r, orbit_v, limit_v):
-                bad = {
-                    "radius": str(r),
-                    "orbit": type(orbit_v).__name__,
-                    "classifier": type(limit_v).__name__,
-                }
-                break
-        entries.append(
-            _pass_fail(
-                f"radius:classify-vs-orbit:{label}",
-                bad is None,
-                bad,
-                samples=len(probes),
-                tag="RAD",
-            )
+        orbits = [radius_orbit(r, spec, max_iter=horizon) for r in probes]
+        has_lam = spec.regime is Regime.GT and spec.val_a > 0 and spec.s < 0
+        lam = lambda_interval(spec) if has_lam else None
+        entries.extend(
+            CheckEntry(f"radius:{name}:{label}", "RAD", *check(spec, orbits, lam, horizon))
+            for name, needs_lam, check in _RADIUS_LEMMAS
+            if has_lam or not needs_lam
         )
-
-        fs = fix_set(spec)
-        fixed = list(fs.members) + [
-            ray.bound.scaled_by_power(e2)
-            for ray in fs.rays
-            for e2 in ((-3, -1) if ray.side == "below" else (1, 3))
-        ]
-        moved = [r for r in fixed if radius_step(r, spec) != r]
-        entries.append(
-            _pass_fail(
-                f"radius:fix-set:{label}",
-                not moved,
-                {"radius": str(moved[-1])} if moved else None,
-                samples=len(fixed),
-                tag="RAD",
-            )
-        )
-
-        if spec.regime is Regime.GT and spec.val_a > 0 and spec.s < 0:
-            lam = lambda_interval(spec)
-            members = lam.lattice_members()
-            flagged = 0
-            bad = None
-            for r in members:
-                try:
-                    back = radius_step(radius_step(r, spec), spec)
-                except CriticalValueNeeded:
-                    flagged += 1
-                    continue
-                if back != r:
-                    if lam.in_core(r):
-                        bad = {"radius": str(r), "after_two_steps": str(back)}
-                        break
-                    flagged += 1
-            status = "FAIL" if bad else ("FLAGGED" if flagged else "PASS")
-            entries.append(
-                CheckEntry(
-                    f"radius:lambda-two-cycle:{label}",
-                    "RAD",
-                    len(members),
-                    status,
-                    bad,
-                    f"{flagged} member(s) outside the certified core misbehave"
-                    if flagged
-                    else "",
-                )
-            )
-
-            outside = [
-                r
-                for r in probes
-                if r.is_finite and not r.is_zero and not lam.contains(r)
-            ]
-            entered = 0
-            undecided = 0
-            trapped: List[str] = []
-            vstep = 1 if spec.val_a % 2 else 2
-            for r in outside:
-                cur = r
-                hit = False
-                for _ in range(horizon):
-                    if lam.contains(cur):
-                        hit = True
-                        break
-                    try:
-                        cur = radius_step(cur, spec)
-                    except CriticalValueNeeded:
-                        break
-                if hit:
-                    entered += 1
-                elif _interval_reachable(r, spec, lam, vstep) is False:
-                    trapped.append(str(r))
-                else:
-                    undecided += 1
-            entries.append(
-                CheckEntry(
-                    f"radius:lambda-entry:{label}",
-                    "RAD",
-                    len(outside),
-                    "FLAGGED"
-                    if trapped
-                    else ("PASS" if entered else "INCONCLUSIVE"),
-                    {"trapped_radii": trapped} if trapped else None,
-                    f"{entered} entered, {undecided} undetermined on critical "
-                    f"spheres, {len(trapped)} certified unable to enter",
-                )
-            )
     return entries
 
 

@@ -199,6 +199,19 @@ def test_radius_orbit_text(capsys):
     assert 'verdict: {"kind":"cycle","radii":["3^-1/2","3^-3/2"]}' in out
 
 
+@pytest.mark.parametrize("horizon", ["0", "-5"])
+def test_radius_orbit_rejects_horizon_below_one(capsys, horizon):
+    # checked before the parameters: a degenerate set still reports the horizon
+    for b in ("1", "9"):
+        code, out, err = run(
+            capsys, "radius-orbit", "--p", "3", "--a", "9", "--b", b, "--c", "9",
+            "--r", "3^2", "--horizon", horizon,
+        )
+        assert code == 1
+        assert out == ""
+        assert "--horizon must be >= 1" in err
+
+
 # ------------------------------------------------------------- fixed points
 
 

@@ -19,6 +19,7 @@ from udyn.exactnum import (
     TruncatedPadic,
     ZeroDivisor,
     _inv_unit,
+    _pk,
     hensel_sqrt,
     is_prime,
     is_qp_square,
@@ -450,6 +451,39 @@ def test_range_check_holds_at_1536_digits():
     for p, unit in ((5, m), (5, m + 2), (5, 10), (5, 5**1535), (3, m - 1)):
         with pytest.raises(InvalidArgument):
             TruncatedPadic(p, 0, unit, 1536)
+
+
+def test_add_beyond_the_retained_digits_builds_no_power():
+    # d = 1536 - (-1) >= 1536 digits: the higher operand adds nothing
+    lo = TruncatedPadic(5, -1, 5**1536 - 2, 1536)
+    hi = TruncatedPadic(5, 1536, 3, 1536)
+    _pk.cache_clear()
+    assert lo + hi == lo and hi + lo == lo
+    assert _pk.cache_info().currsize == 0
+
+
+@st.composite
+def _addends(draw):
+    """(p, x, y) with val(y) - val(x) within three of x's digit count."""
+    p, k, u = draw(_units_mod_pk())
+    _, j, w = draw(_units_mod_pk(p))
+    val = draw(st.integers(-3, 3))
+    d = k + draw(st.integers(-3, 3))
+    return p, TruncatedPadic(p, val, u, k), TruncatedPadic(p, val + max(d, 1), w, j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_addends())
+@example(case=(2, TruncatedPadic(2, 0, 1, 1), TruncatedPadic(2, 1, 1, 1)))
+@example(case=(3, TruncatedPadic(3, 0, 2, 2), TruncatedPadic(3, 1, 5, 2)))
+@example(case=(5, TruncatedPadic(5, -2, 7, 3), TruncatedPadic(5, 1, 3, 1)))
+@example(case=(7, TruncatedPadic(7, 0, 300, 3), TruncatedPadic(7, 4, 5, 3)))
+def test_unequal_valuation_sum_matches_the_shifted_formula(case):
+    p, x, y = case
+    d = y.val - x.val
+    k = min(x.digits, y.digits + d)
+    expected = TruncatedPadic(p, x.val, (x.unit + y.unit * p**d) % p**k, k)
+    assert x + y == expected and y + x == expected
 
 
 def test_mixed_prime_rejected():
