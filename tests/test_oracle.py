@@ -132,7 +132,11 @@ LEMMA1_BRANCHES = (
 )
 
 
-@pytest.mark.parametrize("attr, patch, expected", LEMMA1_BRANCHES)
+@pytest.mark.parametrize(
+    "attr, patch, expected",
+    LEMMA1_BRANCHES,
+    ids=("unpatched", "critical-value-exhausted", "critical-value-off", "orbit-cut-to-start"),
+)
 def test_lemma1_bridge_branches_are_pinned(monkeypatch, attr, patch, expected):
     if attr is not None:
         monkeypatch.setattr(oracle, attr, patch)
