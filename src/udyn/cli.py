@@ -216,6 +216,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_fixed_points(args) -> int:
+    if args.precision < 1:
+        raise InvalidArgument(f"--precision must be >= 1, got {args.precision}")
     params = _make_params(args)
     infos = fixed_points(params, precision=args.precision)
     if args.output == "json":

@@ -229,6 +229,18 @@ def test_fixed_points_json(capsys):
     assert points[2]["multiplier"] == "17/2"
 
 
+@pytest.mark.parametrize("precision", ["0", "-4"])
+def test_fixed_points_rejects_precision_below_one(capsys, precision):
+    # a = 7 is a 3-adic square, so the roots are lifted to --precision digits
+    code, out, err = run(
+        capsys, "fixed-points", "--p", "3", "--a", "7", "--b", "-8", "--c", "1",
+        "--precision", precision,
+    )
+    assert code == 1
+    assert out == ""
+    assert "--precision must be >= 1" in err
+
+
 # ------------------------------------------------------------------- verify
 
 
