@@ -410,7 +410,9 @@ class QuadExt:
 
     ``a`` must not be a perfect rational square (and must be nonzero), so
     Q(sqrt(a)) is a genuine quadratic field and the norm u**2 - a*v**2
-    vanishes only at zero.
+    vanishes only at zero.  The constructor checks that once per field:
+    arithmetic results and coerced scalars are built by :meth:`_in_field`,
+    which reuses the operand's already-checked radicand.
     """
 
     u: Fraction
@@ -426,6 +428,13 @@ class QuadExt:
                 f"sqrt({self.a}) is rational; the extension is degenerate"
             )
 
+    def _in_field(self, u: Fraction, v: Fraction) -> "QuadExt":
+        """u + v*sqrt(a) in this element's field; u and v must already be
+        Fractions.  Skips the radicand check and the coercions."""
+        out = object.__new__(QuadExt)
+        out.__dict__.update(u=u, v=v, a=self.a)
+        return out
+
     @property
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
@@ -436,25 +445,25 @@ class QuadExt:
                 raise InvalidExtension("operands live in different extensions")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(Fraction(other), Fraction(0), self.a)
+            return self._in_field(Fraction(other), Fraction(0))
         return None
 
     def __add__(self, other: object):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.u + o.u, self.v + o.v, self.a)
+        return self._in_field(self.u + o.u, self.v + o.v)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.u, -self.v, self.a)
+        return self._in_field(-self.u, -self.v)
 
     def __sub__(self, other: object):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.u - o.u, self.v - o.v, self.a)
+        return self._in_field(self.u - o.u, self.v - o.v)
 
     def __rsub__(self, other: object):
         o = self._coerce(other)
@@ -466,16 +475,15 @@ class QuadExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(
+        return self._in_field(
             self.u * o.u + self.a * self.v * o.v,
             self.u * o.v + self.v * o.u,
-            self.a,
         )
 
     __rmul__ = __mul__
 
     def conj(self) -> "QuadExt":
-        return QuadExt(self.u, -self.v, self.a)
+        return self._in_field(self.u, -self.v)
 
     def norm(self) -> Fraction:
         return self.u * self.u - self.a * self.v * self.v
@@ -484,7 +492,7 @@ class QuadExt:
         n = self.norm()
         if n == 0:
             raise ZeroDivisor("0 has no inverse")
-        return QuadExt(self.u / n, -self.v / n, self.a)
+        return self._in_field(self.u / n, -self.v / n)
 
     def __truediv__(self, other: object):
         o = self._coerce(other)
@@ -503,7 +511,7 @@ class QuadExt:
         if not isinstance(n, int) or n < 0:
             return NotImplemented
         if n == 0:
-            return QuadExt(Fraction(1), Fraction(0), self.a)
+            return self._in_field(Fraction(1), Fraction(0))
         return _power(self, n)
 
     def __str__(self) -> str:

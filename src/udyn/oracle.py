@@ -79,7 +79,6 @@ from .radiusmaps import (
     ToZero,
     TwoCycleRegion,
     fix_set,
-    lambda_interval,
     limit_classify,
     radius_orbit,
     radius_step,
@@ -566,7 +565,8 @@ def _judge_enters_sphere(ctx, claim, t, k, radius, x0, rec):
     spec = ctx.spec
     target = spec.sphere_b() if claim.detail("sphere") == "b" else spec.sphere_c()
     if vals[k] != -Fraction(target.q2, 2):
-        return {"x": str(x0), "k": k, "expected": str(target), "got": str(vals[k])}
+        got = Radius.from_val(spec.p, vals[k])
+        return {"x": str(x0), "k": k, "expected": str(target), "got": str(got)}
     return None
 
 
@@ -803,7 +803,8 @@ def _judge_returns(ctx, claim, t, k, sphere, x0, rec):
     sphere after k + 1 steps."""
     vals = rec.valuations
     if len(vals) > k + 1 and vals[k + 1] != -Fraction(sphere.q2, 2):
-        return {"x": str(x0), "k": k, "expected": str(sphere), "got": str(vals[k + 1])}
+        got = Radius.from_val(sphere.p, vals[k + 1])
+        return {"x": str(x0), "k": k, "expected": str(sphere), "got": str(got)}
     return None
 
 
@@ -1149,7 +1150,7 @@ def check_radius_lemmas(
         ]
         orbits = [radius_orbit(r, spec, max_iter=horizon) for r in probes]
         has_lam = spec.regime is Regime.GT and spec.val_a > 0 and spec.s < 0
-        lam = lambda_interval(spec) if has_lam else None
+        lam = spec.lambda_region if has_lam else None
         entries.extend(
             CheckEntry(f"radius:{name}:{label}", "RAD", *check(spec, orbits, lam, horizon))
             for name, needs_lam, check in _RADIUS_LEMMAS

@@ -45,7 +45,6 @@ from .radiusmaps import (
     Radius,
     RadiusMapSpec,
     Regime,
-    lambda_interval,
     relevant_exceptional,
 )
 
@@ -553,7 +552,7 @@ def classify(params: MapParams, precision: int = 64) -> PhasePortrait:
     row = _CASES[case]
     infos = fixed_points(params, precision=precision)
     eset = relevant_exceptional(spec)
-    lam = lambda_interval(spec) if case == "T3.IV" else None
+    lam = spec.lambda_region if case == "T3.IV" else None
     p = params.p
     sphere = _SPHERES[row.sphere](spec)
     flags: set = set()

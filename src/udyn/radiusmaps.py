@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import ClassVar, Dict, List, Optional, Tuple
 
@@ -227,6 +228,10 @@ class RadiusMapSpec:
     closed ball, and the image of |x| = |c| to the complement of an open
     ball; ``crit_b``/``crit_c`` pin the actual image radius for the orbit
     under study.  Bounds are validated on construction.
+
+    The critical radii, the zone shifts and the two-cycle interval are
+    computed on first use and kept on the instance; they are not fields,
+    so equality and hashing see only the fields below.
     """
 
     p: int
@@ -300,11 +305,19 @@ class RadiusMapSpec:
         """val(a) + 2 val(b) - 2 val(c): the bottom-zone contraction exponent."""
         return self.val_a + 2 * self.val_b - 2 * self.val_c
 
+    @cached_property
+    def _spheres(self) -> Tuple[Radius, Radius]:
+        """The critical radii (|b|, |c|)."""
+        return (
+            Radius.from_exponent(self.p, -2 * self.val_b),
+            Radius.from_exponent(self.p, -2 * self.val_c),
+        )
+
     def sphere_b(self) -> Radius:
-        return Radius.from_exponent(self.p, -2 * self.val_b)
+        return self._spheres[0]
 
     def sphere_c(self) -> Radius:
-        return Radius.from_exponent(self.p, -2 * self.val_c)
+        return self._spheres[1]
 
     @property
     def bound_b(self) -> Radius:
@@ -339,11 +352,11 @@ class RadiusMapSpec:
             return self.crit_c
         raise InvalidArgument(f"unknown critical sphere {sphere!r}")
 
-    @property
+    @cached_property
     def low_sphere(self) -> Radius:
         return self.sphere_c() if self.regime is Regime.GT else self.sphere_b()
 
-    @property
+    @cached_property
     def high_sphere(self) -> Radius:
         if self.regime is Regime.LT:
             return self.sphere_c()
@@ -357,17 +370,23 @@ class RadiusMapSpec:
     def high_name(self) -> str:
         return "c" if self.regime is Regime.LT else "b"
 
-    @property
+    @cached_property
     def bottom_delta_q2(self) -> int:
         """q2 shift per step strictly below the lower critical sphere."""
         if self.regime is Regime.EQ:
             return -2 * self.val_a
         return -2 * self.s
 
-    @property
+    @cached_property
     def top_delta_q2(self) -> int:
         """q2 shift per step strictly above the upper critical sphere."""
         return -2 * self.val_a
+
+    @cached_property
+    def lambda_region(self) -> "LambdaInterval":
+        """This spec's two-cycle interval (:func:`lambda_interval`), built
+        on first use."""
+        return lambda_interval(self)
 
 
 def _locate(r: Radius, spec: RadiusMapSpec) -> str:
@@ -793,6 +812,11 @@ class LambdaInterval:
     together with the core window on which the pairing r <-> center**2/r is
     guaranteed to stay inside the inversion zone.
 
+    ``lo`` and ``hi`` are the exact ends.  The lattice radii inside them
+    are exactly those with ``q2_lo <= q2 <= q2_hi``: the ends are fixed
+    once, when the interval is built, so membership is an integer range
+    test on the exponent.
+
     Membership outside the core does not certify a two-cycle; the
     verification layer flags those members instead of trusting them.
     """
@@ -803,12 +827,11 @@ class LambdaInterval:
     center: Radius
     core_lo: Radius
     core_hi: Radius
+    q2_lo: int
+    q2_hi: int
 
     def contains(self, r: Radius) -> bool:
-        if not r.is_finite:
-            return False
-        e = _RadExpr.from_radius(r)
-        return self.lo < e and e < self.hi
+        return r.is_finite and self.q2_lo <= r.q2 <= self.q2_hi
 
     def in_core(self, r: Radius) -> bool:
         return r.is_finite and self.core_lo < r and r < self.core_hi
@@ -819,23 +842,10 @@ class LambdaInterval:
 
     def lattice_members(self) -> Tuple[Radius, ...]:
         """All lattice radii p**(q2/2) inside the interval."""
-        out: List[Radius] = []
-        q2 = self.center.q2
-        while True:  # downward from the center (inclusive)
-            r = Radius.from_exponent(self.p, q2)
-            if not self.contains(r):
-                break
-            out.append(r)
-            q2 -= 1
-        out.reverse()
-        q2 = self.center.q2 + 1
-        while True:  # upward
-            r = Radius.from_exponent(self.p, q2)
-            if not self.contains(r):
-                break
-            out.append(r)
-            q2 += 1
-        return tuple(out)
+        return tuple(
+            Radius.from_exponent(self.p, q2)
+            for q2 in range(self.q2_lo, self.q2_hi + 1)
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -849,7 +859,14 @@ class LambdaInterval:
 
 def lambda_interval(spec: RadiusMapSpec) -> LambdaInterval:
     """The symmetric two-cycle interval; only the GT regime with
-    val(a) > 0 and s < 0 carries one."""
+    val(a) > 0 and s < 0 carries one.
+
+    The exact ends are the reflections of |b| and |c| through the center,
+    clipped to (|c|, |b|).  The center lies strictly inside, so the lattice
+    radii of the interval form one run of exponents around it: the walk
+    outward from the center, compared against the exact ends, stops at
+    the exponent window ``q2_lo .. q2_hi``.
+    """
     if not (spec.regime is Regime.GT and spec.val_a > 0 and spec.s < 0):
         raise InvalidRegime(
             "the two-cycle interval needs |b| > |c|, |a| < 1 and s < 0"
@@ -873,7 +890,17 @@ def lambda_interval(spec: RadiusMapSpec) -> LambdaInterval:
             p, -2 * (spec.val_a + 2 * spec.val_b - spec.val_c)
         ),
     )
-    return LambdaInterval(p, lo, hi, center, core_lo, core_hi)
+
+    def inside(q2: int) -> bool:
+        e = _RadExpr.from_radius(Radius.from_exponent(p, q2))
+        return lo < e and e < hi
+
+    q2_lo = q2_hi = center.q2
+    while inside(q2_lo - 1):
+        q2_lo -= 1
+    while inside(q2_hi + 1):
+        q2_hi += 1
+    return LambdaInterval(p, lo, hi, center, core_lo, core_hi, q2_lo, q2_hi)
 
 
 # ------------------------------------------------------- closed-form classifier
@@ -926,7 +953,7 @@ def limit_classify(
     if r.is_zero or r.is_infinite:
         return FixedAt(r)
     if spec.regime is Regime.GT and spec.val_a > 0 and spec.s < 0:
-        region = lambda_interval(spec)
+        region = spec.lambda_region
         if region.contains(r):
             return TwoCycleRegion(region)
         return EventuallyInLambda(region)

@@ -1,6 +1,7 @@
 """Tests for the exact-arithmetic layer: valuations, square roots,
 quadratic extensions, and truncated p-adics."""
 
+import operator
 import random
 from fractions import Fraction
 from functools import reduce
@@ -233,6 +234,29 @@ def test_quad_ext_rejects_rational_square_base():
 def test_quad_mixed_extension():
     with pytest.raises(InvalidExtension):
         _ = t(2) + t(3)
+
+
+@pytest.mark.parametrize("a", [0, 1, 4, F(9, 4)])
+def test_quad_ext_constructor_checks_every_radicand(a):
+    with pytest.raises(InvalidExtension):
+        QuadExt(1, 1, a)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_quad_arithmetic_rejects_mixed_radicands(op):
+    with pytest.raises(InvalidExtension):
+        op(QuadExt(1, 1, 2), QuadExt(1, 1, 3))
+
+
+def test_quad_arithmetic_results_stay_in_the_field():
+    # results skip the constructor's checks, so they must already carry
+    # Fraction coordinates and the operand's radicand
+    x = QuadExt(1, 1, 2)
+    for r in (x + 1, 3 - x, x * F(1, 2), 1 / x, -x, x.conj(), x**0, x**3):
+        assert all(type(c) is Fraction for c in (r.u, r.v, r.a))
+        assert r == QuadExt(r.u, r.v, 2)
+    assert 3 - x == QuadExt(2, -1, 2)
+    assert x**3 == QuadExt(7, 5, 2)
 
 
 def test_quad_field_arithmetic():

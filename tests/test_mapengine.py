@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from udyn import exactnum
 from udyn.exactnum import (
     TOP,
     InvalidArgument,
@@ -317,6 +318,19 @@ def test_fixed_points_rational_root_pinned():
     assert derivative_at(x1.location, params) == F(3, 2)
     assert derivative_at(x2.location, params) == F(17, 2)
     assert derivative_at(F(0), params) == F(4, 9)
+
+
+def test_fixed_points_checks_the_radicand_once_per_field(monkeypatch):
+    # arithmetic in Q(sqrt(2)) reuses the checked radicand: one check for
+    # the root, one per quad_val of the two locations and multipliers
+    params = validate_params(5, 2, 1, 3)
+    calls = []
+    true = exactnum._rational_square_root
+    monkeypatch.setattr(
+        exactnum, "_rational_square_root", lambda q: calls.append(q) or true(q)
+    )
+    fixed_points(params)
+    assert len(calls) <= 5
 
 
 def test_fixed_points_branch_swap():

@@ -145,35 +145,56 @@ def test_lemma1_bridge_branches_are_pinned(monkeypatch, attr, patch, expected):
     assert (result.status, result.samples, result.counterexample, result.note) == expected
 
 
-def _returns_entry(params, seed):
+def _portrait_entry(params, seed, kind):
     entries = oracle.check_portrait(params, seed=seed)
-    (found,) = [e for e in entries if e.name.endswith(":returns-to-sphere")]
+    (found,) = [e for e in entries if e.name.endswith(f":{kind}")]
     return found.to_dict()
 
 
-def test_returns_to_sphere_fail_is_pinned(monkeypatch):
-    def landing_shifted(x0, params, steps, precision):
-        # moves the landing of every ladder element k >= 2 off the sphere
+def _landing_shifted(min_steps):
+    """A _run_orbit whose last valuation is 2 too high (the radius p**-2
+    times too small) on orbits of at least ``min_steps`` steps."""
+
+    def run(x0, params, steps, precision):
         rec = _TRUE_RUN_ORBIT(x0, params, steps, precision)
-        if steps < 3:
+        if steps < min_steps:
             return rec
         vals = rec.valuations[:-1] + (rec.valuations[-1] + 2,)
         return OrbitRecord(rec.points, vals, rec.termination)
 
-    monkeypatch.setattr(oracle, "_run_orbit", landing_shifted)
-    assert _returns_entry(validate_params(3, 4, 1, 3), seed=3) == {
+    return run
+
+
+def test_returns_to_sphere_fail_is_pinned(monkeypatch):
+    # moves the landing of every ladder element k >= 2 off the sphere
+    monkeypatch.setattr(oracle, "_run_orbit", _landing_shifted(3))
+    assert _portrait_entry(validate_params(3, 4, 1, 3), 3, "returns-to-sphere") == {
         "name": "portrait:T3.V.d:returns-to-sphere",
         "tag": "T3.V.d",
         "samples": 5,
         "status": "FAIL",
-        "counterexample": {"x": "45896/9733", "k": 2, "expected": "1", "got": "2"},
+        "counterexample": {"x": "45896/9733", "k": 2, "expected": "1", "got": "3^-2"},
+        "note": "",
+    }
+
+
+def test_enters_sphere_fail_is_pinned(monkeypatch):
+    # ladder element k >= 2 lands off the sphere after its k steps; both
+    # sides of the counterexample are radii
+    monkeypatch.setattr(oracle, "_run_orbit", _landing_shifted(2))
+    assert _portrait_entry(validate_params(3, 4, 1, 3), 3, "enters-sphere") == {
+        "name": "portrait:T3.V.b:enters-sphere",
+        "tag": "T3.V.b",
+        "samples": 13,
+        "status": "FAIL",
+        "counterexample": {"x": "579879/2384", "k": 2, "expected": "1", "got": "3^-2"},
         "note": "",
     }
 
 
 def test_returns_to_sphere_without_ladder_is_pinned(monkeypatch):
     monkeypatch.setattr(oracle, "relevant_exceptional", lambda spec: None)
-    assert _returns_entry(validate_params(3, 4, 1, 3), seed=0) == {
+    assert _portrait_entry(validate_params(3, 4, 1, 3), 0, "returns-to-sphere") == {
         "name": "portrait:T3.V.d:returns-to-sphere",
         "tag": "T3.V.d",
         "samples": 0,

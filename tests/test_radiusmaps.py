@@ -33,7 +33,9 @@ from udyn.radiusmaps import (
     regime_of,
     relevant_exceptional,
 )
+from udyn import radiusmaps
 from udyn.radiusmaps import _crossing  # tested directly: limit_classify's jump
+from udyn.radiusmaps import _RadExpr  # the exact ends the exponent window comes from
 
 
 def rad(p, q2):
@@ -368,6 +370,59 @@ def test_lambda_interval_wide_case_outruns_core():
     assert not lam.in_core(probe)
     assert lam.partner(probe) == rad(3, 1)
     assert lam.partner(probe) > spec.sphere_b()
+
+
+@st.composite
+def two_cycle_specs(draw):
+    """GT specs with val(a) >= 1 and s < 0: the regime that carries Lambda."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    vb = draw(st.integers(-4, 3))
+    vc = draw(st.integers(vb + 1, 4))
+    va = draw(st.integers(1, min(4, 2 * (vc - vb) - 1)))
+    return RadiusMapSpec(p, Regime.GT, va, vb, vc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=two_cycle_specs())
+@example(spec=RadiusMapSpec.from_params(3, 9, 1, 9))
+@example(spec=RadiusMapSpec.from_params(3, 9, 1, 27))
+def test_lambda_window_matches_exact_ends(spec):
+    lam = lambda_interval(spec)
+    p = spec.p
+    exact = []
+    for q2 in range(spec.sphere_c().q2 - 10, spec.sphere_b().q2 + 11):
+        r = rad(p, q2)
+        e = _RadExpr.from_radius(r)
+        inside = lam.lo < e and e < lam.hi
+        assert lam.contains(r) == inside, (spec, q2)
+        if inside:
+            exact.append(r)
+    assert lam.lattice_members() == tuple(exact)
+    assert not lam.contains(Radius.zero(p))
+    assert not lam.contains(Radius.infinite(p))
+
+
+def test_limit_classify_sweep_builds_lambda_once(monkeypatch):
+    builds = []
+    true = radiusmaps.lambda_interval
+    monkeypatch.setattr(
+        radiusmaps, "lambda_interval", lambda spec: builds.append(spec) or true(spec)
+    )
+    spec = RadiusMapSpec.from_params(3, 9, 1, 27)
+    probes = [rad(3, q2) for q2 in range(-10, 5)]
+    verdicts = [limit_classify(r, spec) for r in probes]
+    assert len(builds) == 1
+    assert {type(v) for v in verdicts} == {TwoCycleRegion, EventuallyInLambda}
+    assert all(v.region is spec.lambda_region for v in verdicts)
+
+
+def test_spec_caches_are_not_fields():
+    spec = RadiusMapSpec.from_params(3, 9, 1, 27)
+    fresh = RadiusMapSpec.from_params(3, 9, 1, 27)
+    assert spec.lambda_region is spec.lambda_region
+    assert spec.sphere_b() is spec.sphere_b() and spec.low_sphere is spec.low_sphere
+    assert spec == fresh and hash(spec) == hash(fresh)
+    assert repr(spec) == repr(fresh)
 
 
 # ------------------------------------------------------------ limit classifier
