@@ -813,9 +813,9 @@ class LambdaInterval:
     guaranteed to stay inside the inversion zone.
 
     ``lo`` and ``hi`` are the exact ends.  The lattice radii inside them
-    are exactly those with ``q2_lo <= q2 <= q2_hi``: the ends are fixed
-    once, when the interval is built, so membership is an integer range
-    test on the exponent.
+    are exactly those with ``q2_lo <= q2 <= q2_hi``; :func:`lambda_interval`
+    finds that exponent window once, from the exact ends, so membership
+    is an integer range test.
 
     Membership outside the core does not certify a two-cycle; the
     verification layer flags those members instead of trusting them.
