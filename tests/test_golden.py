@@ -18,7 +18,11 @@ row reaches.  Both were written before f was bound to one scalar-domain
 kernel.  ``radius_lemmas_seed0.json`` holds one sha256 per case over the
 ``check_radius_lemmas`` entries of the same roster, written before the
 radius lemmas became a table; it pins the known
-``radius:classify-vs-orbit`` FAILs as they stand.  A refactor must
+``radius:classify-vs-orbit`` FAILs as they stand.  ``radius_walks_seed0.json``
+holds one sha256 per case over the radius walks themselves on that roster
+(``radius_orbit`` and ``limit_classify`` from every probe radius of
+``check_radius_lemmas``), written before the walks ran on bare exponents;
+it pins today's ``TwoCycleRegion`` answers as they stand.  A refactor must
 reproduce these bytes exactly; the files are never regenerated to make a
 change pass.
 ``python tests/test_golden.py`` writes them.
@@ -213,6 +217,36 @@ def radius_lemma_digests(params_list) -> dict:
     return {case: h.hexdigest() for case, h in sorted(hashes.items())}
 
 
+def radius_walk_digests(params_list) -> dict:
+    """sha256 per case over the radius walks from every probe radius that
+    ``check_radius_lemmas`` uses (zero, infinity and the q2 window five
+    beyond the critical spheres): the ``radius_orbit`` trajectory and
+    verdict and the ``limit_classify`` verdict, in roster order."""
+    from udyn.portrait import case_of
+    from udyn.radiusmaps import Radius, limit_classify, radius_orbit
+
+    hashes: dict = {}
+    for params in params_list:
+        spec = params.radius_spec()
+        h = hashes.setdefault(case_of(spec)[1], hashlib.sha256())
+        lo_q2 = min(-2 * spec.val_b, -2 * spec.val_c) - 5
+        hi_q2 = max(-2 * spec.val_b, -2 * spec.val_c) + 5
+        probes = [Radius.zero(spec.p), Radius.infinite(spec.p)] + [
+            Radius.from_exponent(spec.p, q2) for q2 in range(lo_q2, hi_q2 + 1)
+        ]
+        for r in probes:
+            orb = radius_orbit(r, spec)
+            walk = {
+                "start": str(r),
+                "trajectory": [str(x) for x in orb.trajectory],
+                "orbit": orb.verdict.to_dict(),
+                "limit": limit_classify(r, spec).to_dict(),
+            }
+            line = json.dumps(walk, sort_keys=True, separators=(",", ":"))
+            h.update(line.encode() + b"\n")
+    return {case: h.hexdigest() for case, h in sorted(hashes.items())}
+
+
 def roster_digests(portraits) -> dict:
     """sha256 per case over the classify JSON lines, in roster order."""
     hashes: dict = {}
@@ -291,6 +325,11 @@ def test_radius_lemma_digests_match_golden():
     assert radius_lemma_digests(roster()) == expected
 
 
+def test_radius_walk_digests_match_golden():
+    expected = json.loads((GOLDEN / "radius_walks_seed0.json").read_text(encoding="utf-8"))
+    assert radius_walk_digests(roster()) == expected
+
+
 # ------------------------------------------------------------------ writer
 
 
@@ -316,6 +355,7 @@ def write_golden() -> None:
     for name, digests in (
         ("roster_seed0.json", roster_digests(classify(pr) for pr in roster())),
         ("radius_lemmas_seed0.json", radius_lemma_digests(roster())),
+        ("radius_walks_seed0.json", radius_walk_digests(roster())),
     ):
         (GOLDEN / name).write_text(
             json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8"
