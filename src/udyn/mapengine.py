@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
@@ -138,15 +138,21 @@ class MapParams:
     def to_dict(self) -> dict:
         return {"p": self.p, "a": str(self.a), "b": str(self.b), "c": str(self.c)}
 
+    @functools.cached_property
+    def _radius_spec(self) -> RadiusMapSpec:
+        return RadiusMapSpec.from_params(self.p, self.a, self.b, self.c)
+
     def radius_spec(
         self,
         crit_b: Optional[Radius] = None,
         crit_c: Optional[Radius] = None,
     ) -> RadiusMapSpec:
-        """The induced dynamics on radii for these parameters."""
-        return RadiusMapSpec.from_params(
-            self.p, self.a, self.b, self.c, crit_b=crit_b, crit_c=crit_c
-        )
+        """The induced dynamics on radii for these parameters.  The spec
+        with no critical value is built once and kept (not as a field);
+        one with a critical value is built fresh."""
+        if crit_b is None and crit_c is None:
+            return self._radius_spec
+        return replace(self._radius_spec, crit_b=crit_b, crit_c=crit_c)
 
 
 def validate_params(p: int, a: Rational, b: Rational, c: Rational) -> MapParams:

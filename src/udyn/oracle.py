@@ -162,14 +162,6 @@ class VerificationReport:
     def has_fail(self) -> bool:
         return any(e.status == "FAIL" for e in self.checks)
 
-    @property
-    def has_flag(self) -> bool:
-        return any(e.status == "FLAGGED" for e in self.checks)
-
-    @property
-    def passed(self) -> bool:
-        return not self.has_fail
-
     def to_dict(self) -> dict:
         return {
             "schema": 1,
@@ -598,7 +590,8 @@ def _interval_reachable(
     if spec.regime is not Regime.GT:
         return None
     p = spec.p
-    kcap = max(abs(spec.bottom_delta_q2), abs(spec.top_delta_q2), 4) + 2
+    (_, d_bottom), _, (_, d_top) = spec.zones
+    kcap = max(abs(d_bottom), abs(d_top), 4) + 2
     window = (
         4 * kcap
         + max(abs(start.q2), 2 * spec.val_b, 2 * spec.val_c, 2 * abs(spec.val_a))
@@ -698,11 +691,7 @@ def _judge_bridge(ctx, claim, t, i, radius, x0, rec):
     vals = rec.valuations
     r = Radius.from_val(params.p, vals[0])
     for j in range(len(rec.points) - 1):
-        use = None
-        if r == spec.sphere_b():
-            use = "b"
-        elif spec.regime is not Regime.EQ and r == spec.sphere_c():
-            use = "c"
+        use = next((name for q2, name, _ in spec.spheres if r.is_finite and r.q2 == q2), None)
         step_spec = spec
         if use is not None:
             try:
@@ -1149,7 +1138,7 @@ def check_radius_lemmas(
             Radius.from_exponent(spec.p, q2) for q2 in range(lo_q2, hi_q2 + 1)
         ]
         orbits = [radius_orbit(r, spec, max_iter=horizon) for r in probes]
-        has_lam = spec.regime is Regime.GT and spec.val_a > 0 and spec.s < 0
+        has_lam = spec.two_cycle_regime
         lam = spec.lambda_region if has_lam else None
         entries.extend(
             CheckEntry(f"radius:{name}:{label}", "RAD", *check(spec, orbits, lam, horizon))

@@ -203,11 +203,6 @@ class PhasePortrait:
         return tuple(c for c in self.claims if c.kind in kinds)
 
     @property
-    def basin_of_zero(self) -> Optional[Claim]:
-        found = self.claims_of_kind("basin")
-        return found[0] if found else None
-
-    @property
     def siegel_disk_zero(self) -> Optional[Claim]:
         found = self.claims_of_kind("siegel")
         return found[0] if found else None

@@ -2,12 +2,23 @@
 
 Over an ultrametric field the map f sends the sphere of radius r around 0
 onto a predictable radius except on the two critical spheres r = |b| and
-r = |c|, where the image radius depends on the point.  This module models
-radii exactly (``p**(q2/2)`` with an integer q2), implements
-the induced piecewise radius map and its orbits, the ladders of radii that
-land exactly on a critical sphere, the set of fixed radii, the interval of
-radii carrying two-cycles, and a closed-form limit classifier that decides
-the fate of a radius orbit without step-by-step iteration.
+r = |c|, where the image radius depends on the point.  Every radius of one
+map is ``p**(q2/2)`` for an integer q2 (or zero, or infinity), and off the
+critical spheres the induced map is affine in q2.  So a
+:class:`RadiusMapSpec` carries two small tables, and every radius walk
+runs on bare integer exponents from them:
+
+* ``spheres``: the lower and upper critical spheres as (q2, name, supplied
+  image radius); in the EQ regime both rows are the |b| sphere;
+* ``zones``: the map q2 -> m*q2 + k below, between and above them, as
+  (m, k): (1, delta_bottom), then (3, 2(2 v_c - v_a)) in LT or
+  (-1, -2(v_a + 2 v_b)) in GT, then (1, delta_top).
+
+On top of them sit the one-step map and its orbits, a closed-form limit
+classifier that crosses each scaling zone in one jump, the ladders of radii
+that land exactly on a critical sphere, the set of fixed radii and the
+interval of radii carrying two-cycles; the last two keep their own case
+analysis, as the independent answers the walks are checked against.
 """
 
 from __future__ import annotations
@@ -152,19 +163,6 @@ class Radius:
             return self
         return Radius(self.p, RadiusKind.FINITE, self.q2 + e2)
 
-    def cubed(self) -> "Radius":
-        if not self.is_finite:
-            return self
-        return Radius(self.p, RadiusKind.FINITE, 3 * self.q2)
-
-    def inverted_into(self, e2: int) -> "Radius":
-        """r -> p**(e2/2) / r (zero and infinity swap)."""
-        if self.is_zero:
-            return Radius.infinite(self.p)
-        if self.is_infinite:
-            return Radius.zero(self.p)
-        return Radius(self.p, RadiusKind.FINITE, e2 - self.q2)
-
     # -------------------------------------------------------------- ordering
 
     def _cmp(self, other: "Radius") -> int:
@@ -208,34 +206,36 @@ class Regime(enum.Enum):
     GT = "|b|>|c|"
 
 
+def _regime(val_b: int, val_c: int) -> Regime:
+    if val_b > val_c:
+        return Regime.LT
+    return Regime.EQ if val_b == val_c else Regime.GT
+
+
 def regime_of(p: int, a: Rational, b: Rational, c: Rational) -> Regime:
     vb, vc = vp_rat(Fraction(b), p), vp_rat(Fraction(c), p)
     if vb is TOP or vc is TOP:
         raise InvalidArgument("b and c must be nonzero")
-    if vb > vc:
-        return Regime.LT
-    if vb == vc:
-        return Regime.EQ
-    return Regime.GT
+    return _regime(vb, vc)
 
 
 @dataclass(frozen=True)
 class RadiusMapSpec:
-    """Everything the radius map needs: the regime, the three valuations,
-    and (optionally) the image radii chosen on the critical spheres.
+    """Everything the radius map needs: the three valuations and
+    (optionally) the image radii chosen on the critical spheres.
 
     The image of the critical sphere |x| = |b| is only constrained to a
     closed ball, and the image of |x| = |c| to the complement of an open
     ball; ``crit_b``/``crit_c`` pin the actual image radius for the orbit
     under study.  Bounds are validated on construction.
 
-    The critical radii, the zone shifts and the two-cycle interval are
-    computed on first use and kept on the instance; they are not fields,
-    so equality and hashing see only the fields below.
+    The regime, the two walk tables (``spheres`` and ``zones``), the
+    critical radii and the two-cycle interval are computed from the fields
+    on first use and kept on the instance; they are not fields, so
+    equality and hashing see only the fields below.
     """
 
     p: int
-    regime: Regime
     val_a: int
     val_b: int
     val_c: int
@@ -252,19 +252,12 @@ class RadiusMapSpec:
         crit_b: Optional[Radius] = None,
         crit_c: Optional[Radius] = None,
     ) -> "RadiusMapSpec":
-        va = vp_rat(Fraction(a), p)
+        va, vb, vc = (vp_rat(Fraction(x), p) for x in (a, b, c))
         if va is TOP:
             raise InvalidArgument("a must be nonzero")
-        regime = regime_of(p, a, b, c)
-        return cls(
-            p,
-            regime,
-            va,
-            vp_rat(Fraction(b), p),
-            vp_rat(Fraction(c), p),
-            crit_b,
-            crit_c,
-        )
+        if vb is TOP or vc is TOP:
+            raise InvalidArgument("b and c must be nonzero")
+        return cls(p, va, vb, vc, crit_b, crit_c)
 
     def __post_init__(self) -> None:
         if self.crit_c is not None and self.regime is Regime.EQ:
@@ -300,13 +293,43 @@ class RadiusMapSpec:
 
     # ------------------------------------------------------------ derived data
 
+    @cached_property
+    def regime(self) -> Regime:
+        """Relative position of |b| and |c|, read off their valuations."""
+        return _regime(self.val_b, self.val_c)
+
     @property
     def s(self) -> int:
         """val(a) + 2 val(b) - 2 val(c): the bottom-zone contraction exponent."""
         return self.val_a + 2 * self.val_b - 2 * self.val_c
 
     @cached_property
-    def _spheres(self) -> Tuple[Radius, Radius]:
+    def two_cycle_regime(self) -> bool:
+        """|b| > |c|, |a| < 1 and s < 0: the inversion zone pairs radii
+        into two-cycles, and the limit is read from the interval Λ."""
+        return self.regime is Regime.GT and self.val_a > 0 and self.s < 0
+
+    @cached_property
+    def spheres(self) -> Tuple[Tuple[int, str, Optional[Radius]], ...]:
+        """The lower and upper critical spheres as (q2, name, supplied
+        image radius); in the EQ regime both rows are the |b| sphere."""
+        b = (-2 * self.val_b, "b", self.crit_b)
+        c = (-2 * self.val_c, "c", self.crit_c)
+        return {Regime.LT: (b, c), Regime.EQ: (b, b), Regime.GT: (c, b)}[self.regime]
+
+    @cached_property
+    def zones(self) -> Tuple[Tuple[int, int], ...]:
+        """The radius map q2 -> m*q2 + k as (m, k) below, between and
+        above the critical spheres."""
+        va = self.val_a
+        if self.regime is Regime.GT:
+            mid = (-1, -2 * (va + 2 * self.val_b))  # r -> |a b^2| / r
+        else:
+            mid = (3, 2 * (2 * self.val_c - va))  # r -> |a| r^3 / |c|^2
+        return ((1, -2 * self.s), mid, (1, -2 * va))
+
+    @cached_property
+    def _sphere_radii(self) -> Tuple[Radius, Radius]:
         """The critical radii (|b|, |c|)."""
         return (
             Radius.from_exponent(self.p, -2 * self.val_b),
@@ -314,10 +337,10 @@ class RadiusMapSpec:
         )
 
     def sphere_b(self) -> Radius:
-        return self._spheres[0]
+        return self._sphere_radii[0]
 
     def sphere_c(self) -> Radius:
-        return self._spheres[1]
+        return self._sphere_radii[1]
 
     @property
     def bound_b(self) -> Radius:
@@ -345,43 +368,6 @@ class RadiusMapSpec:
             )
         raise InvalidRegime("the EQ regime has no |c| critical sphere")
 
-    def crit_for(self, sphere: str) -> Optional[Radius]:
-        if sphere == "b":
-            return self.crit_b
-        if sphere == "c":
-            return self.crit_c
-        raise InvalidArgument(f"unknown critical sphere {sphere!r}")
-
-    @cached_property
-    def low_sphere(self) -> Radius:
-        return self.sphere_c() if self.regime is Regime.GT else self.sphere_b()
-
-    @cached_property
-    def high_sphere(self) -> Radius:
-        if self.regime is Regime.LT:
-            return self.sphere_c()
-        return self.sphere_b()
-
-    @property
-    def low_name(self) -> str:
-        return "c" if self.regime is Regime.GT else "b"
-
-    @property
-    def high_name(self) -> str:
-        return "c" if self.regime is Regime.LT else "b"
-
-    @cached_property
-    def bottom_delta_q2(self) -> int:
-        """q2 shift per step strictly below the lower critical sphere."""
-        if self.regime is Regime.EQ:
-            return -2 * self.val_a
-        return -2 * self.s
-
-    @cached_property
-    def top_delta_q2(self) -> int:
-        """q2 shift per step strictly above the upper critical sphere."""
-        return -2 * self.val_a
-
     @cached_property
     def lambda_region(self) -> "LambdaInterval":
         """This spec's two-cycle interval (:func:`lambda_interval`), built
@@ -389,22 +375,22 @@ class RadiusMapSpec:
         return lambda_interval(self)
 
 
-def _locate(r: Radius, spec: RadiusMapSpec) -> str:
-    """Zone of a finite radius: below / low / mid / high / above."""
-    low, high = spec.low_sphere, spec.high_sphere
-    c = r._cmp(low)
-    if c < 0:
-        return "below"
-    if c == 0:
-        return "low"
-    if spec.regime is Regime.EQ:
-        return "above"
-    c = r._cmp(high)
-    if c < 0:
-        return "mid"
-    if c == 0:
-        return "high"
-    return "above"
+_BELOW, _MID, _ABOVE = 0, 1, 2  # rows of RadiusMapSpec.zones
+
+
+def _locate(q2: int, spec: RadiusMapSpec):
+    """(zone, sphere) of a finite exponent: the row of ``spec.zones`` it
+    falls in, and the row of ``spec.spheres`` it lies on, or None."""
+    low, high = spec.spheres
+    if q2 < low[0]:
+        return _BELOW, None
+    if q2 == low[0]:
+        return _BELOW, low
+    if q2 < high[0]:
+        return _MID, None
+    if q2 == high[0]:
+        return _ABOVE, high
+    return _ABOVE, None
 
 
 def radius_step(r: Radius, spec: RadiusMapSpec) -> Radius:
@@ -415,23 +401,16 @@ def radius_step(r: Radius, spec: RadiusMapSpec) -> Radius:
     """
     if r.p != spec.p:
         raise InvalidArgument("radius prime does not match the spec")
-    if r.is_zero or r.is_infinite:
+    if not r.is_finite:
         return r
-    zone = _locate(r, spec)
-    if zone in ("low", "high"):
-        name = spec.low_name if zone == "low" else spec.high_name
-        crit = spec.crit_for(name)
+    zone, sphere = _locate(r.q2, spec)
+    if sphere is not None:
+        _, name, crit = sphere
         if crit is None:
             raise CriticalValueNeeded(name, r)
         return crit
-    if zone == "below":
-        return r.scaled_by_power(spec.bottom_delta_q2)
-    if zone == "above":
-        return r.scaled_by_power(spec.top_delta_q2)
-    # mid zone
-    if spec.regime is Regime.LT:
-        return r.cubed().scaled_by_power(2 * (2 * spec.val_c - spec.val_a))
-    return r.inverted_into(-2 * (spec.val_a + 2 * spec.val_b))
+    m, k = spec.zones[zone]
+    return Radius.from_exponent(spec.p, m * r.q2 + k)
 
 
 # ------------------------------------------------------------------- verdicts
@@ -529,18 +508,17 @@ class EventuallyInLambda(Verdict):
     region: "LambdaInterval" = None  # type: ignore[assignment]
 
 
-def _canonical_cycle(radii: Tuple[Radius, ...]) -> Tuple[Radius, ...]:
-    top = 0
-    for i in range(1, len(radii)):
-        if radii[i] > radii[top]:
-            top = i
-    return radii[top:] + radii[:top]
-
-
 @dataclass(frozen=True)
 class RadiusOrbitResult:
     trajectory: Tuple[Radius, ...]
     verdict: Verdict
+
+
+def _cycle(p: int, q2s: List[int]) -> Cycle:
+    """The cycle through these exponents, rotated to start at the largest
+    radius, orbit order preserved."""
+    top = q2s.index(max(q2s))
+    return Cycle(tuple(Radius.from_exponent(p, q2) for q2 in q2s[top:] + q2s[:top]))
 
 
 def radius_orbit(
@@ -554,33 +532,34 @@ def radius_orbit(
     Otherwise steps are taken until a repeat (fixed radius or cycle), a
     critical sphere with no supplied image, or the iteration horizon.
     """
+    if r.p != spec.p:
+        raise InvalidArgument("radius prime does not match the spec")
+    (lo, _, _), (hi, _, _) = spec.spheres
+    (_, d_bottom), _, (_, d_top) = spec.zones
     traj: List[Radius] = [r]
-    seen: Dict[Radius, int] = {r: 0}
-    cur = r
+    seen: Dict[int, int] = {}  # q2 -> index in traj
+
+    def result(verdict: Verdict) -> RadiusOrbitResult:
+        return RadiusOrbitResult(tuple(traj), verdict)
+
     for i in range(max_iter):
+        cur = traj[-1]
         if cur.is_finite:
-            if spec.bottom_delta_q2 < 0 and cur < spec.low_sphere:
-                return RadiusOrbitResult(tuple(traj), ToZero())
-            if spec.top_delta_q2 > 0 and cur > spec.high_sphere:
-                return RadiusOrbitResult(tuple(traj), ToInfinity())
+            seen[cur.q2] = i
+            if d_bottom < 0 and cur.q2 < lo:
+                return result(ToZero())
+            if d_top > 0 and cur.q2 > hi:
+                return result(ToInfinity())
         try:
             nxt = radius_step(cur, spec)
         except CriticalValueNeeded as e:
-            return RadiusOrbitResult(tuple(traj), NeedsCriticalValue(e.sphere))
+            return result(NeedsCriticalValue(e.sphere))
         if nxt == cur:
-            verdict = (
-                FixedAt(cur) if i == 0 else EventuallyConstantAt(cur, i)
-            )
-            return RadiusOrbitResult(tuple(traj), verdict)
-        if nxt in seen:
-            cycle = tuple(traj[seen[nxt] :])
-            return RadiusOrbitResult(
-                tuple(traj), Cycle(_canonical_cycle(cycle))
-            )
+            return result(FixedAt(cur) if i == 0 else EventuallyConstantAt(cur, i))
+        if nxt.is_finite and nxt.q2 in seen:
+            return result(_cycle(spec.p, [x.q2 for x in traj[seen[nxt.q2] :]]))
         traj.append(nxt)
-        seen[nxt] = i + 1
-        cur = nxt
-    return RadiusOrbitResult(tuple(traj), HorizonExceeded())
+    return result(HorizonExceeded())
 
 
 # ---------------------------------------------------------- exceptional sets
@@ -719,12 +698,12 @@ def fix_set(spec: RadiusMapSpec) -> FixSet:
             rays.append(RadiusRay(spec.sphere_c(), "above"))
         if va < 0 and s > 0:
             members.append(Radius.from_exponent(p, va - 2 * spec.val_c))
-        sphere_pairs = [("b", spec.sphere_b()), ("c", spec.sphere_c())]
+        sphere_pairs = [("b", spec.sphere_b(), spec.crit_b), ("c", spec.sphere_c(), spec.crit_c)]
     elif spec.regime is Regime.EQ:
         if va == 0:
             rays.append(RadiusRay(spec.sphere_b(), "below"))
             rays.append(RadiusRay(spec.sphere_b(), "above"))
-        sphere_pairs = [("b", spec.sphere_b())]
+        sphere_pairs = [("b", spec.sphere_b(), spec.crit_b)]
     else:
         if s == 0:
             rays.append(RadiusRay(spec.sphere_c(), "below"))
@@ -732,9 +711,8 @@ def fix_set(spec: RadiusMapSpec) -> FixSet:
             rays.append(RadiusRay(spec.sphere_b(), "above"))
         if va > 0 and s < 0:
             members.append(Radius.from_exponent(p, -va - 2 * spec.val_b))
-        sphere_pairs = [("c", spec.sphere_c()), ("b", spec.sphere_b())]
-    for name, sphere in sphere_pairs:
-        crit = spec.crit_for(name)
+        sphere_pairs = [("c", spec.sphere_c(), spec.crit_c), ("b", spec.sphere_b(), spec.crit_b)]
+    for name, sphere, crit in sphere_pairs:
         if crit is None:
             conditional.append(name)
         elif crit == sphere:
@@ -837,8 +815,10 @@ class LambdaInterval:
         return r.is_finite and self.core_lo < r and r < self.core_hi
 
     def partner(self, r: Radius) -> Radius:
-        """The involution partner center**2 / r."""
-        return r.inverted_into(2 * self.center.q2)
+        """The involution partner center**2 / r (zero and infinity swap)."""
+        if not r.is_finite:
+            return Radius.infinite(self.p) if r.is_zero else Radius.zero(self.p)
+        return Radius.from_exponent(self.p, 2 * self.center.q2 - r.q2)
 
     def lattice_members(self) -> Tuple[Radius, ...]:
         """All lattice radii p**(q2/2) inside the interval."""
@@ -867,7 +847,7 @@ def lambda_interval(spec: RadiusMapSpec) -> LambdaInterval:
     outward from the center, compared against the exact ends, stops at
     the exponent window ``q2_lo .. q2_hi``.
     """
-    if not (spec.regime is Regime.GT and spec.val_a > 0 and spec.s < 0):
+    if not spec.two_cycle_regime:
         raise InvalidRegime(
             "the two-cycle interval needs |b| > |c|, |a| < 1 and s < 0"
         )
@@ -906,39 +886,23 @@ def lambda_interval(spec: RadiusMapSpec) -> LambdaInterval:
 # ------------------------------------------------------- closed-form classifier
 
 
-def _crossing(
-    r: Radius, delta_q2: int, target: Radius
-) -> Tuple[int, Radius]:
-    """Smallest k >= 1 after which r * p**(k*delta/2) has crossed (reached
-    or passed) the target sphere, with the landing radius.
-
-    delta > 0 crosses upward, delta < 0 downward.  In exponents the k-th
-    landing is r.q2 + k*delta, so k is the ceiling of
-    (target.q2 - r.q2) / delta in both directions, found in closed form.
-    """
-    k = max(1, -((r.q2 - target.q2) // delta_q2))
-    return k, r.scaled_by_power(k * delta_q2)
+_CYCLE_CAP = 100_000  # longest cycle limit_classify spells out radius by radius
 
 
-def _missing_crit_shortcut(
-    name: str, spec: RadiusMapSpec
-) -> Optional[Verdict]:
+def _missing_crit_shortcut(name: str, spec: RadiusMapSpec) -> Optional[Verdict]:
     """When every admissible critical value provably leads to the same
-    limit, classification proceeds without one."""
+    limit, classification proceeds without one: every image of the sphere
+    lies in a contracting bottom zone, or in an expanding top zone."""
     if spec.regime is Regime.EQ:
         return None  # crit_b is unconstrained there
+    (lo, _, _), (hi, _, _) = spec.spheres
+    (_, d_bottom), _, (_, d_top) = spec.zones
     if name == "b":
-        if spec.bottom_delta_q2 < 0 and spec.bound_b < spec.low_sphere:
-            return ToZero()
-        return None
-    if spec.top_delta_q2 > 0 and spec.bound_c > spec.high_sphere:
-        return ToInfinity()
-    return None
+        return ToZero() if d_bottom < 0 and spec.bound_b.q2 < lo else None
+    return ToInfinity() if d_top > 0 and spec.bound_c.q2 > hi else None
 
 
-def limit_classify(
-    r: Radius, spec: RadiusMapSpec, cycle_cap: int = 100_000
-) -> Verdict:
+def limit_classify(r: Radius, spec: RadiusMapSpec) -> Verdict:
     """Classify the fate of a radius orbit in closed form.
 
     Scaling zones are crossed in one exact jump, so the answer does not
@@ -950,75 +914,66 @@ def limit_classify(
     """
     if r.p != spec.p:
         raise InvalidArgument("radius prime does not match the spec")
-    if r.is_zero or r.is_infinite:
+    if not r.is_finite:
         return FixedAt(r)
-    if spec.regime is Regime.GT and spec.val_a > 0 and spec.s < 0:
+    if spec.two_cycle_regime:
         region = spec.lambda_region
         if region.contains(r):
             return TwoCycleRegion(region)
         return EventuallyInLambda(region)
 
-    cur, j = r, 0
-    hits: Dict[str, int] = {}
-    log: Optional[List[Radius]] = None
-    log_base = 0
+    p = spec.p
+    (lo, _, _), (hi, _, _) = spec.spheres
+    q, j = r.q2, 0
+    hits: Dict[str, int] = {}  # sphere name -> its index in ``log``
+    log: Optional[List[int]] = None  # exponents from the first sphere hit on
 
     def fixed_here() -> Verdict:
-        return FixedAt(cur) if j == 0 else EventuallyConstantAt(cur, j)
+        here = Radius.from_exponent(p, q)
+        return FixedAt(here) if j == 0 else EventuallyConstantAt(here, j)
 
     for _ in range(256):
-        if cur.is_zero or cur.is_infinite:
-            return fixed_here()
-        zone = _locate(cur, spec)
-        if zone in ("low", "high"):
-            name = spec.low_name if zone == "low" else spec.high_name
-            crit = spec.crit_for(name)
+        zone, sphere = _locate(q, spec)
+        if sphere is not None:
+            _, name, crit = sphere
             if crit is None:
                 shortcut = _missing_crit_shortcut(name, spec)
                 return shortcut if shortcut is not None else NeedsCriticalValue(name)
-            if crit == cur:
+            if crit.is_finite and crit.q2 == q:
                 return fixed_here()
             if name in hits:
                 # log[-1] is the re-hit sphere itself; the cycle runs from
                 # the first hit up to (not including) it.
-                assert log is not None
-                cycle = tuple(log[hits[name] - log_base : -1])
-                return Cycle(_canonical_cycle(cycle))
-            hits[name] = j
+                return _cycle(p, log[hits[name] : -1])
+            if not crit.is_finite:
+                return EventuallyConstantAt(crit, j + 1)
             if log is None:
-                log = [cur]
-                log_base = j
-            cur = crit
-            j += 1
-            log.append(cur)
+                log = [q]
+            hits[name] = len(log) - 1
+            q, j = crit.q2, j + 1
+            log.append(q)
             continue
-        if zone == "mid":
-            nxt = radius_step(cur, spec)
-            if nxt == cur:
+        m, k = spec.zones[zone]
+        if zone == _MID:
+            nxt = m * q + k
+            if nxt == q:
                 return fixed_here()
-            cur = nxt
-            j += 1
+            q, j = nxt, j + 1
             if log is not None:
-                log.append(cur)
+                log.append(q)
             continue
-        # scaling zone
-        delta = (
-            spec.bottom_delta_q2 if zone == "below" else spec.top_delta_q2
-        )
-        if delta == 0:
+        # scaling zone: q2 -> q2 + k, crossed in one jump onto or past the
+        # sphere it moves towards
+        if k == 0:
             return fixed_here()
-        if zone == "below" and delta < 0:
+        if zone == _BELOW and k < 0:
             return ToZero()
-        if zone == "above" and delta > 0:
+        if zone == _ABOVE and k > 0:
             return ToInfinity()
-        target = spec.low_sphere if zone == "below" else spec.high_sphere
-        k, land = _crossing(cur, delta, target)
+        n = max(1, -((q - (lo if zone == _BELOW else hi)) // k))  # ceil(gap / k)
         if log is not None:
-            if len(log) + k > cycle_cap:
+            if len(log) + n > _CYCLE_CAP:
                 return HorizonExceeded()
-            log.extend(
-                cur.scaled_by_power(i * delta) for i in range(1, k + 1)
-            )
-        cur = land
-        j += k
+            log.extend(q + i * k for i in range(1, n + 1))
+        q, j = q + n * k, j + n
     return HorizonExceeded()  # defensive; the walk always terminates sooner

@@ -38,7 +38,7 @@ from udyn.mapengine import (
     validate_params,
 )
 from udyn.oracle import critical_value_at
-from udyn.radiusmaps import Radius, Regime, radius_step
+from udyn.radiusmaps import Radius, RadiusMapSpec, Regime, radius_step
 
 
 def rad(p, q2):
@@ -102,6 +102,22 @@ def test_radius_spec_bridge():
     spec = validate_params(3, 9, 3, 1).radius_spec()
     assert spec.regime is Regime.LT
     assert (spec.val_a, spec.val_b, spec.val_c) == (2, 1, 0)
+
+
+def test_radius_spec_is_built_once():
+    params = validate_params(3, 9, 3, 1)
+    fresh = validate_params(3, 9, 3, 1)
+    before = (hash(params), repr(params))
+    assert params.radius_spec() is params.radius_spec()
+    # the kept spec is not a field: equality, hashing and repr are unchanged
+    assert params == fresh and (hash(params), repr(params)) == before == (hash(fresh), repr(fresh))
+    # a spec with a critical value is built fresh, on the same valuations
+    crit = Radius.from_exponent(3, 4)
+    given = params.radius_spec(crit_c=crit)
+    assert given is not params.radius_spec() and given.crit_c == crit
+    assert given == RadiusMapSpec.from_params(3, 9, 3, 1, crit_c=crit)
+    with pytest.raises(InvalidArgument):
+        params.radius_spec(crit_c=Radius.zero(3))
 
 
 # ------------------------------------------------------------------ evaluation

@@ -351,8 +351,7 @@ def test_report_shape():
 def test_worked_parameter_set_verifies_clean():
     report = run_verification(validate_params(3, 4, 1, 3), sample_count=50, seed=7)
     assert not report.has_fail
-    assert report.passed
-    assert report.has_flag  # boundary fixed-point location is surfaced
+    assert report.counts()["FLAGGED"] > 0  # boundary fixed-point location is surfaced
 
 
 # ------------------------------------------------------------- grid pins

@@ -133,7 +133,7 @@ def test_t13_boundary():
     portrait = classify(validate_params(3, 2, 3, 1))
     assert portrait.flags == ("BOUNDARY",)
     assert portrait.exceptional is None
-    basin = portrait.basin_of_zero
+    (basin,) = portrait.claims_of_kind("basin")
     assert basin.tag == "T1.3" and basin.region == Region("ball", rad(3, 0))
     inv = pick1(portrait, "invariant-sphere")
     assert inv.tag == "T1.1" and inv.region == Region("above", rad(3, 0))
@@ -154,7 +154,8 @@ def test_t141_portrait():
     assert portrait.exceptional is None
     rho = rad(3, -1)  # |c| / sqrt|a| = 3**(-1/2)
     assert pick1(portrait, "invariant-sphere").region == Region("sphere", rho)
-    assert portrait.basin_of_zero.region == Region("ball", rho)
+    (basin,) = portrait.claims_of_kind("basin")
+    assert basin.region == Region("ball", rho)
     assert pick1(portrait, "escape").region == Region("above", rho)
     for which in ("x1", "x2"):
         loc = pick1(portrait, "fp-location", which=which)

@@ -1,5 +1,6 @@
 """Tests for the induced dynamics on radii."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -34,7 +35,7 @@ from udyn.radiusmaps import (
     relevant_exceptional,
 )
 from udyn import radiusmaps
-from udyn.radiusmaps import _crossing  # tested directly: limit_classify's jump
+from udyn.oracle import _verdicts_compatible  # what radius:classify-vs-orbit accepts
 from udyn.radiusmaps import _RadExpr  # the exact ends the exponent window comes from
 
 
@@ -86,11 +87,7 @@ def test_radius_str():
 def test_radius_arithmetic_helpers():
     r = rad(3, -4)
     assert r.scaled_by_power(-2) == rad(3, -6)
-    assert r.cubed() == rad(3, -12)
-    assert rad(3, -3).inverted_into(-4) == rad(3, -1)
-    assert rad(3, -3).inverted_into(0) == rad(3, 3)
-    assert Radius.zero(3).inverted_into(0).is_infinite
-    assert Radius.infinite(3).inverted_into(0).is_zero
+    assert Radius.zero(3).scaled_by_power(5).is_zero
 
 
 # --------------------------------------------------------------------- regimes
@@ -111,10 +108,40 @@ def test_spec_from_params():
     assert spec.s == 4
     assert spec.sphere_b() == rad(3, -2)
     assert spec.sphere_c() == rad(3, 0)
-    assert spec.low_sphere == spec.sphere_b()
-    assert spec.high_sphere == spec.sphere_c()
-    gt = RadiusMapSpec.from_params(3, 4, 1, 3)
-    assert gt.low_sphere == gt.sphere_c()
+    assert spec.spheres == ((-2, "b", None), (0, "c", None))
+    gt = RadiusMapSpec.from_params(3, 4, 1, 3, crit_b=rad(3, -4))
+    assert gt.spheres == ((-2, "c", None), (0, "b", rad(3, -4)))
+    eq = RadiusMapSpec.from_params(5, 2, 1, 3)
+    assert eq.spheres == ((0, "b", None), (0, "b", None))
+
+
+def test_zone_tables():
+    # (m, k) of q2 -> m*q2 + k below, between and above the spheres
+    lt = RadiusMapSpec.from_params(3, 9, 3, 1)  # va = 2, vb = 1, vc = 0, s = 4
+    assert lt.zones == ((1, -8), (3, -4), (1, -4))
+    # LT mid zone: r -> |a| r^3 / |c|^2, on a half-integer exponent too
+    assert radius_step(rad(3, -1), lt) == rad(3, 3 * -1 - 4)
+    gt = RadiusMapSpec.from_params(3, 9, 1, 9)  # va = 2, vb = 0, vc = 2, s = -2
+    assert gt.zones == ((1, 4), (-1, -4), (1, -4))
+    # GT mid zone: r -> |a b^2| / r, the inversion through 3^-1
+    assert radius_step(rad(3, -3), gt) == rad(3, -1)
+    assert radius_step(rad(3, -2), gt) == rad(3, -2)
+    eq = RadiusMapSpec.from_params(3, 9, 1, 2)  # no mid zone; s = va
+    assert (eq.zones[0], eq.zones[2]) == ((1, -4), (1, -4))
+
+
+def test_spec_regime_follows_the_valuations():
+    # |b| = 1 > |c| = 3^-2 is the GT regime; the spec takes no regime of
+    # its own that could say otherwise
+    spec = RadiusMapSpec(p=3, val_a=0, val_b=0, val_c=2)
+    assert spec.regime is Regime.GT
+    assert "regime" not in {f.name for f in dataclasses.fields(RadiusMapSpec)}
+    assert spec.spheres == ((-4, "c", None), (0, "b", None))
+    with pytest.raises(CriticalValueNeeded) as exc:
+        radius_step(rad(3, -4), spec)
+    assert exc.value.sphere == "c"
+    assert RadiusMapSpec(3, 0, 2, 0).regime is Regime.LT
+    assert RadiusMapSpec(3, 0, 1, 1).regime is Regime.EQ
 
 
 def test_spec_critical_value_bounds():
@@ -348,6 +375,9 @@ def test_lambda_interval_pinned():
     assert lam.in_core(rad(3, -3))
     assert lam.partner(rad(3, -2)) == rad(3, -2)  # the center pairs with itself
     assert lam.partner(rad(3, -3)) == rad(3, -1)
+    assert lam.partner(rad(3, 7)) == rad(3, -11)
+    assert lam.partner(Radius.zero(3)) == Radius.infinite(3)
+    assert lam.partner(Radius.infinite(3)) == Radius.zero(3)
 
 
 def test_lambda_interval_regime_guard():
@@ -379,7 +409,7 @@ def two_cycle_specs(draw):
     vb = draw(st.integers(-4, 3))
     vc = draw(st.integers(vb + 1, 4))
     va = draw(st.integers(1, min(4, 2 * (vc - vb) - 1)))
-    return RadiusMapSpec(p, Regime.GT, va, vb, vc)
+    return RadiusMapSpec(p, va, vb, vc)
 
 
 @settings(max_examples=200, deadline=None)
@@ -420,7 +450,8 @@ def test_spec_caches_are_not_fields():
     spec = RadiusMapSpec.from_params(3, 9, 1, 27)
     fresh = RadiusMapSpec.from_params(3, 9, 1, 27)
     assert spec.lambda_region is spec.lambda_region
-    assert spec.sphere_b() is spec.sphere_b() and spec.low_sphere is spec.low_sphere
+    assert spec.sphere_b() is spec.sphere_b() and spec.spheres is spec.spheres
+    assert spec.zones is spec.zones and spec.regime is Regime.GT
     assert spec == fresh and hash(spec) == hash(fresh)
     assert repr(spec) == repr(fresh)
 
@@ -541,7 +572,7 @@ GRID_PARAMS = [
 
 def _crit_configs(spec):
     yield None, None
-    low, high = spec.low_sphere, spec.high_sphere
+    low, high = (rad(spec.p, q2) for q2, _, _ in spec.spheres)
     candidates_b = [Radius.zero(spec.p), low, high]
     candidates_c = [Radius.infinite(spec.p), low, high]
     eset = relevant_exceptional(spec)
@@ -661,29 +692,81 @@ def test_verdict_serialization():
 # ------------------------------------------------- closed-form zone crossing
 
 
+def _fixed_sphere_specs(va):
+    """An LT spec (|b| = 3^-1, |c| = 1) whose scaling zone next to one
+    sphere moves towards it, with that sphere fixed by its critical value:
+    the top zone for val(a) > 0, the bottom zone for val(a) <= -3."""
+    a = F(3) ** va
+    if va > 0:
+        return RadiusMapSpec.from_params(3, a, 3, 1, crit_c=rad(3, 0)), 0
+    return RadiusMapSpec.from_params(3, a, 3, 1, crit_b=rad(3, -2)), -2
+
+
 @settings(max_examples=150, deadline=None)
-@given(
-    start=st.integers(-(10**4), 10**4),
-    gap=st.integers(0, 10**4),
-    step=st.integers(1, 7),
-    up=st.booleans(),
-)
-@example(start=0, gap=12, step=4, up=True)  # lands exactly on the target
-@example(start=0, gap=13, step=4, up=False)  # passes it with a remainder
-@example(start=5, gap=0, step=3, up=True)  # already there: one step
-def test_crossing_matches_stepping(start, gap, step, up):
-    delta = step if up else -step
-    r = rad(3, start)
-    target = rad(3, start + gap if up else start - gap)
-    k, land = _crossing(r, delta, target)
-    n, cur = 1, r.scaled_by_power(delta)
-    while not (cur >= target if up else cur <= target):
-        n, cur = n + 1, cur.scaled_by_power(delta)
-    assert (k, land) == (n, cur)
+@given(va=st.sampled_from((-7, -5, -3, 1, 2, 5)), n=st.integers(1, 2000))
+@example(va=1, n=1)
+def test_limit_classify_jump_matches_stepping(va, n):
+    spec, sphere_q2 = _fixed_sphere_specs(va)
+    m, k = spec.zones[2 if va > 0 else 0]
+    assert m == 1 and (k < 0) == (va > 0)
+    start = rad(3, sphere_q2 - n * k)  # n steps of the zone from the sphere
+    landed = EventuallyConstantAt(rad(3, sphere_q2), n)
+    assert limit_classify(start, spec) == landed
+    assert radius_orbit(start, spec, max_iter=n + 1).verdict == landed
 
 
-def test_crossing_huge_gap_is_closed_form():
-    k, land = _crossing(rad(3, 0), 5, rad(3, 10**12 + 3))
-    assert (k, land) == (2 * 10**11 + 1, rad(3, 10**12 + 5))
-    k, land = _crossing(rad(3, 7), -6, rad(3, 7 - 10**12))
-    assert (k, land) == (10**12 // 6 + 1, rad(3, 7 - 6 * (10**12 // 6 + 1)))
+def test_limit_classify_jumps_a_huge_gap_at_once():
+    # 10**12 exponents in each direction: one jump, not 10**11 steps
+    down, _ = _fixed_sphere_specs(2)  # top zone q2 -> q2 - 4 onto |c|
+    n = 10**12 // 4
+    assert limit_classify(rad(3, 4 * n), down) == EventuallyConstantAt(rad(3, 0), n)
+    up, _ = _fixed_sphere_specs(-5)  # bottom zone q2 -> q2 + 6 onto |b|
+    n = 10**12 // 6 + 1
+    assert limit_classify(rad(3, -2 - 6 * n), up) == EventuallyConstantAt(rad(3, -2), n)
+    # a start that passes the sphere instead of landing on it
+    assert limit_classify(rad(3, -3 - 6 * n), up) == ToInfinity()
+
+
+@st.composite
+def admissible_specs(draw):
+    """Specs outside the two-cycle regime, with p in {2, 3, 5, 7, 11},
+    valuations in [-4, 4], and random admissible critical values (zero and
+    infinity included): crit_b at or below bound_b, crit_c at or above
+    bound_c, and any crit_b in the EQ regime."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    va, vb, vc = (draw(st.integers(-4, 4)) for _ in range(3))
+    base = RadiusMapSpec(p, va, vb, vc)
+    if base.two_cycle_regime:
+        va = -va  # |a| > 1 there, so the regime is left
+        base = RadiusMapSpec(p, va, vb, vc)
+    eq = base.regime is Regime.EQ
+    crit_b = crit_c = None
+    if draw(st.booleans()):
+        if eq:
+            crit_b = draw(
+                st.sampled_from((Radius.zero(p), Radius.infinite(p)))
+                | st.integers(-20, 20).map(lambda q2: rad(p, q2))
+            )
+        else:
+            top = base.bound_b.q2
+            crit_b = draw(
+                st.just(Radius.zero(p)) | st.integers(top - 12, top).map(lambda q2: rad(p, q2))
+            )
+    if not eq and draw(st.booleans()):
+        bottom = base.bound_c.q2
+        crit_c = draw(
+            st.just(Radius.infinite(p))
+            | st.integers(bottom, bottom + 12).map(lambda q2: rad(p, q2))
+        )
+    return RadiusMapSpec(p, va, vb, vc, crit_b, crit_c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=admissible_specs())
+@example(spec=RadiusMapSpec.from_params(3, 9, 3, 1, crit_c=rad(3, 4)))
+@example(spec=RadiusMapSpec.from_params(3, 4, 1, 3, crit_b=rad(3, -4)))
+@example(spec=RadiusMapSpec.from_params(5, 2, 1, 3, crit_b=Radius.infinite(5)))
+def test_orbit_and_classifier_agree_on_critical_values(spec):
+    for r in _probe_radii(spec):
+        orbit_v = radius_orbit(r, spec).verdict
+        assert _verdicts_compatible(r, orbit_v, limit_classify(r, spec)), (spec, r)
