@@ -698,7 +698,10 @@ def fix_set(spec: RadiusMapSpec) -> FixSet:
             rays.append(RadiusRay(spec.sphere_c(), "above"))
         if va < 0 and s > 0:
             members.append(Radius.from_exponent(p, va - 2 * spec.val_c))
-        sphere_pairs = [("b", spec.sphere_b(), spec.crit_b), ("c", spec.sphere_c(), spec.crit_c)]
+        sphere_pairs = [
+            ("b", spec.sphere_b(), spec.crit_b),
+            ("c", spec.sphere_c(), spec.crit_c),
+        ]
     elif spec.regime is Regime.EQ:
         if va == 0:
             rays.append(RadiusRay(spec.sphere_b(), "below"))
@@ -711,7 +714,10 @@ def fix_set(spec: RadiusMapSpec) -> FixSet:
             rays.append(RadiusRay(spec.sphere_b(), "above"))
         if va > 0 and s < 0:
             members.append(Radius.from_exponent(p, -va - 2 * spec.val_b))
-        sphere_pairs = [("c", spec.sphere_c(), spec.crit_c), ("b", spec.sphere_b(), spec.crit_b)]
+        sphere_pairs = [
+            ("c", spec.sphere_c(), spec.crit_c),
+            ("b", spec.sphere_b(), spec.crit_b),
+        ]
     for name, sphere, crit in sphere_pairs:
         if crit is None:
             conditional.append(name)

@@ -110,7 +110,8 @@ def test_radius_spec_is_built_once():
     before = (hash(params), repr(params))
     assert params.radius_spec() is params.radius_spec()
     # the kept spec is not a field: equality, hashing and repr are unchanged
-    assert params == fresh and (hash(params), repr(params)) == before == (hash(fresh), repr(fresh))
+    assert params == fresh
+    assert (hash(params), repr(params)) == before == (hash(fresh), repr(fresh))
     # a spec with a critical value is built fresh, on the same valuations
     crit = Radius.from_exponent(3, 4)
     given = params.radius_spec(crit_c=crit)
