@@ -21,11 +21,22 @@ f is written once, in ``_Bound``: f bound to the domain of one point,
 holding a, b and c in that domain and applying its pole rule (x + c
 exactly zero is the pole; a truncated x + c that is not certified nonzero
 exhausts the precision).  f, f' and |f|, the fixed-point pair and every
-orbit step go through it.  A truncated orbit is bound once, at its start
-point: capped-relative arithmetic never gives f(x) more digits than x
-(X. Caruso, *Computations with p-adic numbers*, arXiv:1701.06794), and f
-reads the lifted coefficients only to the digits of x, so coefficients
-lifted at the start width serve every later step unchanged.
+orbit step go through it.
+
+On a certified nonzero ``TruncatedPadic`` point, f is one fused step on
+(val, unit, digits) integers: x + c under the pole rule and x + b through
+the sum kernel of ``exactnum``, one unit division and one product, reduced
+once to the fewest digits of any operand, and one ``TruncatedPadic`` out.
+Capped-relative arithmetic never gives f(x) more digits than x (X. Caruso,
+*Computations with p-adic numbers*, arXiv:1701.06794), so this gives the
+digits of the composed operators, which every other point (an exact zero,
+an uncertified number, a ``TruncatedQuad``) still goes through.
+
+``MapParams`` keeps a, b and c lifted per width (``MapParams.lifted``), so
+a run lifts each coefficient once per width however many orbits and
+critical values it binds.  A truncated orbit is bound once, at its start
+point, and f reads the lifts only to the digits of x, so the start width
+serves every later step.
 """
 
 from __future__ import annotations
@@ -48,6 +59,9 @@ from .exactnum import (
     SqrtKind,
     TruncatedPadic,
     TruncatedQuad,
+    _add_units,
+    _div_units,
+    _pk,
     hensel_sqrt,
     is_prime,
     quad_val,
@@ -119,15 +133,15 @@ class MapParams:
                 raise DegenerateParams(factor)
         object.__setattr__(self, "sqrt_mode", sqrt_class(a, self.p))
 
-    @property
+    @functools.cached_property
     def val_a(self) -> int:
         return vp_rat(self.a, self.p)
 
-    @property
+    @functools.cached_property
     def val_b(self) -> int:
         return vp_rat(self.b, self.p)
 
-    @property
+    @functools.cached_property
     def val_c(self) -> int:
         return vp_rat(self.c, self.p)
 
@@ -153,6 +167,22 @@ class MapParams:
         if crit_b is None and crit_c is None:
             return self._radius_spec
         return replace(self._radius_spec, crit_b=crit_b, crit_c=crit_c)
+
+    @functools.cached_property
+    def _lifts(self) -> dict:
+        return {}
+
+    def lifted(self, digits: int) -> Tuple[TruncatedPadic, TruncatedPadic, TruncatedPadic]:
+        """a, b and c as ``TruncatedPadic`` lifts to ``digits`` digits.
+        Each width is lifted once and kept, like the radius spec (not as a
+        field), so a run lifts the coefficients once per width."""
+        lifts = self._lifts
+        if digits not in lifts:
+            lifts[digits] = tuple(
+                TruncatedPadic.from_rational(q, self.p, digits)
+                for q in (self.a, self.b, self.c)
+            )
+        return lifts[digits]
 
 
 def validate_params(p: int, a: Rational, b: Rational, c: Rational) -> MapParams:
@@ -193,14 +223,20 @@ def exact_eq(x: Point, y: Point) -> Optional[bool]:
     return _is_zero(x - y)
 
 
+_POLE_UNRULED = "x + c is not certified nonzero; cannot rule out the pole"
+
+
 class _Bound:
     """f bound to the scalar domain of one point.
 
     The coefficients live in that domain: the rationals themselves for
-    ``Fraction`` and ``QuadExt`` points, and for a truncated point
+    ``Fraction`` and ``QuadExt`` points, and for a truncated point the
     ``TruncatedPadic`` lifts to ``width`` digits (by default
-    max(digits, 32)), made on first use, so each is lifted at most once
-    per binding.
+    max(digits, 32)) that ``MapParams.lifted`` keeps per width.
+
+    f of a certified nonzero ``TruncatedPadic`` is one fused step on
+    (val, unit, digits) integers (:meth:`_step`); every other point goes
+    through the composed operators, which give the same digits.
     """
 
     def __init__(self, params: MapParams, x: Point, width: Optional[int] = None) -> None:
@@ -210,22 +246,12 @@ class _Bound:
                 raise InvalidArgument("point and parameters use different primes")
             w = max(x.digits, 32) if width is None else width
             self.coef = lambda q: TruncatedPadic.from_rational(q, params.p, w)
+            self.a, self.b, self.c = params.lifted(w)
         elif isinstance(x, (int, Fraction, QuadExt)):
             self.coef = lambda q: q
+            self.a, self.b, self.c = params.a, params.b, params.c
         else:
             raise InvalidArgument(f"unsupported point type {type(x).__name__}")
-
-    @functools.cached_property
-    def a(self) -> Point:
-        return self.coef(self.params.a)
-
-    @functools.cached_property
-    def b(self) -> Point:
-        return self.coef(self.params.b)
-
-    @functools.cached_property
-    def c(self) -> Point:
-        return self.coef(self.params.c)
 
     def _den(self, x: Point) -> Point:
         """x + c, refused at the pole and where no digit rules the pole out."""
@@ -234,14 +260,34 @@ class _Bound:
         if zero:
             raise PoleHit("x + c = 0: the point is the pole")
         if zero is None:
-            raise PrecisionExhausted(
-                "x + c is not certified nonzero; cannot rule out the pole"
-            )
+            raise PrecisionExhausted(_POLE_UNRULED)
         return den
 
     def f(self, x: Point) -> Point:
+        if type(x) is TruncatedPadic and x.digits and x.p == self.params.p:
+            return self._step(x)
         q = (x + self.b) / self._den(x)
         return self.a * x * (q * q)
+
+    def _step(self, x: TruncatedPadic) -> TruncatedPadic:
+        """f(x) for a certified nonzero x, with the digits of the composed
+        operators: x + c under the pole rule and x + b by the sum kernel,
+        then the quotient and the product a*x*q*q modulo p**k, k the fewest
+        digits of a, x, x + b and x + c, which is what the composed
+        operators keep."""
+        p, a, b, c = x.p, self.a, self.b, self.c
+        xv, xu, xk = x.val, x.unit, x.digits
+        dv, du, dk = _add_units(p, xv, xu, xk, c.val, c.unit, c.digits)
+        if not dk:
+            raise PrecisionExhausted(_POLE_UNRULED)
+        nv, nu, nk = _add_units(p, xv, xu, xk, b.val, b.unit, b.digits)
+        val = a.val + xv + 2 * (nv - dv)
+        if not nk:
+            return TruncatedPadic._of(p, val, 0, 0)
+        k = min(a.digits, xk, nk, dk)
+        m = _pk(p, k)
+        q = _div_units(p, nu, du, k)
+        return TruncatedPadic._of(p, val, a.unit * xu % m * (q * q % m) % m, k)
 
     def df(self, x: Point) -> Point:
         den = self._den(x)
@@ -368,8 +414,8 @@ def orbit(
     (:func:`lift_point`) and the orbit runs in truncated arithmetic.  An
     exact orbit ends at the first point larger than ``EXACT_BITS`` bits
     (:class:`SizeBudgetAt`): its size roughly triples per step.  f is
-    bound once, at the start point, so a truncated orbit lifts a, b and c
-    once, at its start width.
+    bound once, at the start point, and reads a, b and c lifted at the
+    start width from ``params``.
     """
     if n < 1:
         raise InvalidArgument("orbit length must be >= 1")

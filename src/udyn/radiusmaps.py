@@ -227,7 +227,7 @@ class RadiusMapSpec:
     The image of the critical sphere |x| = |b| is only constrained to a
     closed ball, and the image of |x| = |c| to the complement of an open
     ball; ``crit_b``/``crit_c`` pin the actual image radius for the orbit
-    under study.  Bounds are validated on construction.
+    under study.  Field types and bounds are validated on construction.
 
     The regime, the two walk tables (``spheres`` and ``zones``), the
     critical radii and the two-cycle interval are computed from the fields
@@ -260,6 +260,12 @@ class RadiusMapSpec:
         return cls(p, va, vb, vc, crit_b, crit_c)
 
     def __post_init__(self) -> None:
+        ints = (self.p, self.val_a, self.val_b, self.val_c)
+        if not all(isinstance(v, int) for v in ints):
+            raise InvalidArgument(f"p and the valuations must be ints, got {ints}")
+        for name, r in (("crit_b", self.crit_b), ("crit_c", self.crit_c)):
+            if r is not None and not isinstance(r, Radius):
+                raise InvalidArgument(f"{name} must be a Radius or None, got {r!r}")
         if self.crit_c is not None and self.regime is Regime.EQ:
             raise InvalidArgument(
                 "the EQ regime has a single critical sphere; use crit_b"

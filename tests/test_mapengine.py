@@ -1,15 +1,18 @@
 """Tests for map evaluation, orbits, fixed points, and sphere sampling."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from udyn import exactnum
+from udyn import cli, exactnum
 from udyn.exactnum import (
     TOP,
+    ExactError,
     InvalidArgument,
+    InvalidExtension,
     PrecisionExhausted,
     QuadExt,
     SqrtKind,
@@ -28,6 +31,7 @@ from udyn.mapengine import (
     PoleHitAt,
     SizeBudgetAt,
     UnsupportedRadius,
+    _Bound,
     abs_f,
     derivative_at,
     eval_f,
@@ -291,6 +295,22 @@ def test_truncated_orbit_lifts_coefficients_once(monkeypatch):
     assert {q for q, _ in lifted[1:]} <= {params.a, params.b, params.c}
     assert {digits for _, digits in lifted} == {1536}
 
+    # a whole verify run binds f once per sampled orbit and critical value,
+    # yet lifts each coefficient at most once per width
+    lifted.clear()
+    argv = "verify --p 3 --a 9 --b 3 --c 1 --seed 0 --output json".split()
+    assert cli.main(argv) == 0
+    coef = Counter(lift for lift in lifted if lift[0] in (params.a, params.b, params.c))
+    assert len(coef) >= 3
+    assert max(coef.values()) == 1
+
+    # a second critical value on the same parameters lifts nothing
+    x = TruncatedPadic.from_rational(F(6), 3, 40)  # on the |b| sphere
+    first = critical_value_at(x, params, "b")
+    lifted.clear()
+    assert critical_value_at(x, params, "b") == first
+    assert lifted == []
+
 
 def test_orbit_quadratic_points():
     params = validate_params(3, 3, 1, 6)
@@ -338,8 +358,9 @@ def test_fixed_points_rational_root_pinned():
 
 
 def test_fixed_points_checks_the_radicand_once_per_field(monkeypatch):
-    # arithmetic in Q(sqrt(2)) reuses the checked radicand: one check for
-    # the root, one per quad_val of the two locations and multipliers
+    # arithmetic in Q(sqrt(2)) reuses the checked radicand, and the square
+    # class of (2, 5) is kept from the parameters' own check: one rational
+    # square test, for the root, and none from the four quad_val calls
     params = validate_params(5, 2, 1, 3)
     calls = []
     true = exactnum._rational_square_root
@@ -347,7 +368,15 @@ def test_fixed_points_checks_the_radicand_once_per_field(monkeypatch):
         exactnum, "_rational_square_root", lambda q: calls.append(q) or true(q)
     )
     fixed_points(params)
-    assert len(calls) <= 5
+    assert len(calls) <= 1
+
+
+def test_quad_val_refuses_a_qp_square_radicand_on_every_call():
+    # 7 = 1 mod 3 is a square of Q_3: no call may answer from a cache
+    x = QuadExt(F(1), F(1), F(7))
+    for _ in range(3):
+        with pytest.raises(InvalidExtension):
+            quad_val(x, 3)
 
 
 def test_fixed_points_branch_swap():
@@ -559,3 +588,53 @@ def test_truncated_orbit_agrees_with_exact(case):
                 assert x == 0
             else:
                 assert t == TruncatedPadic.from_rational(x, p, t.digits)
+
+
+def _outcome(step, x):
+    """(val, unit, digits, exact_zero) of step(x), or the exception type."""
+    try:
+        y = step(x)
+    except ExactError as exc:
+        return type(exc)
+    return (y.val, y.unit, y.digits, y.exact_zero)
+
+
+@st.composite
+def _step_cases(draw):
+    """(params, width, x): nondegenerate (a, b, c) scaled by p**[-3, 3], a
+    coefficient width at or above the point's 1-64 digits, and x drawn
+    near -b or -c (so x + b or x + c cancels to fewer digits or to
+    O(p**k)), anywhere, or an exact zero or uncertified number."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    a, b, c = (F(*draw(_small)) * F(p) ** draw(st.integers(-3, 3)) for _ in range(3))
+    try:
+        params = validate_params(p, a, b, c)
+    except DegenerateParams:
+        assume(False)
+    digits = draw(st.integers(1, 64))
+    width = draw(st.integers(digits, 96))
+    kind = draw(st.sampled_from(["near -b", "near -c", "free", "zero", "uncertified"]))
+    if kind == "zero":
+        return params, width, TruncatedPadic.zero(p)
+    if kind == "uncertified":
+        return params, width, TruncatedPadic.unknown(p, draw(st.integers(-6, 6)))
+    centre = {"near -b": -b, "near -c": -c, "free": F(0)}[kind]
+    offset = draw(st.one_of(st.just(F(0)), _small.map(lambda t: F(*t))))
+    x = centre + offset * F(p) ** draw(st.integers(-3, 70))
+    assume(x != 0)
+    return params, width, TruncatedPadic.from_rational(x, p, digits)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_step_cases())
+def test_fused_step_equals_the_composed_operators(case):
+    params, width, x = case
+    bound = _Bound(params, x, width)
+
+    def composed(x):
+        q = (x + bound.b) / bound._den(x)
+        return bound.a * x * (q * q)
+
+    assert _outcome(bound.f, x) == _outcome(composed, x)
+    if x.digits:
+        assert _outcome(bound._step, x) == _outcome(composed, x)

@@ -171,6 +171,20 @@ def test_spec_critical_value_bounds():
         RadiusMapSpec.from_params(5, 2, 1, 3, crit_c=rad(5, 2))
 
 
+def test_spec_rejects_fields_of_the_wrong_type():
+    # a positional call in an older field order: Regime.LT lands in val_a
+    # and 2 in crit_b
+    with pytest.raises(InvalidArgument):
+        RadiusMapSpec(3, Regime.LT, 0, 0, 2)
+    with pytest.raises(InvalidArgument):
+        RadiusMapSpec(3, 0, F(1), 0)
+    with pytest.raises(InvalidArgument):
+        RadiusMapSpec(3, 2, 1, 0, crit_b=rad(3, -10), crit_c=2)
+    spec = RadiusMapSpec(3, 2, 1, 0, crit_b=rad(3, -10))
+    with pytest.raises(InvalidArgument):
+        dataclasses.replace(spec, crit_b=-10)
+
+
 # ------------------------------------------------------------------ radius map
 
 
