@@ -11,13 +11,14 @@ throughout, no floating point.  ``TruncatedPadic`` models an element of Q_p
 by a unit times a power of p, known to a fixed number of significant p-adic
 digits; it tracks what is certified and refuses to answer questions the
 retained digits cannot settle.  Its moduli p**k are computed once per
-(p, k) and cached.  The digit rules of a sum and a quotient of certified
-operands are integer kernels on (val, unit, digits), ``_add_units`` and
-``_div_units``, which the operators and the fused step of f in
-``mapengine`` share.  Its division Newton-lifts (Hensel-lifts) the inverse of
-the divisor's unit from modulo p to modulo p**ceil(k/2) only, then corrects
-the half-precision quotient once to k digits; the square-root lifts use the
-same Newton iteration (X. Caruso, *Computations with p-adic numbers*,
+(p, k) and cached.  The digit rules of a sum and a quotient are integer
+kernels on (val, unit, digits), ``_add_units`` and ``_div_units``, shared by
+the operators and the fused step of f in ``mapengine``.  They serve every
+shape: an input of digits 0 is O(p**val), which p**0 = 1 carries through.
+Division Newton-lifts (Hensel-lifts) the inverse of the divisor's unit from
+modulo p to modulo p**ceil(k/2) only, then corrects the half-precision
+quotient once to k digits; the square-root lifts use the same Newton
+iteration (X. Caruso, *Computations with p-adic numbers*,
 arXiv:1701.06794).  ``TruncatedQuad`` divides through the conjugate and
 the truncated norm, and takes its valuation as half that of the norm, so
 its answers are certified in the same way.  Unlike exact ``QuadExt``
@@ -179,7 +180,10 @@ def is_prime(n: int) -> bool:
 
 
 def vp_int(n: int, p: int):
-    """p-adic valuation of an integer; ``TOP`` for 0."""
+    """p-adic valuation of an integer; ``TOP`` for 0.  p must be at least 2:
+    below that the valuation is undefined (p = 1 divides every n)."""
+    if p < 2:
+        raise InvalidArgument(f"valuations need p >= 2, got {p}")
     if n == 0:
         return TOP
     n = abs(n)
@@ -242,12 +246,13 @@ def _inv_unit(u: int, p: int, k: int) -> int:
 
 
 def _add_units(p: int, v1: int, u1: int, k1: int, v2: int, u2: int, k2: int):
-    """Sum of two certified numbers p**v*u + O(p**(v+k)), as (val, unit,
-    digits); digits 0 is the uncertified O(p**val).
+    """Sum of two numbers p**v*u + O(p**(v+k)), as (val, unit, digits);
+    digits 0 is the uncertified O(p**val), in the inputs as in the result.
 
     Equal valuations may cancel: the sum keeps the digits that survive, or
     drops to O(p**(v+k)) when none do.  Otherwise the sum has the lower
-    valuation and at most the digits of that operand.
+    valuation and at most the digits of that operand.  An uncertified
+    input (u = k = 0) needs no rule of its own: p**0 = 1.
     """
     if v1 == v2:
         k = min(k1, k2)
@@ -283,20 +288,6 @@ def _div_units(p: int, a: int, u: int, k: int) -> int:
     q0 = a % ph * y % ph
     e = (a - u * q0) // ph % pkh
     return q0 + ph * (y * e % pkh)
-
-
-def _power(x, n: int):
-    """x**n for n >= 1 by square-and-multiply: n.bit_length() - 1 squarings
-    and one multiply per further set bit, with no seed multiply by one and
-    no squaring after the last bit."""
-    out = None
-    while True:
-        if n & 1:
-            out = x if out is None else out * x
-        n >>= 1
-        if not n:
-            return out
-        x = x * x
 
 
 class SqrtKind(enum.Enum):
@@ -558,14 +549,6 @@ class QuadExt:
             return NotImplemented
         return o * self.inverse()
 
-    def __pow__(self, n: int) -> "QuadExt":
-        """Square-and-multiply (:func:`_power`); x**0 is 1 in the same field."""
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        if n == 0:
-            return self._in_field(Fraction(1), Fraction(0))
-        return _power(self, n)
-
     def __str__(self) -> str:
         return f"({self.u} + {self.v}*sqrt({self.a}))"
 
@@ -710,16 +693,6 @@ class TruncatedPadic:
             return o
         if o.exact_zero:
             return self
-        if self.digits == 0 and o.digits == 0:
-            return TruncatedPadic(self.p, val=min(self.val, o.val))
-        if self.digits == 0 or o.digits == 0:
-            unc, cert = (self, o) if self.digits == 0 else (o, self)
-            if cert.val < unc.val:
-                k = min(cert.digits, unc.val - cert.val)
-                return TruncatedPadic(
-                    self.p, cert.val, cert.unit % _pk(self.p, k), k
-                )
-            return TruncatedPadic(self.p, val=unc.val)
         return TruncatedPadic._of(
             self.p,
             *_add_units(
@@ -739,8 +712,6 @@ class TruncatedPadic:
             return NotImplemented
         if self.exact_zero or o.exact_zero:
             return TruncatedPadic.zero(self.p)
-        if self.digits == 0 or o.digits == 0:
-            return TruncatedPadic(self.p, val=self.val + o.val)
         k = min(self.digits, o.digits)
         return TruncatedPadic._of(
             self.p, self.val + o.val, self.unit * o.unit % _pk(self.p, k), k
@@ -759,20 +730,9 @@ class TruncatedPadic:
             )
         if self.exact_zero:
             return TruncatedPadic.zero(self.p)
-        if self.digits == 0:
-            return TruncatedPadic(self.p, val=self.val - o.val)
         k = min(self.digits, o.digits)
         unit = _div_units(self.p, self.unit, o.unit, k)
         return TruncatedPadic._of(self.p, self.val - o.val, unit, k)
-
-    def __pow__(self, n: int):
-        """Square-and-multiply (:func:`_power`); x**0 is 1 to
-        max(digits, 1) digits."""
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        if n == 0:
-            return TruncatedPadic.from_rational(1, self.p, max(self.digits, 1))
-        return _power(self, n)
 
     def __str__(self) -> str:
         if self.exact_zero:
@@ -908,16 +868,6 @@ class TruncatedQuad:
         if self._split(other) is None:
             return NotImplemented
         return self.conj() * other / self.norm
-
-    def __pow__(self, n: int):
-        """Square-and-multiply (:func:`_power`); x**0 is 1 to
-        max(digits, 1) digits."""
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        if n == 0:
-            one = TruncatedPadic.from_rational(1, self.p, max(self.digits, 1))
-            return self._new(one, TruncatedPadic.zero(self.p))
-        return _power(self, n)
 
     def __str__(self) -> str:
         return f"(({self.u}) + ({self.v})*sqrt({self.rad}))"

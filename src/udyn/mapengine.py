@@ -23,14 +23,16 @@ exactly zero is the pole; a truncated x + c that is not certified nonzero
 exhausts the precision).  f, f' and |f|, the fixed-point pair and every
 orbit step go through it.
 
-On a certified nonzero ``TruncatedPadic`` point, f is one fused step on
-(val, unit, digits) integers: x + c under the pole rule and x + b through
-the sum kernel of ``exactnum``, one unit division and one product, reduced
-once to the fewest digits of any operand, and one ``TruncatedPadic`` out.
-Capped-relative arithmetic never gives f(x) more digits than x (X. Caruso,
-*Computations with p-adic numbers*, arXiv:1701.06794), so this gives the
-digits of the composed operators, which every other point (an exact zero,
-an uncertified number, a ``TruncatedQuad``) still goes through.
+On any ``TruncatedPadic`` point, f is one fused step on (val, unit,
+digits) integers: x + c under the pole rule and x + b through the sum
+kernel of ``exactnum``, one unit division and one product, reduced once to
+the fewest digits of any operand, and one ``TruncatedPadic`` out.  An exact
+zero is its own image, and an uncertified x (digits 0) runs through the
+same kernels, which carry it as O(p**val).  Capped-relative arithmetic
+never gives f(x) more digits than x (X. Caruso, *Computations with p-adic
+numbers*, arXiv:1701.06794), so this gives the digits of the composed
+operators, which serve the other domains (``Fraction``, ``QuadExt`` and
+``TruncatedQuad`` points).
 
 ``MapParams`` keeps a, b and c lifted per width (``MapParams.lifted``), so
 a run lifts each coefficient once per width however many orbits and
@@ -115,6 +117,8 @@ class MapParams:
     sqrt_mode: SqrtClass = field(init=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.p, int):
+            raise InvalidArgument(f"p must be an int, got {self.p!r}")
         if not is_prime(self.p):
             raise InvalidArgument(f"p must be prime, got {self.p}")
         a, b, c = (Fraction(q) for q in (self.a, self.b, self.c))
@@ -234,9 +238,9 @@ class _Bound:
     ``TruncatedPadic`` lifts to ``width`` digits (by default
     max(digits, 32)) that ``MapParams.lifted`` keeps per width.
 
-    f of a certified nonzero ``TruncatedPadic`` is one fused step on
-    (val, unit, digits) integers (:meth:`_step`); every other point goes
-    through the composed operators, which give the same digits.
+    f of any ``TruncatedPadic`` of this prime is one fused step on
+    (val, unit, digits) integers (:meth:`_step`); points of the other
+    domains go through the composed operators, which give the same digits.
     """
 
     def __init__(self, params: MapParams, x: Point, width: Optional[int] = None) -> None:
@@ -264,36 +268,36 @@ class _Bound:
         return den
 
     def f(self, x: Point) -> Point:
-        if type(x) is TruncatedPadic and x.digits and x.p == self.params.p:
+        if type(x) is TruncatedPadic and x.p == self.params.p:
             return self._step(x)
         q = (x + self.b) / self._den(x)
         return self.a * x * (q * q)
 
     def _step(self, x: TruncatedPadic) -> TruncatedPadic:
-        """f(x) for a certified nonzero x, with the digits of the composed
-        operators: x + c under the pole rule and x + b by the sum kernel,
-        then the quotient and the product a*x*q*q modulo p**k, k the fewest
-        digits of a, x, x + b and x + c, which is what the composed
-        operators keep."""
+        """f(x) with the digits of the composed operators: x + c under the
+        pole rule and x + b by the sum kernel, then the quotient and the
+        product a*x*q*q modulo p**k, k the fewest digits of a, x, x + b and
+        x + c.  An exact zero is its own image (c is no zero); an
+        uncertified x or x + b gives k = 0, which leaves O(p**val)."""
+        if x.exact_zero:
+            return x
         p, a, b, c = x.p, self.a, self.b, self.c
         xv, xu, xk = x.val, x.unit, x.digits
         dv, du, dk = _add_units(p, xv, xu, xk, c.val, c.unit, c.digits)
         if not dk:
             raise PrecisionExhausted(_POLE_UNRULED)
         nv, nu, nk = _add_units(p, xv, xu, xk, b.val, b.unit, b.digits)
-        val = a.val + xv + 2 * (nv - dv)
-        if not nk:
-            return TruncatedPadic._of(p, val, 0, 0)
         k = min(a.digits, xk, nk, dk)
         m = _pk(p, k)
         q = _div_units(p, nu, du, k)
-        return TruncatedPadic._of(p, val, a.unit * xu % m * (q * q % m) % m, k)
+        unit = a.unit * xu % m * (q * q % m) % m
+        return TruncatedPadic._of(p, a.val + xv + 2 * (nv - dv), unit, k)
 
     def df(self, x: Point) -> Point:
         den = self._den(x)
         num = x + self.b
         cross = self.coef(2) * x * self.coef(self.params.c - self.params.b)
-        return self.a * num * (num * den + cross) / den**3
+        return self.a * num * (num * den + cross) / (den * (den * den))
 
     def abs(self, x: Point) -> Radius:
         p = self.params.p

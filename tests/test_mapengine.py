@@ -68,6 +68,14 @@ def test_validate_params_rejects_uncertified_p():
             validate_params(p, 2, 1, 3)
 
 
+def test_validate_params_rejects_a_float_p():
+    # 5.0 used to fail inside pow() with a bare TypeError; 3.0 passed the
+    # primality test and failed later, in the first truncated orbit
+    for args in ((5.0, 2, 1, 3), (3.0, 9, 3, 1)):
+        with pytest.raises(InvalidArgument):
+            validate_params(*args)
+
+
 def test_params_to_dict():
     params = validate_params(3, F(1, 9), 1, 2)
     assert params.to_dict() == {"p": 3, "a": "1/9", "b": "1", "c": "2"}
@@ -636,5 +644,4 @@ def test_fused_step_equals_the_composed_operators(case):
         return bound.a * x * (q * q)
 
     assert _outcome(bound.f, x) == _outcome(composed, x)
-    if x.digits:
-        assert _outcome(bound._step, x) == _outcome(composed, x)
+    assert _outcome(bound._step, x) == _outcome(composed, x)
