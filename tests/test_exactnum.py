@@ -61,7 +61,7 @@ def test_unit_part():
 
 @pytest.mark.parametrize("p", [1, 0, -2])
 def test_valuations_refuse_p_below_two(p):
-    # p = 1 divides every integer: vp_int used to loop forever on it
+    # p = 1 divides every integer, so no valuation loop on it would end
     for call in (
         lambda: vp_int(5, p),
         lambda: vp_int(0, p),
@@ -305,12 +305,15 @@ def test_quad_val_ramified():
 
 
 def _matches(x: TruncatedPadic, q: Fraction, p: int) -> bool:
-    """Certified truncated value agrees with the exact rational."""
-    if q == 0:
-        return x.exact_zero or x.digits == 0
+    """Whether the exact q is one of the numbers x claims: 0 for an exact
+    zero; 0 or a number of valuation >= val for O(p**val); and for a
+    certified x, a number of valuation exactly val that agrees with x
+    modulo p**(val + digits)."""
+    if x.exact_zero:
+        return q == 0
     if x.digits == 0:
-        return x.val <= vp_rat(q, p)  # honest lower bound
-    if x.val != vp_rat(q, p):
+        return q == 0 or x.val <= vp_rat(q, p)  # honest lower bound
+    if q == 0 or x.val != vp_rat(q, p):
         return False
     u = unit_part(q, p)
     m = p**x.digits
@@ -512,22 +515,6 @@ def test_truncated_arithmetic_matches_fractions(q1, q2, p):
     assert x.valuation() == vp_rat(q1, p)
 
 
-def _stands_for(t: TruncatedPadic, y: F) -> bool:
-    """Whether the exact y is one of the numbers t claims: 0 for an exact
-    zero; 0 or a number of valuation >= val for O(p**val); and for a
-    certified t, a number of valuation exactly val that agrees with t
-    modulo p**(val + digits)."""
-    if t.exact_zero:
-        return y == 0
-    if t.digits == 0:
-        return y == 0 or vp_rat(y, t.p) >= t.val
-    return (
-        y != 0
-        and vp_rat(y, t.p) == t.val
-        and vp_rat(y - t.unit * F(t.p) ** t.val, t.p) >= t.val + t.digits
-    )
-
-
 @st.composite
 def _shaped(draw, p, near=None):
     """(t, y): a TruncatedPadic t of one of the three shapes and an exact
@@ -557,10 +544,10 @@ def _shaped(draw, p, near=None):
 def test_operators_stand_for_the_exact_result(data, p):
     x, qx = data.draw(_shaped(p))
     y, qy = data.draw(_shaped(p, near=qx))
-    assert _stands_for(x, qx) and _stands_for(y, qy)
+    assert _matches(x, qx, p) and _matches(y, qy, p)
     for op in (operator.add, operator.sub, operator.mul):
-        assert _stands_for(op(x, y), op(qx, qy))
-        assert _stands_for(op(y, x), op(qy, qx))
+        assert _matches(op(x, y), op(qx, qy), p)
+        assert _matches(op(y, x), op(qy, qx), p)
     for (n, qn), (d, qd) in (((x, qx), (y, qy)), ((y, qy), (x, qx))):
         if d.exact_zero:
             with pytest.raises(ZeroDivisor):
@@ -569,4 +556,4 @@ def test_operators_stand_for_the_exact_result(data, p):
             with pytest.raises(PrecisionExhausted):
                 n / d
         else:
-            assert _stands_for(n / d, qn / qd)
+            assert _matches(n / d, qn / qd, p)

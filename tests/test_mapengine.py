@@ -69,8 +69,8 @@ def test_validate_params_rejects_uncertified_p():
 
 
 def test_validate_params_rejects_a_float_p():
-    # 5.0 used to fail inside pow() with a bare TypeError; 3.0 passed the
-    # primality test and failed later, in the first truncated orbit
+    # refused up front: 5.0 would break pow() in the primality test, and
+    # 3.0 passes it but breaks the first truncated orbit
     for args in ((5.0, 2, 1, 3), (3.0, 9, 3, 1)):
         with pytest.raises(InvalidArgument):
             validate_params(*args)
