@@ -25,6 +25,7 @@ from .mapengine import (
     MapParams,
     SizeBudgetAt,
     fixed_points,
+    lift_point,
     orbit,
     point_val,
     val_str,
@@ -248,7 +249,8 @@ def cmd_orbit(args) -> int:
     x = parse_point(args.x, params.a)
     precision = args.precision if args.force_truncated else None
     if args.n == 1:
-        points, vals, termination = (x,), (point_val(x, params.p),), Completed(0)
+        start = x if precision is None else lift_point(x, params.p, precision)
+        points, vals, termination = (start,), (point_val(start, params.p),), Completed(0)
     else:
         rec = orbit(x, params, args.n - 1, precision=precision)
         points, vals, termination = rec.points, rec.valuations, rec.termination

@@ -154,7 +154,10 @@ _MR_LIMIT = 3317044064679887385961981
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test over the first 13 prime
     bases: exact for n < psi_13 = 3317044064679887385961981, and an
-    ``InvalidArgument`` at or above it, where it could be wrong."""
+    ``InvalidArgument`` at or above it, where it could be wrong, and for
+    an n that is not an int."""
+    if not isinstance(n, int):
+        raise InvalidArgument(f"primality needs an int, got {n!r}")
     if n < 2:
         return False
     if n >= _MR_LIMIT:
@@ -180,8 +183,10 @@ def is_prime(n: int) -> bool:
 
 
 def vp_int(n: int, p: int):
-    """p-adic valuation of an integer; ``TOP`` for 0.  p must be at least 2:
-    below that the valuation is undefined (p = 1 divides every n)."""
+    """p-adic valuation of an integer; ``TOP`` for 0.  p must be an int of
+    at least 2: below that the valuation is undefined (p = 1 divides every n)."""
+    if not isinstance(p, int):
+        raise InvalidArgument(f"valuations need an int p, got {p!r}")
     if p < 2:
         raise InvalidArgument(f"valuations need p >= 2, got {p}")
     if n == 0:
@@ -318,7 +323,7 @@ def _rational_square_root(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16, typed=True)
 def sqrt_class(a: Rational, p: int) -> SqrtClass:
     """Classify a rational as a square of Q, a square of Q_p only, or neither.
 
@@ -327,7 +332,8 @@ def sqrt_class(a: Rational, p: int) -> SqrtClass:
     is kept per (a, p) while it stays in the cache, so the radicand check
     of every :func:`quad_val` on one field runs once.  A computation works
     in one field at a time, so the cache is small: at 1,024 entries it
-    raised the peak memory of a 1,500-set classify sweep by 4 MB.
+    raised the peak memory of a 1,500-set classify sweep by 4 MB.  The
+    cache is typed, so p = 3.0 misses the entry of p = 3 and is rejected.
     """
     if not is_prime(p):
         raise InvalidArgument(f"p must be prime, got {p}")

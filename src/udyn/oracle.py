@@ -7,6 +7,14 @@ the observed valuations against the radius-map predictions and the
 phase-portrait claims.  Every check is exact: a PASS is an identity of
 valuations, never a float comparison.
 
+One run builds one ``_Context`` (``_Context.of``): it checks the counts,
+classifies the parameters once, with fixed points at max(64, precision)
+digits, and computes the probe radii and |x1 - x2| once.  The three check
+families ``check_fixed_points``, ``check_lemma1`` and ``check_portrait``
+take only that context: the fixed-point checks and the portrait's claims
+read the same fixed points, and the conditional claims read the
+portrait's exceptional ladder.
+
 Every check that runs sampled orbits goes through one sampling engine.
 A ``_Plan`` fixes the seed stride between probe radii, the per-radius
 sample budget, the orbit length and a judge.  The draw step ``_draws``
@@ -82,7 +90,6 @@ from .radiusmaps import (
     limit_classify,
     radius_orbit,
     radius_step,
-    relevant_exceptional,
 )
 
 # |f^n(x)| <= p**-THRESH counts as converged to zero, >= p**THRESH as escaped
@@ -272,28 +279,59 @@ def _fate_certificate(vals, params: MapParams, spec: RadiusMapSpec) -> Optional[
     return None
 
 
+# ------------------------------------------------------------- run context
+
+
+class _Context(NamedTuple):
+    """What every check family of one run shares, built once by ``of``:
+    the portrait, its fixed points by name, the probe radii, |x1 - x2|
+    (None if uncertified), and the run's counts and seed."""
+
+    params: MapParams
+    spec: RadiusMapSpec
+    portrait: PhasePortrait
+    infos: dict  # which -> FixedPointInfo, the portrait's fixed points
+    probes: List[Radius]
+    separation: Optional[Radius]
+    sample_count: int
+    horizon: int
+    seed: int
+    precision: int
+
+    @classmethod
+    def of(
+        cls, params: MapParams, sample_count: int, horizon: int, seed: int, precision: int
+    ) -> "_Context":
+        """Checks that the three counts are at least 1, then classifies once,
+        with fixed points at max(64, precision) digits."""
+        if sample_count < 1:
+            raise InvalidArgument(f"sample count must be >= 1, got {sample_count}")
+        if horizon < 1:
+            raise InvalidArgument(f"horizon must be >= 1, got {horizon}")
+        if precision < 1:
+            raise InvalidArgument(f"precision must be >= 1, got {precision}")
+        portrait = classify(params, precision=max(64, precision))
+        infos = {i.which: i for i in portrait.fixed_points}
+        try:
+            gap = point_val(infos["x1"].location - infos["x2"].location, params.p)
+            separation = Radius.from_val(params.p, gap)
+        except PrecisionExhausted:
+            separation = None
+        return cls(
+            params, params.radius_spec(), portrait, infos, _probe_radii(params),
+            separation, sample_count, horizon, seed, precision,
+        )
+
+
 # ------------------------------------------------------------- fixed points
 
 
-def _separation_radius(params: MapParams, x1, x2) -> Optional[Radius]:
-    """|x1 - x2| measured in the scalar domain; None if uncertified."""
-    try:
-        return Radius.from_val(params.p, point_val(x1 - x2, params.p))
-    except PrecisionExhausted:
-        return None
-
-
-def check_fixed_points(
-    params: MapParams,
-    precision: int = 64,
-    portrait: Optional[PhasePortrait] = None,
-) -> List[CheckEntry]:
-    """Fixed-point algebra: residuals, multipliers, branch symmetry,
-    the separation identity, and character agreement.  The characters
-    are read from ``portrait``, classified here when not given."""
-    if portrait is None:
-        portrait = classify(params, precision=precision)
-    infos = fixed_points(params, precision=precision)
+def check_fixed_points(ctx: _Context) -> List[CheckEntry]:
+    """Fixed-point algebra of the portrait's fixed points: residuals,
+    multipliers, branch symmetry, the separation identity, and character
+    agreement."""
+    params = ctx.params
+    infos = ctx.portrait.fixed_points
     lam0 = params.a * params.b**2 / params.c**2
     got = infos[0].multiplier
     entries = [
@@ -320,7 +358,7 @@ def check_fixed_points(
             )
         )
 
-    swapped = fixed_points(params, precision=precision, conjugate_root=True)
+    swapped = fixed_points(params, precision=max(64, ctx.precision), conjugate_root=True)
     truncated = isinstance(infos[1].location, TruncatedPadic)
     key = "location_val" if truncated else "location"
     pairs = ((swapped[1], infos[2]), (swapped[2], infos[1]))
@@ -329,7 +367,7 @@ def check_fixed_points(
     cex = {"swapped_x1": str(swapped[1].location)}
     entries.append(_pass_fail("fp-branch-swap", swap_ok, cex, note, samples=2))
 
-    actual = _separation_radius(params, infos[1].location, infos[2].location)
+    actual = ctx.separation
     if actual is None:
         entries.append(
             CheckEntry("fp-separation", "FP", 1, "INCONCLUSIVE", None, "beyond precision")
@@ -339,7 +377,7 @@ def check_fixed_points(
         cex = {"actual": str(actual), "identity": str(expected)}
         entries.append(_pass_fail("fp-separation", actual == expected, cex))
 
-    for claim in portrait.claims_of_kind("fp-character"):
+    for claim in ctx.portrait.claims_of_kind("fp-character"):
         status, note = _agreement(
             claim.detail("agree"),
             "stated and computed characters disagree",
@@ -366,18 +404,6 @@ def _radii_in_region(region, probes: List[Radius]) -> List[Radius]:
     if region.kind == "interval":
         return list(region.interval.lattice_members())
     return [r for r in probes if region.contains(r)][:8]
-
-
-class _Context(NamedTuple):
-    """What the sampled checks of one run share."""
-
-    params: MapParams
-    spec: RadiusMapSpec
-    probes: List[Radius]
-    infos: dict  # which -> FixedPointInfo
-    sample_count: int
-    horizon: int
-    precision: int
 
 
 # A judge's verdict on one sample: None passes, _PENDING is undecided
@@ -713,24 +739,18 @@ def _judge_bridge(ctx, claim, t, i, radius, x0, rec):
 _BRIDGE = _Plan(
     _judge_bridge,
     stride=1009,
+    steps=lambda horizon, i: min(horizon, 15),
     empty="no samples",
     pending="{pending} sample(s) precision-limited",
     settles=True,
 )
 
 
-def check_lemma1(
-    params: MapParams,
-    sample_count: int = 20,
-    horizon: int = 15,
-    seed: int = 0,
-    precision: int = 96,
-) -> List[CheckEntry]:
+def check_lemma1(ctx: _Context) -> List[CheckEntry]:
     """Point-level |f^n(x)| against the bridged radius-map iterate, on
-    samples from every probe radius."""
-    probes = _probe_radii(params)
-    ctx = _Context(params, params.radius_spec(), probes, {}, sample_count, horizon, precision)
-    entry = _judged("lemma1-bridge", "L1", None, ctx, _BRIDGE, _draws(ctx, _BRIDGE, probes, seed))
+    samples from every probe radius, over at most 15 steps."""
+    draws = _draws(ctx, _BRIDGE, ctx.probes, ctx.seed)
+    entry = _judged("lemma1-bridge", "L1", None, ctx, _BRIDGE, draws)
     if entry.status != "FAIL" and entry.samples:
         entry.samples += 1  # x = 0 is a trivial bridged sample: both sides stay at zero
     return [entry]
@@ -809,7 +829,7 @@ def _returns_check(claim, ctx: _Context, seed: int) -> List[CheckEntry]:
     """Critical value on ladder element k => f^(k+1) lands back on the
     sphere; the samples are constructed to hit each ladder element."""
     name = f"portrait:{claim.tag}:{claim.kind}"
-    eset = relevant_exceptional(ctx.spec)
+    eset = ctx.portrait.exceptional
     if eset is None:
         return [CheckEntry(name, claim.tag, 0, "INCONCLUSIVE", None, "no ladder")]
     which = "b" if claim.detail("condition").startswith("b*") else "c"
@@ -861,9 +881,7 @@ def _expansion_check(claim, ctx: _Context, seed: int) -> List[CheckEntry]:
 
 def _distance_check(claim, ctx: _Context, seed: int) -> List[CheckEntry]:
     name = f"portrait:{claim.tag}:{claim.kind}"
-    actual = _separation_radius(
-        ctx.params, ctx.infos["x1"].location, ctx.infos["x2"].location
-    )
+    actual = ctx.separation
     recomputed = claim.detail("recomputed")
     stated = claim.detail("stated")
     status, cex, note = "PASS", None, ""
@@ -907,7 +925,7 @@ def _condition_qualifier(claim, ctx: _Context):
     params = ctx.params
     which = "b" if cond.startswith("b*") else "c"
     want_in = not cond.endswith("-not-in-ladder")
-    eset = relevant_exceptional(ctx.spec)
+    eset = ctx.portrait.exceptional
 
     def qualifier(x0) -> bool:
         region = claim.region
@@ -986,29 +1004,11 @@ _CLAIM_CHECKS: Dict[str, Callable] = {
 }
 
 
-def check_portrait(
-    params: MapParams,
-    portrait: Optional[PhasePortrait] = None,
-    sample_count: int = 20,
-    horizon: int = 25,
-    seed: int = 0,
-    precision: int = 96,
-) -> List[CheckEntry]:
+def check_portrait(ctx: _Context) -> List[CheckEntry]:
     """Verify every claim the portrait makes, claim by claim."""
-    if portrait is None:
-        portrait = classify(params)
-    ctx = _Context(
-        params,
-        params.radius_spec(),
-        _probe_radii(params),
-        {i.which: i for i in portrait.fixed_points},
-        sample_count,
-        horizon,
-        precision,
-    )
     entries: List[CheckEntry] = []
-    for idx, claim in enumerate(portrait.claims):
-        entries.extend(_CLAIM_CHECKS[claim.kind](claim, ctx, seed + 37 * idx))
+    for idx, claim in enumerate(ctx.portrait.claims):
+        entries.extend(_CLAIM_CHECKS[claim.kind](claim, ctx, ctx.seed + 37 * idx))
     return entries
 
 
@@ -1184,24 +1184,13 @@ def run_verification(
 ) -> VerificationReport:
     """The full suite for one parameter set: fixed-point algebra, the
     point-vs-radius bridge, every portrait claim, and the radius-level
-    lemmas for this spec.  ``sample_count``, ``horizon`` and ``precision``
-    must be at least 1."""
-    if sample_count < 1:
-        raise InvalidArgument(f"sample count must be >= 1, got {sample_count}")
-    if horizon < 1:
-        raise InvalidArgument(f"horizon must be >= 1, got {horizon}")
-    if precision < 1:
-        raise InvalidArgument(f"precision must be >= 1, got {precision}")
-    portrait = classify(params)
-    report = VerificationReport(params, seed, horizon, portrait=portrait)
-    report.checks.extend(
-        check_fixed_points(params, precision=max(64, precision), portrait=portrait)
-    )
-    report.checks.extend(
-        check_lemma1(params, sample_count, min(horizon, 15), seed, precision)
-    )
-    report.checks.extend(
-        check_portrait(params, portrait, sample_count, horizon, seed, precision)
-    )
-    report.checks.extend(check_radius_lemmas([params.radius_spec()], horizon=80))
+    lemmas for this spec, all on one context.  ``sample_count``, ``horizon``
+    and ``precision`` must be at least 1; ``precision`` also sets the digits
+    of the fixed points, at least 64."""
+    ctx = _Context.of(params, sample_count, horizon, seed, precision)
+    report = VerificationReport(params, seed, horizon, portrait=ctx.portrait)
+    report.checks.extend(check_fixed_points(ctx))
+    report.checks.extend(check_lemma1(ctx))
+    report.checks.extend(check_portrait(ctx))
+    report.checks.extend(check_radius_lemmas([ctx.spec], horizon=80))
     return report

@@ -25,7 +25,7 @@ from udyn.mapengine import (
     sample_sphere,
     validate_params,
 )
-from udyn.oracle import check_lemma1
+from udyn.oracle import _Context, check_lemma1
 from udyn.portrait import classify
 from udyn.radiusmaps import (
     Radius,
@@ -102,7 +102,8 @@ def test_criterion_02_sphere_image_bridge():
         t0 = time.monotonic()
         for (p, a, b, c) in BRIDGE_SETS:
             params = validate_params(p, a, b, c)
-            (entry,) = check_lemma1(params, sample_count=80, horizon=15, seed=11)
+            ctx = _Context.of(params, sample_count=80, horizon=15, seed=11, precision=96)
+            (entry,) = check_lemma1(ctx)
             assert entry.status == "PASS", (p, a, b, c, entry.note)
             assert entry.samples >= 20, (p, a, b, c, entry.samples)
         assert time.monotonic() - t0 < 30.0

@@ -152,6 +152,24 @@ def test_orbit_truncated_sqrt_start_matches_exact_golden(capsys):
     assert data["x"] == exact["x"]
 
 
+@pytest.mark.parametrize(
+    "coeffs, x",
+    [(("9", "3", "1"), "7/5"), (("9", "3", "1"), "0"), (("1/3", "1", "3"), "1+2*sqrt(a)")],
+)
+def test_orbit_truncated_single_point_is_the_lifted_start(capsys, coeffs, x):
+    def orbit_json(n):
+        code, out, _ = run(
+            capsys, "orbit", "--p", "3", "--a", coeffs[0], "--b", coeffs[1], "--c", coeffs[2],
+            "--x", x, "--n", n, "--force-truncated", "--precision", "8", "--output", "json",
+        )
+        assert code == 0
+        return json.loads(out)["orbit"]
+
+    one, two = orbit_json("1"), orbit_json("2")
+    assert one["points"] == two["points"][:1]
+    assert one["valuations"] == two["valuations"][:1]
+
+
 @pytest.mark.parametrize("precision", ["0", "-1"])
 def test_orbit_truncated_rejects_precision_below_one(capsys, precision):
     code, out, err = run(

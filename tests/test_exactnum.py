@@ -73,6 +73,26 @@ def test_valuations_refuse_p_below_two(p):
             call()
 
 
+FLOAT_P_CALLS = {
+    "vp_int": lambda: vp_int(9, 3.0),
+    "is_prime": lambda: is_prime(3.0),
+    "from_rational": lambda: TruncatedPadic.from_rational(3, 3.0, 8),
+    "hensel_sqrt": lambda: hensel_sqrt(7, 3.0, 4),
+    "sqrt_class": lambda: sqrt_class(2, 3.0),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm-cache"])
+@pytest.mark.parametrize("name", sorted(FLOAT_P_CALLS))
+def test_entry_points_refuse_a_float_p(name, warm):
+    # a warm cache holds the answers for the int p = 3, which 3.0 equals
+    if warm:
+        sqrt_class(2, 3)
+        sqrt_class(7, 3)
+    with pytest.raises(InvalidArgument):
+        FLOAT_P_CALLS[name]()
+
+
 def test_unit_part_reassembles():
     q = F(-280, 297)
     for p in (2, 3, 5, 7, 11):

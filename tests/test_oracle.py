@@ -1,13 +1,14 @@
 """Verification-harness tests: critical values, the claim checks, and the
 frozen discrepancy surface of the default parameter grid."""
 
+import dataclasses
 import json
 from fractions import Fraction as F
 
 import pytest
 from test_golden import golden_text
 
-from udyn import oracle
+from udyn import mapengine, oracle, portrait
 from udyn.exactnum import (
     InvalidArgument,
     PrecisionExhausted,
@@ -27,9 +28,14 @@ from udyn.oracle import (
     run_verification,
 )
 from udyn.oracle import _interval_reachable  # tested directly: it is a certificate
-from udyn.oracle import _run_orbit, _sample
+from udyn.oracle import _Context, _run_orbit, _sample
 from udyn.portrait import classify
 from udyn.radiusmaps import Radius, lambda_interval
+
+
+def context(params, sample_count=20, horizon=25, seed=0, precision=96):
+    """The run context of ``run_verification`` with its default counts."""
+    return _Context.of(params, sample_count, horizon, seed, precision)
 
 
 def entry(report, name):
@@ -83,7 +89,7 @@ def test_critical_value_rejects_unknown_sphere():
 @pytest.mark.parametrize("quad", [(3, 9, 3, 1), (3, 4, 1, 3), (3, 2, 3, 1)])
 def test_lemma1_bridge_passes(quad):
     params = validate_params(*quad)
-    (result,) = check_lemma1(params, sample_count=12, horizon=10, seed=3)
+    (result,) = check_lemma1(context(params, sample_count=12, horizon=10, seed=3))
     assert result.status == "PASS"
     assert result.samples > 0
 
@@ -140,13 +146,17 @@ LEMMA1_BRANCHES = (
 def test_lemma1_bridge_branches_are_pinned(monkeypatch, attr, patch, expected):
     if attr is not None:
         monkeypatch.setattr(oracle, attr, patch)
-    (result,) = check_lemma1(validate_params(3, 9, 3, 1), sample_count=12, horizon=10, seed=3)
+    ctx = context(validate_params(3, 9, 3, 1), sample_count=12, horizon=10, seed=3)
+    (result,) = check_lemma1(ctx)
     assert result.name == "lemma1-bridge" and result.tag == "L1"
     assert (result.status, result.samples, result.counterexample, result.note) == expected
 
 
-def _portrait_entry(params, seed, kind):
-    entries = oracle.check_portrait(params, seed=seed)
+def _portrait_entry(params, seed, kind, exceptional=True):
+    ctx = context(params, seed=seed)
+    if not exceptional:
+        ctx = ctx._replace(portrait=dataclasses.replace(ctx.portrait, exceptional=None))
+    entries = oracle.check_portrait(ctx)
     (found,) = [e for e in entries if e.name.endswith(f":{kind}")]
     return found.to_dict()
 
@@ -192,9 +202,9 @@ def test_enters_sphere_fail_is_pinned(monkeypatch):
     }
 
 
-def test_returns_to_sphere_without_ladder_is_pinned(monkeypatch):
-    monkeypatch.setattr(oracle, "relevant_exceptional", lambda spec: None)
-    assert _portrait_entry(validate_params(3, 4, 1, 3), 0, "returns-to-sphere") == {
+def test_returns_to_sphere_without_ladder_is_pinned():
+    params = validate_params(3, 4, 1, 3)
+    assert _portrait_entry(params, 0, "returns-to-sphere", exceptional=False) == {
         "name": "portrait:T3.V.d:returns-to-sphere",
         "tag": "T3.V.d",
         "samples": 0,
@@ -207,15 +217,44 @@ def test_returns_to_sphere_without_ladder_is_pinned(monkeypatch):
 # ------------------------------------------------------------ fixed points
 
 
+def _counted(monkeypatch, fn):
+    """Replaces every binding of ``fn`` in the udyn modules by a wrapper
+    that records its calls, and returns the record."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod in (mapengine, portrait, oracle):
+        for key, val in list(vars(mod).items()):
+            if val is fn:
+                monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+# a row with rational fixed points and one with fixed points in Q_3(sqrt(a))
+@pytest.mark.parametrize("quad", [(3, 9, 3, 1), (3, F(1, 3), 1, 3)])
+def test_one_run_computes_each_role_once(monkeypatch, quad):
+    fps = _counted(monkeypatch, mapengine.fixed_points)
+    probes = _counted(monkeypatch, oracle._probe_radii)
+    portraits = _counted(monkeypatch, portrait.classify)
+    run_verification(validate_params(*quad), sample_count=4, horizon=6)
+    # the portrait's fixed points, and the conjugate branch of fp-branch-swap
+    assert len(fps) == 2
+    assert len(probes) == 1
+    assert len(portraits) == 1
+
+
 def test_fixed_point_checks_pass_when_characters_are_stated():
-    entries = check_fixed_points(validate_params(3, 4, 1, 3))
+    entries = check_fixed_points(context(validate_params(3, 4, 1, 3)))
     assert all(e.status == "PASS" for e in entries), [
         (e.name, e.status) for e in entries
     ]
 
 
 def test_fixed_point_character_flag_when_unstated():
-    entries = {e.name: e for e in check_fixed_points(validate_params(5, 2, 1, 3))}
+    entries = {e.name: e for e in check_fixed_points(context(validate_params(5, 2, 1, 3)))}
     assert entries["fp-character:x1"].status == "FLAGGED"
     assert entries["fp-character:x2"].status == "FLAGGED"
     assert "no character" in entries["fp-character:x1"].note

@@ -1,11 +1,13 @@
 """Classifier tests: case dispatch, per-case claims, and honesty flags."""
 
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from udyn.mapengine import Character, validate_params
+from udyn.exactnum import SqrtKind, sqrt_class
+from udyn.mapengine import Character, DegenerateParams, point_val, validate_params
 from udyn.portrait import Region, case_of, character_from_multiplier, classify
 from udyn.radiusmaps import Radius
 
@@ -436,3 +438,50 @@ def test_no_conflicting_claims(quad):
         assert not (zero_hit and escape_hit), (quad, str(r))
         assert not (zero_hit and stay_hit), (quad, str(r))
         assert not (stay_hit and escape_hit), (quad, str(r))
+
+
+def _qp_square_roster(count: int, seed: int):
+    """Parameter sets whose a is a square of Q_p but not of Q, drawn like the
+    classify sweep: p in {2, 3, 5, 7, 11} and each coefficient p**v * m/n
+    with v in [-4, 4] and p-units 1 <= |m|, n <= 50."""
+    rng = random.Random(f"qp-square-roster/{seed}")
+
+    def draw(p):
+        v = rng.randint(-4, 4)
+        while True:
+            m = rng.randint(1, 50) * rng.choice((1, -1))
+            n = rng.randint(1, 50)
+            if m % p and n % p:
+                return F(p) ** v * F(m, n)
+
+    roster = []
+    while len(roster) < count:
+        p = rng.choice((2, 3, 5, 7, 11))
+        a, b, c = (draw(p) for _ in range(3))
+        try:
+            params = validate_params(p, a, b, c)
+        except DegenerateParams:
+            continue
+        if sqrt_class(a, p).kind is SqrtKind.QP_SQUARE_NOT_RATIONAL:
+            roster.append(params)
+    return roster
+
+
+def _digit_free(portrait):
+    """What a portrait states, without the digits of its Hensel roots."""
+    x1, x2 = (i.location for i in portrait.fixed_points[1:])
+    return (
+        [c.to_dict() for c in portrait.claims],
+        portrait.flags,
+        [(i.which, i.location_val, i.multiplier_val, i.character) for i in portrait.fixed_points],
+        point_val(x1 - x2, portrait.params.p),
+    )
+
+
+def test_qp_square_portraits_do_not_depend_on_the_root_digits():
+    # a verify run classifies with fixed points at max(64, precision) digits
+    roster = _qp_square_roster(200, seed=0)
+    assert sum(bool(classify(params).flags) for params in roster) == 89
+    for params in roster:
+        at_64 = _digit_free(classify(params, precision=64))
+        assert _digit_free(classify(params, precision=96)) == at_64, params
