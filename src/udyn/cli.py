@@ -499,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None, help="sampling seed (default: $UDYN_SEED or 0)"
     )
     sp.add_argument(
-        "--precision", type=int, default=96, help="certified digits for deep orbits"
+        "--precision", type=int, default=96, help="digits of orbits and fixed points (min 64)"
     )
 
     sp = sub.add_parser("grid", help="verify every parameter set in a file")
@@ -511,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None, help="sampling seed (default: $UDYN_SEED or 0)"
     )
     sp.add_argument(
-        "--precision", type=int, default=96, help="certified digits for deep orbits"
+        "--precision", type=int, default=96, help="digits of orbits and fixed points (min 64)"
     )
     return parser
 
