@@ -19,11 +19,15 @@ Division Newton-lifts (Hensel-lifts) the inverse of the divisor's unit from
 modulo p to modulo p**ceil(k/2) only, then corrects the half-precision
 quotient once to k digits; the square-root lifts use the same Newton
 iteration (X. Caruso, *Computations with p-adic numbers*,
-arXiv:1701.06794).  ``TruncatedQuad`` divides through the conjugate and
-the truncated norm, and takes its valuation as half that of the norm, so
-its answers are certified in the same way.  Unlike exact ``QuadExt``
-points, whose coordinates roughly triple in size per step of the map, its
-operands keep a fixed size.
+arXiv:1701.06794).
+
+The field operations of Q_p(sqrt(a)) are written once, in ``_QuadField``,
+for exact (``QuadExt``) and truncated (``TruncatedQuad``) coordinates;
+both divide through the conjugate and the norm.  ``TruncatedQuad`` takes
+its valuation as half that of its truncated norm, so its answers are
+certified like those of ``TruncatedPadic``, and unlike exact points, whose
+coordinates roughly triple in size per step of the map, it keeps a fixed
+operand size.
 """
 
 from __future__ import annotations
@@ -182,13 +186,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def vp_int(n: int, p: int):
-    """p-adic valuation of an integer; ``TOP`` for 0.  p must be an int of
-    at least 2: below that the valuation is undefined (p = 1 divides every n)."""
+def _require_p(p: int) -> None:
+    """Refuse a p that is not an int of at least 2: below that a valuation
+    is undefined (p = 1 divides every n)."""
     if not isinstance(p, int):
         raise InvalidArgument(f"valuations need an int p, got {p!r}")
     if p < 2:
         raise InvalidArgument(f"valuations need p >= 2, got {p}")
+
+
+def vp_int(n: int, p: int):
+    """p-adic valuation of an integer; ``TOP`` for 0.  p must be an int of
+    at least 2."""
+    _require_p(p)
     if n == 0:
         return TOP
     n = abs(n)
@@ -453,15 +463,84 @@ def hensel_sqrt(a: Rational, p: int, digits: int) -> "TruncatedPadic":
     return TruncatedPadic(p=p, val=v // 2, unit=unit, digits=digits)
 
 
+class _QuadField:
+    """Field operations on u + v*sqrt(a), for exact and truncated coordinates.
+
+    A subclass supplies ``_split`` ((u, v) of a point of its field, (s,
+    None) for a base-field scalar s, None for any other operand), the
+    unchecked constructor ``_new(u, v)``, the radicand ``a`` in the base
+    field and ``norm`` = u**2 - a*v**2.  A product is (u*u' + a*(v*v'),
+    u*v' + v*u'), a scalar acts on each coordinate, and x/y is
+    x*conj(y)/norm(y), a division by a base-field scalar.
+    """
+
+    def __add__(self, other: object):
+        o = self._split(other)
+        if o is None:
+            return NotImplemented
+        u, v = o
+        return self._new(self.u + u, self.v if v is None else self.v + v)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new(-self.u, -self.v)
+
+    def __sub__(self, other: object):
+        o = self._split(other)
+        if o is None:
+            return NotImplemented
+        u, v = o
+        return self._new(self.u - u, self.v if v is None else self.v - v)
+
+    def __rsub__(self, other: object):
+        if self._split(other) is None:
+            return NotImplemented
+        return -self + other
+
+    def __mul__(self, other: object):
+        o = self._split(other)
+        if o is None:
+            return NotImplemented
+        u, v = o
+        if v is None:
+            return self._new(self.u * u, self.v * u)
+        return self._new(self.u * u + self.a * (self.v * v), self.u * v + self.v * u)
+
+    __rmul__ = __mul__
+
+    def conj(self):
+        return self._new(self.u, -self.v)
+
+    def __truediv__(self, other: object):
+        """Quotient through the conjugate: x/y = x*conj(y)/norm(y)."""
+        o = self._split(other)
+        if o is None:
+            return NotImplemented
+        u, v = o
+        if v is not None:
+            return self * other.conj() / other.norm
+        try:
+            return self._new(self.u / u, self.v / u)
+        except ZeroDivisionError:
+            raise ZeroDivisor("division by exact zero") from None
+
+    def __rtruediv__(self, other: object):
+        if self._split(other) is None:
+            return NotImplemented
+        return self.conj() * other / self.norm
+
+
 @dataclass(frozen=True)
-class QuadExt:
+class QuadExt(_QuadField):
     """u + v*sqrt(a) with exact rational coordinates.
 
     ``a`` must not be a perfect rational square (and must be nonzero), so
     Q(sqrt(a)) is a genuine quadratic field and the norm u**2 - a*v**2
     vanishes only at zero.  The constructor checks that once per field:
-    arithmetic results and coerced scalars are built by :meth:`_in_field`,
-    which reuses the operand's already-checked radicand.
+    arithmetic results are built by :meth:`_new`, which reuses the
+    operand's already-checked radicand.  Rational scalars (int or
+    ``Fraction``) mix in directly.
     """
 
     u: Fraction
@@ -477,83 +556,36 @@ class QuadExt:
                 f"sqrt({self.a}) is rational; the extension is degenerate"
             )
 
-    def _in_field(self, u: Fraction, v: Fraction) -> "QuadExt":
+    def _new(self, u: Fraction, v: Fraction) -> "QuadExt":
         """u + v*sqrt(a) in this element's field; u and v must already be
         Fractions.  Skips the radicand check and the coercions."""
         out = object.__new__(QuadExt)
         out.__dict__.update(u=u, v=v, a=self.a)
         return out
 
+    def _split(self, other: object):
+        if isinstance(other, QuadExt):
+            if other.a != self.a:
+                raise InvalidExtension("operands live in different extensions")
+            return other.u, other.v
+        if isinstance(other, (int, Fraction)):
+            return other, None
+        return None
+
+    # The exact product stays in this class's own namespace, as
+    # perfbench/tracer.py wraps ``vars(QuadExt)["__mul__"]`` and its aliases.
+    __mul__ = __rmul__ = _QuadField.__mul__
+
     @property
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
 
-    def _coerce(self, other: object) -> Optional["QuadExt"]:
-        if isinstance(other, QuadExt):
-            if other.a != self.a:
-                raise InvalidExtension("operands live in different extensions")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self._in_field(Fraction(other), Fraction(0))
-        return None
-
-    def __add__(self, other: object):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._in_field(self.u + o.u, self.v + o.v)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadExt":
-        return self._in_field(-self.u, -self.v)
-
-    def __sub__(self, other: object):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._in_field(self.u - o.u, self.v - o.v)
-
-    def __rsub__(self, other: object):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other: object):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._in_field(
-            self.u * o.u + self.a * self.v * o.v,
-            self.u * o.v + self.v * o.u,
-        )
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "QuadExt":
-        return self._in_field(self.u, -self.v)
-
+    @property
     def norm(self) -> Fraction:
-        return self.u * self.u - self.a * self.v * self.v
+        return self.u * self.u - self.a * (self.v * self.v)
 
     def inverse(self) -> "QuadExt":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisor("0 has no inverse")
-        return self._in_field(self.u / n, -self.v / n)
-
-    def __truediv__(self, other: object):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: object):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return 1 / self
 
     def __str__(self) -> str:
         return f"({self.u} + {self.v}*sqrt({self.a}))"
@@ -571,7 +603,7 @@ def quad_val(x: QuadExt, p: int):
     if x.is_zero:
         return TOP
     _require_extension(x.a, p)
-    return Fraction(vp_rat(x.norm(), p), 2)
+    return Fraction(vp_rat(x.norm, p), 2)
 
 
 def _require_extension(a: Fraction, p: int) -> None:
@@ -633,17 +665,20 @@ class TruncatedPadic:
 
     @classmethod
     def zero(cls, p: int) -> "TruncatedPadic":
+        _require_p(p)
         return cls(p=p, exact_zero=True)
 
     @classmethod
     def unknown(cls, p: int, floor: int) -> "TruncatedPadic":
         """O(p**floor): nothing known beyond valuation >= floor."""
+        _require_p(p)
         return cls(p=p, val=floor)
 
     @classmethod
     def from_rational(cls, q: Rational, p: int, digits: int) -> "TruncatedPadic":
         if digits < 1:
             raise InvalidArgument("digits must be >= 1")
+        _require_p(p)
         q = Fraction(q)
         if q == 0:
             return cls.zero(p)
@@ -716,8 +751,10 @@ class TruncatedPadic:
         o = self._same(other)
         if o is None:
             return NotImplemented
-        if self.exact_zero or o.exact_zero:
-            return TruncatedPadic.zero(self.p)
+        if self.exact_zero:
+            return self
+        if o.exact_zero:
+            return o
         k = min(self.digits, o.digits)
         return TruncatedPadic._of(
             self.p, self.val + o.val, self.unit * o.unit % _pk(self.p, k), k
@@ -735,7 +772,7 @@ class TruncatedPadic:
                 "divisor valuation is uncertified; cannot divide"
             )
         if self.exact_zero:
-            return TruncatedPadic.zero(self.p)
+            return self
         k = min(self.digits, o.digits)
         unit = _div_units(self.p, self.unit, o.unit, k)
         return TruncatedPadic._of(self.p, self.val - o.val, unit, k)
@@ -749,7 +786,7 @@ class TruncatedPadic:
 
 
 @dataclass(frozen=True)
-class TruncatedQuad:
+class TruncatedQuad(_QuadField):
     """u + v*sqrt(a) in Q_p(sqrt(a)) with capped-relative coordinates.
 
     ``u`` and ``v`` are :class:`TruncatedPadic` values; ``a`` is the
@@ -808,8 +845,6 @@ class TruncatedQuad:
         return Fraction(self.norm.valuation(), 2)
 
     def _split(self, other: object):
-        """(u, v) of an operand of this extension, with v None for a Q_p
-        scalar; None for an operand of another type."""
         if isinstance(other, TruncatedQuad):
             if other.a is not self.a and other.rad != self.rad:
                 raise InvalidExtension("operands live in different extensions")
@@ -820,60 +855,6 @@ class TruncatedQuad:
 
     def _new(self, u: TruncatedPadic, v: TruncatedPadic) -> "TruncatedQuad":
         return TruncatedQuad(u, v, self.a, self.rad)
-
-    def __add__(self, other: object):
-        o = self._split(other)
-        if o is None:
-            return NotImplemented
-        u, v = o
-        return self._new(self.u + u, self.v if v is None else self.v + v)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TruncatedQuad":
-        return self._new(-self.u, -self.v)
-
-    def __sub__(self, other: object):
-        o = self._split(other)
-        if o is None:
-            return NotImplemented
-        u, v = o
-        return self._new(self.u - u, self.v if v is None else self.v - v)
-
-    def __rsub__(self, other: object):
-        o = self._split(other)
-        if o is None:
-            return NotImplemented
-        return -self + other
-
-    def __mul__(self, other: object):
-        o = self._split(other)
-        if o is None:
-            return NotImplemented
-        u, v = o
-        if v is None:
-            return self._new(self.u * u, self.v * u)
-        return self._new(self.u * u + self.a * (self.v * v), self.u * v + self.v * u)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "TruncatedQuad":
-        return self._new(self.u, -self.v)
-
-    def __truediv__(self, other: object):
-        """Quotient through the conjugate: x/y = x*conj(y)/norm(y)."""
-        o = self._split(other)
-        if o is None:
-            return NotImplemented
-        u, v = o
-        if v is None:
-            return self._new(self.u / u, self.v / u)
-        return self * other.conj() / other.norm
-
-    def __rtruediv__(self, other: object):
-        if self._split(other) is None:
-            return NotImplemented
-        return self.conj() * other / self.norm
 
     def __str__(self) -> str:
         return f"(({self.u}) + ({self.v})*sqrt({self.rad}))"

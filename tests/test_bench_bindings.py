@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from udyn import cli, exactnum, mapengine, oracle, portrait, radiusmaps
+from udyn.exactnum import QuadExt, TruncatedQuad
 from udyn.mapengine import validate_params
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -49,3 +50,12 @@ def test_run_verification_calls_each_family_by_its_module_name(monkeypatch):
         monkeypatch.setattr(oracle, family, counted)
     oracle.run_verification(validate_params(3, 9, 3, 1), sample_count=4, horizon=6)
     assert calls == ["check_fixed_points", "check_lemma1", "check_portrait", "check_radius_lemmas"]
+
+
+def test_exact_quadratic_points_stay_apart_from_truncated_ones():
+    # the tracer takes an orbit's domain from isinstance(start, QuadExt) and
+    # then reads exact coordinates, and it wraps QuadExt's own __mul__ with
+    # every alias of it, so __rmul__ must be that same object
+    lifted = TruncatedQuad.from_quad(QuadExt(1, 1, 2), 3, 8)
+    assert not isinstance(lifted, QuadExt)
+    assert vars(QuadExt)["__rmul__"] is vars(QuadExt)["__mul__"]

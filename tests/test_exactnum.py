@@ -79,6 +79,9 @@ FLOAT_P_CALLS = {
     "from_rational": lambda: TruncatedPadic.from_rational(3, 3.0, 8),
     "hensel_sqrt": lambda: hensel_sqrt(7, 3.0, 4),
     "sqrt_class": lambda: sqrt_class(2, 3.0),
+    "from_rational_zero": lambda: TruncatedPadic.from_rational(0, 3.0, 8),
+    "zero": lambda: TruncatedPadic.zero(3.0),
+    "unknown": lambda: TruncatedPadic.unknown(2.5, 1),
 }
 
 
@@ -238,7 +241,7 @@ def t(a=2):
 
 def test_quad_norm_example():
     x = QuadExt(1, 1, 2)  # 1 + sqrt(2)
-    assert x.norm() == -1
+    assert x.norm == -1
 
 
 def test_quad_inv_example():
@@ -301,9 +304,59 @@ def test_quad_field_arithmetic():
     assert (x / y) * y == x
     assert 2 * x == x + x
     assert 1 / x == x.inverse()
-    assert (x * y).norm() == x.norm() * y.norm()
+    assert (x * y).norm == x.norm * y.norm
     with pytest.raises(ZeroDivisor):
         QuadExt(0, 0, 5).inverse()
+
+
+def test_quad_division_by_exact_zero_raises_zero_divisor():
+    x, zero = QuadExt(3, -2, 5), QuadExt(0, 0, 5)
+    for call in (lambda: x / zero, lambda: 1 / zero, lambda: x / 0, lambda: x / F(0)):
+        with pytest.raises(ZeroDivisor):
+            call()
+
+
+NONSQUARE_RADICANDS = (2, 3, 5, -1, -3, 6, F(1, 3), F(2, 9), 27, F(-5, 4))
+
+
+def _coords(z):
+    """(u, v) of a QuadExt, or of a rational scalar as u + 0*sqrt(a)."""
+    return (z.u, z.v) if isinstance(z, QuadExt) else (F(z), F(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), a=st.sampled_from(NONSQUARE_RADICANDS))
+def test_quad_arithmetic_matches_coordinate_formulas(data, a):
+    # QuadExt, int and Fraction operands on either side, against the
+    # formulas of Q(sqrt(a)) written out on coordinates
+    rationals = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+    quad = st.builds(lambda u, v: QuadExt(u, v, a), rationals, rationals)
+    operand = st.one_of(quad, st.integers(-20, 20), rationals)
+    x, y = data.draw(operand), data.draw(operand)
+    assume(isinstance(x, QuadExt) or isinstance(y, QuadExt))
+    (u1, v1), (u2, v2) = _coords(x), _coords(y)
+
+    def norm(u, v):
+        return u * u - a * v * v
+
+    n2 = norm(u2, v2)
+    expected = {
+        operator.add: (u1 + u2, v1 + v2),
+        operator.sub: (u1 - u2, v1 - v2),
+        operator.mul: (u1 * u2 + a * v1 * v2, u1 * v2 + v1 * u2),
+    }
+    if n2 != 0:
+        expected[operator.truediv] = ((u1 * u2 - a * v1 * v2) / n2, (v1 * u2 - u1 * v2) / n2)
+    else:
+        with pytest.raises(ZeroDivisor):
+            x / y
+    for op, (u, v) in expected.items():
+        r = op(x, y)
+        assert type(r) is QuadExt and (r.u, r.v, r.a) == (u, v, a), op
+        assert all(type(c) is Fraction for c in (r.u, r.v, r.a)), op
+    if n2 != 0:
+        assert _coords((x / y) * y) == (u1, v1)
+    assert (x * y).norm == norm(u1, v1) * norm(u2, v2)
 
 
 def test_quad_val_is_additive():

@@ -142,9 +142,11 @@ def test_field_operations_match_exact(data, params):
         (tx.conj(), x.conj()),
         (tx * tx * tx, x * x * x),
         (ts + tx, s + x),
+        (tx + ts, x + s),
         (ts - tx, s - x),
         (tx - ts, x - s),
         (ts * tx, s * x),
+        (tx * ts, x * s),
     ]
     if s != 0:
         pairs += [(tx / ts, x / s), (ts / tx, s / x)]
