@@ -563,6 +563,10 @@ class QuadExt(_QuadField):
         out.__dict__.update(u=u, v=v, a=self.a)
         return out
 
+    @property
+    def is_zero(self) -> bool:
+        return self.u == 0 and self.v == 0
+
     def _split(self, other: object):
         if isinstance(other, QuadExt):
             if other.a != self.a:
@@ -575,10 +579,6 @@ class QuadExt(_QuadField):
     # The exact product stays in this class's own namespace, as
     # perfbench/tracer.py wraps ``vars(QuadExt)["__mul__"]`` and its aliases.
     __mul__ = __rmul__ = _QuadField.__mul__
-
-    @property
-    def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
 
     @property
     def norm(self) -> Fraction:
