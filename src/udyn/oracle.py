@@ -17,26 +17,33 @@ portrait's exceptional ladder.
 
 Every check that runs sampled orbits goes through one sampling engine.
 A ``_Plan`` fixes the seed stride between probe radii, the per-radius
-sample budget, the orbit length and a judge.  The draw step ``_draws``
-yields the points drawn on each radius that a claim's condition admits;
-the judge loop ``_judged`` runs each one's orbit and hands it to the
-judge, whose verdict is pass, pending, flagged or a FAIL counterexample,
-and one tail turns the tally into the ``CheckEntry``.  The table
-``_CLAIM_CHECKS`` maps each portrait claim kind to its check, a ``_Plan``
-for the sampled kinds; claim i of a portrait is checked with seed
-``seed + 37 * i``.  The point-vs-radius bridge ``check_lemma1`` is a plan
-over every probe radius, and returns-to-sphere feeds the points it
-constructs on the critical sphere into the same judge loop.
+sample budget, the orbit length (0 for the expansion check, which judges
+f(x) alone) and a judge.  The draw step ``_draws`` yields the points drawn
+on each radius that a claim's condition admits; the judge loop ``_judged``
+runs each one's orbit, hands it to the judge, whose verdict is pass,
+pending, flagged or a FAIL counterexample, and turns the tally into the
+``CheckEntry``.  The table ``_CLAIM_CHECKS`` maps each portrait claim kind
+to its check, a ``_Plan`` for the sampled kinds; claim i of a portrait is
+checked with seed ``seed + 37 * i``.  The point-vs-radius bridge
+``check_lemma1`` is a plan over every probe radius, and returns-to-sphere
+feeds the points it constructs on the critical sphere into the same loop.
+
+Every limit claim (zero, escape, basin, constant radius) is judged by one
+rule from one fate per orbit, ``_fate``: its first crossings of p**-20 and
+p**20, its stable tail and the limit its last radius certifies.  A sample
+FAILs by a certified fate other than its claim's (``_CLAIMED_FATE``) or by
+crossing the opposite threshold, and passes by its certificate, or a
+constant radius by 5 stable trailing steps.
 
 The radius-level lemmas are rows of the table ``_RADIUS_LEMMAS``, checked
 against one radius orbit per probe radius, computed once per spec.
 
-Statuses: PASS (verified on all samples), FAIL (exact counterexample,
-carried in the entry), FLAGGED (a discrepancy in the stated behaviour —
-either a stated-vs-computed disagreement the classifier already reported
-or a structural exception the verifier certifies exactly — never an
-engine error), INCONCLUSIVE (horizon- or precision-limited, or no
-qualifying sample; never silently promoted to PASS).
+Statuses: PASS (verified on all samples), FAIL (exact counterexample or
+certified contrary fate, carried in the entry), FLAGGED (a discrepancy in
+the stated behaviour — either a stated-vs-computed disagreement the
+classifier already reported or a structural exception the verifier
+certifies exactly — never an engine error), INCONCLUSIVE (horizon- or
+precision-limited, or no qualifying sample; never silently promoted to PASS).
 """
 
 from __future__ import annotations
@@ -244,39 +251,44 @@ def _run_orbit(x0, params: MapParams, steps: int, precision: int):
         digits *= 2
 
 
-def _reached(vals, threshold: int) -> Optional[int]:
-    """First index whose valuation certifies |x| <= p**-threshold."""
-    for i, v in enumerate(vals):
-        if v is TOP or v >= threshold:
-            return i
-    return None
+class _Fate(NamedTuple):
+    """What an orbit record certifies: the first steps (or None) certifying
+    |x| <= p**-THRESH and |x| >= p**THRESH, the length of its stable tail,
+    and the fate its last radius certifies: zero, infinity, constant or None."""
+
+    zero_at: Optional[int]
+    infinity_at: Optional[int]
+    tail: int
+    certified: Optional[str]
 
 
-def _escaped(vals, threshold: int) -> Optional[int]:
-    for i, v in enumerate(vals):
-        if v is not TOP and v <= -threshold:
-            return i
-    return None
+# The fates limit_classify certifies; every other verdict certifies none,
+# TwoCycleRegion included, as it also covers radii on no two-cycle.
+_CERTIFIED = {
+    ToZero: "zero",
+    ToInfinity: "infinity",
+    FixedAt: "constant",
+    EventuallyConstantAt: "constant",
+}
 
 
-def _fate_certificate(vals, params: MapParams, spec: RadiusMapSpec) -> Optional[str]:
-    """Closed-form fate of the orbit from its last certified radius.
-
-    Sound because the radius dynamics away from the critical spheres is
-    a function of the radius alone; from an unresolved critical sphere
-    the classifier refuses to decide and this returns None.
-    """
-    if not vals:
-        return None
-    last = vals[-1]
-    if last is TOP:
-        return "zero"
-    verdict = limit_classify(Radius.from_val(params.p, last), spec)
-    if isinstance(verdict, ToZero):
-        return "zero"
-    if isinstance(verdict, ToInfinity):
-        return "infinity"
-    return None
+def _fate(rec, ctx: _Context) -> _Fate:
+    """The fate of an orbit record.  The certificate is sound as the radius
+    dynamics off the critical spheres depends on the radius alone; an exact
+    zero is read first, as limit_classify calls the zero radius fixed."""
+    vals = rec.valuations
+    zero_at = next((i for i, v in enumerate(vals) if v is TOP or v >= _THRESH), None)
+    infinity_at = next((i for i, v in enumerate(vals) if v is not TOP and v <= -_THRESH), None)
+    tail = 0
+    while tail < len(vals) and vals[-1 - tail] == vals[-1]:
+        tail += 1
+    certified = None
+    if vals and vals[-1] is TOP:
+        certified = "zero"
+    elif vals:
+        verdict = limit_classify(Radius.from_val(ctx.params.p, vals[-1]), ctx.spec)
+        certified = _CERTIFIED.get(type(verdict))
+    return _Fate(zero_at, infinity_at, tail, certified)
 
 
 # ------------------------------------------------------------- run context
@@ -474,7 +486,8 @@ def _draws(ctx: _Context, plan: _Plan, radii: List[Radius], seed: int, qualifier
 
 def _judged(name: str, tag: str, claim, ctx: _Context, plan: _Plan, draws) -> CheckEntry:
     """The judge loop: runs each drawn sample's orbit, hands it to the
-    plan's judge and turns the tally of verdicts into one entry."""
+    plan's judge and turns the tally of verdicts into one entry: FAIL, else
+    no sample, else FLAGGED, else undecided, else PASS."""
     t = _Tally()
     for i, radius, x0 in draws:
         t.samples += 1
@@ -491,23 +504,6 @@ def _judged(name: str, tag: str, claim, ctx: _Context, plan: _Plan, draws) -> Ch
             t.fail = verdict
             if plan.stop_on_fail:
                 break
-    return _tail(name, tag, plan, t)
-
-
-def _sampled_entry(
-    claim, ctx: _Context, seed: int, plan: _Plan, radii=None, suffix=""
-) -> CheckEntry:
-    """One claim's samples on the radii of its region (or ``radii``)."""
-    if radii is None:
-        radii = _radii_in_region(claim.region, ctx.probes)
-    draws = _draws(ctx, plan, radii, seed, _condition_qualifier(claim, ctx))
-    name = f"portrait:{claim.tag}:{claim.kind}{suffix}"
-    return _judged(name, claim.tag, claim, ctx, plan, draws)
-
-
-def _tail(name: str, tag: str, plan: _Plan, t: _Tally) -> CheckEntry:
-    """The entry for a tally: FAIL, else no sample, else FLAGGED, else
-    undecided, else PASS."""
     if t.fail is not None:
         return CheckEntry(name, tag, t.samples, "FAIL", t.fail, plan.fail_note)
     if t.samples == 0:
@@ -521,38 +517,55 @@ def _tail(name: str, tag: str, plan: _Plan, t: _Tally) -> CheckEntry:
     return CheckEntry(name, tag, t.samples, "PASS", None, note.format(**vars(t)))
 
 
+def _sampled_entry(
+    claim, ctx: _Context, seed: int, plan: _Plan, radii=None, suffix=""
+) -> CheckEntry:
+    """One claim's samples on the radii of its region (or ``radii``)."""
+    if radii is None:
+        radii = _radii_in_region(claim.region, ctx.probes)
+    draws = _draws(ctx, plan, radii, seed, _condition_qualifier(claim, ctx))
+    name = f"portrait:{claim.tag}:{claim.kind}{suffix}"
+    return _judged(name, claim.tag, claim, ctx, plan, draws)
+
+
 # ------------------------------------------------------------------ judges
 
 
-def _judge_threshold(ctx, claim, t, i, radius, x0, rec):
-    """limit-zero / escape style claims.
+# The fate each limit claim kind asserts.
+_CLAIMED_FATE = {
+    "limit-zero": "zero",
+    "conditional-limit-zero": "zero",
+    "basin": "zero",
+    "escape": "infinity",
+    "conditional-escape": "infinity",
+    "eventually-constant-radius": "constant",
+}
 
-    A sample passes by crossing p**(+-THRESH) within the horizon or by a
-    closed-form radius certificate from its last certified valuation; it
-    fails by crossing the opposite threshold or by a certificate of the
-    opposite fate.
+
+def _judge_limit(ctx, claim, t, i, radius, x0, rec):
+    """Limit claims, from the orbit's fate.
+
+    A sample fails by a certified fate other than the claimed one, or by
+    crossing the threshold opposite its claimed limit.  It passes by the
+    claimed certificate; a constant radius passes by 5 stable trailing
+    steps instead.
     """
-    vals = rec.valuations
-    if claim.kind.endswith("escape"):
-        claimed, other, hit, bad = "infinity", "zero", _escaped, _reached
-    else:
-        claimed, other, hit, bad = "zero", "infinity", _reached, _escaped
-    k = bad(vals, _THRESH)
-    if k is not None:
-        return {"x": str(x0), "step": k, "valuation": str(vals[k]), "claimed": claimed}
-    cert = _fate_certificate(vals, ctx.params, ctx.spec)
-    if cert == other:
-        return {"x": str(x0), "certified": other, "claimed": claimed}
-    if hit(vals, _THRESH) is None and cert != claimed:
-        return _PENDING
-    return None
+    fate = _fate(rec, ctx)
+    claimed = _CLAIMED_FATE[claim.kind]
+    if fate.certified not in (None, claimed):
+        return {"x": str(x0), "certified": fate.certified, "claimed": claimed}
+    opposite = {"zero": fate.infinity_at, "infinity": fate.zero_at}.get(claimed)
+    if opposite is not None:
+        v = rec.valuations[opposite]
+        return {"x": str(x0), "step": opposite, "valuation": str(v), "claimed": claimed}
+    passed = fate.tail >= 5 if claimed == "constant" else fate.certified == claimed
+    return None if passed else _PENDING
 
 
 def _judge_outside(ctx, claim, t, i, radius, x0, rec):
     """Points outside a claimed basin must not fall into it."""
-    vals = rec.valuations
-    cert = _fate_certificate(vals, ctx.params, ctx.spec)
-    if _reached(vals, _THRESH) is not None or cert == "zero":
+    fate = _fate(rec, ctx)
+    if fate.zero_at is not None or fate.certified == "zero":
         return {"x": str(x0), "note": "converged to zero outside the basin"}
     return None
 
@@ -563,14 +576,6 @@ def _judge_constant(ctx, claim, t, i, radius, x0, rec):
         if v != vals[0]:
             return {"x": str(x0), "step": k, "expected": str(vals[0]), "got": str(v)}
     return None
-
-
-def _judge_eventually_constant(ctx, claim, t, i, radius, x0, rec):
-    vals = rec.valuations
-    k = len(vals) - 1
-    while k > 0 and vals[k - 1] == vals[-1]:
-        k -= 1
-    return _PENDING if len(vals) - k < 5 else None
 
 
 def _judge_enters_sphere(ctx, claim, t, k, radius, x0, rec):
@@ -693,8 +698,8 @@ def _judge_dichotomy(ctx, claim, t, i, radius, x0, rec):
     return None if len(tail) >= 3 else _PENDING
 
 
-_THRESHOLD = _Plan(
-    _judge_threshold,
+_LIMIT = _Plan(
+    _judge_limit,
     stride=2003,
     empty="no qualifying sample",
     pending="{pending} orbit(s) undecided within the horizon",
@@ -760,7 +765,7 @@ def check_lemma1(ctx: _Context) -> List[CheckEntry]:
 
 
 def _basin_checks(claim, ctx: _Context, seed: int) -> List[CheckEntry]:
-    entries = _THRESHOLD(claim, ctx, seed)
+    entries = _LIMIT(claim, ctx, seed)
     outside = [r for r in ctx.probes if not claim.region.contains(r)][:6]
     if outside:
         entries.append(_sampled_entry(claim, ctx, seed + 1, _OUTSIDE, outside, ":outside"))
@@ -817,9 +822,34 @@ def _judge_returns(ctx, claim, t, k, sphere, x0, rec):
     return None
 
 
+def _judge_expansion(ctx, claim, t, i, radius, d, rec):
+    """|f(x) - x_i| > |x - x_i| at x = x_i + d, in exact arithmetic.
+
+    The stated ball contains the sphere through the pole -c, which also
+    carries the other preimages of x_i; there the inequality genuinely
+    breaks, so an exhibit on that exact sphere is FLAGGED rather than
+    FAILed.  A violation on any other sphere is an engine-level FAIL.
+    """
+    params = ctx.params
+    xi = ctx.infos[claim.detail("which")].location
+    x = xi + d
+    before = point_val(x - xi, params.p)
+    after = point_val(eval_f(x, params) - xi, params.p)
+    if after is not TOP and before is not TOP and after < before:
+        return None
+    exhibit = {"x": str(x), "v_before": str(before), "v_after": str(after)}
+    if before != point_val(-params.c - xi, params.p):
+        return exhibit
+    t.exhibit = exhibit
+    return _FLAGGED
+
+
 _RETURNS = _Plan(_judge_returns, steps=lambda horizon, k: k + 1, empty="no constructible sample")
-# the expansion check runs no orbit, but words its verdict by plan
 _EXPANSION = _Plan(
+    _judge_expansion,
+    stride=1,
+    share=3,
+    steps=lambda horizon, i: 0,
     empty="no sample",
     flagged=lambda t: (t.exhibit, "inequality breaks on the sphere through the pole"),
 )
@@ -839,44 +869,17 @@ def _returns_check(claim, ctx: _Context, seed: int) -> List[CheckEntry]:
 
 def _expansion_check(claim, ctx: _Context, seed: int) -> List[CheckEntry]:
     """|f(x) - x_i| > |x - x_i| on the punctured ball around a repelling
-    fixed point, verified with exact arithmetic.
-
-    The stated ball contains the sphere through the pole -c, which also
-    carries the other preimages of x_i; there the inequality genuinely
-    breaks, so exhibits on that exact sphere are FLAGGED rather than
-    FAILed.  A violation on any other sphere is an engine-level FAIL.
-    """
-    params = ctx.params
+    fixed point x_i, at x = x_i + d on three spheres inside it, pole excluded."""
     info = ctx.infos[claim.detail("which")]
     name = f"portrait:{claim.tag}:{claim.kind}:{info.which}"
     xi = info.location
     if isinstance(xi, TruncatedPadic):
         note = "truncated fixed point"
         return [CheckEntry(name, claim.tag, 0, "INCONCLUSIVE", None, note)]
-    p = params.p
-    ball = claim.region.radius
-    pole_val = point_val(-params.c - xi, p)
-    per = max(1, ctx.sample_count // 3)
-    t = _Tally()
-    for j in range(1, 4):
-        for d in _sample(ball.scaled_by_power(-2 * j), params, per, seed + j):
-            x = xi + d
-            try:
-                fx = eval_f(x, params)
-            except PoleHit:
-                continue
-            t.samples += 1
-            before = point_val(x - xi, p)
-            after = point_val(fx - xi, p)
-            expanded = after is not TOP and before is not TOP and after < before
-            if not expanded:
-                exhibit = {"x": str(x), "v_before": str(before), "v_after": str(after)}
-                if before != pole_val:
-                    t.fail = exhibit
-                    return [_tail(name, claim.tag, _EXPANSION, t)]
-                t.flagged += 1
-                t.exhibit = exhibit
-    return [_tail(name, claim.tag, _EXPANSION, t)]
+    radii = [claim.region.radius.scaled_by_power(-2 * j) for j in range(1, 4)]
+    pole = -ctx.params.c - xi
+    draws = _draws(ctx, _EXPANSION, radii, seed + 1, lambda d: not exact_eq(d, pole))
+    return [_judged(name, claim.tag, claim, ctx, _EXPANSION, draws)]
 
 
 def _distance_check(claim, ctx: _Context, seed: int) -> List[CheckEntry]:
@@ -953,18 +956,15 @@ def _condition_qualifier(claim, ctx: _Context):
 
 # Each claim kind's check: (claim, context, seed) -> entries.
 _CLAIM_CHECKS: Dict[str, Callable] = {
-    "limit-zero": _THRESHOLD,
-    "conditional-limit-zero": _THRESHOLD,
-    "escape": _THRESHOLD,
-    "conditional-escape": _THRESHOLD,
+    "limit-zero": _LIMIT,
+    "conditional-limit-zero": _LIMIT,
+    "escape": _LIMIT,
+    "conditional-escape": _LIMIT,
     "basin": _basin_checks,
     "invariant-sphere": _CONSTANT,
     "siegel": _CONSTANT,
-    "eventually-constant-radius": _Plan(
-        _judge_eventually_constant,
-        stride=4001,
-        empty="no qualifying sample",
-        pending="{pending} orbit(s) without >= 5 stable trailing steps",
+    "eventually-constant-radius": _LIMIT._replace(
+        stride=4001, pending="{pending} orbit(s) without >= 5 stable trailing steps"
     ),
     "enters-sphere": _Plan(
         _judge_enters_sphere, stride=5003, share=3, steps=lambda horizon, k: k

@@ -598,6 +598,30 @@ def test_truncated_orbit_agrees_with_exact(case):
                 assert t == TruncatedPadic.from_rational(x, p, t.digits)
 
 
+def _scaled_shape(t, shift):
+    """(exact zero, valuation + shift, unit, digits) of a truncated point."""
+    return (t.exact_zero, None if t.exact_zero else t.val + shift, t.unit, t.digits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_orbit_cases(), k=st.sampled_from([-2, -1, 1, 2]))
+def test_truncated_orbit_commutes_with_scaling(case, k):
+    # x = p**k * y conjugates f_{a,b,c} to f_{a,b/p**k,c/p**k}: the orbit
+    # of x0 / p**k under it is the orbit of x0 with every valuation shifted
+    # by -k, digit for digit, and ends the same way
+    params, x0 = case
+    p = params.p
+    lam = F(p) ** k
+    conjugate = validate_params(p, params.a, params.b / lam, params.c / lam)
+    rec = orbit(x0, params, 25, precision=48)
+    scaled = orbit(x0 / lam, conjugate, 25, precision=48)
+    assert scaled.termination == rec.termination
+    assert list(scaled.valuations) == [v if v is TOP else v - k for v in rec.valuations]
+    assert [_scaled_shape(t, 0) for t in scaled.points] == [
+        _scaled_shape(t, -k) for t in rec.points
+    ]
+
+
 def _outcome(step, x):
     """(val, unit, digits, exact_zero) of step(x), or the exception type."""
     try:

@@ -6,10 +6,11 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from test_golden import golden_text
+from test_golden import EXTRA_ROWS, golden_text
 
 from udyn import mapengine, oracle, portrait
 from udyn.exactnum import (
+    TOP,
     InvalidArgument,
     PrecisionExhausted,
     QuadExt,
@@ -29,7 +30,7 @@ from udyn.oracle import (
 )
 from udyn.oracle import _interval_reachable  # tested directly: it is a certificate
 from udyn.oracle import _Context, _run_orbit, _sample
-from udyn.portrait import classify
+from udyn.portrait import case_of, classify
 from udyn.radiusmaps import Radius, lambda_interval
 
 
@@ -212,6 +213,71 @@ def test_returns_to_sphere_without_ladder_is_pinned():
         "counterexample": None,
         "note": "no ladder",
     }
+
+
+def _ending_at_zero(x0, params, steps, precision):
+    """A _run_orbit whose orbit lands on exact zero after its start."""
+    rec = _TRUE_RUN_ORBIT(x0, params, steps, precision)
+    return OrbitRecord(rec.points[:1], rec.valuations[:1] + (TOP,), rec.termination)
+
+
+def test_exact_zero_certifies_zero(monkeypatch):
+    # the zero radius reads as fixed to limit_classify, so an exact zero
+    # must certify zero before any verdict is read
+    monkeypatch.setattr(oracle, "_run_orbit", _ending_at_zero)
+    assert _portrait_entry(validate_params(3, 9, 1, 2), 0, "limit-zero")["status"] == "PASS"
+    escape = _portrait_entry(validate_params(3, F(1, 9), 1, 2), 0, "escape")
+    assert escape["status"] == "FAIL"
+    assert escape["counterexample"]["certified"] == "zero"
+    assert escape["counterexample"]["claimed"] == "infinity"
+
+
+# ------------------------------------------------------------ planted defects
+
+
+def _lead_kind(old, new):
+    """A row edit that gives the lead claim of kind ``old`` the kind ``new``."""
+
+    def edit(row):
+        lead = tuple((tag, new if kind == old else kind, where) for tag, kind, where in row.lead)
+        return row._replace(lead=lead)
+
+    return edit
+
+
+def _row_fate(new):
+    return lambda row: row._replace(fate=new)
+
+
+# Each planted defect swaps one case's claimed limit for a wrong one; the
+# rows of that case among default_grid() and EXTRA_ROWS must FAIL at seed 0.
+PLANTED_DEFECTS = (
+    pytest.param("T2.A", _row_fate("escape"), id="T2.A-fate"),
+    pytest.param("T2.C", _row_fate("limit-zero"), id="T2.C-fate"),
+    pytest.param("T3.II", _row_fate("escape"), id="T3.II-fate"),
+    pytest.param("T1.2", _row_fate("escape"), id="T1.2-fate"),
+    pytest.param("T1.4.3-5", _row_fate("limit-zero"), id="T1.4.3-5-escape-to-limit-zero"),
+    pytest.param(
+        "T1.4.3-5", _row_fate("eventually-constant-radius"), id="T1.4.3-5-escape-to-constant"
+    ),
+    pytest.param("T1.4.2", _lead_kind("escape", "limit-zero"), id="T1.4.2-escape-to-limit-zero"),
+    pytest.param("T1.4.2", _lead_kind("siegel", "basin"), id="T1.4.2-siegel-to-basin"),
+    pytest.param("T3.III", _row_fate("limit-zero"), id="T3.III-constant-to-limit-zero"),
+    pytest.param("T3.V", _row_fate("escape"), id="T3.V-constant-to-escape"),
+)
+_ROWS = default_grid() + tuple(
+    validate_params(p, F(a), F(b), F(c)) for p, a, b, c in EXTRA_ROWS
+)
+
+
+@pytest.mark.parametrize("case, edit", PLANTED_DEFECTS)
+def test_planted_claim_swap_fails(monkeypatch, case, edit):
+    monkeypatch.setitem(portrait._CASES, case, edit(portrait._CASES[case]))
+    rows = [params for params in _ROWS if case_of(params.radius_spec())[1] == case]
+    assert rows
+    for params in rows:
+        report = run_verification(params, seed=0)
+        assert report.has_fail, (params.to_dict(), report.counts())
 
 
 # ------------------------------------------------------------ fixed points

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from udyn.exactnum import SqrtKind, sqrt_class
 from udyn.mapengine import Character, DegenerateParams, point_val, validate_params
@@ -485,3 +487,40 @@ def test_qp_square_portraits_do_not_depend_on_the_root_digits():
     for params in roster:
         at_64 = _digit_free(classify(params, precision=64))
         assert _digit_free(classify(params, precision=96)) == at_64, params
+
+
+@st.composite
+def _conjugation_cases(draw):
+    """(params, unit): p in {2, 3, 5, 7, 11}, nondegenerate a, b, c =
+    p**v * m/n with v in [-4, 4] and 1 <= |m|, n <= 50, and a p-unit."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    small = st.integers(1, 50)
+
+    def coefficient():
+        m = draw(small) * draw(st.sampled_from([1, -1]))
+        return F(m, draw(small)) * F(p) ** draw(st.integers(-4, 4))
+
+    try:
+        params = validate_params(p, coefficient(), coefficient(), coefficient())
+    except DegenerateParams:
+        assume(False)
+    p_unit = small.filter(lambda m: m % p)
+    return params, F(draw(p_unit), draw(p_unit)) * draw(st.sampled_from([1, -1]))
+
+
+def _conjugation_invariants(portrait):
+    fixed = [(i.which, i.multiplier_val, i.character) for i in portrait.fixed_points]
+    return portrait.case, fixed, portrait.flags
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_conjugation_cases())
+def test_portrait_is_invariant_under_conjugation_by_scaling(case):
+    # x = lam * y conjugates f_{a,b,c} to f_{a,b/lam,c/lam}, which has the
+    # same case, multipliers, characters and flags
+    params, unit = case
+    p = params.p
+    expected = _conjugation_invariants(classify(params))
+    for lam in (F(p), F(1, p), F(-1), unit, F(p * p, 7)):
+        conjugate = validate_params(p, params.a, params.b / lam, params.c / lam)
+        assert _conjugation_invariants(classify(conjugate)) == expected, lam
