@@ -22,7 +22,10 @@ radius lemmas became a table; it pins the known
 holds one sha256 per case over the radius walks themselves on that roster
 (``radius_orbit`` and ``limit_classify`` from every probe radius of
 ``check_radius_lemmas``), written before the walks ran on bare exponents;
-it pins today's ``TwoCycleRegion`` answers as they stand.  A refactor must
+it pins today's ``TwoCycleRegion`` answers as they stand.
+``tests/golden/text/`` holds the ``--output text`` stdout of every command
+(``TEXT_RUNS`` and ``GRID_TEXT_ROWS``), written before the commands shared
+one output path.  A refactor must
 reproduce these bytes exactly; the files are never regenerated to make a
 change pass.
 ``python tests/test_golden.py`` writes them.
@@ -37,6 +40,7 @@ import io
 import json
 import random
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,17 +90,49 @@ FIXED_POINT_ROWS = (
     (3, "1/3", "1", "3", 64),
 )
 
+# (command, row, exit code) for the text goldens, besides classify on every
+# grid and extra row: fixed points at every root domain; exact orbits, one of
+# a single point, a sqrt(a) start and the size-budget note; truncated orbits,
+# one ending precision-exhausted and one from a sqrt(a) start; radius orbits
+# to a critical sphere, into a two-cycle and to zero; verify on the extra
+# rows, a ramified row, a BOUNDARY row, a DISCREPANCY row and a row whose
+# radius:classify-vs-orbit FAILs as it stands (a TwoCycleRegion answer for
+# a radius on no two-cycle), which pins the counterexample line and exit 2.
+TEXT_RUNS = (
+    *(("fixed-points", row, 0) for row in FIXED_POINT_ROWS),
+    *(("orbit", row, 0) for row in EXACT_ORBIT_ROWS),
+    ("orbit", (3, "9", "3", "1", "7/5", 1), 0),
+    ("orbit", (3, "9", "3", "1", "7/5", 40), 0),
+    ("orbit", ORBIT_ROWS[0], 0),
+    ("orbit", (3, "1/3", "1", "3", "1+2*sqrt(a)", 5, 8), 0),
+    ("radius-orbit", (3, "9", "1", "9", "3^2"), 0),
+    ("radius-orbit", (3, "9", "1", "9", "3^-3/2"), 0),
+    ("radius-orbit", (3, "9", "3", "1", "3^-2"), 0),
+    *(("verify", row, 0) for row in EXTRA_ROWS),
+    ("verify", RAMIFIED_VERIFY_ROWS[0], 0),
+    ("verify", (3, "4", "1", "3"), 0),
+    ("verify", (3, "9", "3", "1"), 0),
+    ("verify", (2, "156/43", "17/100", "2"), 2),
+)
+# ``grid --samples 6`` over these lines: two rows, a comment and a
+# degenerate row, so it exits 3.
+GRID_TEXT_ROWS = ("# roster", "3 9 3 1", "2 20 4 1  # trailing comment", "3 1 3 1")
+
 _FLAGS = {
     "fixed-points": ("p", "a", "b", "c", "precision"),
     "orbit": ("p", "a", "b", "c", "x", "n", "precision"),
+    "radius-orbit": ("p", "a", "b", "c", "r"),
     "verify": ("p", "a", "b", "c", "seed", "samples"),
 }
 _LABELS = {
     "fixed-points": ("p", "a", "b", "c", "prec"),
+    "radius-orbit": ("p", "a", "b", "c", "r"),
     "verify": ("p", "a", "b", "c", "seed", "samples"),
 }
 _DEFAULT_LABELS = ("p", "a", "b", "c", "x", "n", "prec")
-_LABEL_CHARS = str.maketrans({"/": "over", "-": "m", "+": "p", "*": None, "(": None, ")": None})
+_LABEL_CHARS = str.maketrans(
+    {"/": "over", "-": "m", "+": "p", "^": "e", "*": None, "(": None, ")": None}
+)
 
 ROSTER_SEED = 0
 ROSTER_SIZE = 1500
@@ -142,22 +178,34 @@ def row_key(params) -> tuple:
     return (params.p, str(params.a), str(params.b), str(params.c))
 
 
-def golden_path(command: str, row: tuple) -> Path:
+def golden_path(command: str, row: tuple, output: str = "json") -> Path:
     labels = _LABELS.get(command, _DEFAULT_LABELS)
-    label = "_".join(f"{k}{v}" for k, v in zip(labels, row))
-    return GOLDEN / command.replace("-", "_") / (label.translate(_LABEL_CHARS) + ".json")
+    label = "_".join(f"{k}{v}" for k, v in zip(labels, row)).translate(_LABEL_CHARS)
+    folder = command.replace("-", "_")
+    if output == "text":
+        return GOLDEN / "text" / folder / (label + ".txt")
+    return GOLDEN / folder / (label + ".json")
 
 
-def golden_text(command: str, row: tuple) -> str:
-    return golden_path(command, row).read_text(encoding="utf-8")
+def golden_text(command: str, row: tuple, output: str = "json") -> str:
+    return golden_path(command, row, output).read_text(encoding="utf-8")
 
 
-def cli_output(command: str, row: tuple) -> str:
-    """stdout of ``udyn <command> --output json`` (verify at seed 0 unless
-    ``row`` gives a seed and sample count, orbit from ``row``'s x and n,
-    truncated when the row gives a precision)."""
+def _stdout(argv: list, code: int) -> str:
     from udyn.cli import main
 
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        got = main(argv)
+    assert got == code, (argv, got)
+    return buf.getvalue()
+
+
+def cli_output(command: str, row: tuple, output: str = "json", code: int = 0) -> str:
+    """stdout of ``udyn <command> --output <output>`` (verify at seed 0
+    unless ``row`` gives a seed and sample count, orbit from ``row``'s x
+    and n, truncated when the row gives a precision), which must exit
+    with ``code``."""
     argv = [command]
     flags = _FLAGS.get(command, ("p", "a", "b", "c"))
     for flag, value in zip(flags, row):
@@ -166,12 +214,23 @@ def cli_output(command: str, row: tuple) -> str:
         argv += ["--seed", "0"]
     if command == "orbit" and len(row) == len(flags):
         argv += ["--force-truncated"]
-    argv += ["--output", "json"]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(argv)
-    assert code == 0, (argv, code)
-    return buf.getvalue()
+    return _stdout(argv + ["--output", output], code)
+
+
+def grid_text(directory: Path) -> str:
+    """stdout of ``udyn grid --samples 6`` over ``GRID_TEXT_ROWS``, written
+    to a file in ``directory``."""
+    path = directory / "grid.txt"
+    path.write_text("\n".join(GRID_TEXT_ROWS) + "\n", encoding="utf-8")
+    return _stdout(["grid", str(path), "--samples", "6"], 3)
+
+
+def text_runs() -> list:
+    """(command, row, exit code) of every text golden but the grid's."""
+    from udyn.oracle import default_grid
+
+    rows = [row_key(pr) for pr in default_grid()] + list(EXTRA_ROWS)
+    return [("classify", row, 0) for row in rows] + list(TEXT_RUNS)
 
 
 def _draw(rng: random.Random, p: int) -> Fraction:
@@ -285,6 +344,19 @@ def test_fixed_points_match_golden(row):
     assert cli_output("fixed-points", row) == golden_text("fixed-points", row)
 
 
+@pytest.mark.parametrize(
+    "command, row, code", text_runs(), ids=lambda v: "_".join(map(str, v)) if isinstance(v, tuple) else None
+)
+def test_text_output_matches_golden(command, row, code):
+    assert cli_output(command, row, "text", code) == golden_text(command, row, "text")
+
+
+def test_grid_text_matches_golden(tmp_path):
+    assert grid_text(tmp_path) == (GOLDEN / "text" / "grid" / "samples6.txt").read_text(
+        encoding="utf-8"
+    )
+
+
 def test_fixed_point_rows_cover_every_root_domain():
     from udyn.exactnum import SqrtKind
     from udyn.mapengine import validate_params
@@ -351,6 +423,15 @@ def write_golden() -> None:
     for row in FIXED_POINT_ROWS:
         golden_path("fixed-points", row).write_text(
             cli_output("fixed-points", row), encoding="utf-8"
+        )
+    for command, row, code in text_runs():
+        path = golden_path(command, row, "text")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(cli_output(command, row, "text", code), encoding="utf-8")
+    (GOLDEN / "text" / "grid").mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        (GOLDEN / "text" / "grid" / "samples6.txt").write_text(
+            grid_text(Path(tmp)), encoding="utf-8"
         )
     for name, digests in (
         ("roster_seed0.json", roster_digests(classify(pr) for pr in roster())),
