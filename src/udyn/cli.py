@@ -1,6 +1,10 @@
 """Command-line front end: parse parameters, dispatch one command, render
 the report as plain text or byte-stable JSON.
 
+Each command computes its result once and hands ``_emit`` the schema-1
+document and a function that returns the text lines, so ``--output`` only
+chooses how that one result is printed.
+
 Exit codes: 0 success (or verification with no FAIL), 1 usage or input
 error (a closed stdout included), 2 a verification FAIL is present, 3
 degenerate parameters.  When ``grid`` meets both a FAIL and a degenerate
@@ -10,7 +14,6 @@ row, the FAIL wins.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -23,7 +26,6 @@ from .mapengine import (
     Completed,
     DegenerateParams,
     MapParams,
-    SizeBudgetAt,
     fixed_points,
     lift_point,
     orbit,
@@ -33,7 +35,7 @@ from .mapengine import (
 )
 from .oracle import run_verification
 from .portrait import classify
-from .radiusmaps import Radius, radius_orbit
+from .radiusmaps import Radius, canonical_json, radius_orbit
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -131,12 +133,14 @@ def _resolve_seed(flag_value: Optional[int]) -> int:
 # ---------------------------------------------------------------- rendering
 
 
-def _dump(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+def _emit(args, doc: dict, text: Callable[[], List[str]]) -> None:
+    """Print a command's result: its schema-1 document as canonical JSON,
+    or the lines ``text`` renders from the same result."""
+    print("\n".join([canonical_json(doc)] if args.output == "json" else text()))
 
 
-def _params_line(params: MapParams) -> str:
-    return f"params: p={params.p} a={params.a} b={params.b} c={params.c}"
+def _params(d: dict) -> str:
+    return f"p={d['p']} a={d['a']} b={d['b']} c={d['c']}"
 
 
 def _fp_line(d: dict) -> str:
@@ -149,58 +153,108 @@ def _fp_line(d: dict) -> str:
 
 def _claim_line(c: dict) -> str:
     parts = [f"  [{c['tag']}] {c['kind']}"]
-    for key in sorted(c):
-        if key in ("tag", "kind"):
-            continue
+    for key in sorted(c.keys() - {"tag", "kind"}):
         value = c[key]
-        if isinstance(value, (dict, list)):
-            value = _dump(value)
-        parts.append(f"{key}={value}")
+        parts.append(f"{key}={canonical_json(value) if isinstance(value, (dict, list)) else value}")
     return " ".join(parts)
 
 
-def _print_portrait(portrait) -> None:
-    data = portrait.to_dict()
-    print(_params_line(portrait.params))
-    print(f"regime: {data['regime']}  theorem: {data['theorem']}  case: {data['case']}")
-    print("fixed points:")
-    for d in data["fixed_points"]:
-        print(_fp_line(d))
-    print(f"claims ({len(data['claims'])}):")
-    for c in data["claims"]:
-        print(_claim_line(c))
-    if data["exceptional"] is not None:
-        e = data["exceptional"]
-        print(
+def _flags(flags) -> str:
+    return ", ".join(flags) if flags else "(none)"
+
+
+def _counts(counts: dict) -> str:
+    return ", ".join(f"{n} {status}" for status, n in counts.items())
+
+
+def _portrait_lines(data: dict) -> List[str]:
+    lines = [
+        f"params: {_params(data['params'])}",
+        f"regime: {data['regime']}  theorem: {data['theorem']}  case: {data['case']}",
+        "fixed points:",
+        *map(_fp_line, data["fixed_points"]),
+        f"claims ({len(data['claims'])}):",
+        *map(_claim_line, data["claims"]),
+    ]
+    e = data["exceptional"]
+    if e is not None:
+        lines.append(
             f"exceptional set {e['kind']}: elements {', '.join(e['elements'])}, ... "
             f"(exponent step {e['step_q2']}/2)"
         )
-    if data["lambda"] is not None:
-        lam = data["lambda"]
-        print(f"two-cycle interval: ({lam['lo']}, {lam['hi']}) center {lam['center']}")
-    print(f"flags: {', '.join(data['flags']) if data['flags'] else '(none)'}")
+    lam = data["lambda"]
+    if lam is not None:
+        lines.append(f"two-cycle interval: ({lam['lo']}, {lam['hi']}) center {lam['center']}")
+    return lines + [f"flags: {_flags(data['flags'])}"]
 
 
-def _print_verification(report) -> None:
-    print(_params_line(report.params))
-    print(f"seed: {report.seed}  horizon: {report.horizon}")
+def _fixed_point_lines(body: dict) -> List[str]:
+    return [f"params: {_params(body['params'])}", *map(_fp_line, body["points"])]
+
+
+def _orbit_lines(body: dict) -> List[str]:
+    steps = enumerate(zip(body["valuations"], body["points"]))
+    end = body["termination"]
+    lines = [
+        f"params: {_params(body['params'])}",
+        f"{'step':<6} {'valuation':<10} point",
+        *(f"{i:<6} {v:<10} {pt}" for i, (v, pt) in steps),
+        f"termination: {canonical_json(end)}",
+    ]
+    if end["kind"] == "size-budget":
+        lines.append(
+            f"exact points outgrew {EXACT_BITS} bits at step {end['index']};"
+            " --force-truncated runs deeper in certified truncated arithmetic"
+        )
+    return lines
+
+
+def _radius_orbit_lines(body: dict) -> List[str]:
+    return [
+        f"params: {_params(body['params'])}",
+        "trajectory: " + " -> ".join(body["trajectory"]),
+        f"verdict: {canonical_json(body['verdict'])}",
+    ]
+
+
+def _verification_lines(report) -> List[str]:
+    lines = [
+        f"params: {_params(report.params.to_dict())}",
+        f"seed: {report.seed}  horizon: {report.horizon}",
+    ]
     for e in report.checks:
-        line = f"{e.status:<12} {e.name:<46} samples={e.samples}"
-        if e.note:
-            line += f"  {e.note}"
-        print(line)
+        note = f"  {e.note}" if e.note else ""
+        lines.append(f"{e.status:<12} {e.name:<46} samples={e.samples}{note}")
         if e.counterexample is not None:
-            print(f"{'':<12} counterexample: {_dump(e.counterexample)}")
-    print(
-        f"summary: {len(report.checks)} checks — "
-        + ", ".join(f"{n} {s}" for s, n in report.counts().items())
-    )
-    flags = report.portrait.flags
-    print(f"portrait flags: {', '.join(flags) if flags else '(none)'}")
-    print(f"result: {'FAIL' if report.has_fail else 'PASS'}")
+            lines.append(f"{'':<12} counterexample: {canonical_json(e.counterexample)}")
+    return lines + [
+        f"summary: {len(report.checks)} checks — {_counts(report.counts())}",
+        f"portrait flags: {_flags(report.portrait.flags)}",
+        f"result: {'FAIL' if report.has_fail else 'PASS'}",
+    ]
+
+
+def _grid_lines(body: dict) -> List[str]:
+    lines = []
+    for r in body["rows"]:
+        tail = f"checks: {_counts(r['counts'])}" if "counts" in r else r["error"]
+        lines.append(f"{r['status']:<12} {_params(r['params'])}  {tail}")
+    s = body["summary"]
+    return lines + [
+        f"summary: {s['rows']} parameter set(s) — {s['pass']} PASS, "
+        f"{s['fail']} FAIL, {s['degenerate']} DEGENERATE"
+    ]
 
 
 # ----------------------------------------------------------------- commands
+
+
+def _check_counts(args, *names: str) -> None:
+    """Reject a count flag below 1, before any work."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise InvalidArgument(f"--{name} must be >= 1, got {value}")
 
 
 def _make_params(args) -> MapParams:
@@ -208,44 +262,25 @@ def _make_params(args) -> MapParams:
 
 
 def cmd_classify(args) -> int:
-    portrait = classify(_make_params(args))
-    if args.output == "json":
-        print(_dump(portrait.to_dict()))
-    else:
-        _print_portrait(portrait)
+    doc = classify(_make_params(args)).to_dict()
+    _emit(args, doc, lambda: _portrait_lines(doc))
     return EXIT_OK
 
 
 def cmd_fixed_points(args) -> int:
-    if args.precision < 1:
-        raise InvalidArgument(f"--precision must be >= 1, got {args.precision}")
+    _check_counts(args, "precision")
     params = _make_params(args)
     infos = fixed_points(params, precision=args.precision)
-    if args.output == "json":
-        print(
-            _dump(
-                {
-                    "schema": 1,
-                    "fixed_points": {
-                        "params": params.to_dict(),
-                        "points": [i.to_dict() for i in infos],
-                    },
-                }
-            )
-        )
-    else:
-        print(_params_line(params))
-        for info in infos:
-            print(_fp_line(info.to_dict()))
+    body = {"params": params.to_dict(), "points": [i.to_dict() for i in infos]}
+    _emit(args, {"schema": 1, "fixed_points": body}, lambda: _fixed_point_lines(body))
     return EXIT_OK
 
 
 def cmd_orbit(args) -> int:
+    _check_counts(args, "n")
+    if args.force_truncated:
+        _check_counts(args, "precision")
     params = _make_params(args)
-    if args.n < 1:
-        raise InvalidArgument("--n must be >= 1")
-    if args.force_truncated and args.precision < 1:
-        raise InvalidArgument(f"--precision must be >= 1, got {args.precision}")
     x = parse_point(args.x, params.a)
     precision = args.precision if args.force_truncated else None
     if args.n == 1:
@@ -254,85 +289,45 @@ def cmd_orbit(args) -> int:
     else:
         rec = orbit(x, params, args.n - 1, precision=precision)
         points, vals, termination = rec.points, rec.valuations, rec.termination
-    if args.output == "json":
-        print(
-            _dump(
-                {
-                    "schema": 1,
-                    "orbit": {
-                        "params": params.to_dict(),
-                        "x": str(x),
-                        "points": [str(pt) for pt in points],
-                        "valuations": [val_str(v) for v in vals],
-                        "termination": termination.to_dict(),
-                    },
-                }
-            )
-        )
-    else:
-        print(_params_line(params))
-        print(f"{'step':<6} {'valuation':<10} point")
-        for i, (pt, v) in enumerate(zip(points, vals)):
-            print(f"{i:<6} {val_str(v):<10} {pt}")
-        print(f"termination: {_dump(termination.to_dict())}")
-        if isinstance(termination, SizeBudgetAt):
-            print(
-                f"exact points outgrew {EXACT_BITS} bits at step {termination.index};"
-                " --force-truncated runs deeper in certified truncated arithmetic"
-            )
+    body = {
+        "params": params.to_dict(),
+        "x": str(x),
+        "points": [str(pt) for pt in points],
+        "valuations": [val_str(v) for v in vals],
+        "termination": termination.to_dict(),
+    }
+    _emit(args, {"schema": 1, "orbit": body}, lambda: _orbit_lines(body))
     return EXIT_OK
 
 
 def cmd_radius_orbit(args) -> int:
-    if args.horizon < 1:
-        raise InvalidArgument(f"--horizon must be >= 1, got {args.horizon}")
+    _check_counts(args, "horizon")
     params = _make_params(args)
     start = parse_radius(args.r, args.p)
     result = radius_orbit(start, params.radius_spec(), max_iter=args.horizon)
-    if args.output == "json":
-        print(
-            _dump(
-                {
-                    "schema": 1,
-                    "radius_orbit": {
-                        "params": params.to_dict(),
-                        "start": str(start),
-                        "trajectory": [str(r) for r in result.trajectory],
-                        "verdict": result.verdict.to_dict(),
-                    },
-                }
-            )
-        )
-    else:
-        print(_params_line(params))
-        print("trajectory: " + " -> ".join(str(r) for r in result.trajectory))
-        print(f"verdict: {_dump(result.verdict.to_dict())}")
+    body = {
+        "params": params.to_dict(),
+        "start": str(start),
+        "trajectory": [str(r) for r in result.trajectory],
+        "verdict": result.verdict.to_dict(),
+    }
+    _emit(args, {"schema": 1, "radius_orbit": body}, lambda: _radius_orbit_lines(body))
     return EXIT_OK
 
 
+def _verify(args, params: MapParams, seed: int):
+    """``run_verification`` with the run flags of ``verify`` and ``grid``."""
+    return run_verification(params, args.samples, args.horizon, seed, args.precision)
+
+
 def cmd_verify(args) -> int:
-    params = _make_params(args)
-    report = run_verification(
-        params,
-        sample_count=args.samples,
-        horizon=args.horizon,
-        seed=_resolve_seed(args.seed),
-        precision=args.precision,
-    )
-    if args.output == "json":
-        print(report.to_json())
-    else:
-        _print_verification(report)
+    report = _verify(args, _make_params(args), _resolve_seed(args.seed))
+    _emit(args, report.to_dict(), lambda: _verification_lines(report))
     return EXIT_FAIL if report.has_fail else EXIT_OK
 
 
 def cmd_grid(args) -> int:
-    if args.samples < 1:
-        raise InvalidArgument(f"--samples must be >= 1, got {args.samples}")
-    if args.horizon < 1:
-        raise InvalidArgument(f"--horizon must be >= 1, got {args.horizon}")
-    if args.precision < 1:
-        raise InvalidArgument(f"--precision must be >= 1, got {args.precision}")
+    _check_counts(args, "samples", "horizon", "precision")
     try:
         with open(args.file, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
@@ -367,54 +362,18 @@ def cmd_grid(args) -> int:
         except InvalidArgument as exc:
             print(f"{args.file}:{lineno}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        report = run_verification(
-            params,
-            sample_count=args.samples,
-            horizon=args.horizon,
-            seed=seed,
-            precision=args.precision,
-        )
-        rows.append(
-            {
-                "params": pdict,
-                "status": "FAIL" if report.has_fail else "PASS",
-                "counts": report.counts(),
-            }
-        )
+        report = _verify(args, params, seed)
+        status = "FAIL" if report.has_fail else "PASS"
+        rows.append({"params": pdict, "status": status, "counts": report.counts()})
+    tally = [r["status"] for r in rows]
     summary = {
         "rows": len(rows),
-        "degenerate": sum(1 for r in rows if r["status"] == "DEGENERATE"),
-        "fail": sum(1 for r in rows if r["status"] == "FAIL"),
-        "pass": sum(1 for r in rows if r["status"] == "PASS"),
+        "degenerate": tally.count("DEGENERATE"),
+        "fail": tally.count("FAIL"),
+        "pass": tally.count("PASS"),
     }
-    if args.output == "json":
-        print(
-            _dump(
-                {
-                    "schema": 1,
-                    "grid": {"source": args.file, "rows": rows, "summary": summary},
-                }
-            )
-        )
-    else:
-        for r in rows:
-            d = r["params"]
-            line = (
-                f"{r['status']:<12} p={d['p']} a={d['a']} b={d['b']} c={d['c']}"
-            )
-            if "counts" in r:
-                cs = r["counts"]
-                line += (
-                    f"  checks: {cs['PASS']} PASS, {cs['FLAGGED']} FLAGGED, "
-                    f"{cs['INCONCLUSIVE']} INCONCLUSIVE, {cs['FAIL']} FAIL"
-                )
-            else:
-                line += f"  {r['error']}"
-            print(line)
-        print(
-            f"summary: {summary['rows']} parameter set(s) — {summary['pass']} PASS, "
-            f"{summary['fail']} FAIL, {summary['degenerate']} DEGENERATE"
-        )
+    body = {"source": args.file, "rows": rows, "summary": summary}
+    _emit(args, {"schema": 1, "grid": body}, lambda: _grid_lines(body))
     if summary["fail"]:
         return EXIT_FAIL
     return EXIT_DEGENERATE if summary["degenerate"] else EXIT_OK
@@ -443,6 +402,17 @@ def _add_param_flags(sp) -> None:
 def _add_output_flag(sp) -> None:
     sp.add_argument(
         "--output", choices=("text", "json"), default="text", help="report format"
+    )
+
+
+def _add_run_flags(sp) -> None:
+    sp.add_argument("--samples", type=int, default=20, help="points per probe radius")
+    sp.add_argument("--horizon", type=int, default=25, help="orbit length per sample")
+    sp.add_argument(
+        "--seed", type=int, default=None, help="sampling seed (default: $UDYN_SEED or 0)"
+    )
+    sp.add_argument(
+        "--precision", type=int, default=96, help="digits of orbits and fixed points (min 64)"
     )
 
 
@@ -493,26 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run every claim check for the parameters")
     _add_param_flags(sp)
     _add_output_flag(sp)
-    sp.add_argument("--samples", type=int, default=20, help="points per probe radius")
-    sp.add_argument("--horizon", type=int, default=25, help="orbit length per sample")
-    sp.add_argument(
-        "--seed", type=int, default=None, help="sampling seed (default: $UDYN_SEED or 0)"
-    )
-    sp.add_argument(
-        "--precision", type=int, default=96, help="digits of orbits and fixed points (min 64)"
-    )
+    _add_run_flags(sp)
 
     sp = sub.add_parser("grid", help="verify every parameter set in a file")
     sp.add_argument("file", help="text file of 'p a b c' lines; # comments allowed")
     _add_output_flag(sp)
-    sp.add_argument("--samples", type=int, default=20, help="points per probe radius")
-    sp.add_argument("--horizon", type=int, default=25, help="orbit length per sample")
-    sp.add_argument(
-        "--seed", type=int, default=None, help="sampling seed (default: $UDYN_SEED or 0)"
-    )
-    sp.add_argument(
-        "--precision", type=int, default=96, help="digits of orbits and fixed points (min 64)"
-    )
+    _add_run_flags(sp)
     return parser
 
 

@@ -48,7 +48,7 @@ import functools
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import ClassVar, Optional, Tuple, Union
 
 from .exactnum import (
     TOP,
@@ -70,7 +70,7 @@ from .exactnum import (
     sqrt_class,
     vp_rat,
 )
-from .radiusmaps import Radius, RadiusMapSpec
+from .radiusmaps import Radius, RadiusMapSpec, Verdict
 
 Point = Union[Fraction, QuadExt, TruncatedPadic, TruncatedQuad]
 _TRUNCATED = (TruncatedPadic, TruncatedQuad)
@@ -334,42 +334,34 @@ def derivative_at(x: Point, params: MapParams) -> Point:
 
 
 @dataclass(frozen=True)
-class Completed:
+class Completed(Verdict):
+    kind: ClassVar[str] = "completed"
     steps: int
 
-    def to_dict(self) -> dict:
-        return {"kind": "completed", "steps": self.steps}
-
 
 @dataclass(frozen=True)
-class PoleHitAt:
+class PoleHitAt(Verdict):
     """f is undefined at orbit index ``index`` (that point is the pole)."""
 
+    kind: ClassVar[str] = "pole-hit"
     index: int
-
-    def to_dict(self) -> dict:
-        return {"kind": "pole-hit", "index": self.index}
 
 
 @dataclass(frozen=True)
-class PrecisionExhaustedAt:
+class PrecisionExhaustedAt(Verdict):
     """Orbit point ``index`` could not be produced with certified digits."""
 
+    kind: ClassVar[str] = "precision-exhausted"
     index: int
-
-    def to_dict(self) -> dict:
-        return {"kind": "precision-exhausted", "index": self.index}
 
 
 @dataclass(frozen=True)
-class SizeBudgetAt:
+class SizeBudgetAt(Verdict):
     """Exact orbit point ``index`` outgrew ``EXACT_BITS`` bits and was not
     kept; a truncated orbit (``precision``) runs deeper."""
 
+    kind: ClassVar[str] = "size-budget"
     index: int
-
-    def to_dict(self) -> dict:
-        return {"kind": "size-budget", "index": self.index}
 
 
 Termination = Union[Completed, PoleHitAt, PrecisionExhaustedAt, SizeBudgetAt]

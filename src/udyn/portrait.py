@@ -34,7 +34,6 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 from .exactnum import InvalidArgument, vp_rat
 from .mapengine import (
-    Character,
     FixedPointInfo,
     MapParams,
     fixed_points,
@@ -45,6 +44,7 @@ from .radiusmaps import (
     Radius,
     RadiusMapSpec,
     Regime,
+    _serialize,
     relevant_exceptional,
 )
 
@@ -112,18 +112,6 @@ class Region:
 # -------------------------------------------------------------------- claims
 
 
-def _render(v):
-    if isinstance(v, Radius):
-        return str(v)
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, Character):
-        return v.value
-    if isinstance(v, tuple):
-        return [_render(x) for x in v]
-    return v
-
-
 @dataclass(frozen=True)
 class Claim:
     """One machine-checkable statement, tagged with its case item."""
@@ -148,7 +136,7 @@ class Claim:
         if self.region is not None:
             out["region"] = self.region.to_dict()
         for k, v in self.details:
-            out[k] = _render(v)
+            out[k] = _serialize(v)
         return out
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -423,7 +424,8 @@ def radius_step(r: Radius, spec: RadiusMapSpec) -> Radius:
 
 
 class Verdict:
-    """Base class for radius-orbit classifications."""
+    """Base class for radius-orbit classifications and orbit terminations:
+    a ``kind`` and the dataclass fields, serialized by ``_serialize``."""
 
     kind: ClassVar[str] = ""
 
@@ -435,13 +437,22 @@ class Verdict:
 
 
 def _serialize(v):
-    if isinstance(v, Radius):
+    """The JSON value of a field: radii and fractions as text, enums by
+    value, tuples as lists, an interval as its dict."""
+    if isinstance(v, (Radius, Fraction)):
         return str(v)
+    if isinstance(v, enum.Enum):
+        return v.value
     if isinstance(v, tuple):
         return [_serialize(x) for x in v]
     if isinstance(v, LambdaInterval):
         return v.to_dict()
     return v
+
+
+def canonical_json(data) -> str:
+    """The byte-stable JSON of a document: sorted keys, compact separators."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

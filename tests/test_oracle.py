@@ -319,6 +319,20 @@ def test_fixed_point_checks_pass_when_characters_are_stated():
     ]
 
 
+def test_wrong_x0_multiplier_fails_fp_lambda0(monkeypatch):
+    # fp-lambda0 compares the x0 multiplier with f'(0) from derivative_at
+    right = mapengine._fp_zero
+
+    def wrong(params):
+        return dataclasses.replace(right(params), multiplier=right(params).multiplier + 1)
+
+    monkeypatch.setattr(mapengine, "_fp_zero", wrong)
+    params = validate_params(3, 4, 1, 3)
+    lam0 = entry(run_verification(params, sample_count=4, horizon=6), "fp-lambda0")
+    assert lam0.status == "FAIL"
+    assert lam0.counterexample == {"expected": "4/9", "got": "13/9"}
+
+
 def test_fixed_point_character_flag_when_unstated():
     entries = {e.name: e for e in check_fixed_points(context(validate_params(5, 2, 1, 3)))}
     assert entries["fp-character:x1"].status == "FLAGGED"
