@@ -250,7 +250,8 @@ def _grid_lines(body: dict) -> List[str]:
 
 
 def _check_counts(args, *names: str) -> None:
-    """Reject a count flag below 1, before any work."""
+    """Reject a count flag below 1, before any work.  ``verify`` leaves its
+    counts to ``run_verification``, which names them in its own words."""
     for name in names:
         value = getattr(args, name)
         if value < 1:
@@ -406,6 +407,7 @@ def _add_output_flag(sp) -> None:
 
 
 def _add_run_flags(sp) -> None:
+    """The flags of a verification run, shared by ``verify`` and ``grid``."""
     sp.add_argument("--samples", type=int, default=20, help="points per probe radius")
     sp.add_argument("--horizon", type=int, default=25, help="orbit length per sample")
     sp.add_argument(
