@@ -25,7 +25,6 @@ from .radiusmaps import (
     lambda_interval,
     radius_orbit,
     radius_step,
-    regime_of,
 )
 
 __version__ = "0.1.0"
@@ -43,7 +42,6 @@ __all__ = [
     "orbit",
     "radius_orbit",
     "radius_step",
-    "regime_of",
     "run_verification",
     "sample_sphere",
     "sqrt_class",

@@ -336,7 +336,7 @@ def cmd_grid(args) -> int:
         print(f"cannot read grid file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     seed = _resolve_seed(args.seed)
-    rows: List[dict] = []
+    parsed = []  # (params dict, MapParams or the DegenerateParams raised)
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -356,13 +356,17 @@ def cmd_grid(args) -> int:
             return EXIT_USAGE
         pdict = {"p": p, "a": str(a), "b": str(b), "c": str(c)}
         try:
-            params = validate_params(p, a, b, c)
+            parsed.append((pdict, validate_params(p, a, b, c)))
         except DegenerateParams as exc:
-            rows.append({"params": pdict, "status": "DEGENERATE", "error": str(exc)})
-            continue
+            parsed.append((pdict, exc))
         except InvalidArgument as exc:
             print(f"{args.file}:{lineno}: {exc}", file=sys.stderr)
             return EXIT_USAGE
+    rows: List[dict] = []
+    for pdict, params in parsed:
+        if isinstance(params, DegenerateParams):
+            rows.append({"params": pdict, "status": "DEGENERATE", "error": str(params)})
+            continue
         report = _verify(args, params, seed)
         status = "FAIL" if report.has_fail else "PASS"
         rows.append({"params": pdict, "status": status, "counts": report.counts()})

@@ -584,9 +584,6 @@ class QuadExt(_QuadField):
     def norm(self) -> Fraction:
         return self.u * self.u - self.a * (self.v * self.v)
 
-    def inverse(self) -> "QuadExt":
-        return 1 / self
-
     def __str__(self) -> str:
         return f"({self.u} + {self.v}*sqrt({self.a}))"
 

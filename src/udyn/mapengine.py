@@ -158,7 +158,7 @@ class MapParams:
 
     @functools.cached_property
     def _radius_spec(self) -> RadiusMapSpec:
-        return RadiusMapSpec.from_params(self.p, self.a, self.b, self.c)
+        return RadiusMapSpec(self.p, self.val_a, self.val_b, self.val_c)
 
     def radius_spec(
         self,

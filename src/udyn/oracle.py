@@ -622,7 +622,6 @@ def _interval_reachable(
     """
     if spec.regime is not Regime.GT:
         return None
-    p = spec.p
     (_, d_bottom), _, (_, d_top) = spec.zones
     kcap = max(abs(d_bottom), abs(d_top), 4) + 2
     window = (
@@ -630,8 +629,7 @@ def _interval_reachable(
         + max(abs(start.q2), 2 * spec.val_b, 2 * spec.val_c, 2 * abs(spec.val_a))
         + 32
     )
-    img_b = spec.val_a + spec.val_b  # shallowest image valuation from S_|b|
-    img_c = spec.val_a + 2 * spec.val_b - spec.val_c  # ... from S_|c|
+    bound_b, bound_c = spec.bound_b, spec.bound_c  # largest / smallest sphere image
     seen: set = set()
     frontier = [start]
     while frontier:
@@ -646,9 +644,9 @@ def _interval_reachable(
         if abs(r.q2) > window or len(seen) > 4096:
             return None
         if r.q2 == -2 * spec.val_b:
-            frontier.extend(Radius.from_val(p, img_b + vstep * k) for k in range(kcap))
+            frontier.extend(bound_b.scaled_by_power(-2 * vstep * k) for k in range(kcap))
         elif r.q2 == -2 * spec.val_c:
-            frontier.extend(Radius.from_val(p, img_c - vstep * k) for k in range(kcap))
+            frontier.extend(bound_c.scaled_by_power(2 * vstep * k) for k in range(kcap))
         else:
             frontier.append(radius_step(r, spec))
     return False
@@ -801,11 +799,9 @@ def _crit_targeted_samples(
                 continue
             for d in _sample(Radius.from_val(p, v_delta), params, 2, seed + 101 * k):
                 x0 = anchor + d
-                if point_val(x0, p) != w_val:
-                    continue
                 try:
                     crit = critical_value_at(x0, params, which)
-                except (PoleHit, PrecisionExhausted):
+                except (PoleHit, PrecisionExhausted, WrongSphere):
                     continue
                 if crit == target and ladder.member(crit) == k:
                     out.append((k, sphere, x0))
@@ -1125,12 +1121,10 @@ _RADIUS_LEMMAS = (
 )
 
 
-def check_radius_lemmas(specs: Optional[Sequence[RadiusMapSpec]] = None) -> List[CheckEntry]:
+def check_radius_lemmas(specs: Sequence[RadiusMapSpec]) -> List[CheckEntry]:
     """Radius-level dynamics: the closed-form classifier against the
     mechanical iterator, the fixed-radius set, and the two-cycle zone,
     each from radius orbits of at most ``_RADIUS_HORIZON`` steps."""
-    if specs is None:
-        specs = [params.radius_spec() for params in default_grid()]
     entries: List[CheckEntry] = []
     for spec in specs:
         label = f"p={spec.p}(va={spec.val_a},vb={spec.val_b},vc={spec.val_c})"

@@ -6,18 +6,22 @@ and emits every claim that case makes — invariant spheres, basins,
 Siegel disks, escape regions, exceptional-ladder conditionals, and
 fixed-point locations/characters — as structured data with exact radii.
 
-The claims come from one case table, ``_CASES``, with a row per leaf of
-``case_of``.  Eight leaves (T1.2, T1.4.3-5, T2.A, T2.C, T3.II, T3.III,
-T3.V, T3.VI) share a ladder skeleton: an optional invariant sphere, the
-fate off the exceptional ladder, enters-sphere on it, the fate under the
-condition that the critical value misses the ladder, returns-to-sphere
-when it hits it, then the fixed-point locations and characters.  Their
-rows differ only in tags, the critical sphere (b or c), the fate
-(limit-zero, escape or eventually-constant-radius), where the conditional
-fate is claimed (on the ladder or on the sphere), the location relation
-and the admissible characters.  The other five leaves list their claims
-directly.  Where p = 2 changes the admissible characters, the row points
-to a small rule over the valuations.
+``case_of`` looks the leaf up in ``_LEAVES`` by the regime and the signs
+of v(a) and s.  The claims come from one case table, ``_CASES``, with a
+row per leaf.  Each row names the radius its claims refer to: a critical
+sphere, or the radius the middle zone fixes.  A ladder row's ladder is the
+one onto its sphere, ``ExceptionalSet.on``.  Eight leaves (T1.2, T1.4.3-5,
+T2.A, T2.C, T3.II, T3.III, T3.V, T3.VI) share a ladder skeleton: an
+optional invariant sphere, the fate off the exceptional ladder,
+enters-sphere on it, the fate under the condition that the critical value
+misses the ladder, returns-to-sphere when it hits it, then the fixed-point
+locations and characters.  Their rows differ only in tags, the critical
+sphere (b or c), the fate (limit-zero, escape or
+eventually-constant-radius), where the conditional fate is claimed (on the
+ladder or on the sphere), the location relation and the admissible
+characters.  The other five leaves list their claims directly.  Where
+p = 2 changes the admissible characters, the row points to a small rule
+over the valuations.
 
 Claims are never silently corrected: where the computed algebra
 contradicts a claim (boundary fixed-point locations, the distance
@@ -45,7 +49,6 @@ from .radiusmaps import (
     RadiusMapSpec,
     Regime,
     _serialize,
-    relevant_exceptional,
 )
 
 # ------------------------------------------------------------------- regions
@@ -143,34 +146,34 @@ class Claim:
 # ------------------------------------------------------------ case dispatch
 
 
+# Leaves of the case tree by (regime, sign of v(a)) or, where |ab^2|
+# against |c^2| splits the leaf, (regime, sign of v(a), sign of s).
+_LEAVES = {
+    (Regime.LT, 1): "T1.2",
+    (Regime.LT, 0): "T1.3",
+    (Regime.LT, -1, 1): "T1.4.1",
+    (Regime.LT, -1, 0): "T1.4.2",
+    (Regime.LT, -1, -1): "T1.4.3-5",
+    (Regime.EQ, 1): "T2.A",
+    (Regime.EQ, 0): "T2.B",
+    (Regime.EQ, -1): "T2.C",
+    (Regime.GT, 1, 1): "T3.II",
+    (Regime.GT, 1, 0): "T3.III",
+    (Regime.GT, 1, -1): "T3.IV",
+    (Regime.GT, 0): "T3.V",
+    (Regime.GT, -1): "T3.VI",
+}
+
+
+def _sign(n: int) -> int:
+    return (n > 0) - (n < 0)
+
+
 def case_of(spec: RadiusMapSpec) -> Tuple[str, str]:
     """(theorem, case) identifiers for the unique applicable leaf."""
-    va, s = spec.val_a, spec.s
-    if spec.regime is Regime.LT:
-        if va > 0:
-            return "T1", "T1.2"
-        if va == 0:
-            return "T1", "T1.3"
-        if s > 0:
-            return "T1", "T1.4.1"
-        if s == 0:
-            return "T1", "T1.4.2"
-        return "T1", "T1.4.3-5"
-    if spec.regime is Regime.EQ:
-        if va > 0:
-            return "T2", "T2.A"
-        if va == 0:
-            return "T2", "T2.B"
-        return "T2", "T2.C"
-    if va > 0 and s > 0:
-        return "T3", "T3.II"
-    if va > 0 and s == 0:
-        return "T3", "T3.III"
-    if va > 0:
-        return "T3", "T3.IV"
-    if va == 0:
-        return "T3", "T3.V"
-    return "T3", "T3.VI"
+    key = (spec.regime, _sign(spec.val_a))
+    case = _LEAVES.get(key) or _LEAVES[key + (_sign(spec.s),)]
+    return case.split(".")[0], case
 
 
 # ---------------------------------------------------------------- portraits
@@ -189,11 +192,6 @@ class PhasePortrait:
 
     def claims_of_kind(self, *kinds: str) -> Tuple[Claim, ...]:
         return tuple(c for c in self.claims if c.kind in kinds)
-
-    @property
-    def siegel_disk_zero(self) -> Optional[Claim]:
-        found = self.claims_of_kind("siegel")
-        return found[0] if found else None
 
     def to_dict(self) -> dict:
         out = {
@@ -344,12 +342,12 @@ def _indifferent_at_2(spec: RadiusMapSpec) -> Tuple[str, ...]:
     return ("indifferent",)
 
 
-# The radius each row's claims refer to.
+# The radius each row's claims refer to: a critical sphere, or the radius
+# the middle zone fixes (|c|/sqrt|a| in T1.4.1, |b|sqrt|a| in T3.IV).
 _SPHERES = {
     "b": RadiusMapSpec.sphere_b,
     "c": RadiusMapSpec.sphere_c,
-    "|c|/sqrt|a|": lambda spec: Radius.from_exponent(spec.p, spec.val_a - 2 * spec.val_c),
-    "|b|sqrt|a|": lambda spec: Radius.from_exponent(spec.p, -spec.val_a - 2 * spec.val_b),
+    "mid": lambda spec: spec.mid_fixed,
 }
 
 # The conditional claim of a ladder row, by the row's fate off the ladder.
@@ -423,7 +421,7 @@ _CASES = {
         lead=(("T1.1", "invariant-sphere", "above"), ("T1.3", "basin", "ball")),
     ),
     "T1.4.1": _Row(
-        "|c|/sqrt|a|",
+        "mid",
         ("T1.4.1",),
         "on-sphere",
         _INDIFFERENT_OR_ATTRACTING,
@@ -477,7 +475,7 @@ _CASES = {
         invariant="ball",
     ),
     "T3.IV": _Row(
-        "|b|sqrt|a|",
+        "mid",
         ("T3.IV",),
         None,
         (),
@@ -499,7 +497,7 @@ _CASES = {
 }
 
 
-def _ladder_claims(row: _Row, eset: Optional[ExceptionalSet], sphere: Radius) -> list:
+def _ladder_claims(row: _Row, eset: ExceptionalSet, sphere: Radius) -> list:
     fate_tag, enters_tag, conditional_tag = row.tags[:3]
     on = Region("on-ladder", ladder=eset)
     where = on if row.conditional == "on-ladder" else Region("sphere", sphere)
@@ -534,8 +532,8 @@ def classify(params: MapParams, precision: int = 64) -> PhasePortrait:
     theorem, case = case_of(spec)
     row = _CASES[case]
     infos = fixed_points(params, precision=precision)
-    eset = relevant_exceptional(spec)
-    lam = spec.lambda_region if case == "T3.IV" else None
+    eset = ExceptionalSet.on(spec, row.sphere) if row.fate is not None else None
+    lam = spec.lambda_region if spec.two_cycle_regime else None
     p = params.p
     sphere = _SPHERES[row.sphere](spec)
     flags: set = set()
@@ -568,7 +566,7 @@ def classify(params: MapParams, precision: int = 64) -> PhasePortrait:
         case=case,
         claims=tuple(claims),
         fixed_points=infos,
-        exceptional=eset if row.fate is not None else None,
+        exceptional=eset,
         lambda_region=lam,
         flags=tuple(sorted(flags)),
     )

@@ -14,11 +14,18 @@ runs on bare integer exponents from them:
   (m, k): (1, delta_bottom), then (3, 2(2 v_c - v_a)) in LT or
   (-1, -2(v_a + 2 v_b)) in GT, then (1, delta_top).
 
-On top of them sit the one-step map and its orbits, a closed-form limit
-classifier that crosses each scaling zone in one jump, the ladders of radii
-that land exactly on a critical sphere, the set of fixed radii and the
-interval of radii carrying two-cycles; the last two keep their own case
-analysis, as the independent answers the walks are checked against.
+On top of them sit the one-step map and its orbits and a closed-form limit
+classifier that crosses each scaling zone in one jump.  The other case
+facts are read off the same tables: the admissible critical values
+(``bound_b``/``bound_c``, the middle zone's map at each sphere, where the
+outer zone agrees), the radius the middle zone fixes (``mid_fixed``), and
+the ladders of radii that land exactly on a critical sphere
+(``ExceptionalSet.on``: the sphere's exponent, stepped by the shift of the
+zone beyond it).  Two facts keep their own case analysis on purpose: the
+set of fixed radii (``fix_set``) and the interval of radii carrying
+two-cycles (``lambda_interval``) are the independent answers the walks are
+checked against, so reading them off the tables would check the tables
+against themselves.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ __all__ = [
     "RadiusKind",
     "Radius",
     "Regime",
-    "regime_of",
     "RadiusMapSpec",
     "radius_step",
     "Verdict",
@@ -61,8 +67,6 @@ __all__ = [
     "RadiusOrbitResult",
     "radius_orbit",
     "ExceptionalSet",
-    "exceptional_set",
-    "relevant_exceptional",
     "RadiusRay",
     "FixSet",
     "fix_set",
@@ -213,11 +217,7 @@ def _regime(val_b: int, val_c: int) -> Regime:
     return Regime.EQ if val_b == val_c else Regime.GT
 
 
-def regime_of(p: int, a: Rational, b: Rational, c: Rational) -> Regime:
-    vb, vc = vp_rat(Fraction(b), p), vp_rat(Fraction(c), p)
-    if vb is TOP or vc is TOP:
-        raise InvalidArgument("b and c must be nonzero")
-    return _regime(vb, vc)
+_BELOW, _MID, _ABOVE = 0, 1, 2  # rows of RadiusMapSpec.zones
 
 
 @dataclass(frozen=True)
@@ -349,40 +349,38 @@ class RadiusMapSpec:
     def sphere_c(self) -> Radius:
         return self._sphere_radii[1]
 
+    def _mid_image(self, q2: int) -> Radius:
+        m, k = self.zones[_MID]
+        return Radius.from_exponent(self.p, m * q2 + k)
+
     @property
     def bound_b(self) -> Radius:
-        """Largest admissible crit_b (the closed ball containing f(S_|b|))."""
-        if self.regime is Regime.LT:
-            # |a b^3 / c^2|
-            return Radius.from_exponent(
-                self.p, -2 * (self.val_a + 3 * self.val_b - 2 * self.val_c)
-            )
-        if self.regime is Regime.GT:
-            # |a b|
-            return Radius.from_exponent(self.p, -2 * (self.val_a + self.val_b))
-        raise InvalidRegime("crit_b is unbounded in the EQ regime")
+        """Largest admissible crit_b (the closed ball containing f(S_|b|)):
+        the middle zone's map at |b|, where the outer zone agrees."""
+        if self.regime is Regime.EQ:
+            raise InvalidRegime("crit_b is unbounded in the EQ regime")
+        return self._mid_image(-2 * self.val_b)
 
     @property
     def bound_c(self) -> Radius:
-        """Smallest admissible crit_c (f(S_|c|) avoids the open ball below it)."""
-        if self.regime is Regime.LT:
-            # |a c|
-            return Radius.from_exponent(self.p, -2 * (self.val_a + self.val_c))
-        if self.regime is Regime.GT:
-            # |a b^2 / c|
-            return Radius.from_exponent(
-                self.p, -2 * (self.val_a + 2 * self.val_b - self.val_c)
-            )
-        raise InvalidRegime("the EQ regime has no |c| critical sphere")
+        """Smallest admissible crit_c (f(S_|c|) avoids the open ball below
+        it): the middle zone's map at |c|, where the outer zone agrees."""
+        if self.regime is Regime.EQ:
+            raise InvalidRegime("the EQ regime has no |c| critical sphere")
+        return self._mid_image(-2 * self.val_c)
+
+    @property
+    def mid_fixed(self) -> Radius:
+        """The radius the middle zone's map fixes: |c|/sqrt|a| in LT (and
+        EQ, where the zone is empty), |b|sqrt|a| in GT."""
+        m, k = self.zones[_MID]
+        return Radius.from_exponent(self.p, k // (1 - m))
 
     @cached_property
     def lambda_region(self) -> "LambdaInterval":
         """This spec's two-cycle interval (:func:`lambda_interval`), built
         on first use."""
         return lambda_interval(self)
-
-
-_BELOW, _MID, _ABOVE = 0, 1, 2  # rows of RadiusMapSpec.zones
 
 
 def _locate(q2: int, spec: RadiusMapSpec):
@@ -586,33 +584,26 @@ def radius_orbit(
 class ExceptionalSet:
     """A ladder of lattice radii that land exactly on a critical sphere.
 
-    kind "B": |a|**-k * |c|   (q2 = -2 val_c + 2 k val_a),
-    kind "H": |a|**-k * |b|   (q2 = -2 val_b + 2 k val_a),
-    kind "L": |a**-k b**(1-2k) c**(2k)|
-                              (q2 = -2 val_b + 2 k s),
-    all for k = 0, 1, 2, ...; the k-th element reaches its sphere in
-    exactly k steps of the appropriate scaling zone.
+    Element k has exponent ``base_q2 + k * step_q2`` for k = 0, 1, 2, ...
+    and reaches the sphere in exactly k steps of the scaling zone beyond
+    it.  ``kind`` names the ladder as the paper does: "B" onto |c|, "H"
+    onto |b| in the EQ regime, "L" onto |b| otherwise.
     """
 
     kind: str
     p: int
-    val_a: int
-    val_b: int
-    val_c: int
+    base_q2: int
+    step_q2: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("B", "H", "L"):
-            raise InvalidArgument(f"unknown exceptional-set kind {self.kind!r}")
-
-    @property
-    def base_q2(self) -> int:
-        return -2 * self.val_c if self.kind == "B" else -2 * self.val_b
-
-    @property
-    def step_q2(self) -> int:
-        if self.kind == "L":
-            return 2 * (self.val_a + 2 * self.val_b - 2 * self.val_c)
-        return 2 * self.val_a
+    @classmethod
+    def on(cls, spec: RadiusMapSpec, sphere: str) -> "ExceptionalSet":
+        """The ladder onto the |sphere| sphere, read off the spec's tables:
+        its base is the sphere's exponent, its step minus the shift of the
+        top zone (onto |c|) or of the bottom zone (onto |b|)."""
+        if sphere == "c":
+            return cls("B", spec.p, spec.sphere_c().q2, -spec.zones[_ABOVE][1])
+        kind = "H" if spec.regime is Regime.EQ else "L"
+        return cls(kind, spec.p, spec.sphere_b().q2, -spec.zones[_BELOW][1])
 
     def element(self, k: int) -> Radius:
         if k < 0:
@@ -630,30 +621,6 @@ class ExceptionalSet:
         if rem != 0 or k < 0:
             return None
         return k
-
-
-def exceptional_set(spec: RadiusMapSpec, kind: str) -> ExceptionalSet:
-    return ExceptionalSet(kind, spec.p, spec.val_a, spec.val_b, spec.val_c)
-
-
-def relevant_exceptional(spec: RadiusMapSpec) -> Optional[ExceptionalSet]:
-    """The ladder appearing in the limit classification of this regime,
-    or None when no radius outside the critical spheres ever reaches one."""
-    va, s = spec.val_a, spec.s
-    if spec.regime is Regime.LT:
-        if va >= 0:
-            return exceptional_set(spec, "B")
-        if s < 0:
-            return exceptional_set(spec, "L")
-        return None  # va < 0, s >= 0: flows part, nothing lands
-    if spec.regime is Regime.EQ:
-        return exceptional_set(spec, "H")
-    # GT
-    if va > 0 and s >= 0:
-        return exceptional_set(spec, "B")
-    if va > 0 and s < 0:
-        return None  # two-cycle case
-    return exceptional_set(spec, "L")
 
 
 # ------------------------------------------------------------------ fixed set

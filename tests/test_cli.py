@@ -434,6 +434,21 @@ def test_grid_bad_line_is_usage_error(capsys, tmp_path):
     assert "expected 'p a b c'" in err
 
 
+def test_grid_validates_every_line_before_the_first_verification(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(params, *args):
+        calls.append(params)
+        raise AssertionError("a grid with a bad line must not be verified")
+
+    monkeypatch.setattr("udyn.cli.run_verification", counting)
+    grid = tmp_path / "g.txt"
+    grid.write_text("3 9 3 1\n2 20 4 1\n3 4 1 3\n4 9 3 1\n")
+    code, out, err = run(capsys, "grid", str(grid))
+    assert (code, out, calls) == (1, "", [])
+    assert f"{grid}:4: p must be prime, got 4" in err
+
+
 def test_grid_missing_file_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "grid", str(tmp_path / "absent.txt"))
     assert code == 1

@@ -543,7 +543,7 @@ def test_default_grid_surface_is_frozen():
 
 
 def test_radius_lemmas_have_no_failures():
-    entries = check_radius_lemmas()
+    entries = check_radius_lemmas([params.radius_spec() for params in default_grid()])
     assert entries
     assert all(isinstance(e, CheckEntry) for e in entries)
     assert not any(e.status == "FAIL" for e in entries)

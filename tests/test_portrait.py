@@ -171,7 +171,7 @@ def test_t141_portrait():
 def test_t142_portrait():
     portrait = classify(validate_params(3, F(2, 9), 3, 1))
     assert portrait.flags == ()
-    siegel = portrait.siegel_disk_zero
+    (siegel,) = portrait.claims_of_kind("siegel")
     assert siegel.region == Region("ball", rad(3, -2))  # |b| = 1/3
     assert pick1(portrait, "escape").region == Region("above", rad(3, -2))
     for which in ("x1", "x2"):

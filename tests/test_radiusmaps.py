@@ -25,17 +25,15 @@ from udyn.radiusmaps import (
     ToInfinity,
     ToZero,
     TwoCycleRegion,
-    exceptional_set,
     fix_set,
     lambda_interval,
     limit_classify,
     radius_orbit,
     radius_step,
-    regime_of,
-    relevant_exceptional,
 )
 from udyn import radiusmaps
 from udyn.oracle import _verdicts_compatible  # what radius:classify-vs-orbit accepts
+from udyn.portrait import _CASES, case_of  # the ladder a case row attaches
 from udyn.radiusmaps import _RadExpr  # the exact ends the exponent window comes from
 
 
@@ -93,12 +91,12 @@ def test_radius_arithmetic_helpers():
 # --------------------------------------------------------------------- regimes
 
 
-def test_regime_of_examples():
-    assert regime_of(3, 9, 3, 1) is Regime.LT
-    assert regime_of(3, 4, 1, 3) is Regime.GT
-    assert regime_of(5, 2, 1, 3) is Regime.EQ
+def test_spec_regime_examples():
+    assert RadiusMapSpec.from_params(3, 9, 3, 1).regime is Regime.LT
+    assert RadiusMapSpec.from_params(3, 4, 1, 3).regime is Regime.GT
+    assert RadiusMapSpec.from_params(5, 2, 1, 3).regime is Regime.EQ
     with pytest.raises(InvalidArgument):
-        regime_of(3, 1, 0, 3)
+        RadiusMapSpec.from_params(3, 1, 0, 3)
 
 
 def test_spec_from_params():
@@ -291,8 +289,17 @@ def test_radius_orbit_horizon():
 # ----------------------------------------------------------- exceptional sets
 
 
+def _case_ladder(spec):
+    """The ladder ``classify`` attaches to this spec, with the name of its
+    sphere, or (None, None) for a case without one."""
+    row = _CASES[case_of(spec)[1]]
+    if row.fate is None:
+        return None, None
+    return ExceptionalSet.on(spec, row.sphere), row.sphere
+
+
 def test_exceptional_b_members():
-    eset = ExceptionalSet("B", 3, 2, 1, 0)  # |a| = 1/9, |c| = 1
+    eset = ExceptionalSet("B", 3, 0, 4)  # |c| = 1, steps of |a|**-1 = 9
     assert eset.element(0) == rad(3, 0)
     assert eset.element(2) == rad(3, 8)
     assert eset.member(rad(3, 8)) == 2
@@ -303,13 +310,13 @@ def test_exceptional_b_members():
 
 def test_exceptional_h_and_l():
     spec = RadiusMapSpec.from_params(3, 9, 1, 2)  # EQ
-    h = relevant_exceptional(spec)
+    h = ExceptionalSet.on(spec, "b")
     assert h.kind == "H"
     assert h.element(0) == spec.sphere_b()
     assert h.member(spec.sphere_b()) == 0
     assert h.element(1) == rad(3, 4)
     lt = RadiusMapSpec.from_params(3, F(1, 243), 3, 1)  # LT with s = -3
-    l = relevant_exceptional(lt)
+    l = ExceptionalSet.on(lt, "b")
     assert l.kind == "L"
     assert l.member(lt.sphere_b()) == 0
     assert l.element(1) == rad(3, -8)  # base -2 plus one step of 2s = -6
@@ -317,19 +324,24 @@ def test_exceptional_h_and_l():
 
 
 def test_exceptional_degenerate_step():
-    eset = ExceptionalSet("B", 3, 0, 1, 0)  # step 0: only |c| itself
+    eset = ExceptionalSet("B", 3, 0, 0)  # step 0: only |c| itself
     assert eset.member(rad(3, 0)) == 0
     assert eset.member(rad(3, 2)) is None
 
 
-def test_relevant_exceptional_cases():
-    assert relevant_exceptional(RadiusMapSpec.from_params(3, 9, 3, 1)).kind == "B"
-    assert relevant_exceptional(RadiusMapSpec.from_params(3, 2, 3, 1)).kind == "B"
-    assert relevant_exceptional(RadiusMapSpec.from_params(3, F(1, 3), 3, 1)) is None
-    assert relevant_exceptional(RadiusMapSpec.from_params(3, 27, 1, 6)).kind == "B"
-    assert relevant_exceptional(RadiusMapSpec.from_params(3, 3, 1, 6)) is None
-    assert relevant_exceptional(RadiusMapSpec.from_params(3, 4, 1, 3)).kind == "L"
-    assert relevant_exceptional(RadiusMapSpec.from_params(3, F(1, 3), 1, 3)).kind == "L"
+def test_ladder_kinds_by_case():
+    def kind(*params):
+        eset, _ = _case_ladder(RadiusMapSpec.from_params(*params))
+        return eset and eset.kind
+
+    assert kind(3, 9, 3, 1) == "B"  # T1.2
+    assert kind(3, F(1, 3), 3, 1) is None  # T1.4.1
+    assert kind(3, F(1, 243), 3, 1) == "L"  # T1.4.3-5
+    assert kind(3, 9, 1, 2) == "H"  # T2.A
+    assert kind(3, 27, 1, 6) == "B"  # T3.II
+    assert kind(3, 3, 1, 6) is None  # T3.IV
+    assert kind(3, 4, 1, 3) == "L"  # T3.V
+    assert kind(3, F(1, 3), 1, 3) == "L"  # T3.VI
 
 
 # -------------------------------------------------------------------- fix sets
@@ -589,11 +601,12 @@ def _crit_configs(spec):
     low, high = (rad(spec.p, q2) for q2, _, _ in spec.spheres)
     candidates_b = [Radius.zero(spec.p), low, high]
     candidates_c = [Radius.infinite(spec.p), low, high]
-    eset = relevant_exceptional(spec)
-    if eset is not None and eset.step_q2 != 0:
-        candidates_b.append(eset.element(1))
-        candidates_c.append(eset.element(1))
-        candidates_c.append(eset.element(2))
+    for name in dict.fromkeys(name for _, name, _ in spec.spheres):
+        eset = ExceptionalSet.on(spec, name)
+        if eset.step_q2 != 0:
+            candidates_b.append(eset.element(1))
+            candidates_c.append(eset.element(1))
+            candidates_c.append(eset.element(2))
     if spec.regime is not Regime.EQ:
         candidates_b.append(spec.bound_b)
         candidates_c.append(spec.bound_c)
@@ -671,23 +684,75 @@ def test_fix_set_members_are_fixed(params):
             assert radius_step(probe, spec) == probe
 
 
-@pytest.mark.parametrize("params", GRID_PARAMS)
-def test_exceptional_ladder_lands_on_its_sphere(params):
-    spec = RadiusMapSpec.from_params(*params)
-    eset = relevant_exceptional(spec)
+def _assert_ladder_lands(spec):
+    eset, name = _case_ladder(spec)
     if eset is None:
         return
-    sphere = (
-        spec.sphere_c() if eset.kind == "B" else spec.sphere_b()
-    )
-    ks = range(4) if eset.step_q2 != 0 else range(1)
-    for k in ks:
+    sphere = spec.sphere_b() if name == "b" else spec.sphere_c()
+    assert eset.step_q2 != 0
+    for k in range(4):
         r = eset.element(k)
         assert eset.member(r) == k
         cur = r
         for _ in range(k):
             cur = radius_step(cur, spec)
-        assert cur == sphere, f"{eset.kind}_{k} of {params} missed its sphere"
+        assert cur == sphere, f"{eset.kind}_{k} of {spec} missed its sphere"
+
+
+@st.composite
+def valuation_specs(draw):
+    """Specs with p in {2, 3, 5, 7, 11} and valuations in [-6, 6]."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    return RadiusMapSpec(p, *(draw(st.integers(-6, 6)) for _ in range(3)))
+
+
+@pytest.mark.parametrize("params", GRID_PARAMS)
+def test_exceptional_ladder_lands_on_its_sphere(params):
+    _assert_ladder_lands(RadiusMapSpec.from_params(*params))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=valuation_specs())
+def test_exceptional_ladder_lands_on_its_sphere_for_random_specs(spec):
+    _assert_ladder_lands(spec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=valuation_specs())
+def test_critical_bounds_match_closed_forms(spec):
+    """|ab^3/c^2| and |ac| in LT, |ab| and |ab^2/c| in GT, none in EQ."""
+    va, vb, vc = spec.val_a, spec.val_b, spec.val_c
+    if spec.regime is Regime.EQ:
+        with pytest.raises(InvalidRegime):
+            spec.bound_b
+        with pytest.raises(InvalidRegime):
+            spec.bound_c
+        return
+    if spec.regime is Regime.LT:
+        vals = (va + 3 * vb - 2 * vc, va + vc)
+    else:
+        vals = (va + vb, va + 2 * vb - vc)
+    assert (spec.bound_b, spec.bound_c) == tuple(Radius.from_val(spec.p, v) for v in vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5, 7, 11)),
+    lt=st.booleans(),
+    gap=st.integers(1, 6),
+    data=st.data(),
+)
+def test_mid_fixed_is_the_fix_set_member(p, lt, gap, data):
+    """In T1.4.1 (|b| < |c|, |a| > 1, s > 0) and T3.IV (|b| > |c|, |a| < 1,
+    s < 0) the one isolated fixed radius is the one the middle zone fixes."""
+    low = data.draw(st.integers(-6, 6 - gap))
+    mag = data.draw(st.integers(1, min(6, 2 * gap - 1)))  # |v(a)| < 2 |v(b) - v(c)|
+    if lt:
+        spec = RadiusMapSpec(p, -mag, low + gap, low)
+    else:
+        spec = RadiusMapSpec(p, mag, low, low + gap)
+    assert case_of(spec)[1] == ("T1.4.1" if lt else "T3.IV")
+    assert fix_set(spec).members == (spec.mid_fixed,)
 
 
 def test_verdict_serialization():
