@@ -23,13 +23,10 @@ from typing import Callable, Dict, List, Optional, Sequence
 from .exactnum import ExactError, InvalidArgument, QuadExt
 from .mapengine import (
     EXACT_BITS,
-    Completed,
     DegenerateParams,
     MapParams,
     fixed_points,
-    lift_point,
     orbit,
-    point_val,
     val_str,
     validate_params,
 )
@@ -284,18 +281,13 @@ def cmd_orbit(args) -> int:
     params = _make_params(args)
     x = parse_point(args.x, params.a)
     precision = args.precision if args.force_truncated else None
-    if args.n == 1:
-        start = x if precision is None else lift_point(x, params.p, precision)
-        points, vals, termination = (start,), (point_val(start, params.p),), Completed(0)
-    else:
-        rec = orbit(x, params, args.n - 1, precision=precision)
-        points, vals, termination = rec.points, rec.valuations, rec.termination
+    rec = orbit(x, params, args.n - 1, precision=precision)
     body = {
         "params": params.to_dict(),
         "x": str(x),
-        "points": [str(pt) for pt in points],
-        "valuations": [val_str(v) for v in vals],
-        "termination": termination.to_dict(),
+        "points": [str(pt) for pt in rec.points],
+        "valuations": [val_str(v) for v in rec.valuations],
+        "termination": rec.termination.to_dict(),
     }
     _emit(args, {"schema": 1, "orbit": body}, lambda: _orbit_lines(body))
     return EXIT_OK

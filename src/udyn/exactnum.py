@@ -87,8 +87,9 @@ class PrecisionExhausted(ExactError):
 class _TopValuation:
     """Valuation of zero.
 
-    Compares strictly greater than every finite (int or Fraction) valuation
-    and absorbs addition, matching the usual conventions for v(0).
+    Compares strictly greater than every finite (int or Fraction) valuation,
+    matching the usual convention for v(0).  It takes no arithmetic: every
+    caller tests ``v is TOP`` before it computes with a valuation.
     """
 
     _instance: Optional["_TopValuation"] = None
@@ -129,20 +130,6 @@ class _TopValuation:
         if not self._known(other):
             return NotImplemented
         return True
-
-    def __add__(self, other: object) -> "_TopValuation":
-        return self
-
-    __radd__ = __add__
-    __sub__ = __add__
-
-    def __mul__(self, other: object) -> "_TopValuation":
-        return self
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "_TopValuation":
-        return self
 
 
 #: The valuation of zero; larger than every finite valuation.
@@ -664,12 +651,6 @@ class TruncatedPadic:
     def zero(cls, p: int) -> "TruncatedPadic":
         _require_p(p)
         return cls(p=p, exact_zero=True)
-
-    @classmethod
-    def unknown(cls, p: int, floor: int) -> "TruncatedPadic":
-        """O(p**floor): nothing known beyond valuation >= floor."""
-        _require_p(p)
-        return cls(p=p, val=floor)
 
     @classmethod
     def from_rational(cls, q: Rational, p: int, digits: int) -> "TruncatedPadic":

@@ -404,7 +404,8 @@ def orbit(
     *,
     precision: Optional[int] = None,
 ) -> OrbitRecord:
-    """Iterate f up to n steps with per-step pole checks.
+    """Iterate f up to n steps with per-step pole checks; n = 0 gives the
+    start alone.
 
     With ``precision`` (certified p-adic digits) an exact start is lifted
     (:func:`lift_point`) and the orbit runs in truncated arithmetic.  An
@@ -413,8 +414,8 @@ def orbit(
     bound once, at the start point, and reads a, b and c lifted at the
     start width from ``params``.
     """
-    if n < 1:
-        raise InvalidArgument("orbit length must be >= 1")
+    if n < 0:
+        raise InvalidArgument("orbit length must be >= 0")
     if isinstance(x, int):
         x = Fraction(x)
     if precision is not None:

@@ -92,7 +92,6 @@ from .radiusmaps import (
     ToInfinity,
     ToZero,
     TwoCycleRegion,
-    canonical_json,
     fix_set,
     limit_classify,
     radius_orbit,
@@ -188,9 +187,6 @@ class VerificationReport:
                 "checks": [e.to_dict() for e in self.checks],
             },
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
 
 
 # --------------------------------------------------------- critical values

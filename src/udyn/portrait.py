@@ -128,11 +128,12 @@ class Claim:
     def make(cls, tag: str, kind: str, region: Optional[Region] = None, **details) -> "Claim":
         return cls(tag, kind, region, tuple(sorted(details.items())))
 
-    def detail(self, key: str, default=None):
+    def detail(self, key: str):
+        """The value of a detail; None when the claim has no such key."""
         for k, v in self.details:
             if k == key:
                 return v
-        return default
+        return None
 
     def to_dict(self) -> dict:
         out: dict = {"tag": self.tag, "kind": self.kind}

@@ -43,7 +43,6 @@ from .exactnum import (
     ExactError,
     InvalidArgument,
     Rational,
-    vp_rat,
 )
 
 __all__ = [
@@ -242,23 +241,6 @@ class RadiusMapSpec:
     val_c: int
     crit_b: Optional[Radius] = None
     crit_c: Optional[Radius] = None
-
-    @classmethod
-    def from_params(
-        cls,
-        p: int,
-        a: Rational,
-        b: Rational,
-        c: Rational,
-        crit_b: Optional[Radius] = None,
-        crit_c: Optional[Radius] = None,
-    ) -> "RadiusMapSpec":
-        va, vb, vc = (vp_rat(Fraction(x), p) for x in (a, b, c))
-        if va is TOP:
-            raise InvalidArgument("a must be nonzero")
-        if vb is TOP or vc is TOP:
-            raise InvalidArgument("b and c must be nonzero")
-        return cls(p, va, vb, vc, crit_b, crit_c)
 
     def __post_init__(self) -> None:
         ints = (self.p, self.val_a, self.val_b, self.val_c)
@@ -638,42 +620,25 @@ class RadiusRay:
         if self.side not in ("below", "above"):
             raise InvalidArgument("side must be 'below' or 'above'")
 
-    def contains(self, r: Radius) -> bool:
-        if not r.is_finite:
-            return False
-        return r < self.bound if self.side == "below" else r > self.bound
-
 
 @dataclass(frozen=True)
 class FixSet:
     """Fixed radii of the radius map.
 
-    ``members`` are the isolated finite fixed radii, ``rays`` are whole
-    zones fixed pointwise, and ``conditional`` names critical spheres whose
-    fixedness depends on an unsupplied critical value.  The zero and
-    infinite radii are always fixed and are not listed.
+    ``members`` are the isolated finite fixed radii: the one the middle
+    zone fixes, and a critical sphere whose supplied image is itself.
+    ``rays`` are whole zones fixed pointwise.  The zero and infinite radii
+    are always fixed and are not listed; a critical sphere with no
+    supplied image is not listed either.
     """
 
     members: Tuple[Radius, ...]
     rays: Tuple[RadiusRay, ...]
-    conditional: Tuple[str, ...]
-
-    def contains(self, r: Radius) -> Optional[bool]:
-        """True/False when decidable; None when it hinges on a missing
-        critical value."""
-        if r.is_zero or r.is_infinite:
-            return True
-        if r in self.members:
-            return True
-        if any(ray.contains(r) for ray in self.rays):
-            return True
-        return None if self.conditional else False
 
 
 def fix_set(spec: RadiusMapSpec) -> FixSet:
     members: List[Radius] = []
     rays: List[RadiusRay] = []
-    conditional: List[str] = []
     va, s, p = spec.val_a, spec.s, spec.p
     if spec.regime is Regime.LT:
         if s == 0:
@@ -682,15 +647,10 @@ def fix_set(spec: RadiusMapSpec) -> FixSet:
             rays.append(RadiusRay(spec.sphere_c(), "above"))
         if va < 0 and s > 0:
             members.append(Radius.from_exponent(p, va - 2 * spec.val_c))
-        sphere_pairs = [
-            ("b", spec.sphere_b(), spec.crit_b),
-            ("c", spec.sphere_c(), spec.crit_c),
-        ]
     elif spec.regime is Regime.EQ:
         if va == 0:
             rays.append(RadiusRay(spec.sphere_b(), "below"))
             rays.append(RadiusRay(spec.sphere_b(), "above"))
-        sphere_pairs = [("b", spec.sphere_b(), spec.crit_b)]
     else:
         if s == 0:
             rays.append(RadiusRay(spec.sphere_c(), "below"))
@@ -698,17 +658,13 @@ def fix_set(spec: RadiusMapSpec) -> FixSet:
             rays.append(RadiusRay(spec.sphere_b(), "above"))
         if va > 0 and s < 0:
             members.append(Radius.from_exponent(p, -va - 2 * spec.val_b))
-        sphere_pairs = [
-            ("c", spec.sphere_c(), spec.crit_c),
-            ("b", spec.sphere_b(), spec.crit_b),
-        ]
-    for name, sphere, crit in sphere_pairs:
-        if crit is None:
-            conditional.append(name)
-        elif crit == sphere:
+    # a critical sphere is fixed when its supplied image is itself (the EQ
+    # regime takes no crit_c, so only |b| can be fixed there)
+    for sphere, crit in ((spec.sphere_b(), spec.crit_b), (spec.sphere_c(), spec.crit_c)):
+        if crit == sphere:
             members.append(sphere)
     members.sort(key=lambda r: r.q2)
-    return FixSet(tuple(members), tuple(rays), tuple(conditional))
+    return FixSet(tuple(members), tuple(rays))
 
 
 # --------------------------------------------------------- the Lambda interval
@@ -803,12 +759,6 @@ class LambdaInterval:
 
     def in_core(self, r: Radius) -> bool:
         return r.is_finite and self.core_lo < r and r < self.core_hi
-
-    def partner(self, r: Radius) -> Radius:
-        """The involution partner center**2 / r (zero and infinity swap)."""
-        if not r.is_finite:
-            return Radius.infinite(self.p) if r.is_zero else Radius.zero(self.p)
-        return Radius.from_exponent(self.p, 2 * self.center.q2 - r.q2)
 
     def lattice_members(self) -> Tuple[Radius, ...]:
         """All lattice radii p**(q2/2) inside the interval."""

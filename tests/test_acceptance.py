@@ -199,7 +199,8 @@ def test_criterion_06_siegel_disk_and_escape():
 
 def test_criterion_07_interval_two_cycles_and_entry():
     with criterion(7, "two-cycle interval: involution, entry, sphere return"):
-        spec = RadiusMapSpec.from_params(3, 9, 1, 9)
+        params = validate_params(3, 9, 1, 9)
+        spec = params.radius_spec()
         lam = lambda_interval(spec)
         assert lam.to_dict()["lo"] == "1/9" and lam.to_dict()["hi"] == "5/9"
 
@@ -225,7 +226,6 @@ def test_criterion_07_interval_two_cycles_and_entry():
                 steps += 1
                 assert steps <= 60, q2
 
-        params = validate_params(3, 9, 1, 9)
         for x in sample_sphere(Radius.from_val(3, 1), params, 12, 77):
             y = eval_f(eval_f(x, params), params)
             assert point_val(y, 3) == 1, x

@@ -170,6 +170,33 @@ def test_orbit_truncated_single_point_is_the_lifted_start(capsys, coeffs, x):
     assert one["valuations"] == two["valuations"][:1]
 
 
+def test_orbit_uncertified_start_ends_alike_at_every_length(capsys):
+    # at 1 digit the start 1 + sqrt(5) over Q_2 has no certified valuation:
+    # one point or more, the orbit ends at index 0 with no point
+    ends = []
+    for n in ("1", "2"):
+        code, out, err = run(
+            capsys, "orbit", "--p", "2", "--a", "5", "--b", "1", "--c", "3",
+            "--x", "1+sqrt(a)", "--force-truncated", "--precision", "1", "--n", n,
+            "--output", "json",
+        )
+        assert (code, err) == (0, "")
+        ends.append(json.loads(out)["orbit"])
+    assert ends[0] == ends[1]
+    assert ends[0]["points"] == [] and ends[0]["valuations"] == []
+    assert ends[0]["termination"] == {"index": 0, "kind": "precision-exhausted"}
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_orbit_rejects_n_below_one(capsys, n):
+    code, out, err = run(
+        capsys, "orbit", "--p", "3", "--a", "9", "--b", "3", "--c", "1",
+        "--x", "9", "--n", n,
+    )
+    assert (code, out) == (1, "")
+    assert "--n must be >= 1" in err
+
+
 @pytest.mark.parametrize("precision", ["0", "-1"])
 def test_orbit_truncated_rejects_precision_below_one(capsys, precision):
     code, out, err = run(

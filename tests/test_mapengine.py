@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from udyn import cli, exactnum
+from udyn import cli, exactnum, mapengine
 from udyn.exactnum import (
     TOP,
     ExactError,
@@ -128,7 +128,7 @@ def test_radius_spec_is_built_once():
     crit = Radius.from_exponent(3, 4)
     given = params.radius_spec(crit_c=crit)
     assert given is not params.radius_spec() and given.crit_c == crit
-    assert given == RadiusMapSpec.from_params(3, 9, 3, 1, crit_c=crit)
+    assert given == RadiusMapSpec(3, 2, 1, 0, crit_c=crit)
     with pytest.raises(InvalidArgument):
         params.radius_spec(crit_c=Radius.zero(3))
 
@@ -342,7 +342,10 @@ def test_orbit_quadratic_points():
 def test_orbit_rejects_bad_length():
     params = validate_params(3, 9, 3, 1)
     with pytest.raises(InvalidArgument):
-        orbit(F(9), params, 0)
+        orbit(F(9), params, -1)
+    # no step is the start alone
+    rec = orbit(F(9), params, 0)
+    assert (rec.points, rec.valuations, rec.termination) == ((9,), (2,), Completed(0))
 
 
 # ---------------------------------------------------------------- fixed points
@@ -438,6 +441,30 @@ def test_fixed_points_truncated_p2():
     assert x1.location_val == -3
     assert x2.location_val == -1
     assert x1.character is Character.INDIFFERENT
+
+
+def test_fixed_points_retries_a_cancelling_root_with_doubled_digits(monkeypatch):
+    # 59050 = 243**2 + 1 is a 3-adic square but not a rational one; its
+    # root at 8 digits cancels in the fixed-point formula, at 16 it does not
+    params = validate_params(3, 59050, 1, 2)
+    assert params.sqrt_mode.kind is SqrtKind.QP_SQUARE_NOT_RATIONAL
+    digits = []
+    lift = mapengine.hensel_sqrt
+    monkeypatch.setattr(
+        mapengine, "hensel_sqrt", lambda a, p, k: digits.append(k) or lift(a, p, k)
+    )
+
+    def facts(precision):
+        return [
+            (i.which, i.location_val, i.multiplier_val, i.multiplier_abs, i.character)
+            for i in fixed_points(params, precision=precision)
+        ]
+
+    retried = facts(8)
+    assert digits == [8, 16]
+    digits.clear()
+    assert retried == facts(64) == facts(96)
+    assert digits == [64, 96]
 
 
 def test_multiplier_thresholds_at_p2():
@@ -649,7 +676,7 @@ def _step_cases(draw):
     if kind == "zero":
         return params, width, TruncatedPadic.zero(p)
     if kind == "uncertified":
-        return params, width, TruncatedPadic.unknown(p, draw(st.integers(-6, 6)))
+        return params, width, TruncatedPadic(p, val=draw(st.integers(-6, 6)))
     centre = {"near -b": -b, "near -c": -c, "free": F(0)}[kind]
     offset = draw(st.one_of(st.just(F(0)), _small.map(lambda t: F(*t))))
     x = centre + offset * F(p) ** draw(st.integers(-3, 70))

@@ -17,12 +17,20 @@ from udyn.exactnum import (
     TruncatedPadic,
     TruncatedQuad,
 )
-from udyn.mapengine import OrbitRecord, PoleHit, PrecisionExhaustedAt, orbit, validate_params
+from udyn.mapengine import (
+    Completed,
+    OrbitRecord,
+    PoleHit,
+    PrecisionExhaustedAt,
+    orbit,
+    validate_params,
+)
 from udyn.oracle import (
     CheckEntry,
     WrongSphere,
     check_fixed_points,
     check_lemma1,
+    check_portrait,
     check_radius_lemmas,
     critical_value_at,
     default_grid,
@@ -31,7 +39,7 @@ from udyn.oracle import (
 from udyn.oracle import _interval_reachable  # tested directly: it is a certificate
 from udyn.oracle import _Context, _run_orbit, _sample
 from udyn.portrait import case_of, classify
-from udyn.radiusmaps import Radius, lambda_interval
+from udyn.radiusmaps import Radius, canonical_json, lambda_interval
 
 
 def context(params, sample_count=20, horizon=25, seed=0, precision=96):
@@ -340,6 +348,76 @@ def test_fixed_point_character_flag_when_unstated():
     assert "no character" in entries["fp-character:x1"].note
 
 
+def _radius_lemmas(params):
+    return check_radius_lemmas([params.radius_spec()])
+
+
+def _fixed_point_checks(params):
+    return check_fixed_points(context(params))
+
+
+def _portrait_checks(params):
+    return check_portrait(context(params))
+
+
+# A fault planted in one engine function (its radius multiplied by p), the
+# row and check family it is run on, and each entry that must then take its
+# FAIL branch, with the counterexample and note it must carry.
+PLANTED_FAULTS = (
+    pytest.param(
+        oracle,
+        "radius_step",
+        (3, 3, 1, 6),
+        _radius_lemmas,
+        {
+            "radius:fix-set:p=3(va=1,vb=0,vc=1)": ({"radius": "3^-1/2"}, ""),
+            "radius:lambda-two-cycle:p=3(va=1,vb=0,vc=1)": (
+                {"radius": "3^-1/2", "after_two_steps": "3^1/2"},
+                "",
+            ),
+        },
+        id="radius-step",
+    ),
+    pytest.param(
+        oracle,
+        "separation_identity",
+        (3, 9, 3, 1),
+        _fixed_point_checks,
+        {"fp-separation": ({"actual": "3^-1", "identity": "1"}, "")},
+        id="fp-separation",
+    ),
+    pytest.param(
+        portrait,
+        "separation_identity",
+        (3, 9, 3, 1),
+        _portrait_checks,
+        {
+            "portrait:T1.2.3:fp-distance": (
+                {"actual": "3^-1", "recomputed": "1"},
+                "identity recomputation does not match the engine",
+            )
+        },
+        id="portrait-fp-distance",
+    ),
+)
+
+
+@pytest.mark.parametrize("module, attr, row, run, failing", PLANTED_FAULTS)
+def test_planted_fault_takes_the_fail_branch(monkeypatch, module, attr, row, run, failing):
+    params = validate_params(*row)
+    before = {e.name: e.status for e in run(params)}
+    assert all(before[name] != "FAIL" for name in failing), before
+    real = getattr(module, attr)
+    monkeypatch.setattr(module, attr, lambda *args: real(*args).scaled_by_power(2))
+    after = {e.name: e for e in run(params)}
+    for name, (cex, note) in failing.items():
+        assert (after[name].status, after[name].counterexample, after[name].note) == (
+            "FAIL",
+            cex,
+            note,
+        ), name
+
+
 # --------------------------------------------------- interval reachability
 
 
@@ -422,6 +500,29 @@ def test_entry_flag_carries_trapped_radii():
     assert rad.counterexample["trapped_radii"]
 
 
+def test_sampled_orbit_retries_with_doubled_digits(monkeypatch):
+    # the orbit of 311/172 on (3, 9, 3, 1) runs out of digits within 25
+    # steps at 2, 4, 8 and 16 digits (at steps 2, 3, 8 and 16), so
+    # _run_orbit doubles the width until 32 digits carry all 25 steps
+    params = validate_params(3, 9, 3, 1)
+    widths = []
+    run = oracle.orbit
+
+    def spy(x, params, n, precision=None):
+        widths.append(precision)
+        return run(x, params, n, precision=precision)
+
+    monkeypatch.setattr(oracle, "orbit", spy)
+    retried = _run_orbit(F(311, 172), params, 25, 2)
+    assert widths == [2, 4, 8, 16, 32]
+    assert retried.termination == Completed(25)
+    for precision in (64, 96):
+        widths.clear()
+        wide = _run_orbit(F(311, 172), params, 25, precision)
+        assert widths == [precision]
+        assert (wide.valuations, wide.termination) == (retried.valuations, retried.termination)
+
+
 # ------------------------------------------------------------ determinism
 
 
@@ -450,8 +551,8 @@ def test_ramified_samples_run_no_exact_quad_arithmetic(monkeypatch):
 
 def test_verification_is_deterministic():
     params = validate_params(3, 9, 3, 1)
-    one = run_verification(params, sample_count=10, seed=5).to_json()
-    two = run_verification(params, sample_count=10, seed=5).to_json()
+    one = canonical_json(run_verification(params, sample_count=10, seed=5).to_dict())
+    two = canonical_json(run_verification(params, sample_count=10, seed=5).to_dict())
     assert one == two
 
 
@@ -537,7 +638,7 @@ def test_default_grid_surface_is_frozen():
         assert surface == GRID_SURFACE[key], key
         assert not report.has_fail, key
         # the same run, byte for byte, against the pinned CLI output
-        assert report.to_json() + "\n" == golden_text("verify", key), key
+        assert canonical_json(report.to_dict()) + "\n" == golden_text("verify", key), key
         classified = json.dumps(classify(params).to_dict(), sort_keys=True, separators=(",", ":"))
         assert classified + "\n" == golden_text("classify", key), key
 
