@@ -445,7 +445,7 @@ def test_fixed_points_truncated_p2():
 
 def test_fixed_points_retries_a_cancelling_root_with_doubled_digits(monkeypatch):
     # 59050 = 243**2 + 1 is a 3-adic square but not a rational one; its
-    # root at 8 digits cancels in the fixed-point formula, at 16 it does not
+    # root at 8 digits leaves a fixed point uncertified, at 16 it does not
     params = validate_params(3, 59050, 1, 2)
     assert params.sqrt_mode.kind is SqrtKind.QP_SQUARE_NOT_RATIONAL
     digits = []
