@@ -20,8 +20,11 @@ the first point larger than ``EXACT_BITS`` bits.
 f is written once, in ``_Bound``: f bound to the domain of one point,
 holding a, b and c in that domain and applying its pole rule (x + c
 exactly zero is the pole; a truncated x + c that is not certified nonzero
-exhausts the precision).  f, f' and |f|, the fixed-point pair and every
-orbit step go through it.
+exhausts the precision).  f, f' and |f| and every orbit step go through
+it, and so does the fixed-point pair of a Hensel root of a.  The pair of an
+exact root (rational, or sqrt(a) in the quadratic extension) is read off
+the closed form x1,2 = U +- V*s, m1,2 = M -+ N*s with rational U, V, M and
+N, and certified by the fixed-point equation in coordinates.
 
 On any ``TruncatedPadic`` point, f is one fused step on (val, unit,
 digits) integers: x + c under the pole rule and x + b through the sum
@@ -517,11 +520,52 @@ def _fp_zero(params: MapParams) -> FixedPointInfo:
     return _info("x0", Fraction(0), lam, params.p)
 
 
-def _fp_pair(
-    params: MapParams, s: Point, width: Optional[int] = None
+def _coordinates(params: MapParams) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(U, V, M, N) with x1,2 = U +- V*s and m1,2 = M -+ N*s, s**2 = a:
+    U = (c - ab)/(a - 1), V = (c - b)/(a - 1), M = 1 + 2(b + c)/(c - b)
+    and N = 2(c + ab)/(a(c - b))."""
+    a, b, c = params.a, params.b, params.c
+    d = c - b
+    u, v = (c - a * b) / (a - 1), d / (a - 1)
+    return u, v, 1 + 2 * (b + c) / d, 2 * (c + a * b) / (a * d)
+
+
+_RESIDUAL = "fixed-point residual is certifiably nonzero; formulas broken"
+
+
+def _exact_pair(
+    params: MapParams, conjugate_root: bool
 ) -> Tuple[FixedPointInfo, FixedPointInfo]:
-    """x1, x2 and their multipliers from the root s of a, in the domain of
-    s; a truncated s has its coefficients lifted to ``width`` digits."""
+    """x1, x2 and their multipliers from the closed form, when s is exact:
+    the rational root, or sqrt(a) of the quadratic extension.
+
+    For x not in {0, -c} (a*b**2 != c**2 and b != c rule both out), f(x) = x
+    is (x + c)**2 = a*(x + b)**2.  With x = U +- V*s its rational and s
+    coordinates are (U + c)**2 + a*V**2 = a*((U + b)**2 + a*V**2) and
+    (U + c)*V = a*(U + b)*V, which certify both points at once.
+    """
+    a, b, c = params.a, params.b, params.c
+    u, v, m, n = _coordinates(params)
+    uc, ub, av2 = u + c, u + b, a * v * v
+    if uc * uc + av2 != a * (ub * ub + av2) or uc * v != a * ub * v:
+        raise ExactError(_RESIDUAL)
+    if conjugate_root:
+        v, n = -v, -n
+    mode = params.sqrt_mode
+    if mode.kind is SqrtKind.RATIONAL_SQUARE:
+        s = mode.root
+        x1, x2, m1, m2 = u + v * s, u - v * s, m - n * s, m + n * s
+    else:
+        x1 = QuadExt(u, v, a)
+        x2, m1, m2 = x1._new(u, -v), x1._new(m, -n), x1._new(m, n)
+    return _info("x1", x1, m1, params.p), _info("x2", x2, m2, params.p)
+
+
+def _fp_pair(
+    params: MapParams, s: TruncatedPadic, width: int
+) -> Tuple[FixedPointInfo, FixedPointInfo]:
+    """x1, x2 and their multipliers from a truncated root s of a, with the
+    coefficients lifted to ``width`` digits, each point checked by f."""
     f = _Bound(params, s, width)
     one, two, b, c = f.coef(1), f.coef(2), f.b, f.c
     x1 = -(b * s - c) / (s - one)
@@ -530,9 +574,7 @@ def _fp_pair(
     m2 = one + two * (c + b * s) * (s + one) / ((c - b) * s)
     for x in (x1, x2):
         if exact_eq(f.f(x), x) is False:
-            raise ExactError(
-                "fixed-point residual is certifiably nonzero; formulas broken"
-            )
+            raise ExactError(_RESIDUAL)
     return _info("x1", x1, m1, params.p), _info("x2", x2, m2, params.p)
 
 
@@ -543,33 +585,29 @@ def fixed_points(
 ) -> Tuple[FixedPointInfo, FixedPointInfo, FixedPointInfo]:
     """The three fixed points x0 = 0, x1, x2 with exact multipliers.
 
-    The scalar domain of x1, x2 follows the square class of a: exact
-    rationals when sqrt(a) is rational, certified truncated p-adics when
-    a is a square of Q_p only (``precision`` digits, retried with more on
-    cancellation), and the quadratic extension otherwise.
+    The scalar domain of x1, x2 follows the square class of a.  When
+    sqrt(a) is rational they are rationals, and when a is not a square of
+    Q_p they lie in the quadratic extension; both read the closed form
+    x1,2 = U +- V*s, m1,2 = M -+ N*s (:func:`_exact_pair`).  When a is a
+    square of Q_p only, they are certified truncated p-adics computed from
+    the Hensel root at ``precision`` digits (at least 8), retried with
+    doubled digits on cancellation (:func:`_fp_pair`).
     ``conjugate_root`` picks the other branch of sqrt(a), which swaps
     x1 with x2.
     """
     first = _fp_zero(params)
-    mode = params.sqrt_mode
-    if mode.kind is SqrtKind.RATIONAL_SQUARE:
-        pair = _fp_pair(params, -mode.root if conjugate_root else mode.root)
-    elif mode.kind is SqrtKind.QP_NONSQUARE:
-        sign = Fraction(-1 if conjugate_root else 1)
-        pair = _fp_pair(params, QuadExt(Fraction(0), sign, params.a))
-    else:
-        digits = max(8, precision)
-        cap = 1 << 14
-        while True:
-            try:
-                s = hensel_sqrt(params.a, params.p, digits)
-                pair = _fp_pair(params, -s if conjugate_root else s, digits)
-                break
-            except PrecisionExhausted:
-                if digits >= cap:
-                    raise
-                digits = min(2 * digits, cap)
-    return (first,) + pair
+    if params.sqrt_mode.kind is not SqrtKind.QP_SQUARE_NOT_RATIONAL:
+        return (first,) + _exact_pair(params, conjugate_root)
+    digits = max(8, precision)
+    cap = 1 << 14
+    while True:
+        try:
+            s = hensel_sqrt(params.a, params.p, digits)
+            return (first,) + _fp_pair(params, -s if conjugate_root else s, digits)
+        except PrecisionExhausted:
+            if digits >= cap:
+                raise
+            digits = min(2 * digits, cap)
 
 
 # ----------------------------------------------------------------- sampling

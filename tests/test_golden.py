@@ -48,6 +48,10 @@ import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+if __name__ == "__main__":
+    # the module-level parametrize below imports udyn through text_runs()
+    sys.path.insert(0, str(GOLDEN.parent.parent / "src"))
+
 # T1.4.2 and T1.4.3-5, each at p = 2 and at p = 3
 EXTRA_ROWS = (
     (2, "-37/720", "-40/37", "-70/33"),
@@ -444,5 +448,4 @@ def write_golden() -> None:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(GOLDEN.parent.parent / "src"))
     write_golden()

@@ -19,6 +19,7 @@ from udyn.exactnum import (
     TruncatedPadic,
     TruncatedQuad,
     quad_val,
+    unit_part,
     vp_rat,
 )
 from udyn.mapengine import (
@@ -577,6 +578,99 @@ def test_fixed_point_residuals_and_multipliers(raw):
         else:
             assert eval_f(info.location, params) == info.location
             assert derivative_at(info.location, params) == info.multiplier
+
+
+def _unit(draw, p):
+    """The p-unit part of m/n, 1 <= |m|, n <= 50."""
+    return unit_part(F(draw(st.integers(-50, 50).filter(bool)), draw(st.integers(1, 50))), p)
+
+
+@st.composite
+def _fixed_point_cases(draw, kind):
+    """(params, conjugate_root): b and c are p**[-4, 4] times a p-unit, and
+    a of the given square class with valuation in [-4, 4].  A rational
+    square is built as r**2, a square of Q_p only as p**(2k)*(x**2 +
+    p**3*y)/z**2 with x, z units (x**2 + 8*y is 1 mod 8 for odd x), and a
+    nonsquare is drawn and kept when it is one."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    scale = lambda: F(p) ** draw(st.integers(-4, 4))
+    if kind is SqrtKind.RATIONAL_SQUARE:
+        a = (F(p) ** draw(st.integers(-2, 2)) * _unit(draw, p)) ** 2
+    elif kind is SqrtKind.QP_SQUARE_NOT_RATIONAL:
+        x, z = _unit(draw, p), _unit(draw, p)
+        w = x * x + p**3 * draw(st.integers(-50, 50).filter(bool))
+        a = F(p) ** (2 * draw(st.integers(-2, 2))) * w / (z * z)
+    else:
+        a = scale() * _unit(draw, p)
+    try:
+        params = validate_params(p, a, scale() * _unit(draw, p), scale() * _unit(draw, p))
+    except DegenerateParams:
+        assume(False)
+    assume(params.sqrt_mode.kind is kind)
+    return params, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.sampled_from([SqrtKind.RATIONAL_SQUARE, SqrtKind.QP_NONSQUARE]).flatmap(
+        _fixed_point_cases
+    )
+)
+def test_exact_fixed_points_are_fixed_with_their_multipliers(case):
+    # the closed form is held to f and f' themselves, exactly, on both roots
+    params, conjugate = case
+    _, x1, x2 = fixed_points(params, conjugate_root=conjugate)
+    for info in (x1, x2):
+        assert eval_f(info.location, params) == info.location
+        assert derivative_at(info.location, params) == info.multiplier
+    _, y1, y2 = fixed_points(params, conjugate_root=not conjugate)
+    assert (y1.location, y1.multiplier) == (x2.location, x2.multiplier)
+    assert (y2.location, y2.multiplier) == (x1.location, x1.multiplier)
+
+
+@pytest.mark.parametrize("raw", [(3, 4, 1, 3), (3, 2, 3, 1)])
+def test_coordinate_residual_check_fires(monkeypatch, raw):
+    # a rational-square and a nonsquare set: U one off fails the check
+    params = validate_params(*raw)
+    right = mapengine._coordinates
+    monkeypatch.setattr(
+        mapengine, "_coordinates", lambda q: (right(q)[0] + 1,) + right(q)[1:]
+    )
+    with pytest.raises(ExactError, match="residual"):
+        fixed_points(params)
+
+
+def _not_apart(x, y):
+    """x and y agree on every digit both certify."""
+    d = x - y
+    return not (d.is_certified and not d.exact_zero)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_fixed_point_cases(SqrtKind.QP_SQUARE_NOT_RATIONAL))
+def test_closed_form_agrees_with_the_hensel_pair(case):
+    # U +- V*s and M -+ N*s on the Hensel root fixed_points used, against
+    # the truncated pair it computed
+    params, conjugate = case
+    p = params.p
+    widths = []
+    lift = mapengine.hensel_sqrt
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            mapengine, "hensel_sqrt", lambda a, p, k: widths.append(k) or lift(a, p, k)
+        )
+        _, x1, x2 = fixed_points(params, conjugate_root=conjugate)
+    s = lift(params.a, p, widths[-1])
+    if conjugate:
+        s = -s
+    u, v, m, n = (
+        TruncatedPadic.from_rational(q, p, widths[-1]) for q in mapengine._coordinates(params)
+    )
+    for info, x, mult in ((x1, u + v * s, m - n * s), (x2, u - v * s, m + n * s)):
+        for ours, theirs in ((x, info.location), (mult, info.multiplier)):
+            assert _not_apart(ours, theirs)
+            if ours.is_certified and theirs.is_certified:
+                assert ours.valuation() == theirs.valuation()
 
 
 @pytest.mark.parametrize("raw", ENGINE_PARAMS)
