@@ -49,6 +49,7 @@ from __future__ import annotations
 import enum
 import functools
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import ClassVar, Optional, Tuple, Union
@@ -296,6 +297,21 @@ class _Bound:
         unit = a.unit * xu % m * (q * q % m) % m
         return TruncatedPadic._of(p, a.val + xv + 2 * (nv - dv), unit, k)
 
+    def _pstep(self, v: int, u: int, w: int, k: int) -> Tuple[int, int, int, int]:
+        """:meth:`_step` on x = p**v * u/w, u and w units modulo p**k, with
+        no unit inverse.  x + c is p**dv * du/w by the sum kernel on (u, c*w)
+        and x + b likewise, so f(x) = p**v' * (a*u*nu**2)/(w*du**2) modulo
+        p**k', with v' and k' (the digits) those of :meth:`_step`."""
+        p, a, b, c = self.params.p, self.a, self.b, self.c
+        dv, du, dk = _add_units(p, v, u, k, c.val, c.unit * w % _pk(p, c.digits), c.digits)
+        if not dk:
+            raise PrecisionExhausted(_POLE_UNRULED)
+        nv, nu, nk = _add_units(p, v, u, k, b.val, b.unit * w % _pk(p, b.digits), b.digits)
+        k = min(a.digits, k, nk, dk)
+        m = _pk(p, k)
+        u = a.unit * u % m * (nu * nu % m) % m
+        return a.val + v + 2 * (nv - dv), u, w * (du * du % m) % m, k
+
     def df(self, x: Point) -> Point:
         den = self._den(x)
         num = x + self.b
@@ -375,10 +391,11 @@ class OrbitRecord:
     """A computed orbit: points, their valuations, and how it ended.
 
     ``valuations[i]`` is always the exact valuation of ``points[i]``; a
-    point whose valuation cannot be certified is not recorded.
+    point whose valuation cannot be certified is not recorded.  ``points``
+    is a tuple, or the read-only sequence of a :func:`projective_orbit`.
     """
 
-    points: Tuple[Point, ...]
+    points: Sequence[Point]
     valuations: tuple
     termination: Termination
 
@@ -423,34 +440,88 @@ def orbit(
         x = Fraction(x)
     if precision is not None:
         x = lift_point(x, params.p, precision)
-    exact = not isinstance(x, _TRUNCATED)
+    p = params.p
+    points, vals, termination = _iterate(
+        x, n, _Bound(params, x).f, lambda y: point_val(y, p), not isinstance(x, _TRUNCATED)
+    )
+    return OrbitRecord(tuple(points), tuple(vals), termination)
 
-    f = _Bound(params, x).f
-    points: list = []
-    vals: list = []
+
+def _iterate(x, n: int, step, val, sized: bool = False):
+    """The termination loop of every orbit: the states x, step(x), ... up
+    to n steps, their valuations ``val``, and how the orbit ended.  A
+    ``sized`` (exact) orbit ends at the first point larger than
+    ``EXACT_BITS`` bits."""
     try:
-        vals.append(point_val(x, params.p))
-        points.append(x)
+        vals = [val(x)]
     except PrecisionExhausted:
-        return OrbitRecord((), (), PrecisionExhaustedAt(0))
-
-    termination: Termination = Completed(n)
+        return [], [], PrecisionExhaustedAt(0)
+    states = [x]
     for i in range(n):
         try:
-            nxt = f(points[i])
-            if exact and _bits(nxt) > EXACT_BITS:
-                termination = SizeBudgetAt(i + 1)
-                break
-            v = point_val(nxt, params.p)
+            x = step(x)
+            if sized and _bits(x) > EXACT_BITS:
+                return states, vals, SizeBudgetAt(i + 1)
+            vals.append(val(x))
         except PoleHit:
-            termination = PoleHitAt(i)
-            break
+            return states, vals, PoleHitAt(i)
         except PrecisionExhausted:
-            termination = PrecisionExhaustedAt(i + 1)
-            break
-        points.append(nxt)
-        vals.append(v)
-    return OrbitRecord(tuple(points), tuple(vals), termination)
+            return states, vals, PrecisionExhaustedAt(i + 1)
+        states.append(x)
+    return states, vals, Completed(n)
+
+
+def _state_val(state: Tuple[int, int, int, int]) -> int:
+    """The valuation of a projective state (val, u, w, digits)."""
+    if not state[3]:
+        raise PrecisionExhausted(f"valuation not certified; only known to be >= {state[0]}")
+    return state[0]
+
+
+class _LazyPoints(Sequence):
+    """The points of a :func:`projective_orbit`, read-only.  State i
+    (val, u, w, digits) becomes the ``TruncatedPadic`` p**val * u/w by one
+    ``_div_units`` when point i is first read, and is kept."""
+
+    __slots__ = ("_p", "_states", "_points")
+
+    def __init__(self, start: TruncatedPadic, states: list) -> None:
+        self._p, self._states = start.p, states
+        self._points: list = [start] + [None] * (len(states) - 1)
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        pt = self._points[i]
+        if pt is None:
+            v, u, w, k = self._states[i]
+            pt = self._points[i] = TruncatedPadic._of(self._p, v, _div_units(self._p, u, w, k), k)
+        return pt
+
+
+def projective_orbit(x: Rational, params: MapParams, n: int, digits: int) -> OrbitRecord:
+    """``orbit(x, params, n, precision=digits)`` for a rational start, with
+    the same valuations, termination and points, stepped by
+    :meth:`_Bound._pstep`: no unit inverse per step, and a point is
+    normalised only when it is read (:class:`_LazyPoints`).  The verifier's
+    judges read valuations and a few points, so most points are never
+    normalised.  An exact zero is its own image; a start at the pole -c is
+    the exact ``PoleHitAt(0)``, where the lifted start would only exhaust
+    the precision at step 1."""
+    x = Fraction(x)
+    start = TruncatedPadic.from_rational(x, params.p, digits)
+    if start.exact_zero:
+        return OrbitRecord((start,) * (n + 1), (TOP,) * (n + 1), Completed(n))
+    if x == params.pole:
+        return OrbitRecord((start,), (start.val,), PoleHitAt(0))
+    pstep = _Bound(params, start)._pstep
+    states, vals, termination = _iterate(
+        (start.val, start.unit, 1, digits), n, lambda s: pstep(*s), _state_val
+    )
+    return OrbitRecord(_LazyPoints(start, states), tuple(vals), termination)
 
 
 # -------------------------------------------------------------- fixed points

@@ -73,6 +73,7 @@ from .mapengine import (
     lift_point,
     orbit,
     point_val,
+    projective_orbit,
     sample_sphere,
     validate_params,
 )
@@ -234,13 +235,21 @@ def _run_orbit(x0, params: MapParams, steps: int, precision: int):
     """Orbit record with certified valuations.  Every start, rational or in
     Q_p(sqrt(a)), is lifted to ``precision`` digits and run in truncated
     arithmetic, retried with twice the digits while the precision runs out;
-    extension starts keep the ``_QUAD_CAP`` horizon."""
-    if isinstance(x0, QuadExt):
+    extension starts keep the ``_QUAD_CAP`` horizon.
+
+    A rational start runs as a ``projective_orbit``: the judges read
+    valuations and only a few points, so its steps spend no unit inverse
+    and only the points read are normalised.  ``orbit`` normalises every
+    point, which ``udyn orbit`` prints in full."""
+    quad = isinstance(x0, QuadExt)
+    if quad:
         steps = min(steps, _QUAD_CAP)
     digits = precision
     while True:
-        start = lift_point(x0, params.p, digits)
-        rec = orbit(start, params, steps, precision=digits)
+        if quad:
+            rec = orbit(lift_point(x0, params.p, digits), params, steps, precision=digits)
+        else:
+            rec = projective_orbit(x0, params, steps, digits)
         if (
             not isinstance(rec.termination, PrecisionExhaustedAt)
             or digits >= _MAX_DIGITS
@@ -582,7 +591,7 @@ def _judge_enters_sphere(ctx, claim, t, k, radius, x0, rec):
         return None  # on the sphere already, by construction
     vals = rec.valuations
     if len(vals) <= k:
-        return None  # pole or precision loss before step k; rare
+        return _PENDING  # the orbit ended (pole or precision) before step k
     spec = ctx.spec
     target = spec.sphere_b() if claim.detail("sphere") == "b" else spec.sphere_c()
     if vals[k] != -Fraction(target.q2, 2):
@@ -962,7 +971,11 @@ _CLAIM_CHECKS: Dict[str, Callable] = {
         stride=4001, pending="{pending} orbit(s) without >= 5 stable trailing steps"
     ),
     "enters-sphere": _Plan(
-        _judge_enters_sphere, stride=5003, share=3, steps=lambda horizon, k: k
+        _judge_enters_sphere,
+        stride=5003,
+        share=3,
+        steps=lambda horizon, k: k,
+        pending="{pending} orbit(s) ended before step k",
     ),
     "returns-to-sphere": _returns_check,
     "two-cycle-region": _Plan(

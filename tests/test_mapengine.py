@@ -39,10 +39,11 @@ from udyn.mapengine import (
     fixed_points,
     orbit,
     point_val,
+    projective_orbit,
     sample_sphere,
     validate_params,
 )
-from udyn.oracle import critical_value_at
+from udyn.oracle import _probe_radii, critical_value_at
 from udyn.radiusmaps import Radius, RadiusMapSpec, Regime, radius_step
 
 
@@ -790,3 +791,75 @@ def test_fused_step_equals_the_composed_operators(case):
 
     assert _outcome(bound.f, x) == _outcome(composed, x)
     assert _outcome(bound._step, x) == _outcome(composed, x)
+
+
+def _shapes(points):
+    """(val, unit, digits, exact_zero) of each truncated point."""
+    return [(t.val, t.unit, t.digits, t.exact_zero) for t in points]
+
+
+def _same_orbit(rec, proj):
+    assert proj.valuations == rec.valuations
+    assert proj.termination == rec.termination
+    assert len(proj.points) == len(rec.points)
+    assert _shapes(proj.points) == _shapes(rec.points)
+
+
+@st.composite
+def _projective_cases(draw):
+    """(params, x0, digits): nondegenerate (a, b, c) scaled by p**[-3, 3],
+    1-96 digits, and a start drawn by sample_sphere on an integer probe
+    radius, or at -b or -c plus a unit times p**j relative to it, j in
+    [1, 6], so x + b or x + c cancels j digits."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    a, b, c = (F(*draw(_small)) * F(p) ** draw(st.integers(-3, 3)) for _ in range(3))
+    try:
+        params = validate_params(p, a, b, c)
+    except DegenerateParams:
+        assume(False)
+    kind = draw(st.sampled_from(["sphere", "-b", "-c"]))
+    if kind == "sphere":
+        radii = [r for r in _probe_radii(params) if r.q2 % 2 == 0]
+        radius = draw(st.sampled_from(radii))
+        x0 = sample_sphere(radius, params, 1, draw(st.integers(0, 1 << 16)))[0]
+    else:
+        anchor = -b if kind == "-b" else -c
+        offset = _unit(draw, p) * F(p) ** (vp_rat(anchor, p) + draw(st.integers(1, 6)))
+        x0 = anchor + draw(st.sampled_from([1, -1])) * offset
+        assume(x0 != params.pole and x0 != 0)
+    return params, x0, draw(st.integers(1, 96))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_projective_cases())
+def test_projective_orbit_equals_the_normalised_orbit(case):
+    # the verifier's projective orbit is orbit() digit for digit: the same
+    # valuations, termination and (val, unit, digits) at every point
+    params, x0, digits = case
+    _same_orbit(orbit(x0, params, 25, precision=digits), projective_orbit(x0, params, 25, digits))
+
+
+def test_projective_orbit_of_zero_stays_at_zero():
+    params = validate_params(3, 9, 3, 1)
+    _same_orbit(orbit(F(0), params, 25, precision=96), projective_orbit(F(0), params, 25, 96))
+
+
+def test_projective_orbit_at_the_pole_is_the_exact_pole_hit():
+    # a lifted -c only exhausts the precision at step 1; the exact start is
+    # the pole itself, as the exact orbit says
+    params = validate_params(3, 9, 3, 1)
+    assert orbit(params.pole, params, 25).termination == PoleHitAt(0)
+    rec = projective_orbit(params.pole, params, 25, 96)
+    assert rec.termination == PoleHitAt(0)
+    assert rec.valuations == (0,)
+    assert _shapes(rec.points) == _shapes([TruncatedPadic.from_rational(-1, 3, 96)])
+
+
+def test_projective_orbit_equals_the_normalised_orbit_at_1536_digits():
+    params = validate_params(3, 9, 3, 1)
+    rec = orbit(F(7, 5), params, 200, precision=1536)
+    proj = projective_orbit(F(7, 5), params, 200, 1536)
+    assert rec.termination == Completed(200)
+    _same_orbit(rec, proj)
+    assert list(proj.points[::50]) == list(rec.points[::50])
+    assert bool(proj.points) and proj.points[-1] == rec.points[-1]

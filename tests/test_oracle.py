@@ -506,13 +506,13 @@ def test_sampled_orbit_retries_with_doubled_digits(monkeypatch):
     # _run_orbit doubles the width until 32 digits carry all 25 steps
     params = validate_params(3, 9, 3, 1)
     widths = []
-    run = oracle.orbit
+    run = oracle.projective_orbit
 
-    def spy(x, params, n, precision=None):
-        widths.append(precision)
-        return run(x, params, n, precision=precision)
+    def spy(x, params, n, digits):
+        widths.append(digits)
+        return run(x, params, n, digits)
 
-    monkeypatch.setattr(oracle, "orbit", spy)
+    monkeypatch.setattr(oracle, "projective_orbit", spy)
     retried = _run_orbit(F(311, 172), params, 25, 2)
     assert widths == [2, 4, 8, 16, 32]
     assert retried.termination == Completed(25)
@@ -521,6 +521,36 @@ def test_sampled_orbit_retries_with_doubled_digits(monkeypatch):
         wide = _run_orbit(F(311, 172), params, 25, precision)
         assert widths == [precision]
         assert (wide.valuations, wide.termination) == (retried.valuations, retried.termination)
+
+
+def test_sampled_orbit_normalises_only_the_points_it_reads(monkeypatch):
+    # a rational start steps with no unit inverse: no unit division runs
+    # until a point is read, and then one per point, once
+    params = validate_params(3, 9, 3, 1)
+    expected = orbit(F(311, 172), params, 25, precision=96).points[7]
+    calls = []
+    div = mapengine._div_units
+
+    def spy(*args):
+        calls.append(args)
+        return div(*args)
+
+    monkeypatch.setattr(mapengine, "_div_units", spy)
+    rec = _run_orbit(F(311, 172), params, 25, 96)
+    assert rec.termination == Completed(25)
+    assert calls == []
+    assert rec.points[7] == expected
+    assert len(calls) == 1
+    assert rec.points[7] is rec.points[-19]
+    assert len(calls) == 1
+
+
+def test_enters_sphere_does_not_pass_an_orbit_that_ended_before_step_k(monkeypatch):
+    params = validate_params(3, 4, 1, 3)
+    assert _portrait_entry(params, 3, "enters-sphere")["status"] == "PASS"
+    monkeypatch.setattr(oracle, "_run_orbit", _orbit_cut_to_start)
+    cut = _portrait_entry(params, 3, "enters-sphere")
+    assert (cut["status"], cut["note"]) == ("INCONCLUSIVE", "12 orbit(s) ended before step k")
 
 
 # ------------------------------------------------------------ determinism
