@@ -37,6 +37,15 @@ numbers*, arXiv:1701.06794), so this gives the digits of the composed
 operators, which serve the other domains (``Fraction``, ``QuadExt`` and
 ``TruncatedQuad`` points).
 
+That step, ``_Bound._step``, spends one unit inverse on (x + b)/(x + c).
+:func:`orbit` runs it and returns every point normalised, as ``udyn orbit``
+prints them all.  The verifier's sampled orbits run
+:func:`projective_orbit` instead: it carries x as p**v * U/W with U and W
+units (``_Bound._pstep``), so a step spends no inverse, and it normalises a
+point only when it is read, as most judges read valuations alone.
+Normalising every point that way would cost more than ``_step``, so each
+driver keeps its own kernel.
+
 ``MapParams`` keeps a, b and c lifted per width (``MapParams.lifted``), so
 a run lifts each coefficient once per width however many orbits and
 critical values it binds.  A truncated orbit is bound once, at its start
@@ -245,6 +254,10 @@ class _Bound:
     f of any ``TruncatedPadic`` of this prime is one fused step on
     (val, unit, digits) integers (:meth:`_step`); points of the other
     domains go through the composed operators, which give the same digits.
+    :meth:`_pstep` is the same step on p**v * U/W without the unit inverse:
+    :func:`projective_orbit` runs it for the verifier, whose judges read
+    few points, while :func:`orbit` runs :meth:`_step` and normalises every
+    point it returns.
     """
 
     def __init__(self, params: MapParams, x: Point, width: Optional[int] = None) -> None:
