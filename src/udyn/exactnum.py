@@ -13,7 +13,7 @@ digits; it tracks what is certified and refuses to answer questions the
 retained digits cannot settle.  Its moduli p**k are computed once per
 (p, k) and cached.  The digit rules of a sum and a quotient are integer
 kernels on (val, unit, digits), ``_add_units`` and ``_div_units``, shared by
-the operators and the fused step of f in ``mapengine``.  They serve every
+the operators and the fused steps of f in ``mapengine``.  They serve every
 shape: an input of digits 0 is O(p**val), which p**0 = 1 carries through.
 Division Newton-lifts (Hensel-lifts) the inverse of the divisor's unit from
 modulo p to modulo p**ceil(k/2) only, then corrects the half-precision
@@ -702,7 +702,7 @@ class TruncatedPadic:
         if self.exact_zero or self.digits == 0:
             return self
         m = _pk(self.p, self.digits)
-        return TruncatedPadic(self.p, self.val, m - self.unit, self.digits)
+        return TruncatedPadic._of(self.p, self.val, m - self.unit, self.digits)
 
     def __add__(self, other: object):
         o = self._same(other)
@@ -787,7 +787,25 @@ class TruncatedQuad(_QuadField):
         radicand that is a square of Q_p raises :class:`InvalidExtension`."""
         _require_extension(x.a, p)
         lift = TruncatedPadic.from_rational
-        return cls(lift(x.u, p, digits), lift(x.v, p, digits), lift(x.a, p, digits), x.a)
+        return cls._of(lift(x.u, p, digits), lift(x.v, p, digits), lift(x.a, p, digits), x.a)
+
+    @classmethod
+    def _of(
+        cls,
+        u: TruncatedPadic,
+        v: TruncatedPadic,
+        a: TruncatedPadic,
+        rad: Fraction,
+        norm: Optional[TruncatedPadic] = None,
+    ) -> "TruncatedQuad":
+        """u + v*sqrt(rad), ``a`` the lift of rad, built without the
+        dataclass ``__init__``; a given ``norm`` (u**2 - a*v**2 by the
+        operators' digits) is kept as the computed one."""
+        out = object.__new__(cls)
+        out.__dict__.update(u=u, v=v, a=a, rad=rad)
+        if norm is not None:
+            out.__dict__["norm"] = norm
+        return out
 
     @property
     def p(self) -> int:
@@ -832,7 +850,7 @@ class TruncatedQuad(_QuadField):
         return None
 
     def _new(self, u: TruncatedPadic, v: TruncatedPadic) -> "TruncatedQuad":
-        return TruncatedQuad(u, v, self.a, self.rad)
+        return TruncatedQuad._of(u, v, self.a, self.rad)
 
     def __str__(self) -> str:
         return f"(({self.u}) + ({self.v})*sqrt({self.rad}))"

@@ -34,8 +34,12 @@ zero is its own image, and an uncertified x (digits 0) runs through the
 same kernels, which carry it as O(p**val).  Capped-relative arithmetic
 never gives f(x) more digits than x (X. Caruso, *Computations with p-adic
 numbers*, arXiv:1701.06794), so this gives the digits of the composed
-operators, which serve the other domains (``Fraction``, ``QuadExt`` and
-``TruncatedQuad`` points).
+operators.  A ``TruncatedQuad`` point gets a fused step too
+(``_Bound._qstep``): the composed ``_QuadField`` operators replayed on the
+integer triples of its two coordinates, each coordinate with its own
+valuation and digits, and one inverse of the norm of x + c per step.  The
+composed operators serve the exact domains (``Fraction`` and ``QuadExt``)
+and the judges' remaining arithmetic on truncated points.
 
 That step, ``_Bound._step``, spends one unit inverse on (x + b)/(x + c).
 :func:`orbit` runs it and returns every point normalised, as ``udyn orbit``
@@ -76,6 +80,7 @@ from .exactnum import (
     TruncatedQuad,
     _add_units,
     _div_units,
+    _inv_unit,
     _pk,
     hensel_sqrt,
     is_prime,
@@ -252,8 +257,10 @@ class _Bound:
     max(digits, 32)) that ``MapParams.lifted`` keeps per width.
 
     f of any ``TruncatedPadic`` of this prime is one fused step on
-    (val, unit, digits) integers (:meth:`_step`); points of the other
-    domains go through the composed operators, which give the same digits.
+    (val, unit, digits) integers (:meth:`_step`), and f of any
+    ``TruncatedQuad`` is one on the triples of its coordinates
+    (:meth:`_qstep`); points of the exact domains go through the composed
+    operators, whose digits both fused steps keep.
     :meth:`_pstep` is the same step on p**v * U/W without the unit inverse:
     :func:`projective_orbit` runs it for the verifier, whose judges read
     few points, while :func:`orbit` runs :meth:`_step` and normalises every
@@ -287,6 +294,8 @@ class _Bound:
     def f(self, x: Point) -> Point:
         if type(x) is TruncatedPadic and x.p == self.params.p:
             return self._step(x)
+        if type(x) is TruncatedQuad and x.p == self.params.p:
+            return self._qstep(x)
         q = (x + self.b) / self._den(x)
         return self.a * x * (q * q)
 
@@ -309,6 +318,45 @@ class _Bound:
         q = _div_units(p, nu, du, k)
         unit = a.unit * xu % m * (q * q % m) % m
         return TruncatedPadic._of(p, a.val + xv + 2 * (nv - dv), unit, k)
+
+    def _qstep(self, x: TruncatedQuad) -> TruncatedQuad:
+        """f(x) for x = u + v*s, s**2 = r, with the digits of the composed
+        ``_QuadField`` operators, coordinate by coordinate, on (val, unit,
+        digits) triples (None for an exact zero).  x + c = d + v*s never
+        is an exact zero (c is certified), so the pole shows only as an
+        uncertified norm d**2 - r*v**2, which exhausts the precision.  The
+        quotient (x + b)*conj(x + c)/norm spends one inverse of the norm, at
+        the wider of its coordinates' digits: a/n modulo p**k is unique, so
+        each coordinate gets the digits of ``_div_units``.  The image carries
+        its norm, by the same operators, for its valuation."""
+        if x.exact_zero:
+            return x
+        p = x.p
+        u, v, r = _tri(x.u), _tri(x.v), _tri(x.a)
+        a, b, c = _tri(self.a), _tri(self.b), _tri(self.c)
+        d, nb = _add3(p, u, c), _add3(p, u, b)
+        rvv = _neg3(p, _mul3(p, r, _mul3(p, v, v)))  # r*v*(-v)
+        norm = _add3(p, _mul3(p, d, d), rvv)
+        if not norm[2]:
+            raise PrecisionExhausted(_POLE_UNRULED)
+        pu = _add3(p, _mul3(p, nb, d), rvv)
+        pv = _add3(p, _mul3(p, nb, _neg3(p, v)), _mul3(p, v, d))
+        nv, nu, nk = norm
+        ku = min(pu[2], nk)
+        kv = 0 if pv is None else min(pv[2], nk)
+        y = _inv_unit(nu, p, max(ku, kv))
+        qu = pu[0] - nv, pu[1] * y % _pk(p, ku), ku
+        qv = None if pv is None else (pv[0] - nv, pv[1] * y % _pk(p, kv), kv)
+        quv = _mul3(p, qu, qv)
+        su = _add3(p, _mul3(p, qu, qu), _mul3(p, r, _mul3(p, qv, qv)))
+        sv = _add3(p, quv, quv)
+        xu, xv = _mul3(p, u, a), _mul3(p, v, a)
+        fu = _add3(p, _mul3(p, xu, su), _mul3(p, r, _mul3(p, xv, sv)))
+        fv = _add3(p, _mul3(p, xu, sv), _mul3(p, xv, su))
+        fn = _add3(p, _mul3(p, fu, fu), _neg3(p, _mul3(p, r, _mul3(p, fv, fv))))
+        return TruncatedQuad._of(
+            _padic(p, fu), _padic(p, fv), x.a, x.rad, _padic(p, fn)
+        )
 
     def _pstep(self, v: int, u: int, w: int, k: int) -> Tuple[int, int, int, int]:
         """:meth:`_step` on x = p**v * u/w, u and w units modulo p**k, with
@@ -344,6 +392,39 @@ class _Bound:
             - 2 * point_val(den, p)
         )
         return Radius.from_val(p, v)
+
+
+# The operators of ``TruncatedPadic`` on (val, unit, digits) triples, None
+# for an exact zero, as the fused step of a ``TruncatedQuad`` runs them.
+
+
+def _tri(t: TruncatedPadic) -> Optional[Tuple[int, int, int]]:
+    return None if t.exact_zero else (t.val, t.unit, t.digits)
+
+
+def _padic(p: int, t: Optional[Tuple[int, int, int]]) -> TruncatedPadic:
+    return TruncatedPadic.zero(p) if t is None else TruncatedPadic._of(p, *t)
+
+
+def _add3(p: int, x, y):
+    if x is None:
+        return y
+    if y is None:
+        return x
+    return _add_units(p, *x, *y)
+
+
+def _mul3(p: int, x, y):
+    if x is None or y is None:
+        return None
+    k = min(x[2], y[2])
+    return x[0] + y[0], x[1] * y[1] % _pk(p, k), k
+
+
+def _neg3(p: int, x):
+    if x is None or not x[2]:
+        return x
+    return x[0], _pk(p, x[2]) - x[1], x[2]
 
 
 def eval_f(x: Point, params: MapParams) -> Point:
@@ -419,14 +500,24 @@ def _bits(x: Point) -> int:
     return max(max(q.numerator.bit_length(), q.denominator.bit_length()) for q in parts)
 
 
-def lift_point(x: Point, p: int, digits: int) -> Point:
+def lift_point(x: Point, params: MapParams, digits: int) -> Point:
     """An exact point in truncated arithmetic at ``digits`` digits: a
     rational as ``TruncatedPadic``, a ``QuadExt`` as ``TruncatedQuad``.
-    Truncated points are returned unchanged."""
+    A point of Q_p(sqrt(a)) for the map's own nonsquare a, the field of
+    every sampled half-integer start, takes the lift of a that
+    ``params.lifted`` keeps, and its radicand is not checked again:
+    ``params`` holds the square class of a.  Truncated points are
+    returned unchanged."""
+    p = params.p
     if isinstance(x, (int, Fraction)):
         return TruncatedPadic.from_rational(x, p, digits)
     if isinstance(x, QuadExt):
-        return TruncatedQuad.from_quad(x, p, digits)
+        if x.a != params.a or params.sqrt_mode.kind is not SqrtKind.QP_NONSQUARE:
+            return TruncatedQuad.from_quad(x, p, digits)
+        lift = TruncatedPadic.from_rational
+        return TruncatedQuad._of(
+            lift(x.u, p, digits), lift(x.v, p, digits), params.lifted(digits)[0], x.a
+        )
     return x
 
 
@@ -442,18 +533,23 @@ def orbit(
 
     With ``precision`` (certified p-adic digits) an exact start is lifted
     (:func:`lift_point`) and the orbit runs in truncated arithmetic.  An
-    exact orbit ends at the first point larger than ``EXACT_BITS`` bits
-    (:class:`SizeBudgetAt`): its size roughly triples per step.  f is
-    bound once, at the start point, and reads a, b and c lifted at the
-    start width from ``params``.
+    exact start at the pole -c is checked before the lift, so it ends in
+    the exact ``PoleHitAt(0)``, where the lifted start would only exhaust
+    the precision at step 1.  An exact orbit ends at the first point
+    larger than ``EXACT_BITS`` bits (:class:`SizeBudgetAt`): its size
+    roughly triples per step.  f is bound once, at the start point, and
+    reads a, b and c lifted at the start width from ``params``.
     """
     if n < 0:
         raise InvalidArgument("orbit length must be >= 0")
     if isinstance(x, int):
         x = Fraction(x)
-    if precision is not None:
-        x = lift_point(x, params.p, precision)
     p = params.p
+    if precision is not None and not isinstance(x, _TRUNCATED):
+        pole = n > 0 and _is_zero(x + params.c)
+        x = lift_point(x, params, precision)
+        if pole:
+            return OrbitRecord((x,), (point_val(x, p),), PoleHitAt(0))
     points, vals, termination = _iterate(
         x, n, _Bound(params, x).f, lambda y: point_val(y, p), not isinstance(x, _TRUNCATED)
     )
@@ -528,7 +624,7 @@ def projective_orbit(x: Rational, params: MapParams, n: int, digits: int) -> Orb
     start = TruncatedPadic.from_rational(x, params.p, digits)
     if start.exact_zero:
         return OrbitRecord((start,) * (n + 1), (TOP,) * (n + 1), Completed(n))
-    if x == params.pole:
+    if n and x == params.pole:
         return OrbitRecord((start,), (start.val,), PoleHitAt(0))
     pstep = _Bound(params, start)._pstep
     states, vals, termination = _iterate(

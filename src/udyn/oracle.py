@@ -240,14 +240,17 @@ def _run_orbit(x0, params: MapParams, steps: int, precision: int):
     A rational start runs as a ``projective_orbit``: the judges read
     valuations and only a few points, so its steps spend no unit inverse
     and only the points read are normalised.  ``orbit`` normalises every
-    point, which ``udyn orbit`` prints in full."""
+    point, which ``udyn orbit`` prints in full.  An extension start is a
+    point of Q_p(sqrt(a)) for the map's a: its lift reuses the lift of a
+    kept in ``params`` (``lift_point``), and ``orbit`` steps it by the
+    fused ``TruncatedQuad`` step, one inverse of a norm per step."""
     quad = isinstance(x0, QuadExt)
     if quad:
         steps = min(steps, _QUAD_CAP)
     digits = precision
     while True:
         if quad:
-            rec = orbit(lift_point(x0, params.p, digits), params, steps, precision=digits)
+            rec = orbit(lift_point(x0, params, digits), params, steps, precision=digits)
         else:
             rec = projective_orbit(x0, params, steps, digits)
         if (

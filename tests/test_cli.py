@@ -126,6 +126,22 @@ def test_orbit_pole_terminates(capsys):
     assert json.loads(out)["orbit"]["termination"]["kind"] == "pole-hit"
 
 
+def test_orbit_truncated_start_at_the_pole_is_the_exact_pole_hit(capsys):
+    # -1 is the pole -c: checked before the lift, as the exact run checks it
+    def orbit_json(*flags):
+        code, out, _ = run(
+            capsys, "orbit", "--p", "3", "--a", "9", "--b", "3", "--c", "1",
+            "--x", "-1", "--n", "3", *flags, "--output", "json",
+        )
+        assert code == 0
+        return json.loads(out)["orbit"]
+
+    exact, truncated = orbit_json(), orbit_json("--force-truncated")
+    assert truncated["termination"] == exact["termination"] == {"index": 0, "kind": "pole-hit"}
+    assert truncated["valuations"] == exact["valuations"] == ["0"]
+    assert len(truncated["points"]) == 1
+
+
 def test_orbit_truncated_mode(capsys):
     code, out, _ = run(
         capsys, "orbit", "--p", "3", "--a", "9", "--b", "3", "--c", "1",

@@ -853,6 +853,12 @@ def test_projective_orbit_at_the_pole_is_the_exact_pole_hit():
     assert rec.termination == PoleHitAt(0)
     assert rec.valuations == (0,)
     assert _shapes(rec.points) == _shapes([TruncatedPadic.from_rational(-1, 3, 96)])
+    # orbit() checks the exact start before it lifts it, so it agrees
+    _same_orbit(orbit(params.pole, params, 25, precision=96), rec)
+    # with no step to take, neither reaches the pole
+    start = orbit(params.pole, params, 0, precision=96)
+    _same_orbit(start, projective_orbit(params.pole, params, 0, 96))
+    assert start.termination == Completed(0)
 
 
 def test_projective_orbit_equals_the_normalised_orbit_at_1536_digits():

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from udyn import exactnum, mapengine
 from udyn.exactnum import (
     TOP,
+    ExactError,
     InvalidExtension,
     PrecisionExhausted,
     QuadExt,
@@ -18,14 +20,20 @@ from udyn.exactnum import (
     quad_val,
 )
 from udyn.mapengine import (
+    Completed,
     DegenerateParams,
     PoleHit,
+    _Bound,
     _is_zero,
     eval_f,
+    lift_point,
     orbit,
     point_val,
+    sample_sphere,
     validate_params,
 )
+from udyn.oracle import _QUAD_CAP, _run_orbit
+from udyn.radiusmaps import Radius
 
 PRIMES = (2, 3, 5, 7)
 
@@ -202,3 +210,119 @@ def test_truncated_orbits_agree_with_exact(case):
     # a start and one step of small rationals lose far fewer than 96 digits
     assert len(trunc.points) >= min(2, len(exact))
 
+
+
+# ------------------------------------------------------------ the fused step
+
+
+def composed_f(f: _Bound, x: TruncatedQuad) -> TruncatedQuad:
+    """f(x) by the composed ``_QuadField`` operators and the pole rule of
+    ``_Bound._den``: the reference the fused step keeps digit for digit."""
+    den = x + f.c
+    zero = _is_zero(den)
+    if zero:
+        raise PoleHit("x + c = 0")
+    if zero is None:
+        raise PrecisionExhausted("x + c is not certified nonzero")
+    q = (x + f.b) / den
+    return f.a * x * (q * q)
+
+
+def shape(t: TruncatedPadic):
+    return t.val, t.unit, t.digits, t.exact_zero
+
+
+def outcome(step, x):
+    """(u, v, norm) shapes of step(x), or the type of the error it raised."""
+    try:
+        y = step(x)
+    except ExactError as e:
+        return type(e), None
+    return (shape(y.u), shape(y.v), shape(y.norm)), y
+
+
+@st.composite
+def step_cases(draw):
+    """(p, a, b, c, u, v, digits): a start u + v*sqrt(a) at 1-96 digits,
+    u zero (as every sampled start is), any rational, or near -c, where
+    x + c loses digits."""
+    p, a, b, c = draw(extension_params())
+    near_pole = st.builds(lambda t, j: -c + t * F(p) ** j, _rational(p), st.integers(0, 6))
+    u = draw(st.one_of(st.just(F(0)), _rational(p), near_pole))
+    return p, a, b, c, u, draw(_rational(p)), draw(st.integers(1, 96))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=step_cases())
+@example(case=(2, F(3), F(4), F(1), F(0), F(1), 4))  # a grid row, ramified at p = 2
+@example(case=(3, F(1, 3), F(1), F(3), F(0), F(7, 5), 96))
+@example(case=(2, F(5), F(1), F(3), F(-2), F(1), 2))  # |x + c| uncertified at step 1
+@example(case=(2, F(5), F(1, 3), F(7), F(1), F(1), 1))
+def test_fused_quad_step_is_the_composed_step(case):
+    # four steps of _qstep against the composed operators: the same (val,
+    # unit, digits, exact_zero) of u, v and the norm, or the same error
+    p, a, b, c, u, v, digits = case
+    params = validate_params(p, a, b, c)
+    x = TruncatedQuad.from_quad(QuadExt(u, v, a), p, digits)
+    f = _Bound(params, x)
+    for _ in range(4):
+        want, ref = outcome(lambda y: composed_f(f, y), x)
+        got, x = outcome(f._qstep, x)
+        assert got == want
+        if x is None:
+            break
+        assert x == ref
+
+
+def test_fused_quad_step_exhausts_on_an_uncertified_norm():
+    # x = -2 + sqrt(5) over Q_2 at 2 digits: x + c = 1 + sqrt(5) has norm
+    # -4, of which two digits of each coordinate certify nothing
+    params = validate_params(2, 5, 1, 3)
+    x = TruncatedQuad.from_quad(QuadExt(-2, 1, 5), 2, 2)
+    assert x.is_certified
+    f = _Bound(params, x)
+    with pytest.raises(PrecisionExhausted):
+        composed_f(f, x)
+    with pytest.raises(PrecisionExhausted):
+        f.f(x)
+    assert orbit(x, params, 3).termination.kind == "precision-exhausted"
+
+
+def test_ramified_sampled_orbit_spends_one_inverse_per_step(monkeypatch):
+    # a sampled half-integer start of the ramified row (3, 1/3, 1, 3): one
+    # inverse of the norm per step, and no TruncatedPadic quotient
+    params = validate_params(3, F(1, 3), 1, 3)
+    x0 = sample_sphere(Radius.from_exponent(3, 1), params, 1, 5)[0]
+    calls = {"inv": 0, "div": 0}
+    inv_unit, truediv = exactnum._inv_unit, TruncatedPadic.__truediv__
+
+    def counting_inv(*args):
+        calls["inv"] += 1
+        return inv_unit(*args)
+
+    def counting_div(self, other):
+        calls["div"] += 1
+        return truediv(self, other)
+
+    monkeypatch.setattr(exactnum, "_inv_unit", counting_inv)
+    monkeypatch.setattr(mapengine, "_inv_unit", counting_inv)
+    monkeypatch.setattr(TruncatedPadic, "__truediv__", counting_div)
+    rec = _run_orbit(x0, params, 25, 96)
+    assert rec.termination == Completed(_QUAD_CAP)
+    assert calls == {"inv": _QUAD_CAP, "div": 0}
+
+
+def test_lift_point_reuses_the_lift_of_the_maps_radicand(monkeypatch):
+    # the start is the checked from_quad lift, but its radicand is the
+    # params' kept lift of a, and the square class is not tested again
+    params = validate_params(3, F(1, 3), 1, 3)
+    own, other = QuadExt(0, F(7, 5), F(1, 3)), QuadExt(0, 1, 2)
+    want = [TruncatedQuad.from_quad(x, 3, 96) for x in (own, other)]
+    checks = []
+    monkeypatch.setattr(exactnum, "_require_extension", lambda *a: checks.append(a))
+    got = lift_point(own, params, 96)
+    assert got == want[0] and got.a is params.lifted(96)[0]
+    assert checks == []
+    # a point of another field is checked and lifted as before
+    assert lift_point(other, params, 96) == want[1]
+    assert checks == [(F(2), 3)]
