@@ -23,6 +23,11 @@ holds one sha256 per case over the radius walks themselves on that roster
 (``radius_orbit`` and ``limit_classify`` from every probe radius of
 ``check_radius_lemmas``), written before the walks ran on bare exponents;
 it pins today's ``TwoCycleRegion`` answers as they stand.
+``radius_window_p3.json`` holds one sha256 per case over the
+``check_radius_lemmas`` entries of every spec of an enumerated window
+(``radius_window_specs``), written before the radius orbits ran on bare
+exponents; it pins the ``radius:classify-vs-orbit`` FAILs in it as they
+stand.
 ``tests/golden/text/`` holds the ``--output text`` stdout of every command
 (``TEXT_RUNS`` and ``GRID_TEXT_ROWS``), written before the commands shared
 one output path.  A refactor must
@@ -264,15 +269,48 @@ def roster(seed: int = ROSTER_SEED, size: int = ROSTER_SIZE) -> list:
     return out
 
 
-def radius_lemma_digests(params_list) -> dict:
-    """sha256 per case over the ``check_radius_lemmas`` entry lines, in
-    roster order."""
+def radius_window_specs() -> list:
+    """The 8,820 specs of the radius-layer window: p = 3, vc = 0 and va, vb
+    in [-4, 4].  Off the EQ regime (vb != 0) each of the 72 triples takes
+    every pair of crit_b in {None, zero, bound_b * p**(-k/2) for k = 0..8}
+    and crit_c in {None, infinity, bound_c * p**(k/2) for k = 0..8}: 121
+    pairs.  In the EQ regime (vb = 0) each of the 9 triples takes crit_b in
+    {None, zero, infinity, |b| * p**(d/2) for d = -4..4}: 12 specs.  Order:
+    va, then vb, then crit_b, then crit_c, each as listed."""
+    from udyn.radiusmaps import Radius, RadiusMapSpec, Regime
+
+    p = 3
+    specs = []
+    for va in range(-4, 5):
+        for vb in range(-4, 5):
+            base = RadiusMapSpec(p, va, vb, 0)
+            if base.regime is Regime.EQ:
+                crits_b = [None, Radius.zero(p), Radius.infinite(p)] + [
+                    Radius.from_exponent(p, -2 * vb + d) for d in range(-4, 5)
+                ]
+                specs.extend(RadiusMapSpec(p, va, vb, 0, cb) for cb in crits_b)
+                continue
+            top, bottom = base.bound_b.q2, base.bound_c.q2
+            crits_b = [None, Radius.zero(p)] + [
+                Radius.from_exponent(p, top - k) for k in range(9)
+            ]
+            crits_c = [None, Radius.infinite(p)] + [
+                Radius.from_exponent(p, bottom + k) for k in range(9)
+            ]
+            specs.extend(
+                RadiusMapSpec(p, va, vb, 0, cb, cc) for cb in crits_b for cc in crits_c
+            )
+    return specs
+
+
+def radius_lemma_digests(specs) -> dict:
+    """sha256 per case over the ``check_radius_lemmas`` entry lines of
+    these specs, in order."""
     from udyn.oracle import check_radius_lemmas
     from udyn.portrait import case_of
 
     hashes: dict = {}
-    for params in params_list:
-        spec = params.radius_spec()
+    for spec in specs:
         h = hashes.setdefault(case_of(spec)[1], hashlib.sha256())
         for e in check_radius_lemmas([spec]):
             line = json.dumps(e.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -398,12 +436,19 @@ def test_roster_digests_match_golden():
 
 def test_radius_lemma_digests_match_golden():
     expected = json.loads((GOLDEN / "radius_lemmas_seed0.json").read_text(encoding="utf-8"))
-    assert radius_lemma_digests(roster()) == expected
+    assert radius_lemma_digests(pr.radius_spec() for pr in roster()) == expected
 
 
 def test_radius_walk_digests_match_golden():
     expected = json.loads((GOLDEN / "radius_walks_seed0.json").read_text(encoding="utf-8"))
     assert radius_walk_digests(roster()) == expected
+
+
+def test_radius_window_digests_match_golden():
+    specs = radius_window_specs()
+    assert len(specs) == 8820
+    expected = json.loads((GOLDEN / "radius_window_p3.json").read_text(encoding="utf-8"))
+    assert radius_lemma_digests(specs) == expected
 
 
 # ------------------------------------------------------------------ writer
@@ -439,8 +484,9 @@ def write_golden() -> None:
         )
     for name, digests in (
         ("roster_seed0.json", roster_digests(classify(pr) for pr in roster())),
-        ("radius_lemmas_seed0.json", radius_lemma_digests(roster())),
+        ("radius_lemmas_seed0.json", radius_lemma_digests(pr.radius_spec() for pr in roster())),
         ("radius_walks_seed0.json", radius_walk_digests(roster())),
+        ("radius_window_p3.json", radius_lemma_digests(radius_window_specs())),
     ):
         (GOLDEN / name).write_text(
             json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8"
