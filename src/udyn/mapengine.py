@@ -735,10 +735,12 @@ def _exact_pair(
     if mode.kind is SqrtKind.RATIONAL_SQUARE:
         s = mode.root
         x1, x2, m1, m2 = u + v * s, u - v * s, m - n * s, m + n * s
-    else:
-        x1 = QuadExt(u, v, a)
-        x2, m1, m2 = x1._new(u, -v), x1._new(m, -n), x1._new(m, n)
-    return _info("x1", x1, m1, params.p), _info("x2", x2, m2, params.p)
+        return _info("x1", x1, m1, params.p), _info("x2", x2, m2, params.p)
+    x1 = QuadExt(u, v, a)
+    first = _info("x1", x1, x1._new(m, -n), params.p)
+    # s -> -s fixes Q_p and commutes with f, so it maps x1 to x2 and m1 to
+    # m2: both pairs have equal norms, so equal valuations and characters
+    return first, replace(first, which="x2", location=x1._new(u, -v), multiplier=x1._new(m, n))
 
 
 def _fp_pair(

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from udyn import cli, exactnum, mapengine
@@ -627,6 +627,17 @@ def test_exact_fixed_points_are_fixed_with_their_multipliers(case):
     _, y1, y2 = fixed_points(params, conjugate_root=not conjugate)
     assert (y1.location, y1.multiplier) == (x2.location, x2.multiplier)
     assert (y2.location, y2.multiplier) == (x1.location, x1.multiplier)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_fixed_point_cases(SqrtKind.QP_NONSQUARE))
+@example(case=(validate_params(2, 5, 1, 3), False))  # a nonsquare at p = 2
+def test_nonsquare_x2_reuses_the_norms_of_x1(case):
+    # x2 and m2 are the conjugates of x1 and m1, so fixed_points copies x1's
+    # valuations and character to x2 instead of taking two more norms
+    params, conjugate = case
+    _, _, x2 = fixed_points(params, conjugate_root=conjugate)
+    assert x2 == mapengine._info("x2", x2.location, x2.multiplier, params.p)
 
 
 @pytest.mark.parametrize("raw", [(3, 4, 1, 3), (3, 2, 3, 1)])
