@@ -79,7 +79,6 @@ from .mapengine import (
 )
 from .portrait import PhasePortrait, classify, separation_identity
 from .radiusmaps import (
-    CriticalValueNeeded,
     Cycle,
     EventuallyConstantAt,
     EventuallyInLambda,
@@ -95,6 +94,7 @@ from .radiusmaps import (
     TwoCycleRegion,
     fix_set,
     limit_classify,
+    _image,  # the radius map's step rule on exponents
     radius_orbit,
     radius_step,
 )
@@ -326,12 +326,10 @@ class _Context(NamedTuple):
     ) -> "_Context":
         """Checks that the three counts are at least 1, then classifies once,
         with fixed points at max(64, precision) digits."""
-        if sample_count < 1:
-            raise InvalidArgument(f"sample count must be >= 1, got {sample_count}")
-        if horizon < 1:
-            raise InvalidArgument(f"horizon must be >= 1, got {horizon}")
-        if precision < 1:
-            raise InvalidArgument(f"precision must be >= 1, got {precision}")
+        counts = (("sample count", sample_count), ("horizon", horizon), ("precision", precision))
+        for name, n in counts:
+            if n < 1:
+                raise InvalidArgument(f"{name} must be >= 1, got {n}")
         portrait = classify(params, precision=max(64, precision))
         infos = {i.which: i for i in portrait.fixed_points}
         try:
@@ -637,26 +635,24 @@ def _interval_reachable(
         + max(abs(start.q2), 2 * spec.val_b, 2 * spec.val_c, 2 * abs(spec.val_a))
         + 32
     )
-    bound_b, bound_c = spec.bound_b, spec.bound_c  # largest / smallest sphere image
+    top_b, bottom_c = spec.bound_b.q2, spec.bound_c.q2  # largest / smallest sphere image
     seen: set = set()
-    frontier = [start]
+    frontier = [start.q2]  # every exponent stays finite: the spheres fan out
     while frontier:
-        r = frontier.pop()
-        if r.is_zero or r.is_infinite:
-            continue
-        if lam.contains(r):
+        q = frontier.pop()
+        if q in lam.q2s:
             return True
-        if r.q2 in seen:
+        if q in seen:
             continue
-        seen.add(r.q2)
-        if abs(r.q2) > window or len(seen) > 4096:
+        seen.add(q)
+        if abs(q) > window or len(seen) > 4096:
             return None
-        if r.q2 == -2 * spec.val_b:
-            frontier.extend(bound_b.scaled_by_power(-2 * vstep * k) for k in range(kcap))
-        elif r.q2 == -2 * spec.val_c:
-            frontier.extend(bound_c.scaled_by_power(2 * vstep * k) for k in range(kcap))
+        if q == -2 * spec.val_b:
+            frontier.extend(top_b - 2 * vstep * k for k in range(kcap))
+        elif q == -2 * spec.val_c:
+            frontier.extend(bottom_c + 2 * vstep * k for k in range(kcap))
         else:
-            frontier.append(radius_step(r, spec))
+            frontier.append(_image(q, spec))
     return False
 
 
@@ -1048,7 +1044,7 @@ def _verdicts_compatible(r: Radius, orbit_v, limit_v) -> bool:
 def _classify_vs_orbit(spec: RadiusMapSpec, orbits, lam):
     """The closed-form classifier against the mechanical iterator."""
     for orb in orbits:
-        r = orb.trajectory[0]
+        r = orb.start
         limit_v = limit_classify(r, spec)
         if not _verdicts_compatible(r, orb.verdict, limit_v):
             kinds = {"orbit": type(orb.verdict).__name__, "classifier": type(limit_v).__name__}
@@ -1059,37 +1055,37 @@ def _classify_vs_orbit(spec: RadiusMapSpec, orbits, lam):
 def _fix_set_check(spec: RadiusMapSpec, orbits, lam):
     """The fixed-radius set, and radii on its rays, are fixed by the map."""
     fs = fix_set(spec)
-    fixed = list(fs.members) + [
-        ray.bound.scaled_by_power(e2)
+    fixed = [r.q2 for r in fs.members] + [
+        ray.bound.q2 + e2
         for ray in fs.rays
         for e2 in ((-3, -1) if ray.side == "below" else (1, 3))
     ]
-    moved = [r for r in fixed if radius_step(r, spec) != r]
+    moved = [q2 for q2 in fixed if _image(q2, spec) != q2]
     if moved:
-        return len(fixed), "FAIL", {"radius": str(moved[-1])}, ""
+        return len(fixed), "FAIL", {"radius": str(Radius.from_exponent(spec.p, moved[-1]))}, ""
     return len(fixed), "PASS", None, ""
 
 
 def _lambda_two_cycle(spec: RadiusMapSpec, orbits, lam: LambdaInterval):
     """Members of the interval return after two steps: a core member that
     does not is a FAIL, any other is FLAGGED."""
-    members = lam.lattice_members()
     flagged = 0
     bad = None
-    for r in members:
-        try:
-            back = radius_step(radius_step(r, spec), spec)
-        except CriticalValueNeeded:
-            flagged += 1
+    for q2 in lam.q2s:
+        # members lie strictly between the spheres, so the first step is the
+        # middle zone's; the second may land on a sphere (a row, not an int)
+        back = _image(_image(q2, spec), spec)
+        if back == q2:
             continue
-        if back != r:
-            if lam.in_core(r):
-                bad = {"radius": str(r), "after_two_steps": str(back)}
-                break
-            flagged += 1
+        in_core = lam.core_lo.q2 < q2 < lam.core_hi.q2
+        if in_core and (type(back) is int or back[2] is not None):
+            after = Radius.from_exponent(spec.p, back) if type(back) is int else back[2]
+            bad = {"radius": str(Radius.from_exponent(spec.p, q2)), "after_two_steps": str(after)}
+            break
+        flagged += 1  # outside the core, or on a sphere with no supplied image
     status = "FAIL" if bad else ("FLAGGED" if flagged else "PASS")
     note = f"{flagged} member(s) outside the certified core misbehave" if flagged else ""
-    return len(members), status, bad, note
+    return len(lam.q2s), status, bad, note
 
 
 def _lambda_entry(spec: RadiusMapSpec, orbits, lam: LambdaInterval):
@@ -1103,10 +1099,10 @@ def _lambda_entry(spec: RadiusMapSpec, orbits, lam: LambdaInterval):
     entered = undecided = 0
     trapped: List[str] = []
     for orb in orbits:
-        start = orb.trajectory[0]
-        if not start.is_finite or start.is_zero or lam.contains(start):
+        start = orb.start
+        if not start.is_finite or start.q2 in lam.q2s:
             continue
-        if any(lam.contains(r) for r in orb.trajectory[:_RADIUS_HORIZON]):
+        if any(q2 in lam.q2s for q2 in orb.q2s[:_RADIUS_HORIZON]):
             entered += 1
         elif _interval_reachable(start, spec, lam, vstep) is False:
             trapped.append(str(start))
@@ -1123,8 +1119,8 @@ def _lambda_entry(spec: RadiusMapSpec, orbits, lam: LambdaInterval):
 
 # Each radius lemma: (name, needs the two-cycle interval, check).  A check
 # takes (spec, orbits, interval), where orbits holds one radius orbit of at
-# most ``_RADIUS_HORIZON`` steps per probe radius (its trajectory starts at
-# the probe), and returns (samples, status, counterexample, note).
+# most ``_RADIUS_HORIZON`` steps per probe radius (it starts at the probe),
+# and returns (samples, status, counterexample, note).
 _RADIUS_LEMMAS = (
     ("classify-vs-orbit", False, _classify_vs_orbit),
     ("fix-set", False, _fix_set_check),
@@ -1140,10 +1136,9 @@ def check_radius_lemmas(specs: Sequence[RadiusMapSpec]) -> List[CheckEntry]:
     entries: List[CheckEntry] = []
     for spec in specs:
         label = f"p={spec.p}(va={spec.val_a},vb={spec.val_b},vc={spec.val_c})"
-        lo_q2 = min(-2 * spec.val_b, -2 * spec.val_c) - 5
-        hi_q2 = max(-2 * spec.val_b, -2 * spec.val_c) + 5
+        (lo, _, _), (hi, _, _) = spec.spheres  # the probes reach five beyond them
         probes = [Radius.zero(spec.p), Radius.infinite(spec.p)] + [
-            Radius.from_exponent(spec.p, q2) for q2 in range(lo_q2, hi_q2 + 1)
+            Radius.from_exponent(spec.p, q2) for q2 in range(lo - 5, hi + 6)
         ]
         orbits = [radius_orbit(r, spec, max_iter=_RADIUS_HORIZON) for r in probes]
         has_lam = spec.two_cycle_regime

@@ -14,18 +14,18 @@ runs on bare integer exponents from them:
   (m, k): (1, delta_bottom), then (3, 2(2 v_c - v_a)) in LT or
   (-1, -2(v_a + 2 v_b)) in GT, then (1, delta_top).
 
-On top of them sit the one-step map and its orbits and a closed-form limit
-classifier that crosses each scaling zone in one jump.  The other case
-facts are read off the same tables: the admissible critical values
-(``bound_b``/``bound_c``, the middle zone's map at each sphere, where the
-outer zone agrees), the radius the middle zone fixes (``mid_fixed``), and
-the ladders of radii that land exactly on a critical sphere
-(``ExceptionalSet.on``: the sphere's exponent, stepped by the shift of the
-zone beyond it).  Two facts keep their own case analysis on purpose: the
-set of fixed radii (``fix_set``) and the interval of radii carrying
-two-cycles (``lambda_interval``) are the independent answers the walks are
-checked against, so reading them off the tables would check the tables
-against themselves.
+On top of them sit one step rule on exponents, which the one-step map wraps
+and the orbits run on ints, and a closed-form limit classifier that crosses
+each scaling zone in one jump.  The other case facts are read off the same
+tables: the admissible critical values (``bound_b``/``bound_c``, the middle
+zone's map at each sphere, where the outer zone agrees), the radius the
+middle zone fixes (``mid_fixed``), and the ladders of radii that land
+exactly on a critical sphere (``ExceptionalSet.on``: the sphere's exponent,
+stepped by the shift of the zone beyond it).  Two facts keep their own case
+analysis on purpose: the set of fixed radii (``fix_set``) and the interval
+of radii carrying two-cycles (``lambda_interval``) are the independent
+answers the walks are checked against, so reading them off the tables would
+check the tables against themselves.
 """
 
 from __future__ import annotations
@@ -186,9 +186,6 @@ class Radius:
 
     def __gt__(self, other: "Radius") -> bool:
         return self._cmp(other) > 0
-
-    def __ge__(self, other: "Radius") -> bool:
-        return self._cmp(other) >= 0
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -380,6 +377,21 @@ def _locate(q2: int, spec: RadiusMapSpec):
     return _ABOVE, None
 
 
+def _image(q2: int, spec: RadiusMapSpec):
+    """The step rule on a finite exponent: q2 -> m*q2 + k in its zone, the
+    supplied image on a critical sphere.  A finite image comes back as its
+    exponent, any other as the sphere's row (q2, name, crit), crit then
+    being None (not supplied), zero or infinite."""
+    zone, sphere = _locate(q2, spec)
+    if sphere is None:
+        m, k = spec.zones[zone]
+        return m * q2 + k
+    crit = sphere[2]
+    if crit is not None and crit.kind is RadiusKind.FINITE:
+        return crit.q2
+    return sphere
+
+
 def radius_step(r: Radius, spec: RadiusMapSpec) -> Radius:
     """One application of the induced radius map.
 
@@ -390,14 +402,13 @@ def radius_step(r: Radius, spec: RadiusMapSpec) -> Radius:
         raise InvalidArgument("radius prime does not match the spec")
     if not r.is_finite:
         return r
-    zone, sphere = _locate(r.q2, spec)
-    if sphere is not None:
-        _, name, crit = sphere
-        if crit is None:
-            raise CriticalValueNeeded(name, r)
-        return crit
-    m, k = spec.zones[zone]
-    return Radius.from_exponent(spec.p, m * r.q2 + k)
+    nxt = _image(r.q2, spec)
+    if type(nxt) is int:
+        return Radius.from_exponent(spec.p, nxt)
+    _, name, crit = nxt
+    if crit is None:
+        raise CriticalValueNeeded(name, r)
+    return crit
 
 
 # ------------------------------------------------------------------- verdicts
@@ -507,8 +518,19 @@ class EventuallyInLambda(Verdict):
 
 @dataclass(frozen=True)
 class RadiusOrbitResult:
-    trajectory: Tuple[Radius, ...]
+    """A radius orbit from ``start``: the exponents ``q2s`` of the finite
+    radii it visits, in order, then the zero or infinite radius ``end`` it
+    ends on, if any.  ``trajectory`` holds all as radii, built on first read."""
+
+    start: Radius
+    q2s: Tuple[int, ...]
+    end: Optional[Radius]
     verdict: Verdict
+
+    @cached_property
+    def trajectory(self) -> Tuple[Radius, ...]:
+        radii = tuple(Radius.from_exponent(self.start.p, q2) for q2 in self.q2s)
+        return radii if self.end is None else radii + (self.end,)
 
 
 def _cycle(p: int, q2s: List[int]) -> Cycle:
@@ -528,34 +550,41 @@ def radius_orbit(
     top zone it can only blow up; both are certified without stepping.
     Otherwise steps are taken until a repeat (fixed radius or cycle), a
     critical sphere with no supplied image, or the iteration horizon.
+    Each step is one application of the map to the last exponent.
     """
     if r.p != spec.p:
         raise InvalidArgument("radius prime does not match the spec")
     (lo, _, _), (hi, _, _) = spec.spheres
     (_, d_bottom), _, (_, d_top) = spec.zones
-    traj: List[Radius] = [r]
-    seen: Dict[int, int] = {}  # q2 -> index in traj
+    finite = r.is_finite
+    q2s: List[int] = [r.q2] if finite else []
+    end = None if finite else r  # zero and infinity are fixed
+    seen: Dict[int, int] = {}  # q2 -> its index in q2s
 
     def result(verdict: Verdict) -> RadiusOrbitResult:
-        return RadiusOrbitResult(tuple(traj), verdict)
+        return RadiusOrbitResult(r, tuple(q2s), end, verdict)
 
     for i in range(max_iter):
-        cur = traj[-1]
-        if cur.is_finite:
-            seen[cur.q2] = i
-            if d_bottom < 0 and cur.q2 < lo:
-                return result(ToZero())
-            if d_top > 0 and cur.q2 > hi:
-                return result(ToInfinity())
-        try:
-            nxt = radius_step(cur, spec)
-        except CriticalValueNeeded as e:
-            return result(NeedsCriticalValue(e.sphere))
-        if nxt == cur:
-            return result(FixedAt(cur) if i == 0 else EventuallyConstantAt(cur, i))
-        if nxt.is_finite and nxt.q2 in seen:
-            return result(_cycle(spec.p, [x.q2 for x in traj[seen[nxt.q2] :]]))
-        traj.append(nxt)
+        if end is not None:
+            return result(FixedAt(end) if i == 0 else EventuallyConstantAt(end, i))
+        q = q2s[-1]
+        seen[q] = i
+        if d_bottom < 0 and q < lo:
+            return result(ToZero())
+        if d_top > 0 and q > hi:
+            return result(ToInfinity())
+        nxt = _image(q, spec)
+        if type(nxt) is not int:
+            _, name, end = nxt
+            if end is None:
+                return result(NeedsCriticalValue(name))
+        elif nxt == q:
+            here = Radius.from_exponent(spec.p, q)
+            return result(FixedAt(here) if i == 0 else EventuallyConstantAt(here, i))
+        elif nxt in seen:
+            return result(_cycle(spec.p, q2s[seen[nxt] :]))
+        else:
+            q2s.append(nxt)
     return result(HorizonExceeded())
 
 
@@ -692,22 +721,15 @@ class _RadExpr:
         return cls(r.p, Fraction(0), Fraction(r.p) ** ((r.q2 - 1) // 2))
 
     def _sign(self) -> int:
-        if self.x == 0 and self.y == 0:
-            return 0
-        if self.y == 0:
-            return 1 if self.x > 0 else -1
-        if self.x == 0:
-            return 1 if self.y > 0 else -1
-        if (self.x > 0) == (self.y > 0):
-            return 1 if self.x > 0 else -1
+        sx, sy = (self.x > 0) - (self.x < 0), (self.y > 0) - (self.y < 0)
+        if sx * sy >= 0:
+            return sx or sy
         # x and y*sqrt(p) pull in opposite directions; the larger square wins
         lhs, rhs = self.x * self.x, self.p * self.y * self.y
         if lhs == rhs:
             # would force sqrt(p) rational
             raise InvalidArgument("degenerate comparison")
-        big_is_x = lhs > rhs
-        pos = self.x > 0 if big_is_x else self.y > 0
-        return 1 if pos else -1
+        return sx if lhs > rhs else sy
 
     def __sub__(self, other: "_RadExpr") -> "_RadExpr":
         return _RadExpr(self.p, self.x - other.x, self.y - other.y)
@@ -737,9 +759,9 @@ class LambdaInterval:
     guaranteed to stay inside the inversion zone.
 
     ``lo`` and ``hi`` are the exact ends.  The lattice radii inside them
-    are exactly those with ``q2_lo <= q2 <= q2_hi``; :func:`lambda_interval`
-    finds that exponent window once, from the exact ends, so membership
-    is an integer range test.
+    are exactly those whose exponent lies in the range ``q2s``;
+    :func:`lambda_interval` finds that window once, from the exact ends, so
+    membership, in the interval as in the core, is an integer range test.
 
     Membership outside the core does not certify a two-cycle; the
     verification layer flags those members instead of trusting them.
@@ -751,30 +773,20 @@ class LambdaInterval:
     center: Radius
     core_lo: Radius
     core_hi: Radius
-    q2_lo: int
-    q2_hi: int
+    q2s: range
 
     def contains(self, r: Radius) -> bool:
-        return r.is_finite and self.q2_lo <= r.q2 <= self.q2_hi
+        return r.is_finite and r.q2 in self.q2s
 
     def in_core(self, r: Radius) -> bool:
-        return r.is_finite and self.core_lo < r and r < self.core_hi
+        return r.is_finite and self.core_lo.q2 < r.q2 < self.core_hi.q2
 
     def lattice_members(self) -> Tuple[Radius, ...]:
         """All lattice radii p**(q2/2) inside the interval."""
-        return tuple(
-            Radius.from_exponent(self.p, q2)
-            for q2 in range(self.q2_lo, self.q2_hi + 1)
-        )
+        return tuple(Radius.from_exponent(self.p, q2) for q2 in self.q2s)
 
     def to_dict(self) -> dict:
-        return {
-            "lo": str(self.lo),
-            "hi": str(self.hi),
-            "center": str(self.center),
-            "core_lo": str(self.core_lo),
-            "core_hi": str(self.core_hi),
-        }
+        return {k: str(getattr(self, k)) for k in ("lo", "hi", "center", "core_lo", "core_hi")}
 
 
 def lambda_interval(spec: RadiusMapSpec) -> LambdaInterval:
@@ -785,7 +797,7 @@ def lambda_interval(spec: RadiusMapSpec) -> LambdaInterval:
     clipped to (|c|, |b|).  The center lies strictly inside, so the lattice
     radii of the interval form one run of exponents around it: the walk
     outward from the center, compared against the exact ends, stops at
-    the exponent window ``q2_lo .. q2_hi``.
+    the exponent window ``q2s``.
     """
     if not spec.two_cycle_regime:
         raise InvalidRegime(
@@ -800,16 +812,9 @@ def lambda_interval(spec: RadiusMapSpec) -> LambdaInterval:
     refl_c = rs.scaled(2) - rc
     lo = refl_b if refl_b > rc else rc
     hi = refl_c if refl_c < rb else rb
-    core_lo = max(
-        spec.sphere_c(),
-        Radius.from_exponent(p, -2 * (spec.val_a + spec.val_b)),
-    )
-    core_hi = min(
-        spec.sphere_b(),
-        Radius.from_exponent(
-            p, -2 * (spec.val_a + 2 * spec.val_b - spec.val_c)
-        ),
-    )
+    va, vb, vc = spec.val_a, spec.val_b, spec.val_c
+    core_lo = Radius.from_exponent(p, max(-2 * vc, -2 * (va + vb)))
+    core_hi = Radius.from_exponent(p, min(-2 * vb, -2 * (va + 2 * vb - vc)))
 
     def inside(q2: int) -> bool:
         e = _RadExpr.from_radius(Radius.from_exponent(p, q2))
@@ -820,7 +825,7 @@ def lambda_interval(spec: RadiusMapSpec) -> LambdaInterval:
         q2_lo -= 1
     while inside(q2_hi + 1):
         q2_hi += 1
-    return LambdaInterval(p, lo, hi, center, core_lo, core_hi, q2_lo, q2_hi)
+    return LambdaInterval(p, lo, hi, center, core_lo, core_hi, range(q2_lo, q2_hi + 1))
 
 
 # ------------------------------------------------------- closed-form classifier

@@ -850,3 +850,39 @@ def test_orbit_and_classifier_agree_on_critical_values(spec):
     for r in _probe_radii(spec):
         orbit_v = radius_orbit(r, spec).verdict
         assert _verdicts_compatible(r, orbit_v, limit_classify(r, spec)), (spec, r)
+
+
+@st.composite
+def orbit_specs(draw):
+    """Specs with p in {2, 3, 5}, valuations in [-6, 6], and admissible
+    critical images drawn from None, zero, infinity and finite radii:
+    crit_b at or below bound_b, crit_c at or above bound_c, and any crit_b
+    in the EQ regime.  The two-cycle regime is included."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    va, vb, vc = (draw(st.integers(-6, 6)) for _ in range(3))
+    base = RadiusMapSpec(p, va, vb, vc)
+    finite = lambda lo, hi: st.integers(lo, hi).map(lambda q2: rad(p, q2))
+    if base.regime is Regime.EQ:
+        zero_inf = st.sampled_from((Radius.zero(p), Radius.infinite(p)))
+        crit_b = draw(st.none() | zero_inf | finite(-30, 30))
+        return RadiusMapSpec(p, va, vb, vc, crit_b)
+    top, bottom = base.bound_b.q2, base.bound_c.q2
+    crit_b = draw(st.none() | st.just(Radius.zero(p)) | finite(top - 16, top))
+    crit_c = draw(st.none() | st.just(Radius.infinite(p)) | finite(bottom, bottom + 16))
+    return RadiusMapSpec(p, va, vb, vc, crit_b, crit_c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=orbit_specs(), max_iter=st.integers(0, 40), q2=st.integers(-60, 60))
+@example(spec=spec_of(3, 9, 3, 1, crit_c=Radius.infinite(3)), max_iter=1, q2=0)
+def test_radius_orbit_is_mechanical(spec, max_iter, q2):
+    # radius:classify-vs-orbit holds limit_classify to radius_orbit, so the
+    # orbit must take exactly one application of the map per step
+    for r in _probe_radii(spec) + [rad(spec.p, q2)]:
+        res = radius_orbit(r, spec, max_iter)
+        traj = res.trajectory
+        assert traj[0] == r and len(traj) <= max_iter + 1, (spec, r)
+        for before, after in zip(traj, traj[1:]):
+            assert after == radius_step(before, spec), (spec, r)
+        if res.verdict == HorizonExceeded():
+            assert len(traj) == max_iter + 1, (spec, r)
