@@ -410,7 +410,8 @@ def _add_run_flags(sp) -> None:
         "--seed", type=int, default=None, help="sampling seed (default: $UDYN_SEED or 0)"
     )
     sp.add_argument(
-        "--precision", type=int, default=96, help="digits of orbits and fixed points (min 64)"
+        "--precision", type=int, default=96,
+        help="digits of the fixed points (min 64); sampled orbits start at 16 and double",
     )
 
 

@@ -9,11 +9,11 @@ valuations, never a float comparison.
 
 One run builds one ``_Context`` (``_Context.of``): it checks the counts,
 classifies the parameters once, with fixed points at max(64, precision)
-digits, and computes the probe radii and |x1 - x2| once.  The three check
-families ``check_fixed_points``, ``check_lemma1`` and ``check_portrait``
-take only that context: the fixed-point checks and the portrait's claims
-read the same fixed points, and the conditional claims read the
-portrait's exceptional ladder.
+digits (the only digits ``precision`` sets), and computes the probe radii
+and |x1 - x2| once.  The three check families ``check_fixed_points``,
+``check_lemma1`` and ``check_portrait`` take only that context: the
+fixed-point checks and the portrait's claims read the same fixed points,
+and the conditional claims read the portrait's exceptional ladder.
 
 Every check that runs sampled orbits goes through one sampling engine.
 A ``_Plan`` fixes the seed stride between probe radii, the per-radius
@@ -108,7 +108,10 @@ _RADIUS_HORIZON = 80
 # (horizon and sample counts of the half-integer spheres) until it is rewritten
 _QUAD_CAP = 6
 _QUAD_SAMPLES = 2
-_MAX_DIGITS = 1 << 13
+# sampled orbits start at this width and double while the precision runs
+# out, the last try at _MAX_DIGITS or wider; verdicts read certified valuations
+_START_DIGITS = 16
+_MAX_DIGITS = 1 << 14
 
 
 class WrongSphere(InvalidArgument):
@@ -231,11 +234,12 @@ def _sample(radius: Radius, params: MapParams, count: int, seed: int) -> list:
         return []
 
 
-def _run_orbit(x0, params: MapParams, steps: int, precision: int):
+def _run_orbit(x0, params: MapParams, steps: int):
     """Orbit record with certified valuations.  Every start, rational or in
-    Q_p(sqrt(a)), is lifted to ``precision`` digits and run in truncated
+    Q_p(sqrt(a)), is lifted to ``_START_DIGITS`` digits and run in truncated
     arithmetic, retried with twice the digits while the precision runs out;
-    extension starts keep the ``_QUAD_CAP`` horizon.
+    extension starts keep the ``_QUAD_CAP`` horizon.  The valuations are
+    exact at any width, so the width decides only whether the steps finish.
 
     A rational start runs as a ``projective_orbit``: the judges read
     valuations and only a few points, so its steps spend no unit inverse
@@ -247,7 +251,7 @@ def _run_orbit(x0, params: MapParams, steps: int, precision: int):
     quad = isinstance(x0, QuadExt)
     if quad:
         steps = min(steps, _QUAD_CAP)
-    digits = precision
+    digits = _START_DIGITS
     while True:
         if quad:
             rec = orbit(lift_point(x0, params, digits), params, steps, precision=digits)
@@ -307,7 +311,7 @@ def _fate(rec, ctx: _Context) -> _Fate:
 class _Context(NamedTuple):
     """What every check family of one run shares, built once by ``of``:
     the portrait, its fixed points by name, the probe radii, |x1 - x2|
-    (None if uncertified), and the run's counts and seed."""
+    (None if uncertified), the run's counts, seed and fixed-point digits."""
 
     params: MapParams
     spec: RadiusMapSpec
@@ -318,7 +322,7 @@ class _Context(NamedTuple):
     sample_count: int
     horizon: int
     seed: int
-    precision: int
+    fp_digits: int
 
     @classmethod
     def of(
@@ -330,7 +334,8 @@ class _Context(NamedTuple):
         for name, n in counts:
             if n < 1:
                 raise InvalidArgument(f"{name} must be >= 1, got {n}")
-        portrait = classify(params, precision=max(64, precision))
+        fp_digits = max(64, precision)
+        portrait = classify(params, precision=fp_digits)
         infos = {i.which: i for i in portrait.fixed_points}
         try:
             gap = point_val(infos["x1"].location - infos["x2"].location, params.p)
@@ -339,7 +344,7 @@ class _Context(NamedTuple):
             separation = None
         return cls(
             params, params.radius_spec(), portrait, infos, _probe_radii(params),
-            separation, sample_count, horizon, seed, precision,
+            separation, sample_count, horizon, seed, fp_digits,
         )
 
 
@@ -378,7 +383,7 @@ def check_fixed_points(ctx: _Context) -> List[CheckEntry]:
             )
         )
 
-    swapped = fixed_points(params, precision=max(64, ctx.precision), conjugate_root=True)
+    swapped = fixed_points(params, precision=ctx.fp_digits, conjugate_root=True)
     truncated = isinstance(infos[1].location, TruncatedPadic)
     key = "location_val" if truncated else "location"
     pairs = ((swapped[1], infos[2]), (swapped[2], infos[1]))
@@ -500,7 +505,7 @@ def _judged(name: str, tag: str, claim, ctx: _Context, plan: _Plan, draws) -> Ch
     for i, radius, x0 in draws:
         t.samples += 1
         steps = plan.steps(ctx.horizon, i)
-        rec = _run_orbit(x0, ctx.params, steps, ctx.precision) if steps else None
+        rec = _run_orbit(x0, ctx.params, steps) if steps else None
         verdict = plan.judge(ctx, claim, t, i, radius, x0, rec)
         if verdict is None:
             t.passed += 1
@@ -922,35 +927,36 @@ def _stated_check(claim, ctx: _Context, seed: int) -> List[CheckEntry]:
 
 def _condition_qualifier(claim, ctx: _Context):
     """Sample filter for conditional claims: evaluates the critical value
-    at the orbit's arrival on the critical sphere and keeps the sample
-    when the stated condition holds."""
+    at the orbit's arrival x_k on the critical sphere, after k > 0 steps as
+    |x_(k+1)|, certified at any width, and keeps the sample when the
+    stated condition holds."""
     cond = claim.detail("condition")
     if cond is None:
         return None
     params = ctx.params
     which = "b" if cond.startswith("b*") else "c"
+    w_val = params.val_b if which == "b" else params.val_c
     want_in = not cond.endswith("-not-in-ladder")
     eset = ctx.portrait.exceptional
 
     def qualifier(x0) -> bool:
         region = claim.region
-        y = x0
+        k = 0
         if region is not None and region.kind == "on-ladder":
-            k = region.ladder.member(
-                Radius.from_val(params.p, point_val(x0, params.p))
-            )
+            k = region.ladder.member(Radius.from_val(params.p, point_val(x0, params.p)))
             if k is None:
                 return False
-            if k > 0:
-                # the judge reruns it: 54 of 10,985 grid steps, vs ~400 to qualify on full orbits
-                rec = _run_orbit(x0, params, k, ctx.precision)
-                if len(rec.points) <= k:
-                    return False
-                y = rec.points[k]
-        try:
-            crit = critical_value_at(y, params, which)
-        except (PrecisionExhausted, PoleHit, WrongSphere):
-            return False
+        if k:
+            # the judge reruns it: 90 of 11,021 grid steps, vs ~400 to qualify on full orbits
+            vals = _run_orbit(x0, params, k + 1).valuations
+            if len(vals) <= k + 1 or vals[k] != w_val:
+                return False  # ended before step k + 1, or x_k off the sphere
+            crit = Radius.from_val(params.p, vals[k + 1])
+        else:
+            try:
+                crit = critical_value_at(x0, params, which)
+            except (PrecisionExhausted, PoleHit, WrongSphere):
+                return False
         member = eset.member(crit) if eset is not None else None
         return (member is not None) if want_in else (member is None)
 
@@ -1188,8 +1194,9 @@ def run_verification(
     """The full suite for one parameter set: fixed-point algebra, the
     point-vs-radius bridge, every portrait claim, and the radius-level
     lemmas for this spec, all on one context.  ``sample_count``, ``horizon``
-    and ``precision`` must be at least 1; ``precision`` also sets the digits
-    of the fixed points, at least 64."""
+    and ``precision`` must be at least 1; ``precision`` sets only the
+    digits of the fixed points, at least 64.  The sampled orbits start at
+    ``_START_DIGITS`` (16) digits and double while the precision runs out."""
     ctx = _Context.of(params, sample_count, horizon, seed, precision)
     report = VerificationReport(params, seed, horizon, portrait=ctx.portrait)
     report.checks.extend(check_fixed_points(ctx))

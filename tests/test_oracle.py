@@ -111,8 +111,8 @@ def _critical_value_one_step_off(x, params, which):
     return _TRUE_CRITICAL_VALUE(x, params, which).scaled_by_power(-2)
 
 
-def _orbit_cut_to_start(x0, params, steps, precision):
-    rec = _TRUE_RUN_ORBIT(x0, params, steps, precision)
+def _orbit_cut_to_start(x0, params, steps):
+    rec = _TRUE_RUN_ORBIT(x0, params, steps)
     return OrbitRecord(rec.points[:1], rec.valuations[:1], PrecisionExhaustedAt(1))
 
 
@@ -174,8 +174,8 @@ def _landing_shifted(min_steps):
     """A _run_orbit whose last valuation is 2 too high (the radius p**-2
     times too small) on orbits of at least ``min_steps`` steps."""
 
-    def run(x0, params, steps, precision):
-        rec = _TRUE_RUN_ORBIT(x0, params, steps, precision)
+    def run(x0, params, steps):
+        rec = _TRUE_RUN_ORBIT(x0, params, steps)
         if steps < min_steps:
             return rec
         vals = rec.valuations[:-1] + (rec.valuations[-1] + 2,)
@@ -223,9 +223,9 @@ def test_returns_to_sphere_without_ladder_is_pinned():
     }
 
 
-def _ending_at_zero(x0, params, steps, precision):
+def _ending_at_zero(x0, params, steps):
     """A _run_orbit whose orbit lands on exact zero after its start."""
-    rec = _TRUE_RUN_ORBIT(x0, params, steps, precision)
+    rec = _TRUE_RUN_ORBIT(x0, params, steps)
     return OrbitRecord(rec.points[:1], rec.valuations[:1] + (TOP,), rec.termination)
 
 
@@ -509,34 +509,74 @@ def test_entry_flag_carries_trapped_radii():
     assert rad.counterexample["trapped_radii"]
 
 
-def test_sampled_orbit_retries_with_doubled_digits(monkeypatch):
-    # the orbit of 311/172 on (3, 9, 3, 1) runs out of digits within 25
-    # steps at 2, 4, 8 and 16 digits (at steps 2, 3, 8 and 16), so
-    # _run_orbit doubles the width until 32 digits carry all 25 steps
-    params = validate_params(3, 9, 3, 1)
+def _spy_widths(monkeypatch, run=None):
+    """Records the width of every projective orbit _run_orbit tries."""
     widths = []
-    run = oracle.projective_orbit
+    run = run or oracle.projective_orbit
 
     def spy(x, params, n, digits):
         widths.append(digits)
         return run(x, params, n, digits)
 
     monkeypatch.setattr(oracle, "projective_orbit", spy)
-    retried = _run_orbit(F(311, 172), params, 25, 2)
-    assert widths == [2, 4, 8, 16, 32]
+    return widths
+
+
+def test_sampled_orbit_retries_with_doubled_digits(monkeypatch):
+    # the orbit of 311/172 on (3, 9, 3, 1) runs out of digits within 25
+    # steps at 2, 4, 8 and 16 digits (at steps 2, 3, 8 and 16), so
+    # _run_orbit doubles the width until 32 digits carry all 25 steps
+    params = validate_params(3, 9, 3, 1)
+    widths = _spy_widths(monkeypatch)
+    retried = _run_orbit(F(311, 172), params, 25)
+    assert widths == [16, 32]
     assert retried.termination == Completed(25)
-    for precision in (64, 96):
-        widths.clear()
-        wide = _run_orbit(F(311, 172), params, 25, precision)
-        assert widths == [precision]
-        assert (wide.valuations, wide.termination) == (retried.valuations, retried.termination)
+    widths.clear()
+    monkeypatch.setattr(oracle, "_START_DIGITS", 2)
+    narrow = _run_orbit(F(311, 172), params, 25)
+    assert widths == [2, 4, 8, 16, 32]
+    assert (narrow.valuations, narrow.termination) == (retried.valuations, retried.termination)
+
+
+def test_sampled_orbit_keeps_the_retry_ceiling(monkeypatch):
+    # an orbit that never finishes is tried up to at least 12,288 digits,
+    # the widest try of a 96-digit start under the former 8,192 ceiling
+    def exhausted(x, params, n, digits):
+        return OrbitRecord((), (), PrecisionExhaustedAt(0))
+
+    widths = _spy_widths(monkeypatch, exhausted)
+    rec = _run_orbit(F(311, 172), validate_params(3, 9, 3, 1), 25)
+    assert rec.termination == PrecisionExhaustedAt(0)
+    assert widths[0] == oracle._START_DIGITS
+    assert widths == [widths[0] << i for i in range(len(widths))]
+    assert widths[-1] >= 12_288
+
+
+# default_grid() and the extra row whose critical spheres lie furthest apart
+_WIDTH_ROWS = default_grid() + (validate_params(2, F(25, 528), F(656, 49), F(136, 39)),)
+
+
+def _grid_bytes():
+    return [canonical_json(run_verification(params).to_dict()) for params in _WIDTH_ROWS]
+
+
+@pytest.mark.parametrize("width", (1, 4, 16))
+def test_report_does_not_depend_on_the_start_width(monkeypatch, width):
+    # every verdict reads certified valuations, so a narrower start only
+    # retries more; the conditional qualifier once read a 4-digit point
+    # whose critical value was uncertified, and dropped the sample
+    monkeypatch.setattr(oracle, "_START_DIGITS", 96)
+    wide = _grid_bytes()
+    monkeypatch.setattr(oracle, "_START_DIGITS", width)
+    assert _grid_bytes() == wide
 
 
 def test_sampled_orbit_normalises_only_the_points_it_reads(monkeypatch):
     # a rational start steps with no unit inverse: no unit division runs
     # until a point is read, and then one per point, once
     params = validate_params(3, 9, 3, 1)
-    expected = orbit(F(311, 172), params, 25, precision=96).points[7]
+    # the ladder of this orbit ends at 32 digits
+    expected = orbit(F(311, 172), params, 25, precision=32).points[7]
     calls = []
     div = mapengine._div_units
 
@@ -545,7 +585,7 @@ def test_sampled_orbit_normalises_only_the_points_it_reads(monkeypatch):
         return div(*args)
 
     monkeypatch.setattr(mapengine, "_div_units", spy)
-    rec = _run_orbit(F(311, 172), params, 25, 96)
+    rec = _run_orbit(F(311, 172), params, 25)
     assert rec.termination == Completed(25)
     assert calls == []
     assert rec.points[7] == expected
@@ -579,7 +619,7 @@ def test_ramified_samples_run_no_exact_quad_arithmetic(monkeypatch):
 
     monkeypatch.setattr(QuadExt, "__mul__", counted)
     monkeypatch.setattr(QuadExt, "__rmul__", counted)
-    rec = _run_orbit(x0, params, 25, 96)
+    rec = _run_orbit(x0, params, 25)
     assert calls == []
     assert all(isinstance(pt, TruncatedQuad) for pt in rec.points)
     # the _QUAD_CAP horizon of 6 steps; the exact orbit meets its size

@@ -307,7 +307,7 @@ def test_ramified_sampled_orbit_spends_one_inverse_per_step(monkeypatch):
     monkeypatch.setattr(exactnum, "_inv_unit", counting_inv)
     monkeypatch.setattr(mapengine, "_inv_unit", counting_inv)
     monkeypatch.setattr(TruncatedPadic, "__truediv__", counting_div)
-    rec = _run_orbit(x0, params, 25, 96)
+    rec = _run_orbit(x0, params, 25)
     assert rec.termination == Completed(_QUAD_CAP)
     assert calls == {"inv": _QUAD_CAP, "div": 0}
 
