@@ -21,10 +21,11 @@ f is written once, in ``_Bound``: f bound to the domain of one point,
 holding a, b and c in that domain and applying its pole rule (x + c
 exactly zero is the pole; a truncated x + c that is not certified nonzero
 exhausts the precision).  f, f' and |f| and every orbit step go through
-it, and so does the fixed-point pair of a Hensel root of a.  The pair of an
-exact root (rational, or sqrt(a) in the quadratic extension) is read off
-the closed form x1,2 = U +- V*s, m1,2 = M -+ N*s with rational U, V, M and
-N, and certified by the fixed-point equation in coordinates.
+it.  The fixed points of every square class of a are read off one closed
+form, x1,2 = U +- V*s and m1,2 = M -+ N*s with rational U, V, M and N,
+certified by the fixed-point equation in coordinates: s is the rational
+root, sqrt(a) in the quadratic extension, or a Hensel root of a square of
+Q_p only, to whose width the coordinates are lifted.
 
 On any ``TruncatedPadic`` point, f is one fused step on (val, unit,
 digits) integers: x + c under the pole rule and x + b through the sum
@@ -98,6 +99,10 @@ _TRUNCATED = (TruncatedPadic, TruncatedQuad)
 #: every kept numerator and denominator prints within Python's default
 #: 4,300-digit int-to-str limit (about 14,000 bits).
 EXACT_BITS = 1 << 13
+
+#: The widest try of both doubling ladders: the Hensel root of the fixed
+#: points and the verifier's sampled orbits.
+MAX_DIGITS = 1 << 14
 
 
 class PoleHit(ExactError):
@@ -253,8 +258,8 @@ class _Bound:
 
     The coefficients live in that domain: the rationals themselves for
     ``Fraction`` and ``QuadExt`` points, and for a truncated point the
-    ``TruncatedPadic`` lifts to ``width`` digits (by default
-    max(digits, 32)) that ``MapParams.lifted`` keeps per width.
+    ``TruncatedPadic`` lifts to max(digits, 32) digits that
+    ``MapParams.lifted`` keeps per width.
 
     f of any ``TruncatedPadic`` of this prime is one fused step on
     (val, unit, digits) integers (:meth:`_step`), and f of any
@@ -267,12 +272,12 @@ class _Bound:
     point it returns.
     """
 
-    def __init__(self, params: MapParams, x: Point, width: Optional[int] = None) -> None:
+    def __init__(self, params: MapParams, x: Point) -> None:
         self.params = params
         if isinstance(x, _TRUNCATED):
             if x.p != params.p:
                 raise InvalidArgument("point and parameters use different primes")
-            w = max(x.digits, 32) if width is None else width
+            w = max(x.digits, 32)
             self.coef = lambda q: TruncatedPadic.from_rational(q, params.p, w)
             self.a, self.b, self.c = params.lifted(w)
         elif isinstance(x, (int, Fraction, QuadExt)):
@@ -714,15 +719,18 @@ _RESIDUAL = "fixed-point residual is certifiably nonzero; formulas broken"
 
 
 def _exact_pair(
-    params: MapParams, conjugate_root: bool
+    params: MapParams, conjugate_root: bool, s: Optional[TruncatedPadic] = None
 ) -> Tuple[FixedPointInfo, FixedPointInfo]:
-    """x1, x2 and their multipliers from the closed form, when s is exact:
-    the rational root, or sqrt(a) of the quadratic extension.
+    """x1, x2 and their multipliers from the closed form x1,2 = U +- V*s,
+    m1,2 = M -+ N*s, for every square class of a: s is the rational root,
+    sqrt(a) of the quadratic extension, or a given Hensel root ``s`` of a
+    square of Q_p only, to whose width U, V, M and N are lifted.
 
     For x not in {0, -c} (a*b**2 != c**2 and b != c rule both out), f(x) = x
     is (x + c)**2 = a*(x + b)**2.  With x = U +- V*s its rational and s
     coordinates are (U + c)**2 + a*V**2 = a*((U + b)**2 + a*V**2) and
-    (U + c)*V = a*(U + b)*V, which certify both points at once.
+    (U + c)*V = a*(U + b)*V, which certify both points at once, whatever s
+    is.  The other branch of sqrt(a) negates V and N.
     """
     a, b, c = params.a, params.b, params.c
     u, v, m, n = _coordinates(params)
@@ -731,33 +739,19 @@ def _exact_pair(
         raise ExactError(_RESIDUAL)
     if conjugate_root:
         v, n = -v, -n
-    mode = params.sqrt_mode
-    if mode.kind is SqrtKind.RATIONAL_SQUARE:
+    p, mode = params.p, params.sqrt_mode
+    if mode.kind is SqrtKind.QP_NONSQUARE:
+        x1 = QuadExt(u, v, a)
+        first = _info("x1", x1, x1._new(m, -n), p)
+        # s -> -s fixes Q_p and commutes with f, so it maps x1 to x2 and m1
+        # to m2: both pairs have equal norms, so equal valuations and characters
+        return first, replace(first, which="x2", location=x1._new(u, -v), multiplier=x1._new(m, n))
+    if s is None:
         s = mode.root
-        x1, x2, m1, m2 = u + v * s, u - v * s, m - n * s, m + n * s
-        return _info("x1", x1, m1, params.p), _info("x2", x2, m2, params.p)
-    x1 = QuadExt(u, v, a)
-    first = _info("x1", x1, x1._new(m, -n), params.p)
-    # s -> -s fixes Q_p and commutes with f, so it maps x1 to x2 and m1 to
-    # m2: both pairs have equal norms, so equal valuations and characters
-    return first, replace(first, which="x2", location=x1._new(u, -v), multiplier=x1._new(m, n))
-
-
-def _fp_pair(
-    params: MapParams, s: TruncatedPadic, width: int
-) -> Tuple[FixedPointInfo, FixedPointInfo]:
-    """x1, x2 and their multipliers from a truncated root s of a, with the
-    coefficients lifted to ``width`` digits, each point checked by f."""
-    f = _Bound(params, s, width)
-    one, two, b, c = f.coef(1), f.coef(2), f.b, f.c
-    x1 = -(b * s - c) / (s - one)
-    x2 = -(b * s + c) / (s + one)
-    m1 = one + two * (c - b * s) * (s - one) / ((c - b) * s)
-    m2 = one + two * (c + b * s) * (s + one) / ((c - b) * s)
-    for x in (x1, x2):
-        if exact_eq(f.f(x), x) is False:
-            raise ExactError(_RESIDUAL)
-    return _info("x1", x1, m1, params.p), _info("x2", x2, m2, params.p)
+    else:
+        u, v, m, n = (TruncatedPadic.from_rational(q, p, s.digits) for q in (u, v, m, n))
+    vs, ns = v * s, n * s
+    return _info("x1", u + vs, m - ns, p), _info("x2", u - vs, m + ns, p)
 
 
 def fixed_points(
@@ -767,29 +761,27 @@ def fixed_points(
 ) -> Tuple[FixedPointInfo, FixedPointInfo, FixedPointInfo]:
     """The three fixed points x0 = 0, x1, x2 with exact multipliers.
 
-    The scalar domain of x1, x2 follows the square class of a.  When
-    sqrt(a) is rational they are rationals, and when a is not a square of
-    Q_p they lie in the quadratic extension; both read the closed form
-    x1,2 = U +- V*s, m1,2 = M -+ N*s (:func:`_exact_pair`).  When a is a
-    square of Q_p only, they are certified truncated p-adics computed from
-    the Hensel root at ``precision`` digits (at least 8), retried with
-    doubled digits on cancellation (:func:`_fp_pair`).
-    ``conjugate_root`` picks the other branch of sqrt(a), which swaps
-    x1 with x2.
+    x1 and x2 read the closed form x1,2 = U +- V*s, m1,2 = M -+ N*s
+    (:func:`_exact_pair`) in the scalar domain of the square class of a:
+    rationals when sqrt(a) is rational, the quadratic extension when a is
+    not a square of Q_p, and certified truncated p-adics on the Hensel root
+    at ``precision`` digits (at least 8) when a is a square of Q_p only,
+    retried with doubled digits, up to ``MAX_DIGITS``, while cancellation
+    leaves a point or multiplier uncertified.  ``conjugate_root`` picks the
+    other branch of sqrt(a), which swaps x1 with x2.
     """
     first = _fp_zero(params)
     if params.sqrt_mode.kind is not SqrtKind.QP_SQUARE_NOT_RATIONAL:
         return (first,) + _exact_pair(params, conjugate_root)
     digits = max(8, precision)
-    cap = 1 << 14
     while True:
         try:
             s = hensel_sqrt(params.a, params.p, digits)
-            return (first,) + _fp_pair(params, -s if conjugate_root else s, digits)
+            return (first,) + _exact_pair(params, conjugate_root, s)
         except PrecisionExhausted:
-            if digits >= cap:
+            if digits >= MAX_DIGITS:
                 raise
-            digits = min(2 * digits, cap)
+            digits = min(2 * digits, MAX_DIGITS)
 
 
 # ----------------------------------------------------------------- sampling

@@ -29,9 +29,11 @@ checked with seed ``seed + 37 * i``.  The point-vs-radius bridge
 feeds the points it constructs on the critical sphere into the same loop.
 
 Every limit claim (zero, escape, basin, constant radius) is judged by one
-rule from one fate per orbit, ``_fate``: its first crossings of p**-20 and
-p**20, its stable tail and the limit its last radius certifies.  A sample
-FAILs by a certified fate other than its claim's (``_CLAIMED_FATE``) or by
+rule from one fate per orbit, ``_fate``: its first crossings of
+p**-20 * min(|b|, |c|) and p**20 * max(|b|, |c|), its stable tail and the
+limit its last radius certifies.  The thresholds sit on the map's own scale,
+so conjugating by x = p**k * y moves them with the orbit.  A sample FAILs
+by a certified fate other than its claim's (``_CLAIMED_FATE``) or by
 crossing the opposite threshold, and passes by its certificate, or a
 constant radius by 5 stable trailing steps.
 
@@ -61,6 +63,7 @@ from .exactnum import (
     vp_rat,
 )
 from .mapengine import (
+    MAX_DIGITS,
     MapParams,
     PoleHit,
     PrecisionExhaustedAt,
@@ -99,19 +102,19 @@ from .radiusmaps import (
     radius_step,
 )
 
-# |f^n(x)| <= p**-THRESH counts as converged to zero, >= p**THRESH as escaped
+# on the map's own scale, |f^n(x)| <= p**-THRESH * min(|b|, |c|) counts as
+# converged to zero and >= p**THRESH * max(|b|, |c|) as escaped
 _THRESH = 20
 # the radius orbits of the radius lemmas run at most this many steps
 _RADIUS_HORIZON = 80
-# ramified samples run in truncated arithmetic like rational ones, so these
-# throttles no longer bound any cost; they hold the frozen verify output
-# (horizon and sample counts of the half-integer spheres) until it is rewritten
+# the horizon and sample count of the half-integer spheres: they bound the
+# ramified tail, the slowest ops of a grid pass (with both lifted, verify-grid
+# op_p90 went 27.7 -> 78.3 cal), and they hold the frozen verify output
 _QUAD_CAP = 6
 _QUAD_SAMPLES = 2
 # sampled orbits start at this width and double while the precision runs
-# out, the last try at _MAX_DIGITS or wider; verdicts read certified valuations
+# out, the last try at MAX_DIGITS or wider; verdicts read certified valuations
 _START_DIGITS = 16
-_MAX_DIGITS = 1 << 14
 
 
 class WrongSphere(InvalidArgument):
@@ -259,7 +262,7 @@ def _run_orbit(x0, params: MapParams, steps: int):
             rec = projective_orbit(x0, params, steps, digits)
         if (
             not isinstance(rec.termination, PrecisionExhaustedAt)
-            or digits >= _MAX_DIGITS
+            or digits >= MAX_DIGITS
         ):
             return rec
         digits *= 2
@@ -267,8 +270,9 @@ def _run_orbit(x0, params: MapParams, steps: int):
 
 class _Fate(NamedTuple):
     """What an orbit record certifies: the first steps (or None) certifying
-    |x| <= p**-THRESH and |x| >= p**THRESH, the length of its stable tail,
-    and the fate its last radius certifies: zero, infinity, constant or None."""
+    |x| <= p**-THRESH * min(|b|, |c|) and |x| >= p**THRESH * max(|b|, |c|),
+    the length of its stable tail, and the fate its last radius certifies:
+    zero, infinity, constant or None."""
 
     zero_at: Optional[int]
     infinity_at: Optional[int]
@@ -290,9 +294,11 @@ def _fate(rec, ctx: _Context) -> _Fate:
     """The fate of an orbit record.  The certificate is sound as the radius
     dynamics off the critical spheres depends on the radius alone; an exact
     zero is read first, as limit_classify calls the zero radius fixed."""
-    vals = rec.valuations
-    zero_at = next((i for i, v in enumerate(vals) if v is TOP or v >= _THRESH), None)
-    infinity_at = next((i for i, v in enumerate(vals) if v is not TOP and v <= -_THRESH), None)
+    vals, spec = rec.valuations, ctx.spec
+    zero_v = max(spec.val_b, spec.val_c) + _THRESH
+    infinity_v = min(spec.val_b, spec.val_c) - _THRESH
+    zero_at = next((i for i, v in enumerate(vals) if v is TOP or v >= zero_v), None)
+    infinity_at = next((i for i, v in enumerate(vals) if v is not TOP and v <= infinity_v), None)
     tail = 0
     while tail < len(vals) and vals[-1 - tail] == vals[-1]:
         tail += 1
@@ -384,13 +390,10 @@ def check_fixed_points(ctx: _Context) -> List[CheckEntry]:
         )
 
     swapped = fixed_points(params, precision=ctx.fp_digits, conjugate_root=True)
-    truncated = isinstance(infos[1].location, TruncatedPadic)
-    key = "location_val" if truncated else "location"
     pairs = ((swapped[1], infos[2]), (swapped[2], infos[1]))
-    swap_ok = all(getattr(one, key) == getattr(other, key) for one, other in pairs)
-    note = "valuation comparison (truncated root)" if truncated else ""
+    swap_ok = all(one.location == other.location for one, other in pairs)
     cex = {"swapped_x1": str(swapped[1].location)}
-    entries.append(_pass_fail("fp-branch-swap", swap_ok, cex, note, samples=2))
+    entries.append(_pass_fail("fp-branch-swap", swap_ok, cex, samples=2))
 
     actual = ctx.separation
     if actual is None:

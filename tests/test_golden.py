@@ -15,7 +15,9 @@ the kernel bit for bit; it also holds the exact ``orbit`` JSON of
 ``EXACT_ORBIT_ROWS``.  ``tests/golden/fixed_points/`` holds the
 ``fixed-points`` JSON of ``FIXED_POINT_ROWS``, whose truncated roots no grid
 row reaches.  Both were written before f was bound to one scalar-domain
-kernel.  ``radius_lemmas_seed0.json`` holds one sha256 per case over the
+kernel; the two Q_p-square rows were written again when their fixed points
+moved to the closed form U +- V*s, which changed digit counts only.
+``radius_lemmas_seed0.json`` holds one sha256 per case over the
 ``check_radius_lemmas`` entries of the same roster, written before the
 radius lemmas became a table; it pins the known
 ``radius:classify-vs-orbit`` FAILs as they stand.  ``radius_walks_seed0.json``
@@ -106,7 +108,10 @@ FIXED_POINT_ROWS = (
 # to a critical sphere, into a two-cycle and to zero; verify on the extra
 # rows, a ramified row, a BOUNDARY row, a DISCREPANCY row and a row whose
 # radius:classify-vs-orbit FAILs as it stands (a TwoCycleRegion answer for
-# a radius on no two-cycle), which pins the counterexample line and exit 2.
+# a radius on no two-cycle), which pins the counterexample line and exit 2;
+# and verify on two rows with |b| and |c| far from 1, whose true limit-zero
+# and escape claims FAILed while the limits were judged at |x| = p**-20 and
+# p**20 instead of on the map's own scale.
 TEXT_RUNS = (
     *(("fixed-points", row, 0) for row in FIXED_POINT_ROWS),
     *(("orbit", row, 0) for row in EXACT_ORBIT_ROWS),
@@ -122,6 +127,8 @@ TEXT_RUNS = (
     ("verify", (3, "4", "1", "3"), 0),
     ("verify", (3, "9", "3", "1"), 0),
     ("verify", (2, "156/43", "17/100", "2"), 2),
+    ("verify", (2, "180993792/352927", "13051952/295609", "-856269/73659776"), 0),
+    ("verify", (2, "179241/3019894784", "-5454749696/830639", "771423232/257819"), 0),
 )
 # ``grid --samples 6`` over these lines: two rows, a comment and a
 # degenerate row, so it exits 3.

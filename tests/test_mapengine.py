@@ -18,6 +18,7 @@ from udyn.exactnum import (
     SqrtKind,
     TruncatedPadic,
     TruncatedQuad,
+    hensel_sqrt,
     quad_val,
     unit_part,
     vp_rat,
@@ -658,31 +659,48 @@ def _not_apart(x, y):
     return not (d.is_certified and not d.exact_zero)
 
 
+def _hensel_pair(params, s):
+    """x1, x2, m1 and m2 from a truncated root s of a by the quotient
+    formulas x1,2 = -(b*s -+ c)/(s -+ 1) and
+    m1,2 = 1 + 2*(c -+ b*s)*(s -+ 1)/((c - b)*s), with b and c lifted to
+    the root's digits: a reference independent of U, V, M and N."""
+    one, two, b, c = (
+        TruncatedPadic.from_rational(q, params.p, s.digits) for q in (1, 2, params.b, params.c)
+    )
+    return (
+        -(b * s - c) / (s - one),
+        -(b * s + c) / (s + one),
+        one + two * (c - b * s) * (s - one) / ((c - b) * s),
+        one + two * (c + b * s) * (s + one) / ((c - b) * s),
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=_fixed_point_cases(SqrtKind.QP_SQUARE_NOT_RATIONAL))
+@example(case=(validate_params(2, 17, 4, 1), False))  # a square of Q_2 only
+@example(case=(validate_params(3, 59050, 1, 2), True))  # the retry test's row
 def test_closed_form_agrees_with_the_hensel_pair(case):
-    # U +- V*s and M -+ N*s on the Hensel root fixed_points used, against
-    # the truncated pair it computed
+    # the closed form fixed_points returns against the quotient formulas on
+    # the same branch of the Hensel root, widened until they certify every
+    # value: both certify the same valuations and agree on every digit
+    # both certify
     params, conjugate = case
     p = params.p
-    widths = []
-    lift = mapengine.hensel_sqrt
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(
-            mapengine, "hensel_sqrt", lambda a, p, k: widths.append(k) or lift(a, p, k)
-        )
-        _, x1, x2 = fixed_points(params, conjugate_root=conjugate)
-    s = lift(params.a, p, widths[-1])
-    if conjugate:
-        s = -s
-    u, v, m, n = (
-        TruncatedPadic.from_rational(q, p, widths[-1]) for q in mapengine._coordinates(params)
-    )
-    for info, x, mult in ((x1, u + v * s, m - n * s), (x2, u - v * s, m + n * s)):
-        for ours, theirs in ((x, info.location), (mult, info.multiplier)):
-            assert _not_apart(ours, theirs)
-            if ours.is_certified and theirs.is_certified:
-                assert ours.valuation() == theirs.valuation()
+    _, x1, x2 = fixed_points(params, conjugate_root=conjugate)
+    digits = 64
+    while True:
+        s = hensel_sqrt(params.a, p, digits)
+        try:
+            ref = _hensel_pair(params, -s if conjugate else s)
+            if all(t.is_certified for t in ref):
+                break
+        except PrecisionExhausted:
+            pass
+        digits *= 2
+    got = (x1.location, x2.location, x1.multiplier, x2.multiplier)
+    for ours, theirs in zip(got, ref):
+        assert ours.valuation() == theirs.valuation()
+        assert _not_apart(ours, theirs)
 
 
 @pytest.mark.parametrize("raw", ENGINE_PARAMS)
@@ -794,7 +812,8 @@ def _step_cases(draw):
 @given(case=_step_cases())
 def test_fused_step_equals_the_composed_operators(case):
     params, width, x = case
-    bound = _Bound(params, x, width)
+    bound = _Bound(params, x)
+    bound.a, bound.b, bound.c = params.lifted(width)
 
     def composed(x):
         q = (x + bound.b) / bound._den(x)

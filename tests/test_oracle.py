@@ -6,6 +6,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from test_golden import EXTRA_ROWS, golden_text
 
 from udyn import mapengine, oracle, portrait
@@ -19,6 +21,7 @@ from udyn.exactnum import (
 )
 from udyn.mapengine import (
     Completed,
+    DegenerateParams,
     OrbitRecord,
     PoleHit,
     PrecisionExhaustedAt,
@@ -600,6 +603,52 @@ def test_enters_sphere_does_not_pass_an_orbit_that_ended_before_step_k(monkeypat
     monkeypatch.setattr(oracle, "_run_orbit", _orbit_cut_to_start)
     cut = _portrait_entry(params, 3, "enters-sphere")
     assert (cut["status"], cut["note"]) == ("INCONCLUSIVE", "12 orbit(s) ended before step k")
+
+
+# ----------------------------------------------------- scaling invariance
+
+
+@st.composite
+def _scaled_cases(draw):
+    """(params, k): p in {2, 3, 5, 7, 13}, nondegenerate a, b, c =
+    p**v * m/n with v in [-8, 8] and p-units 1 <= |m|, n <= 10**6, and a
+    shift k in [-8, 8]."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    unit = st.integers(1, 10**6).filter(lambda m: m % p)
+
+    def coefficient():
+        m = draw(unit) * draw(st.sampled_from([1, -1]))
+        return F(m, draw(unit)) * F(p) ** draw(st.integers(-8, 8))
+
+    try:
+        params = validate_params(p, coefficient(), coefficient(), coefficient())
+    except DegenerateParams:
+        assume(False)
+    return params, draw(st.integers(-8, 8))
+
+
+def _statuses(params):
+    return [e.status for e in run_verification(params, sample_count=8).checks]
+
+
+# a true limit-zero claim (valuations 8, 4, -7) and a true escape claim
+# (-12, 13, 10) that FAILed while limits were judged at |x| = 2**-20 and 2**20
+_ZERO_ROW = (2, F(180993792, 352927), F(13051952, 295609), F(-856269, 73659776))
+_ESCAPE_ROW = (2, F(179241, 3019894784), F(-5454749696, 830639), F(771423232, 257819))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_scaled_cases())
+@example(case=(validate_params(*_ZERO_ROW), -4))
+@example(case=(validate_params(*_ESCAPE_ROW), -8))
+def test_verify_statuses_are_invariant_under_scaling(case):
+    # x = p**k * y conjugates f_{a,b,c} to f_{a,b/p**k,c/p**k}, and scales
+    # every probe sphere and sample with it: the statuses agree in order
+    # (the radius-lemma names carry the valuations, so names differ)
+    params, k = case
+    lam = F(params.p) ** k
+    conjugate = validate_params(params.p, params.a, params.b / lam, params.c / lam)
+    assert _statuses(conjugate) == _statuses(params)
 
 
 # ------------------------------------------------------------ determinism
