@@ -292,7 +292,8 @@ class RadiusMapSpec:
     @cached_property
     def two_cycle_regime(self) -> bool:
         """|b| > |c|, |a| < 1 and s < 0: the inversion zone pairs radii
-        into two-cycles, and the limit is read from the interval Λ."""
+        into two-cycles, and the limit walk stops at the core of the
+        interval Λ."""
         return self.regime is Regime.GT and self.val_a > 0 and self.s < 0
 
     @cached_property
@@ -502,7 +503,8 @@ class HorizonExceeded(Verdict):
 
 @dataclass(frozen=True)
 class TwoCycleRegion(Verdict):
-    """The radius lies in the interval whose members pair into two-cycles."""
+    """The radius lies in the certified core of the two-cycle interval,
+    so it is on a two-cycle of radii."""
 
     kind: ClassVar[str] = "two-cycle-region"
     region: "LambdaInterval" = None  # type: ignore[assignment]
@@ -510,7 +512,8 @@ class TwoCycleRegion(Verdict):
 
 @dataclass(frozen=True)
 class EventuallyInLambda(Verdict):
-    """The orbit is claimed to enter the two-cycle interval eventually."""
+    """The orbit reaches the certified core of the two-cycle interval
+    after at least one step."""
 
     kind: ClassVar[str] = "eventually-in-lambda"
     region: "LambdaInterval" = None  # type: ignore[assignment]
@@ -855,17 +858,18 @@ def limit_classify(r: Radius, spec: RadiusMapSpec) -> Verdict:
     critical value is followed; with none supplied the verdict is
     :class:`NeedsCriticalValue` unless every admissible value provably
     yields the same limit.  In the two-cycle regime (|b| > |c|, |a| < 1,
-    s < 0) membership of the symmetric interval is reported instead.
+    s < 0) a radius in the certified core of the symmetric interval is on a
+    two-cycle, and a walk that reaches the core after step 0 ends there as
+    :class:`EventuallyInLambda`.  A member of the interval outside the core
+    may be on no two-cycle, so it is walked like any other radius.
     """
     if r.p != spec.p:
         raise InvalidArgument("radius prime does not match the spec")
     if not r.is_finite:
         return FixedAt(r)
-    if spec.two_cycle_regime:
-        region = spec.lambda_region
-        if region.contains(r):
-            return TwoCycleRegion(region)
-        return EventuallyInLambda(region)
+    lam = spec.lambda_region if spec.two_cycle_regime else None
+    if lam is not None and lam.in_core(r):
+        return TwoCycleRegion(lam)
 
     p = spec.p
     (lo, _, _), (hi, _, _) = spec.spheres
@@ -878,6 +882,8 @@ def limit_classify(r: Radius, spec: RadiusMapSpec) -> Verdict:
         return FixedAt(here) if j == 0 else EventuallyConstantAt(here, j)
 
     for _ in range(256):
+        if j and lam is not None and lam.in_core(Radius.from_exponent(p, q)):
+            return EventuallyInLambda(lam)
         zone, sphere = _locate(q, spec)
         if sphere is not None:
             _, name, crit = sphere

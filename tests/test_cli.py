@@ -325,6 +325,25 @@ def test_verify_text_prints_portrait_flags(capsys):
     assert "portrait flags: DISCREPANCY" in out
 
 
+# one flag, two flags and none
+@pytest.mark.parametrize("row", [(3, 9, 3, 1), (3, 3, 1, 6), (3, "1/3", 3, 1)])
+def test_verify_text_prints_what_the_json_carries(capsys, row):
+    argv = [f"--{k}={v}" for k, v in zip("pabc", row)] + ["--samples", "4"]
+    _, text, _ = run(capsys, "verify", *argv)
+    _, doc, _ = run(capsys, "verify", *argv, "--output", "json")
+    body = json.loads(doc)["verification"]
+    statuses = [c["status"] for c in body["checks"]]
+    counts = ", ".join(f"{statuses.count(s)} {s}" for s in ("PASS", "FLAGGED", "INCONCLUSIVE", "FAIL"))
+    tail = text.splitlines()[-3:]
+    assert tail == [
+        f"summary: {len(statuses)} checks — {counts}",
+        f"portrait flags: {', '.join(body['flags']) or '(none)'}",
+        "result: PASS",
+    ]
+    entries = [line.split()[:2] for line in text.splitlines()[2:-3] if not line.startswith(" ")]
+    assert entries == [[c["status"], c["name"]] for c in body["checks"]]
+
+
 def test_verify_json_is_byte_stable(capsys):
     argv = (
         "verify", "--p", "3", "--a", "4", "--b", "1", "--c", "3",

@@ -19,23 +19,25 @@ kernel; the two Q_p-square rows were written again when their fixed points
 moved to the closed form U +- V*s, which changed digit counts only.
 ``radius_lemmas_seed0.json`` holds one sha256 per case over the
 ``check_radius_lemmas`` entries of the same roster, written before the
-radius lemmas became a table; it pins the known
-``radius:classify-vs-orbit`` FAILs as they stand.  ``radius_walks_seed0.json``
+radius lemmas became a table.  ``radius_walks_seed0.json``
 holds one sha256 per case over the radius walks themselves on that roster
 (``radius_orbit`` and ``limit_classify`` from every probe radius of
-``check_radius_lemmas``), written before the walks ran on bare exponents;
-it pins today's ``TwoCycleRegion`` answers as they stand.
+``check_radius_lemmas``), written before the walks ran on bare exponents.
 ``radius_window_p3.json`` holds one sha256 per case over the
 ``check_radius_lemmas`` entries of every spec of an enumerated window
 (``radius_window_specs``), written before the radius orbits ran on bare
-exponents; it pins the ``radius:classify-vs-orbit`` FAILs in it as they
-stand.
+exponents.  The T3.IV digest of all three was written again when
+``limit_classify`` stopped calling a radius of the two-cycle interval
+outside its core ``TwoCycleRegion``, which removed the window's
+``radius:classify-vs-orbit`` FAILs.
 ``tests/golden/text/`` holds the ``--output text`` stdout of every command
 (``TEXT_RUNS`` and ``GRID_TEXT_ROWS``), written before the commands shared
 one output path.  A refactor must
 reproduce these bytes exactly; the files are never regenerated to make a
 change pass.
-``python tests/test_golden.py`` writes them.
+``python tests/test_golden.py`` writes them.  The verify goldens were
+written again when the verifier dropped its second entry for each fixed
+point's character and its report gained the portrait's ``flags``.
 
 The grid rows are compared inside ``test_default_grid_surface_is_frozen``
 (``test_oracle.py``) so the grid verification runs only once.
@@ -107,11 +109,12 @@ FIXED_POINT_ROWS = (
 # one ending precision-exhausted and one from a sqrt(a) start; radius orbits
 # to a critical sphere, into a two-cycle and to zero; verify on the extra
 # rows, a ramified row, a BOUNDARY row, a DISCREPANCY row and a row whose
-# radius:classify-vs-orbit FAILs as it stands (a TwoCycleRegion answer for
-# a radius on no two-cycle), which pins the counterexample line and exit 2;
-# and verify on two rows with |b| and |c| far from 1, whose true limit-zero
-# and escape claims FAILed while the limits were judged at |x| = p**-20 and
-# p**20 instead of on the map's own scale.
+# radius:classify-vs-orbit FAILed while a radius of the two-cycle interval
+# outside its core was called TwoCycleRegion (it is on no two-cycle); verify
+# on two rows with |b| and |c| far from 1, whose true limit-zero and escape
+# claims FAILed while the limits were judged at |x| = p**-20 and p**20
+# instead of on the map's own scale; and verify on the first T1.4.2 and
+# T1.4.3-5 rows of ``sweep_rows()``, at p = 7.
 TEXT_RUNS = (
     *(("fixed-points", row, 0) for row in FIXED_POINT_ROWS),
     *(("orbit", row, 0) for row in EXACT_ORBIT_ROWS),
@@ -126,9 +129,11 @@ TEXT_RUNS = (
     ("verify", RAMIFIED_VERIFY_ROWS[0], 0),
     ("verify", (3, "4", "1", "3"), 0),
     ("verify", (3, "9", "3", "1"), 0),
-    ("verify", (2, "156/43", "17/100", "2"), 2),
+    ("verify", (2, "156/43", "17/100", "2"), 0),
     ("verify", (2, "180993792/352927", "13051952/295609", "-856269/73659776"), 0),
     ("verify", (2, "179241/3019894784", "-5454749696/830639", "771423232/257819"), 0),
+    ("verify", (7, "5/196", "1078/15", "-14/13"), 0),
+    ("verify", (7, "13/3430", "-161/22", "-29/4"), 0),
 )
 # ``grid --samples 6`` over these lines: two rows, a comment and a
 # degenerate row, so it exits 3.
@@ -249,11 +254,11 @@ def text_runs() -> list:
     return [("classify", row, 0) for row in rows] + list(TEXT_RUNS)
 
 
-def _draw(rng: random.Random, p: int) -> Fraction:
+def _draw(rng: random.Random, p: int, bound: int = 50) -> Fraction:
     v = rng.randint(-4, 4)
     while True:
-        m = rng.randint(1, 50) * rng.choice((1, -1))
-        n = rng.randint(1, 50)
+        m = rng.randint(1, bound) * rng.choice((1, -1))
+        n = rng.randint(1, bound)
         if m % p and n % p:
             return Fraction(p) ** v * Fraction(m, n)
 
@@ -274,6 +279,31 @@ def roster(seed: int = ROSTER_SEED, size: int = ROSTER_SIZE) -> list:
         except DegenerateParams:
             continue
     return out
+
+
+def sweep_rows(seed: int = 0, per_leaf: int = 20) -> dict:
+    """case -> the first ``per_leaf`` rows of that case among non-degenerate
+    parameter sets with p in {2, 3, 5, 7} and a, b, c = p**v * m/n, v in
+    [-4, 4], 1 <= |m|, n <= 30, drawn until every one of the 13 cases has
+    ``per_leaf`` rows (at most 20,000 draws)."""
+    from udyn.mapengine import DegenerateParams, validate_params
+    from udyn.portrait import _CASES, case_of
+
+    rng = random.Random(f"verify-sweep/{seed}")
+    rows: dict = {case: [] for case in _CASES}
+    for _ in range(20_000):
+        if all(len(kept) >= per_leaf for kept in rows.values()):
+            break
+        p = rng.choice((2, 3, 5, 7))
+        a, b, c = (_draw(rng, p, 30) for _ in range(3))
+        try:
+            params = validate_params(p, a, b, c)
+        except DegenerateParams:
+            continue
+        kept = rows[case_of(params.radius_spec())[1]]
+        if len(kept) < per_leaf:
+            kept.append(params)
+    return rows
 
 
 def radius_window_specs() -> list:

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_golden import EXTRA_ROWS, golden_text
+from test_golden import EXTRA_ROWS, golden_text, radius_window_specs, sweep_rows
 
 from udyn import mapengine, oracle, portrait
 from udyn.exactnum import (
@@ -345,10 +345,10 @@ def test_wrong_x0_multiplier_fails_fp_lambda0(monkeypatch):
 
 
 def test_fixed_point_character_flag_when_unstated():
-    entries = {e.name: e for e in check_fixed_points(context(validate_params(5, 2, 1, 3)))}
-    assert entries["fp-character:x1"].status == "FLAGGED"
-    assert entries["fp-character:x2"].status == "FLAGGED"
-    assert "no character" in entries["fp-character:x1"].note
+    entries = {e.name: e for e in check_portrait(context(validate_params(5, 2, 1, 3)))}
+    for which in ("x1", "x2"):
+        e = entries[f"portrait:T2.B:fp-character:{which}"]
+        assert (e.status, e.note) == ("FLAGGED", "the applicable case leaves this unspecified")
 
 
 def _radius_lemmas(params):
@@ -357,10 +357,6 @@ def _radius_lemmas(params):
 
 def _fixed_point_checks(params):
     return check_fixed_points(context(params))
-
-
-def _portrait_checks(params):
-    return check_portrait(context(params))
 
 
 def _times_p(value):
@@ -398,19 +394,6 @@ PLANTED_FAULTS = (
         {"fp-separation": ({"actual": "3^-1", "identity": "1"}, "")},
         id="fp-separation",
     ),
-    pytest.param(
-        portrait,
-        "separation_identity",
-        (3, 9, 3, 1),
-        _portrait_checks,
-        {
-            "portrait:T1.2.3:fp-distance": (
-                {"actual": "3^-1", "recomputed": "1"},
-                "identity recomputation does not match the engine",
-            )
-        },
-        id="portrait-fp-distance",
-    ),
 )
 
 
@@ -428,6 +411,17 @@ def test_planted_fault_takes_the_fail_branch(monkeypatch, module, attr, row, run
             cex,
             note,
         ), name
+
+
+def test_planted_identity_fault_fails_fp_separation_alone(monkeypatch):
+    # a wrong separation identity, in every module that binds it: the engine's
+    # |x1 - x2| is held to the identity by one entry, and fp-distance only
+    # compares the stated distance with the identity
+    real = portrait.separation_identity
+    for module in (portrait, oracle):
+        monkeypatch.setattr(module, "separation_identity", lambda params: _times_p(real(params)))
+    report = run_verification(validate_params(3, 9, 3, 1), sample_count=4, horizon=6)
+    assert [e.name for e in report.checks if e.status == "FAIL"] == ["fp-separation"]
 
 
 # --------------------------------------------------- interval reachability
@@ -690,8 +684,17 @@ def test_report_shape():
     assert data["schema"] == 1
     body = data["verification"]
     assert body["params"] == {"p": 3, "a": "2", "b": "3", "c": "1"}
+    # every field of the report is in the document, the portrait flags included
+    assert set(body) == {f.name for f in dataclasses.fields(report)}
+    assert body["flags"] == ["BOUNDARY"]
     names = [c["name"] for c in body["checks"]]
     assert len(names) == len(set(names))
+    # one entry per fact: a character is the portrait's claim alone
+    assert not [n for n in names if n.startswith("fp-character:")]
+    assert {n for n in names if "fp-character" in n} == {
+        "portrait:T1.3:fp-character:x1",
+        "portrait:T1.3:fp-character:x2",
+    }
     for c in body["checks"]:
         assert set(c) == {"name", "tag", "samples", "status", "counterexample", "note"}
 
@@ -718,8 +721,6 @@ GRID_SURFACE = {
     (3, "1/3", "3", "1"): {},
     (3, "9", "1", "2"): {},
     (5, "2", "1", "3"): {
-        "fp-character:x1": "FLAGGED",
-        "fp-character:x2": "FLAGGED",
         "portrait:T2.B:fp-character:x1": "FLAGGED",
         "portrait:T2.B:fp-character:x2": "FLAGGED",
     },
@@ -730,8 +731,6 @@ GRID_SURFACE = {
     },
     (3, "81", "2", "9"): {},
     (3, "3", "1", "6"): {
-        "fp-character:x1": "FLAGGED",
-        "fp-character:x2": "FLAGGED",
         "portrait:T3.IV:enters-region": "FLAGGED",
         "portrait:T3.IV:fp-character:x1": "FLAGGED",
         "portrait:T3.IV:fp-character:x2": "FLAGGED",
@@ -771,8 +770,25 @@ def test_default_grid_surface_is_frozen():
         assert classified + "\n" == golden_text("classify", key), key
 
 
+def test_seeded_sweep_over_every_case_has_no_failures():
+    # 20 drawn rows of each of the 13 cases, the two without a grid row
+    # included, at 8 samples per row
+    rows = sweep_rows()
+    assert all(len(kept) == 20 for kept in rows.values()), rows
+    fails = [
+        (case, str(params.to_dict()), e.name)
+        for case, kept in rows.items()
+        for params in kept
+        for e in run_verification(params, sample_count=8).checks
+        if e.status == "FAIL"
+    ]
+    assert fails == []
+
+
 def test_radius_lemmas_have_no_failures():
-    entries = check_radius_lemmas([params.radius_spec() for params in default_grid()])
+    # the grid's specs and every spec of the p = 3 window (8,820)
+    specs = [params.radius_spec() for params in default_grid()] + radius_window_specs()
+    entries = check_radius_lemmas(specs)
     assert entries
     assert all(isinstance(e, CheckEntry) for e in entries)
-    assert not any(e.status == "FAIL" for e in entries)
+    assert [e.name for e in entries if e.status == "FAIL"] == []

@@ -472,8 +472,10 @@ def test_limit_classify_sweep_builds_lambda_once(monkeypatch):
     probes = [rad(3, q2) for q2 in range(-10, 5)]
     verdicts = [limit_classify(r, spec) for r in probes]
     assert len(builds) == 1
-    assert {type(v) for v in verdicts} == {TwoCycleRegion, EventuallyInLambda}
-    assert all(v.region is spec.lambda_region for v in verdicts)
+    # the critical spheres between the probes need a critical value
+    assert {type(v) for v in verdicts} == {TwoCycleRegion, EventuallyInLambda, NeedsCriticalValue}
+    lam = [v for v in verdicts if isinstance(v, (TwoCycleRegion, EventuallyInLambda))]
+    assert all(v.region is spec.lambda_region for v in lam)
 
 
 def test_spec_caches_are_not_fields():
@@ -545,10 +547,18 @@ def test_limit_classify_gt_two_cycle_region():
     spec = spec_of(3, 3, 1, 6)  # val_a = 1, s = -1
     lam = lambda_interval(spec)
     assert limit_classify(rad(3, -1), spec) == TwoCycleRegion(lam)
-    # |c| = 1/3 is the open lower endpoint, so it is outside the interval
-    assert limit_classify(rad(3, -2), spec) == EventuallyInLambda(lam)
+    # |c| = 1/3 is the open lower endpoint and a critical sphere with no
+    # critical value supplied
+    assert limit_classify(rad(3, -2), spec) == NeedsCriticalValue("c")
     assert limit_classify(rad(3, 5), spec) == EventuallyInLambda(lam)
     assert limit_classify(Radius.zero(3), spec) == FixedAt(Radius.zero(3))
+    # a member of the interval outside the core is on no two-cycle: from
+    # 2^-1/2 the orbit runs 2^5/2 -> 2^1/2 <-> 2^3/2, into the core
+    spec = spec_of(2, F(156, 43), F(17, 100), 2)
+    lam = spec.lambda_region
+    assert lam.contains(rad(2, -1)) and not lam.in_core(rad(2, -1))
+    assert limit_classify(rad(2, -1), spec) == EventuallyInLambda(lam)
+    assert limit_classify(rad(2, 1), spec) == TwoCycleRegion(lam)
 
 
 def test_limit_classify_gt_to_infinity():
