@@ -3,7 +3,8 @@ the report as plain text or byte-stable JSON.
 
 Each command computes its result once and hands ``_emit`` the schema-1
 document and a function that returns the text lines, so ``--output`` only
-chooses how that one result is printed.
+chooses how that one result is printed.  ``main`` builds the parser on each
+call from ``_COMMANDS``, with the subparser of the named command alone.
 
 Exit codes: 0 success (or verification with no FAIL), 1 usage or input
 error (a closed stdout included), 2 a verification FAIL is present, 3
@@ -18,7 +19,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import ExactError, InvalidArgument, QuadExt
 from .mapengine import (
@@ -378,16 +379,6 @@ def cmd_grid(args) -> int:
     return EXIT_DEGENERATE if summary["degenerate"] else EXIT_OK
 
 
-_COMMANDS: Dict[str, Callable] = {
-    "classify": cmd_classify,
-    "fixed-points": cmd_fixed_points,
-    "orbit": cmd_orbit,
-    "radius-orbit": cmd_radius_orbit,
-    "verify": cmd_verify,
-    "grid": cmd_grid,
-}
-
-
 # ------------------------------------------------------------------ parser
 
 
@@ -417,7 +408,52 @@ def _add_run_flags(sp) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_fixed_point_flags(sp) -> None:
+    sp.add_argument("--precision", type=int, default=64, help="certified digits for lifted roots")
+
+
+def _add_orbit_flags(sp) -> None:
+    sp.add_argument("--x", required=True, help='start point: "m/n" or "u+v*sqrt(a)"')
+    sp.add_argument("--n", type=int, default=10, help="number of orbit points")
+    sp.add_argument(
+        "--force-truncated",
+        action="store_true",
+        help="run in truncated p-adic arithmetic at --precision digits"
+        " (rational and sqrt(a) starts alike)",
+    )
+    sp.add_argument("--precision", type=int, default=64, help="certified digits when truncated")
+
+
+def _add_radius_orbit_flags(sp) -> None:
+    sp.add_argument("--r", required=True, help='start radius: "p^q" (q may be k/2)')
+    sp.add_argument("--horizon", type=int, default=200, help="maximum radius steps")
+
+
+def _add_grid_file(sp) -> None:
+    sp.add_argument("file", help="text file of 'p a b c' lines; # comments allowed")
+
+
+# command -> (handler, help line, flag adders in the order its --help lists them)
+_COMMANDS: Dict[str, Tuple[Callable, str, Tuple[Callable, ...]]] = {
+    "classify": (cmd_classify, "phase portrait for the parameters",
+                 (_add_param_flags, _add_output_flag)),
+    "fixed-points": (cmd_fixed_points, "the three fixed points of f",
+                     (_add_param_flags, _add_output_flag, _add_fixed_point_flags)),
+    "orbit": (cmd_orbit, "iterate f from a point",
+              (_add_param_flags, _add_output_flag, _add_orbit_flags)),
+    "radius-orbit": (cmd_radius_orbit, "iterate the induced radius map",
+                     (_add_param_flags, _add_output_flag, _add_radius_orbit_flags)),
+    "verify": (cmd_verify, "run every claim check for the parameters",
+               (_add_param_flags, _add_output_flag, _add_run_flags)),
+    "grid": (cmd_grid, "verify every parameter set in a file",
+             (_add_grid_file, _add_output_flag, _add_run_flags)),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``udyn`` parser with the subparser of ``command`` alone, or with
+    all six when ``command`` is None.  Each subparser parses and words its
+    help and usage errors the same either way."""
     parser = _Parser(
         prog="udyn",
         description=(
@@ -426,61 +462,28 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    sp = sub.add_parser("classify", help="phase portrait for the parameters")
-    _add_param_flags(sp)
-    _add_output_flag(sp)
-
-    sp = sub.add_parser("fixed-points", help="the three fixed points of f")
-    _add_param_flags(sp)
-    _add_output_flag(sp)
-    sp.add_argument(
-        "--precision", type=int, default=64, help="certified digits for lifted roots"
-    )
-
-    sp = sub.add_parser("orbit", help="iterate f from a point")
-    _add_param_flags(sp)
-    _add_output_flag(sp)
-    sp.add_argument(
-        "--x", required=True, help='start point: "m/n" or "u+v*sqrt(a)"'
-    )
-    sp.add_argument("--n", type=int, default=10, help="number of orbit points")
-    sp.add_argument(
-        "--force-truncated",
-        action="store_true",
-        help="run in truncated p-adic arithmetic at --precision digits"
-        " (rational and sqrt(a) starts alike)",
-    )
-    sp.add_argument(
-        "--precision", type=int, default=64, help="certified digits when truncated"
-    )
-
-    sp = sub.add_parser("radius-orbit", help="iterate the induced radius map")
-    _add_param_flags(sp)
-    _add_output_flag(sp)
-    sp.add_argument("--r", required=True, help='start radius: "p^q" (q may be k/2)')
-    sp.add_argument("--horizon", type=int, default=200, help="maximum radius steps")
-
-    sp = sub.add_parser("verify", help="run every claim check for the parameters")
-    _add_param_flags(sp)
-    _add_output_flag(sp)
-    _add_run_flags(sp)
-
-    sp = sub.add_parser("grid", help="verify every parameter set in a file")
-    sp.add_argument("file", help="text file of 'p a b c' lines; # comments allowed")
-    _add_output_flag(sp)
-    _add_run_flags(sp)
+    for name in _COMMANDS if command is None else (command,):
+        _, help_line, adders = _COMMANDS[name]
+        sp = sub.add_parser(name, help=help_line)
+        for add in adders:
+            add(sp)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None).  The
+    parser is built for each call, with only the subparser of the command
+    that ``argv[0]`` names; ``udyn --help``, no argument and an unknown
+    command get the full parser and its text."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code = _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command][0](args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -183,17 +183,10 @@ class MapParams:
     def _radius_spec(self) -> RadiusMapSpec:
         return RadiusMapSpec(self.p, self.val_a, self.val_b, self.val_c)
 
-    def radius_spec(
-        self,
-        crit_b: Optional[Radius] = None,
-        crit_c: Optional[Radius] = None,
-    ) -> RadiusMapSpec:
-        """The induced dynamics on radii for these parameters.  The spec
-        with no critical value is built once and kept (not as a field);
-        one with a critical value is built fresh."""
-        if crit_b is None and crit_c is None:
-            return self._radius_spec
-        return replace(self._radius_spec, crit_b=crit_b, crit_c=crit_c)
+    def radius_spec(self) -> RadiusMapSpec:
+        """The induced dynamics on radii for these parameters, with no
+        critical value; built once and kept (not as a field)."""
+        return self._radius_spec
 
     @functools.cached_property
     def _lifts(self) -> dict:

@@ -104,7 +104,6 @@ from .radiusmaps import (
     limit_classify,
     _image,  # the radius map's step rule on exponents
     radius_orbit,
-    radius_step,
 )
 
 # on the map's own scale, |f^n(x)| <= p**-THRESH * min(|b|, |c|) counts as
@@ -711,32 +710,33 @@ _OUTSIDE = _Plan(_judge_outside, stride=8009)
 
 
 def _judge_bridge(ctx, claim, t, i, radius, x0, rec):
-    """Walk the orbit's radii through the radius map, fed the point-level
-    critical value at each critical-sphere visit.  A start, critical value
-    or later point beyond the working precision leaves the sample pending
-    (precision-limited)."""
+    """Walk the orbit's radii through the radius map on exponents q2 = -2*v
+    (a zero radius held as a ``Radius``) against -2*v of each next point.  A
+    critical sphere's image is the point-level critical value |f(x)|
+    (``critical_value_at``); no spec is built.  A start, critical value or
+    later point beyond the working precision leaves the sample pending."""
     if not rec.points:
         return _PENDING  # start valuation not certified
-    params, spec = ctx.params, ctx.spec
-    vals = rec.valuations
-    r = Radius.from_val(params.p, vals[0])
+    p, spec, vals = ctx.params.p, ctx.spec, rec.valuations
+    r = Radius.zero(p) if vals[0] is TOP else int(-2 * vals[0])
     for j in range(len(rec.points) - 1):
-        use = next((name for q2, name, _ in spec.spheres if r.is_finite and r.q2 == q2), None)
-        step_spec = spec
-        if use is not None:
-            try:
-                crit = critical_value_at(rec.points[j], params, use)
-            except PrecisionExhausted:
-                return _PENDING
-            except PoleHit:
-                return None
-            step_spec = params.radius_spec(**{f"crit_{use}": crit})
-        r = radius_step(r, step_spec)
-        got = Radius.from_val(params.p, vals[j + 1])
-        if got != r:
-            return {"x": str(x0), "step": j + 1, "expected": str(r), "got": str(got)}
-        if r.is_zero:
-            break
+        if type(r) is int:
+            r = _image(r, spec)
+            if type(r) is not int:  # a critical sphere's row (q2, name, None)
+                try:
+                    crit = critical_value_at(rec.points[j], ctx.params, r[1])
+                except PrecisionExhausted:
+                    return _PENDING
+                except PoleHit:
+                    return None
+                r = crit.q2 if crit.is_finite else crit
+        v = vals[j + 1]
+        if r != (Radius.zero(p) if v is TOP else -2 * v):
+            want = Radius.from_exponent(p, r) if type(r) is int else r
+            got = Radius.from_val(p, v)
+            return {"x": str(x0), "step": j + 1, "expected": str(want), "got": str(got)}
+        if type(r) is not int:
+            break  # the zero radius, matched
     return _PENDING if isinstance(rec.termination, PrecisionExhaustedAt) else None
 
 

@@ -1,5 +1,6 @@
 """Command-line front end: flag parsing, rendering, and exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from test_golden import golden_text
 
 import udyn
-from udyn.cli import main, parse_point, parse_radius
+from udyn.cli import build_parser, main, parse_point, parse_radius
 from udyn.exactnum import InvalidArgument, QuadExt
 from udyn.oracle import CheckEntry, VerificationReport
 from udyn.radiusmaps import Radius
@@ -576,3 +577,121 @@ def test_uncertified_prime_exits_1(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+# ---------------------------------------------------------- parser surface
+
+_ROW = ("--p", "3", "--a", "9", "--b", "3", "--c", "1")
+_ROW_NS = {"p": 3, "a": F(9), "b": F(3), "c": F(1)}
+_RUN = ("--samples", "2", "--horizon", "3", "--seed", "4", "--precision", "70")
+_RUN_NS = {"samples": 2, "horizon": 3, "seed": 4, "precision": 70}
+
+# command -> (argv with defaults only, argv with every flag set, the
+# Namespace of the latter, a usage error)
+PARSER_SURFACE = {
+    "classify": (_ROW, (*_ROW, "--output", "json"), _ROW_NS, ("--p", "3")),
+    "fixed-points": (
+        _ROW, (*_ROW, "--output", "json", "--precision", "8"),
+        {**_ROW_NS, "precision": 8}, (*_ROW, "--output", "xml"),
+    ),
+    "orbit": (
+        (*_ROW, "--x", "7/5"),
+        (*_ROW, "--output", "json", "--x", "7/5", "--n", "3", "--force-truncated",
+         "--precision", "8"),
+        {**_ROW_NS, "x": "7/5", "n": 3, "force_truncated": True, "precision": 8},
+        ("--x", "7/5", "--p", "3"),
+    ),
+    "radius-orbit": (
+        (*_ROW, "--r", "3^1"), (*_ROW, "--output", "json", "--r", "3^1", "--horizon", "9"),
+        {**_ROW_NS, "r": "3^1", "horizon": 9}, (*_ROW, "--r", "3^1", "--output", "xml"),
+    ),
+    "verify": (_ROW, (*_ROW, "--output", "json", *_RUN), {**_ROW_NS, **_RUN_NS}, ("--p", "3")),
+    "grid": (
+        ("g.txt",), ("g.txt", "--output", "json", *_RUN), {"file": "g.txt", **_RUN_NS},
+        ("g.txt", "--output", "xml"),
+    ),
+}
+
+
+def _parse(capsys, parser, argv):
+    """(the Namespace's fields or the exit code, stdout, stderr) of one parse."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", list(PARSER_SURFACE))
+def test_one_command_parser_parses_as_the_full_parser(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    defaults, every_flag, every_ns, error = PARSER_SURFACE[command]
+    for tail in (defaults, every_flag, ("--help",), error, ("--output", "xml")):
+        argv = [command, *tail]
+        alone, full = (_parse(capsys, build_parser(c), argv) for c in (command, None))
+        assert alone == full, argv
+    # the surface itself: every flag parses, help exits 0, a usage error exits 1
+    output = {"command": command, "output": "json"}
+    assert _parse(capsys, build_parser(command), [command, *every_flag])[0] == {
+        **output, **every_ns
+    }
+    helped = _parse(capsys, build_parser(command), [command, "--help"])
+    assert helped[0] == 0 and helped[1].startswith(f"usage: udyn {command} [-h]")
+    code, out, err = _parse(capsys, build_parser(command), [command, *error])
+    assert (code, out) == (1, "") and f"udyn {command}: error: " in err
+
+
+_TOP_HELP = """usage: udyn [-h] command ...
+
+Exact dynamics of f(x) = a*x*((x+b)/(x+c))^2 over the p-adic numbers:
+classification, orbits, and brute-force verification.
+
+positional arguments:
+  command
+    classify    phase portrait for the parameters
+    fixed-points
+                the three fixed points of f
+    orbit       iterate f from a point
+    radius-orbit
+                iterate the induced radius map
+    verify      run every claim check for the parameters
+    grid        verify every parameter set in a file
+
+options:
+  -h, --help    show this help message and exit
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--help"], (0, _TOP_HELP, "")),
+        ([], (1, "", "usage: udyn [-h] command ...\n"
+              "udyn: error: the following arguments are required: command\n")),
+        (["bogus"], (1, "", "usage: udyn [-h] command ...\n"
+                     "udyn: error: argument command: invalid choice: 'bogus' (choose from "
+                     "'classify', 'fixed-points', 'orbit', 'radius-orbit', 'verify', 'grid')\n")),
+    ],
+    ids=["help", "no-argument", "unknown-command"],
+)
+def test_full_parser_text_is_pinned(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == expected
+
+
+def test_main_builds_only_the_named_subparser(capsys, monkeypatch):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    code, out, _ = run(capsys, "verify", *_ROW, "--samples", "1", "--horizon", "2")
+    assert code == 0 and out.startswith("params: p=3 a=9 b=3 c=1")
+    assert added == ["verify"]
+    added.clear()
+    assert run(capsys, "--help")[0] == 0
+    assert added == list(PARSER_SURFACE)

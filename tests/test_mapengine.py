@@ -1,5 +1,6 @@
 """Tests for map evaluation, orbits, fixed points, and sphere sampling."""
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction as F
 
@@ -129,11 +130,11 @@ def test_radius_spec_is_built_once():
     assert (hash(params), repr(params)) == before == (hash(fresh), repr(fresh))
     # a spec with a critical value is built fresh, on the same valuations
     crit = Radius.from_exponent(3, 4)
-    given = params.radius_spec(crit_c=crit)
+    given = dataclasses.replace(params.radius_spec(), crit_c=crit)
     assert given is not params.radius_spec() and given.crit_c == crit
     assert given == RadiusMapSpec(3, 2, 1, 0, crit_c=crit)
     with pytest.raises(InvalidArgument):
-        params.radius_spec(crit_c=Radius.zero(3))
+        dataclasses.replace(params.radius_spec(), crit_c=Radius.zero(3))
 
 
 # ------------------------------------------------------------------ evaluation

@@ -42,7 +42,7 @@ from udyn.oracle import (
 from udyn.oracle import _interval_reachable  # tested directly: it is a certificate
 from udyn.oracle import _Context, _run_orbit, _sample
 from udyn.portrait import case_of, classify
-from udyn.radiusmaps import Radius, canonical_json, lambda_interval
+from udyn.radiusmaps import Radius, RadiusMapSpec, canonical_json, lambda_interval, radius_step
 
 
 def context(params, sample_count=20, horizon=25, seed=0, precision=96):
@@ -162,6 +162,141 @@ def test_lemma1_bridge_branches_are_pinned(monkeypatch, attr, patch, expected):
     (result,) = check_lemma1(ctx)
     assert result.name == "lemma1-bridge" and result.tag == "L1"
     assert (result.status, result.samples, result.counterexample, result.note) == expected
+
+
+def _reference_bridge(ctx, claim, t, i, radius, x0, rec):
+    """The bridge as it stood before it walked exponents: ``Radius``
+    objects stepped by ``radius_step``, a fresh spec with the supplied
+    critical value at each critical-sphere visit."""
+    if not rec.points:
+        return oracle._PENDING
+    params, spec = ctx.params, ctx.spec
+    vals = rec.valuations
+    r = Radius.from_val(params.p, vals[0])
+    for j in range(len(rec.points) - 1):
+        use = next((name for q2, name, _ in spec.spheres if r.is_finite and r.q2 == q2), None)
+        step_spec = spec
+        if use is not None:
+            try:
+                crit = oracle.critical_value_at(rec.points[j], params, use)
+            except PrecisionExhausted:
+                return oracle._PENDING
+            except PoleHit:
+                return None
+            step_spec = dataclasses.replace(params.radius_spec(), **{f"crit_{use}": crit})
+        r = radius_step(r, step_spec)
+        got = Radius.from_val(params.p, vals[j + 1])
+        if got != r:
+            return {"x": str(x0), "step": j + 1, "expected": str(r), "got": str(got)}
+        if r.is_zero:
+            break
+    return oracle._PENDING if isinstance(rec.termination, PrecisionExhaustedAt) else None
+
+
+def _bridge_verdicts(ctx):
+    """(start, new verdict, reference verdict) of every sample
+    ``check_lemma1`` draws for ``ctx``."""
+    plan = oracle._BRIDGE
+    out = []
+    for i, radius, x0 in oracle._draws(ctx, plan, ctx.probes, ctx.seed):
+        rec = _run_orbit(x0, ctx.params, plan.steps(ctx.horizon, i))
+        args = (ctx, None, oracle._Tally(), i, radius, x0, rec)
+        out.append((x0, oracle._judge_bridge(*args), _reference_bridge(*args)))
+    return out
+
+
+def _critical_value_off_admissibly(x, params, which):
+    """The true critical value one step inside its admissible range:
+    smaller on the |b| sphere, larger on the |c| sphere."""
+    return _TRUE_CRITICAL_VALUE(x, params, which).scaled_by_power(-2 if which == "b" else 2)
+
+
+@pytest.mark.parametrize("off", [False, True], ids=["true-critical-values", "off-admissibly"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bridge_matches_the_radius_walk_over_the_grid(monkeypatch, seed, off):
+    if off:  # a wrong critical value the reference walk's spec still admits
+        monkeypatch.setattr(oracle, "critical_value_at", _critical_value_off_admissibly)
+    verdicts = [v for params in default_grid() for v in _bridge_verdicts(context(params, seed=seed))]
+    assert [(new, str(x0)) for x0, new, _ in verdicts] == [(ref, str(x0)) for x0, _, ref in verdicts]
+    # half-integer starts in Q_p(sqrt(a)) and FAIL records are among them
+    assert any(isinstance(x0, QuadExt) for x0, _, _ in verdicts)
+    assert any(isinstance(new, dict) for _, new, _ in verdicts) == off
+
+
+@st.composite
+def _bridge_rows(draw):
+    """p in {2, 3, 5, 7}, nondegenerate a, b, c = p**v * m/n with v in
+    [-3, 3] and p-units 1 <= |m|, n <= 50."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    unit = st.integers(1, 50).filter(lambda m: m % p)
+
+    def coefficient():
+        m = draw(unit) * draw(st.sampled_from([1, -1]))
+        return F(m, draw(unit)) * F(p) ** draw(st.integers(-3, 3))
+
+    try:
+        return validate_params(p, coefficient(), coefficient(), coefficient())
+    except DegenerateParams:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=_bridge_rows(), seed=st.integers(0, 50))
+@example(params=validate_params(3, F(1, 3), 3, 1), seed=7)  # ramified sqrt(a)
+@example(params=validate_params(2, F(2, 3), 1, 4), seed=0)  # ramified at p = 2
+def test_bridge_matches_the_radius_walk_on_drawn_rows(params, seed):
+    ctx = context(params, sample_count=8, seed=seed)
+    for x0, new, ref in _bridge_verdicts(ctx):
+        assert new == ref, str(x0)
+
+
+_W = validate_params(3, 9, 3, 1)  # |b| = 3^-1, |c| = 1: the pole -1 is on the |c| sphere
+_COARSE_MINUS_B = TruncatedPadic.from_rational(F(-3), 3, 1)  # x + b has no certified digit
+
+
+@pytest.mark.parametrize(
+    "points, vals, end, expected",
+    [
+        # a zero start stays at zero
+        ((F(0), F(0), F(0)), (TOP, TOP, TOP), Completed(2), None),
+        # and a record that leaves zero is a FAIL on both walks
+        ((F(0), F(1)), (TOP, 0), Completed(1), {"x": "0", "step": 1, "expected": "0", "got": "1"}),
+        # x = -b: the critical value is the zero radius, matched by f(x) = 0
+        ((F(-3), F(0), F(0)), (1, TOP, TOP), Completed(2), None),
+        # a critical value that is the pole
+        ((F(-1), F(1)), (0, 0), Completed(1), None),
+        # a critical value beyond the working precision
+        ((_COARSE_MINUS_B, F(1)), (1, 0), Completed(1), oracle._PENDING),
+        # an uncertified start
+        ((), (), PrecisionExhaustedAt(0), oracle._PENDING),
+    ],
+    ids=["zero-start", "zero-start-left", "critical-value-zero", "pole", "precision", "no-start"],
+)
+def test_bridge_records_match_the_radius_walk(points, vals, end, expected):
+    ctx = context(_W, sample_count=1, horizon=1)
+    x0 = points[0] if points else F(1)
+    args = (ctx, None, oracle._Tally(), 0, None, x0, OrbitRecord(points, vals, end))
+    assert oracle._judge_bridge(*args) == _reference_bridge(*args) == expected
+
+
+def test_bridge_builds_no_spec(monkeypatch):
+    ctx = context(_W, sample_count=12, horizon=10, seed=3)
+    built, visits = [], []
+    post_init = RadiusMapSpec.__post_init__
+
+    def counted_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_crit(x, params, which):
+        visits.append(which)
+        return _TRUE_CRITICAL_VALUE(x, params, which)
+
+    monkeypatch.setattr(RadiusMapSpec, "__post_init__", counted_init)
+    monkeypatch.setattr(oracle, "critical_value_at", counted_crit)
+    (result,) = check_lemma1(ctx)
+    assert result.status == "PASS"
+    assert visits and built == []
 
 
 def _portrait_entry(params, seed, kind, exceptional=True):
@@ -792,3 +927,32 @@ def test_radius_lemmas_have_no_failures():
     assert entries
     assert all(isinstance(e, CheckEntry) for e in entries)
     assert [e.name for e in entries if e.status == "FAIL"] == []
+
+
+def _lemma_facts(spec, samples=True):
+    """(name, status[, samples, note]) of each radius lemma entry of
+    ``spec``, its ":p=..." label stripped."""
+    return [
+        (e.name.split(":p=")[0], e.status) + ((e.samples, e.note) if samples else ())
+        for e in check_radius_lemmas([spec])
+    ]
+
+
+_VAL = st.integers(-4, 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 11]), va=_VAL, vb=_VAL, vc=_VAL, k=st.integers(-6, 6))
+def test_radius_lemmas_only_relabel_under_a_common_shift_of_vb_and_vc(p, va, vb, vc, k):
+    assert _lemma_facts(RadiusMapSpec(p, va, vb + k, vc + k)) == _lemma_facts(
+        RadiusMapSpec(p, va, vb, vc)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([2, 5, 7, 11, 13]), va=_VAL, vb=_VAL, vc=_VAL)
+def test_radius_lemma_statuses_do_not_depend_on_p(p, va, vb, vc):
+    # the sample counts of lambda-two-cycle and lambda-entry do depend on p
+    assert _lemma_facts(RadiusMapSpec(p, va, vb, vc), samples=False) == _lemma_facts(
+        RadiusMapSpec(3, va, vb, vc), samples=False
+    )

@@ -43,8 +43,9 @@ def rad(p, q2):
 
 
 def spec_of(p, a, b, c, **crit):
-    """The radius spec of the map (p, a, b, c), built as the CLI builds it."""
-    return validate_params(p, a, b, c).radius_spec(**crit)
+    """The radius spec of the map (p, a, b, c), built as the CLI builds it,
+    with the critical values ``crit`` supplied."""
+    return dataclasses.replace(validate_params(p, a, b, c).radius_spec(), **crit)
 
 
 # ---------------------------------------------------------------- Radius model
