@@ -30,6 +30,11 @@ exponents.  The T3.IV digest of all three was written again when
 ``limit_classify`` stopped calling a radius of the two-cycle interval
 outside its core ``TwoCycleRegion``, which removed the window's
 ``radius:classify-vs-orbit`` FAILs.
+``verify_grid_digests.json`` holds one sha256 per ``default_grid()`` row and
+seed in ``DIGEST_SEEDS`` over the sorted-key ``run_verification`` JSON at
+default settings, written before the sampled orbits of rational and
+Q_p(sqrt(a)) starts ran through one driver; it pins the samples and
+verdicts of seeds that the JSON goldens above do not reach.
 ``tests/golden/text/`` holds the ``--output text`` stdout of every command
 (``TEXT_RUNS`` and ``GRID_TEXT_ROWS``), written before the commands shared
 one output path.  A refactor must
@@ -157,6 +162,8 @@ _LABEL_CHARS = str.maketrans(
 
 ROSTER_SEED = 0
 ROSTER_SIZE = 1500
+# the seeds of ``verify_grid_digests``
+DIGEST_SEEDS = (0, 1, 2, 3)
 
 # Every (case, p == 2, admissible characters) the case rules produce with
 # valuations in [-4, 4].  The p = 2 "repelling" branches of T1.4.3-5 and
@@ -385,6 +392,22 @@ def radius_walk_digests(params_list) -> dict:
     return {case: h.hexdigest() for case, h in sorted(hashes.items())}
 
 
+def verify_grid_digests(seeds=DIGEST_SEEDS) -> dict:
+    """sha256 of the sorted-key ``run_verification`` JSON of every
+    ``default_grid()`` row at each seed, default settings otherwise."""
+    from udyn.oracle import default_grid, run_verification
+
+    out = {}
+    for params in default_grid():
+        for seed in seeds:
+            line = json.dumps(
+                run_verification(params, seed=seed).to_dict(), sort_keys=True, separators=(",", ":")
+            )
+            key = " ".join(map(str, row_key(params))) + f" seed={seed}"
+            out[key] = hashlib.sha256(line.encode()).hexdigest()
+    return out
+
+
 def roster_digests(portraits) -> dict:
     """sha256 per case over the classify JSON lines, in roster order."""
     hashes: dict = {}
@@ -481,6 +504,11 @@ def test_radius_walk_digests_match_golden():
     assert radius_walk_digests(roster()) == expected
 
 
+def test_verify_grid_digests_match_golden():
+    expected = json.loads((GOLDEN / "verify_grid_digests.json").read_text(encoding="utf-8"))
+    assert verify_grid_digests() == expected
+
+
 def test_radius_window_digests_match_golden():
     specs = radius_window_specs()
     assert len(specs) == 8820
@@ -524,6 +552,7 @@ def write_golden() -> None:
         ("radius_lemmas_seed0.json", radius_lemma_digests(pr.radius_spec() for pr in roster())),
         ("radius_walks_seed0.json", radius_walk_digests(roster())),
         ("radius_window_p3.json", radius_lemma_digests(radius_window_specs())),
+        ("verify_grid_digests.json", verify_grid_digests()),
     ):
         (GOLDEN / name).write_text(
             json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8"
