@@ -11,9 +11,10 @@ throughout, no floating point.  ``TruncatedPadic`` models an element of Q_p
 by a unit times a power of p, known to a fixed number of significant p-adic
 digits; it tracks what is certified and refuses to answer questions the
 retained digits cannot settle.  Its moduli p**k are computed once per
-(p, k) and cached.  The digit rules of a sum and a quotient are integer
-kernels on (val, unit, digits), ``_add_units`` and ``_div_units``, shared by
-the operators and the fused steps of f in ``mapengine``.  They serve every
+(p, k) and cached.  The digit rules of a lift, a sum and a quotient are
+integer kernels on (val, unit, digits), ``_lift_units``, ``_add_units`` and
+``_div_units``, shared by the operators and the fused steps of f in
+``mapengine``.  They serve every
 shape: an input of digits 0 is O(p**val), which p**0 = 1 carries through.
 Division Newton-lifts (Hensel-lifts) the inverse of the divisor's unit from
 modulo p to modulo p**ceil(k/2) only, then corrects the half-precision
@@ -37,7 +38,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -273,6 +274,20 @@ def _add_units(p: int, v1: int, u1: int, k1: int, v2: int, u2: int, k2: int):
         return v1, u1, k1  # the higher term is 0 mod p**(v1 + k1)
     k = min(k1, k2 + d)
     return v1, (u1 + u2 * _pk(p, d)) % _pk(p, k), k
+
+
+def _lift_units(q: Rational, p: int, k: int) -> Tuple[int, int, int]:
+    """(val, unit, digits) of a nonzero rational q to k digits: p stripped
+    from its numerator and denominator, then one inverse modulo p**k."""
+    n, d, v = q.numerator, q.denominator, 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    while d % p == 0:
+        d //= p
+        v -= 1
+    m = _pk(p, k)
+    return v, n * pow(d, -1, m) % m, k
 
 
 def _div_units(p: int, a: int, u: int, k: int) -> int:
@@ -654,15 +669,13 @@ class TruncatedPadic:
 
     @classmethod
     def from_rational(cls, q: Rational, p: int, digits: int) -> "TruncatedPadic":
+        """q to ``digits`` digits, by :func:`_lift_units`."""
         if digits < 1:
             raise InvalidArgument("digits must be >= 1")
         _require_p(p)
-        q = Fraction(q)
-        if q == 0:
+        if not q:
             return cls.zero(p)
-        v = vp_rat(q, p)
-        u = unit_part(q, p)
-        return cls(p=p, val=v, unit=_unit_mod(u, _pk(p, digits)), digits=digits)
+        return cls._of(p, *_lift_units(q, p, digits))
 
     @property
     def is_certified(self) -> bool:

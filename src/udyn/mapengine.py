@@ -36,20 +36,24 @@ same kernels, which carry it as O(p**val).  Capped-relative arithmetic
 never gives f(x) more digits than x (X. Caruso, *Computations with p-adic
 numbers*, arXiv:1701.06794), so this gives the digits of the composed
 operators.  A ``TruncatedQuad`` point gets a fused step too
-(``_Bound._qstep``): the composed ``_QuadField`` operators replayed on the
+(:func:`_quad_step`): the composed ``_QuadField`` operators replayed on the
 integer triples of its two coordinates, each coordinate with its own
 valuation and digits, and one inverse of the norm of x + c per step.  The
 composed operators serve the exact domains (``Fraction`` and ``QuadExt``)
 and the judges' remaining arithmetic on truncated points.
 
-That step, ``_Bound._step``, spends one unit inverse on (x + b)/(x + c).
-:func:`orbit` runs it and returns every point normalised, as ``udyn orbit``
-prints them all.  The verifier's sampled orbits run
-:func:`projective_orbit` instead: it carries x as p**v * U/W with U and W
-units (``_Bound._pstep``), so a step spends no inverse, and it normalises a
-point only when it is read, as most judges read valuations alone.
-Normalising every point that way would cost more than ``_step``, so each
-driver keeps its own kernel.
+Two drivers run these steps.  :func:`orbit` binds f to its start point
+(``_Bound``) and returns every point built, as ``udyn orbit`` prints them
+all.  The verifier's sampled orbits, from a rational start or a start in
+Q_p(sqrt(a)), run :func:`projective_orbit`: one loop on plain integers,
+with no object per step.  A rational x is carried as p**v * U/W with U and
+W units, so a step spends no unit inverse; a point of Q_p(sqrt(a)) as the
+triples of its coordinates and its norm, stepped by ``_quad_step``.  A
+point is built only when it is read, as most judges read valuations
+alone.  Normalising every rational point that way would cost more than
+``_Bound._step``, so ``orbit`` keeps that step.  Both drivers check an
+exact start against the pole -c and against -b, which f maps to exact
+zero, before they lift it.
 
 ``MapParams`` keeps a, b and c lifted per width (``MapParams.lifted``), so
 a run lifts each coefficient once per width however many orbits and
@@ -82,6 +86,7 @@ from .exactnum import (
     _add_units,
     _div_units,
     _inv_unit,
+    _lift_units,
     _pk,
     hensel_sqrt,
     is_prime,
@@ -258,11 +263,9 @@ class _Bound:
     (val, unit, digits) integers (:meth:`_step`), and f of any
     ``TruncatedQuad`` is one on the triples of its coordinates
     (:meth:`_qstep`); points of the exact domains go through the composed
-    operators, whose digits both fused steps keep.
-    :meth:`_pstep` is the same step on p**v * U/W without the unit inverse:
-    :func:`projective_orbit` runs it for the verifier, whose judges read
-    few points, while :func:`orbit` runs :meth:`_step` and normalises every
-    point it returns.
+    operators, whose digits both fused steps keep.  :func:`orbit` runs
+    :meth:`f`; the verifier's :func:`projective_orbit` runs the same steps
+    on integer states, without a ``_Bound``.
     """
 
     def __init__(self, params: MapParams, x: Point) -> None:
@@ -318,58 +321,15 @@ class _Bound:
         return TruncatedPadic._of(p, a.val + xv + 2 * (nv - dv), unit, k)
 
     def _qstep(self, x: TruncatedQuad) -> TruncatedQuad:
-        """f(x) for x = u + v*s, s**2 = r, with the digits of the composed
-        ``_QuadField`` operators, coordinate by coordinate, on (val, unit,
-        digits) triples (None for an exact zero).  x + c = d + v*s never
-        is an exact zero (c is certified), so the pole shows only as an
-        uncertified norm d**2 - r*v**2, which exhausts the precision.  The
-        quotient (x + b)*conj(x + c)/norm spends one inverse of the norm, at
-        the wider of its coordinates' digits: a/n modulo p**k is unique, so
-        each coordinate gets the digits of ``_div_units``.  The image carries
-        its norm, by the same operators, for its valuation."""
+        """f(x) for x = u + v*s, s**2 = r, by :func:`_quad_step` on the
+        triples of its coordinates; the image carries its norm."""
         if x.exact_zero:
             return x
         p = x.p
-        u, v, r = _tri(x.u), _tri(x.v), _tri(x.a)
-        a, b, c = _tri(self.a), _tri(self.b), _tri(self.c)
-        d, nb = _add3(p, u, c), _add3(p, u, b)
-        rvv = _neg3(p, _mul3(p, r, _mul3(p, v, v)))  # r*v*(-v)
-        norm = _add3(p, _mul3(p, d, d), rvv)
-        if not norm[2]:
-            raise PrecisionExhausted(_POLE_UNRULED)
-        pu = _add3(p, _mul3(p, nb, d), rvv)
-        pv = _add3(p, _mul3(p, nb, _neg3(p, v)), _mul3(p, v, d))
-        nv, nu, nk = norm
-        ku = min(pu[2], nk)
-        kv = 0 if pv is None else min(pv[2], nk)
-        y = _inv_unit(nu, p, max(ku, kv))
-        qu = pu[0] - nv, pu[1] * y % _pk(p, ku), ku
-        qv = None if pv is None else (pv[0] - nv, pv[1] * y % _pk(p, kv), kv)
-        quv = _mul3(p, qu, qv)
-        su = _add3(p, _mul3(p, qu, qu), _mul3(p, r, _mul3(p, qv, qv)))
-        sv = _add3(p, quv, quv)
-        xu, xv = _mul3(p, u, a), _mul3(p, v, a)
-        fu = _add3(p, _mul3(p, xu, su), _mul3(p, r, _mul3(p, xv, sv)))
-        fv = _add3(p, _mul3(p, xu, sv), _mul3(p, xv, su))
-        fn = _add3(p, _mul3(p, fu, fu), _neg3(p, _mul3(p, r, _mul3(p, fv, fv))))
-        return TruncatedQuad._of(
-            _padic(p, fu), _padic(p, fv), x.a, x.rad, _padic(p, fn)
+        fu, fv, fn = _quad_step(
+            p, _tri(x.u), _tri(x.v), _tri(x.a), _tri(self.a), _tri(self.b), _tri(self.c)
         )
-
-    def _pstep(self, v: int, u: int, w: int, k: int) -> Tuple[int, int, int, int]:
-        """:meth:`_step` on x = p**v * u/w, u and w units modulo p**k, with
-        no unit inverse.  x + c is p**dv * du/w by the sum kernel on (u, c*w)
-        and x + b likewise, so f(x) = p**v' * (a*u*nu**2)/(w*du**2) modulo
-        p**k', with v' and k' (the digits) those of :meth:`_step`."""
-        p, a, b, c = self.params.p, self.a, self.b, self.c
-        dv, du, dk = _add_units(p, v, u, k, c.val, c.unit * w % _pk(p, c.digits), c.digits)
-        if not dk:
-            raise PrecisionExhausted(_POLE_UNRULED)
-        nv, nu, nk = _add_units(p, v, u, k, b.val, b.unit * w % _pk(p, b.digits), b.digits)
-        k = min(a.digits, k, nk, dk)
-        m = _pk(p, k)
-        u = a.unit * u % m * (nu * nu % m) % m
-        return a.val + v + 2 * (nv - dv), u, w * (du * du % m) % m, k
+        return TruncatedQuad._of(_padic(p, fu), _padic(p, fv), x.a, x.rad, _padic(p, fn))
 
     def df(self, x: Point) -> Point:
         den = self._den(x)
@@ -423,6 +383,42 @@ def _neg3(p: int, x):
     if x is None or not x[2]:
         return x
     return x[0], _pk(p, x[2]) - x[1], x[2]
+
+
+def _quad_step(p: int, u, v, r, a, b, c):
+    """The triples (u', v', n') of f(x) and its norm for x = u + v*s,
+    s**2 = r, not an exact zero, with the digits of the composed
+    ``_QuadField`` operators, coordinate by coordinate.  x + c = d + v*s
+    never is an exact zero (c is certified), so the pole shows only as an
+    uncertified norm d**2 - r*v**2, which exhausts the precision.  The
+    quotient (x + b)*conj(x + c)/norm spends one inverse of the norm, at
+    the wider of its coordinates' digits: a/n modulo p**k is unique, so
+    each coordinate gets the digits of ``_div_units``."""
+    d, nb = _add3(p, u, c), _add3(p, u, b)
+    rvv = _neg3(p, _mul3(p, r, _mul3(p, v, v)))  # r*v*(-v)
+    norm = _add3(p, _mul3(p, d, d), rvv)
+    if not norm[2]:
+        raise PrecisionExhausted(_POLE_UNRULED)
+    pu = _add3(p, _mul3(p, nb, d), rvv)
+    pv = _add3(p, _mul3(p, nb, _neg3(p, v)), _mul3(p, v, d))
+    nv, nu, nk = norm
+    ku = min(pu[2], nk)
+    kv = 0 if pv is None else min(pv[2], nk)
+    y = _inv_unit(nu, p, max(ku, kv))
+    qu = pu[0] - nv, pu[1] * y % _pk(p, ku), ku
+    qv = None if pv is None else (pv[0] - nv, pv[1] * y % _pk(p, kv), kv)
+    quv = _mul3(p, qu, qv)
+    su = _add3(p, _mul3(p, qu, qu), _mul3(p, r, _mul3(p, qv, qv)))
+    sv = _add3(p, quv, quv)
+    xu, xv = _mul3(p, u, a), _mul3(p, v, a)
+    fu = _add3(p, _mul3(p, xu, su), _mul3(p, r, _mul3(p, xv, sv)))
+    fv = _add3(p, _mul3(p, xu, sv), _mul3(p, xv, su))
+    return fu, fv, _quad_norm(p, fu, fv, r)
+
+
+def _quad_norm(p: int, u, v, r):
+    """The triple of u**2 - r*v**2, as ``TruncatedQuad.norm`` computes it."""
+    return _add3(p, _mul3(p, u, u), _neg3(p, _mul3(p, r, _mul3(p, v, v))))
 
 
 def eval_f(x: Point, params: MapParams) -> Point:
@@ -531,12 +527,11 @@ def orbit(
 
     With ``precision`` (certified p-adic digits) an exact start is lifted
     (:func:`lift_point`) and the orbit runs in truncated arithmetic.  An
-    exact start at the pole -c is checked before the lift, so it ends in
-    the exact ``PoleHitAt(0)``, where the lifted start would only exhaust
-    the precision at step 1.  An exact orbit ends at the first point
-    larger than ``EXACT_BITS`` bits (:class:`SizeBudgetAt`): its size
-    roughly triples per step.  f is bound once, at the start point, and
-    reads a, b and c lifted at the start width from ``params``.
+    exact start at the pole -c or at -b is checked before the lift
+    (:func:`_exact_end`).  An exact orbit ends at the first point larger
+    than ``EXACT_BITS`` bits (:class:`SizeBudgetAt`): its size roughly
+    triples per step.  f is bound once, at the start point, and reads a, b
+    and c lifted at the start width from ``params``.
     """
     if n < 0:
         raise InvalidArgument("orbit length must be >= 0")
@@ -544,57 +539,68 @@ def orbit(
         x = Fraction(x)
     p = params.p
     if precision is not None and not isinstance(x, _TRUNCATED):
-        pole = n > 0 and _is_zero(x + params.c)
+        end = _exact_end(x, params, n, precision)
+        if end is not None:
+            return end
         x = lift_point(x, params, precision)
-        if pole:
-            return OrbitRecord((x,), (point_val(x, p),), PoleHitAt(0))
-    points, vals, termination = _iterate(
-        x, n, _Bound(params, x).f, lambda y: point_val(y, p), not isinstance(x, _TRUNCATED)
-    )
-    return OrbitRecord(tuple(points), tuple(vals), termination)
-
-
-def _iterate(x, n: int, step, val, sized: bool = False):
-    """The termination loop of every orbit: the states x, step(x), ... up
-    to n steps, their valuations ``val``, and how the orbit ended.  A
-    ``sized`` (exact) orbit ends at the first point larger than
-    ``EXACT_BITS`` bits."""
+    f, sized = _Bound(params, x).f, not isinstance(x, _TRUNCATED)
     try:
-        vals = [val(x)]
+        vals = [point_val(x, p)]
     except PrecisionExhausted:
-        return [], [], PrecisionExhaustedAt(0)
-    states = [x]
+        return OrbitRecord((), (), PrecisionExhaustedAt(0))
+    points, end = [x], Completed(n)
     for i in range(n):
         try:
-            x = step(x)
+            x = f(x)
             if sized and _bits(x) > EXACT_BITS:
-                return states, vals, SizeBudgetAt(i + 1)
-            vals.append(val(x))
+                end = SizeBudgetAt(i + 1)
+                break
+            vals.append(point_val(x, p))
         except PoleHit:
-            return states, vals, PoleHitAt(i)
+            end = PoleHitAt(i)
+            break
         except PrecisionExhausted:
-            return states, vals, PrecisionExhaustedAt(i + 1)
-        states.append(x)
-    return states, vals, Completed(n)
+            end = PrecisionExhaustedAt(i + 1)
+            break
+        points.append(x)
+    return OrbitRecord(tuple(points), tuple(vals), end)
 
 
-def _state_val(state: Tuple[int, int, int, int]) -> int:
-    """The valuation of a projective state (val, u, w, digits)."""
-    if not state[3]:
-        raise PrecisionExhausted(f"valuation not certified; only known to be >= {state[0]}")
-    return state[0]
+def _is_neg(x: Union[Rational, QuadExt], q: Fraction) -> bool:
+    """x == -q for an exact point x, without building -q."""
+    if isinstance(x, QuadExt):
+        if x.v:
+            return False
+        x = x.u
+    return x.numerator == -q.numerator and x.denominator == q.denominator
+
+
+def _exact_end(x: Point, params: MapParams, n: int, digits: int) -> Optional[OrbitRecord]:
+    """The truncated orbit of an exact start x that the exact orbit ends
+    at once: at the pole -c it is the exact ``PoleHitAt(0)``, and -b maps
+    to exact zero, its own image.  The start lifted to ``digits`` digits
+    would only exhaust the precision at step 1.  None for any other
+    start, or for n = 0."""
+    pole = n > 0 and _is_neg(x, params.c)
+    if not pole and not (n > 0 and _is_neg(x, params.b)):
+        return None
+    start = lift_point(x, params, digits)
+    points, vals = (start,), (point_val(start, params.p),)
+    if pole:
+        return OrbitRecord(points, vals, PoleHitAt(0))
+    zero = lift_point(x - x, params, digits)
+    return OrbitRecord(points + (zero,) * n, vals + (TOP,) * n, Completed(n))
 
 
 class _LazyPoints(Sequence):
-    """The points of a :func:`projective_orbit`, read-only.  State i
-    (val, u, w, digits) becomes the ``TruncatedPadic`` p**val * u/w by one
-    ``_div_units`` when point i is first read, and is kept."""
+    """The points of a :func:`projective_orbit`, read-only.  Point i is
+    built from its state by ``make`` when it is first read, and kept."""
 
-    __slots__ = ("_p", "_states", "_points")
+    __slots__ = ("_states", "_make", "_points")
 
-    def __init__(self, start: TruncatedPadic, states: list) -> None:
-        self._p, self._states = start.p, states
-        self._points: list = [start] + [None] * (len(states) - 1)
+    def __init__(self, states: list, make, first: Optional[Point] = None) -> None:
+        self._states, self._make = states, make
+        self._points: list = [first] + [None] * (len(states) - 1)
 
     def __len__(self) -> int:
         return len(self._states)
@@ -604,31 +610,93 @@ class _LazyPoints(Sequence):
             return tuple(self[j] for j in range(*i.indices(len(self))))
         pt = self._points[i]
         if pt is None:
-            v, u, w, k = self._states[i]
-            pt = self._points[i] = TruncatedPadic._of(self._p, v, _div_units(self._p, u, w, k), k)
+            pt = self._points[i] = self._make(self._states[i])
         return pt
 
 
-def projective_orbit(x: Rational, params: MapParams, n: int, digits: int) -> OrbitRecord:
-    """``orbit(x, params, n, precision=digits)`` for a rational start, with
-    the same valuations, termination and points, stepped by
-    :meth:`_Bound._pstep`: no unit inverse per step, and a point is
-    normalised only when it is read (:class:`_LazyPoints`).  The verifier's
-    judges read valuations and a few points, so most points are never
-    normalised.  An exact zero is its own image; a start at the pole -c is
-    the exact ``PoleHitAt(0)``, where the lifted start would only exhaust
-    the precision at step 1."""
-    x = Fraction(x)
-    start = TruncatedPadic.from_rational(x, params.p, digits)
-    if start.exact_zero:
-        return OrbitRecord((start,) * (n + 1), (TOP,) * (n + 1), Completed(n))
-    if n and x == params.pole:
-        return OrbitRecord((start,), (start.val,), PoleHitAt(0))
-    pstep = _Bound(params, start)._pstep
-    states, vals, termination = _iterate(
-        (start.val, start.unit, 1, digits), n, lambda s: pstep(*s), _state_val
-    )
-    return OrbitRecord(_LazyPoints(start, states), tuple(vals), termination)
+def projective_orbit(
+    x: Union[Rational, QuadExt], params: MapParams, n: int, digits: int
+) -> OrbitRecord:
+    """``orbit(x, params, n, precision=digits)`` for a rational start or a
+    start in Q_p(sqrt(a)), with the same valuations, termination and
+    points, run in one loop on plain integers with the coefficients bound
+    once.  A point is built from its state only when it is read
+    (:class:`_LazyPoints`).
+
+    A rational point is carried as p**v * u/w with u and w units modulo
+    p**k.  x + c is p**dv * du/w by the sum kernel on (u, c*w), and x + b
+    likewise, so f(x) = p**v' * (a*u*nu**2)/(w*du**2) with the valuation
+    and digits of ``_Bound._step`` and no unit inverse; reading a point
+    spends the inverse of w.  A point of Q_p(sqrt(a)) runs through
+    :func:`_quad_orbit`.  An exact zero is its own image, and a start at the
+    pole -c or at -b ends as the exact orbit does (:func:`_exact_end`)."""
+    end = _exact_end(x, params, n, digits)
+    if end is not None:
+        return end
+    if _is_zero(x):
+        zero = lift_point(x, params, digits)
+        return OrbitRecord((zero,) * (n + 1), (TOP,) * (n + 1), Completed(n))
+    if isinstance(x, QuadExt):
+        return _quad_orbit(x, params, n, digits)
+    p = params.p
+    a, b, c = params.lifted(max(digits, 32))
+    av, au, ak = a.val, a.unit, a.digits
+    bv, bu, bk, mb = b.val, b.unit, b.digits, _pk(p, b.digits)
+    cv, cu, ck, mc = c.val, c.unit, c.digits, _pk(p, c.digits)
+    v, u, k = _lift_units(x, p, digits)
+    w = 1
+    states, vals, end = [(v, u, w, k)], [v], Completed(n)
+    for i in range(n):
+        dv, du, dk = _add_units(p, v, u, k, cv, cu * w % mc, ck)
+        nv, nu, nk = _add_units(p, v, u, k, bv, bu * w % mb, bk)
+        k = min(ak, k, nk, dk)
+        if not k:  # x + c or x + b kept no digit
+            end = PrecisionExhaustedAt(i + 1)
+            break
+        m = _pk(p, k)
+        v += av + 2 * (nv - dv)
+        u = au * u % m * (nu * nu % m) % m
+        w = w * (du * du % m) % m
+        states.append((v, u, w, k))
+        vals.append(v)
+
+    def make(state):
+        v, u, w, k = state
+        return TruncatedPadic._of(p, v, _div_units(p, u, w, k), k)
+
+    return OrbitRecord(_LazyPoints(states, make), tuple(vals), end)
+
+
+def _quad_orbit(x: QuadExt, params: MapParams, n: int, digits: int) -> OrbitRecord:
+    """:func:`projective_orbit` of a nonzero start in Q_p(sqrt(a)): the
+    states are the triples (u, v, norm), None for a zero coordinate, and a
+    point read is one ``TruncatedQuad`` on the start's lift of the
+    radicand."""
+    p = params.p
+    start = lift_point(x, params, digits)
+    u, v, r = _tri(start.u), _tri(start.v), _tri(start.a)
+    norm = _quad_norm(p, u, v, r)
+
+    def make(state):
+        u, v, norm = state
+        return TruncatedQuad._of(_padic(p, u), _padic(p, v), start.a, start.rad, _padic(p, norm))
+
+    if not norm[2]:
+        return OrbitRecord((), (), PrecisionExhaustedAt(0))
+    a, b, c = (_tri(t) for t in params.lifted(max(digits, 32)))
+    states, vals, end = [(u, v, norm)], [Fraction(norm[0], 2)], Completed(n)
+    for i in range(n):
+        try:
+            u, v, norm = _quad_step(p, u, v, r, a, b, c)
+        except PrecisionExhausted:
+            end = PrecisionExhaustedAt(i + 1)
+            break
+        if not norm[2]:
+            end = PrecisionExhaustedAt(i + 1)
+            break
+        states.append((u, v, norm))
+        vals.append(Fraction(norm[0], 2))
+    return OrbitRecord(_LazyPoints(states, make, start), tuple(vals), end)
 
 
 # -------------------------------------------------------------- fixed points
@@ -808,12 +876,10 @@ def sample_sphere(
     out: list = []
     if radius.q2 % 2 == 0:
         v = -(radius.q2 // 2)
-        scale = Fraction(p) ** v
         while len(out) < count:
-            x = Fraction(_draw_unit(rng, p), _draw_unit(rng, p)) * scale
-            if x == params.pole:
-                continue
-            out.append(x)
+            x = _draw(rng, p, v)
+            if not _is_neg(x, params.c):
+                out.append(x)
         return out
     if params.sqrt_mode.kind is not SqrtKind.QP_NONSQUARE or params.val_a % 2 == 0:
         raise UnsupportedRadius(
@@ -821,8 +887,14 @@ def sample_sphere(
             f" nonsquare of Q_{p} with odd valuation"
         )
     j = (-radius.q2 - params.val_a) // 2
-    scale = Fraction(p) ** j
     while len(out) < count:
-        u = Fraction(_draw_unit(rng, p), _draw_unit(rng, p)) * scale
-        out.append(QuadExt(Fraction(0), u, params.a))
+        out.append(QuadExt(Fraction(0), _draw(rng, p, j), params.a))
     return out
+
+
+def _draw(rng: random.Random, p: int, v: int) -> Fraction:
+    """p**v * m/n for units m and n drawn in that order, built as one
+    ``Fraction``."""
+    m, n = _draw_unit(rng, p), _draw_unit(rng, p)
+    scale = _pk(p, abs(v))
+    return Fraction(m * scale, n) if v >= 0 else Fraction(m, n * scale)

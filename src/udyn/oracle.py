@@ -78,8 +78,6 @@ from .mapengine import (
     eval_f,
     exact_eq,
     fixed_points,
-    lift_point,
-    orbit,
     point_val,
     projective_orbit,
     sample_sphere,
@@ -237,27 +235,17 @@ def _sample(radius: Radius, params: MapParams, count: int, seed: int) -> list:
 
 def _run_orbit(x0, params: MapParams, steps: int):
     """Orbit record with certified valuations.  Every start, rational or in
-    Q_p(sqrt(a)), is lifted to ``_START_DIGITS`` digits and run in truncated
-    arithmetic, retried with twice the digits while the precision runs out;
+    Q_p(sqrt(a)), runs as a ``projective_orbit`` from ``_START_DIGITS``
+    digits, retried with twice the digits while the precision runs out;
     extension starts keep the ``_QUAD_CAP`` horizon.  The valuations are
     exact at any width, so the width decides only whether the steps finish.
-
-    A rational start runs as a ``projective_orbit``: the judges read
-    valuations and only a few points, so its steps spend no unit inverse
-    and only the points read are normalised.  ``orbit`` normalises every
-    point, which ``udyn orbit`` prints in full.  An extension start is a
-    point of Q_p(sqrt(a)) for the map's a: its lift reuses the lift of a
-    kept in ``params`` (``lift_point``), and ``orbit`` steps it by the
-    fused ``TruncatedQuad`` step, one inverse of a norm per step."""
-    quad = isinstance(x0, QuadExt)
-    if quad:
+    The judges read valuations and only a few points, and
+    ``projective_orbit`` builds a point only when it is read."""
+    if isinstance(x0, QuadExt):
         steps = min(steps, _QUAD_CAP)
     digits = _START_DIGITS
     while True:
-        if quad:
-            rec = orbit(lift_point(x0, params, digits), params, steps, precision=digits)
-        else:
-            rec = projective_orbit(x0, params, steps, digits)
+        rec = projective_orbit(x0, params, steps, digits)
         if (
             not isinstance(rec.termination, PrecisionExhaustedAt)
             or digits >= MAX_DIGITS

@@ -392,6 +392,36 @@ def test_from_rational_shapes():
     assert z.exact_zero and z.valuation() is TOP
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.one_of(
+        st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**9),
+        st.integers(-(10**12), 10**12),
+    ),
+    p=st.sampled_from([2, 3, 5, 7, 11]),
+    digits=st.integers(1, 80),
+)
+@example(q=F(-7, 12), p=2, digits=1)
+@example(q=F(-48, 5), p=2, digits=1)
+@example(q=-3**7, p=3, digits=1)
+def test_from_rational_is_the_validated_lift(q, p, digits):
+    # the direct lift skips the checked constructor; it builds the same
+    # number as the constructor on vp(q) and the unit part to p**digits
+    if q == 0:
+        assert TruncatedPadic.from_rational(q, p, digits) == TruncatedPadic.zero(p)
+        return
+    u, m = unit_part(q, p), p**digits
+    want = TruncatedPadic(p, vp_rat(q, p), u.numerator * pow(u.denominator, -1, m) % m, digits)
+    assert TruncatedPadic.from_rational(q, p, digits) == want
+
+
+@pytest.mark.parametrize("p, digits", [(3, 0), (3, -1), (1, 8), (0, 8), (-2, 8)])
+@pytest.mark.parametrize("q", [F(-7, 12), 0])
+def test_from_rational_rejects_no_digits_and_p_below_two(q, p, digits):
+    with pytest.raises(InvalidArgument):
+        TruncatedPadic.from_rational(q, p, digits)
+
+
 def test_add_with_carry():
     x = TruncatedPadic.from_rational(5, 3, 6)
     y = TruncatedPadic.from_rational(4, 3, 6)

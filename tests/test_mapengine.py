@@ -1,6 +1,7 @@
 """Tests for map evaluation, orbits, fixed points, and sphere sampling."""
 
 import dataclasses
+import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -512,6 +513,27 @@ def test_sample_sphere_rational():
         sample_sphere(Radius.infinite(3), params, 3, seed=1)
 
 
+@pytest.mark.parametrize("p, q2", [(3, 4), (3, -6), (2, 0), (5, -2), (2, 10)])
+def test_sample_sphere_draws_the_scaled_units(p, q2):
+    # each point is built as one Fraction; it is the unit quotient m/n
+    # times p**v, from the same draws in the same order
+    params = validate_params(p, 9, 3, 1) if p != 3 else validate_params(3, 2, 3, 1)
+    rng, want = random.Random(5), []
+
+    def unit():
+        while True:
+            r = rng.randint(1, 10**4)
+            if r % p:
+                return r
+
+    while len(want) < 8:
+        m = unit()
+        x = F(m, unit()) * F(p) ** (-q2 // 2)
+        if x != params.pole:
+            want.append(x)
+    assert sample_sphere(rad(p, q2), params, 8, seed=5) == want
+
+
 def test_sample_sphere_half_integer():
     ram = validate_params(3, 3, 1, 6)
     pts = sample_sphere(rad(3, -1), ram, 5, seed=7)
@@ -890,6 +912,26 @@ def test_projective_orbit_at_the_pole_is_the_exact_pole_hit():
     start = orbit(params.pole, params, 0, precision=96)
     _same_orbit(start, projective_orbit(params.pole, params, 0, 96))
     assert start.termination == Completed(0)
+
+
+def test_an_exact_start_at_minus_b_maps_to_exact_zero():
+    # x + b = 0 exactly, so f(-b) = 0, its own image; the lifted -b has an
+    # uncertified x + b and only exhausted the precision at step 1
+    params = validate_params(3, 9, 3, 1)
+    exact = orbit(-params.b, params, 5)
+    assert exact.valuations == (1,) + (TOP,) * 5
+    for rec in (orbit(-params.b, params, 5, precision=16), projective_orbit(-params.b, params, 5, 16)):
+        assert (rec.valuations, rec.termination) == (exact.valuations, Completed(5))
+        assert _shapes(rec.points) == _shapes(
+            [TruncatedPadic.from_rational(-3, 3, 16)] + [TruncatedPadic.zero(3)] * 5
+        )
+    # a point of Q_p(sqrt(a)) at -b lands on the zero of that field
+    ram = validate_params(3, F(1, 3), 1, 3)
+    rec = orbit(QuadExt(-1, 0, F(1, 3)), ram, 3, precision=16)
+    assert (rec.valuations, rec.termination) == ((0, TOP, TOP, TOP), Completed(3))
+    assert isinstance(rec.points[-1], TruncatedQuad) and rec.points[-1].exact_zero
+    # with no step to take the start is all there is
+    assert orbit(-params.b, params, 0, precision=16).valuations == (1,)
 
 
 def test_projective_orbit_equals_the_normalised_orbit_at_1536_digits():

@@ -670,6 +670,16 @@ def test_sampled_orbit_retries_with_doubled_digits(monkeypatch):
     assert (narrow.valuations, narrow.termination) == (retried.valuations, retried.termination)
 
 
+def test_sampled_orbit_at_minus_b_tries_one_width(monkeypatch):
+    # f(-b) = 0 exactly; the lifted -b exhausted the precision at step 1 at
+    # every width, so the sample tried 11 widths and stayed undecided
+    params = validate_params(3, 9, 3, 1)
+    widths = _spy_widths(monkeypatch)
+    rec = _run_orbit(-params.b, params, 25)
+    assert widths == [oracle._START_DIGITS]
+    assert (rec.valuations, rec.termination) == ((1,) + (TOP,) * 25, Completed(25))
+
+
 def test_sampled_orbit_keeps_the_retry_ceiling(monkeypatch):
     # an orbit that never finishes is tried up to at least 12,288 digits,
     # the widest try of a 96-digit start under the former 8,192 ceiling

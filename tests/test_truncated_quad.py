@@ -29,6 +29,7 @@ from udyn.mapengine import (
     lift_point,
     orbit,
     point_val,
+    projective_orbit,
     sample_sphere,
     validate_params,
 )
@@ -274,6 +275,43 @@ def test_fused_quad_step_is_the_composed_step(case):
         assert x == ref
 
 
+def quad_shape(t: TruncatedQuad):
+    return shape(t.u), shape(t.v), shape(t.norm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=step_cases())
+@example(case=(2, F(3), F(4), F(1), F(0), F(1), 4))  # a grid row, ramified at p = 2
+@example(case=(2, F(2), F(1), F(3), F(0), F(3, 5), 16))  # ramified at p = 2, v(a) odd
+@example(case=(3, F(1, 3), F(1), F(3), F(0), F(7, 5), 96))  # a grid row, ramified at p = 3
+@example(case=(3, F(27), F(1), F(6), F(0), F(2, 7), 16))  # a grid row, ramified at p = 3
+@example(case=(2, F(5), F(1), F(3), F(-2), F(1), 2))  # |x + c| uncertified at step 1
+@example(case=(2, F(5), F(1, 3), F(7), F(1), F(1), 1))
+@example(case=(3, F(12), F(1, 36), F(-4), F(8, 3), F(-3), 1))  # f(x)'s norm uncertified at step 2
+def test_lazy_quad_orbit_is_the_stepped_orbit(case):
+    # the verifier's driver keeps integer triples and builds points on
+    # read; orbit() steps TruncatedQuad points by _qstep: the same
+    # valuations, termination and (val, unit, digits) of u, v and the norm
+    p, a, b, c, u, v, digits = case
+    params = validate_params(p, a, b, c)
+    x0 = QuadExt(u, v, a)
+    want = orbit(lift_point(x0, params, digits), params, 12, precision=digits)
+    got = projective_orbit(x0, params, 12, digits)
+    assert got.valuations == want.valuations
+    assert got.termination == want.termination
+    assert [quad_shape(t) for t in got.points] == [quad_shape(t) for t in want.points]
+
+
+def test_lazy_quad_orbit_of_zero_stays_at_zero():
+    params = validate_params(3, F(1, 3), 1, 3)
+    x0 = QuadExt(0, 0, F(1, 3))
+    want = orbit(lift_point(x0, params, 16), params, 4, precision=16)
+    got = projective_orbit(x0, params, 4, 16)
+    assert got.valuations == want.valuations == (TOP,) * 5
+    assert got.termination == want.termination == Completed(4)
+    assert [quad_shape(t) for t in got.points] == [quad_shape(t) for t in want.points]
+
+
 def test_fused_quad_step_exhausts_on_an_uncertified_norm():
     # x = -2 + sqrt(5) over Q_2 at 2 digits: x + c = 1 + sqrt(5) has norm
     # -4, of which two digits of each coordinate certify nothing
@@ -307,9 +345,17 @@ def test_ramified_sampled_orbit_spends_one_inverse_per_step(monkeypatch):
     monkeypatch.setattr(exactnum, "_inv_unit", counting_inv)
     monkeypatch.setattr(mapengine, "_inv_unit", counting_inv)
     monkeypatch.setattr(TruncatedPadic, "__truediv__", counting_div)
+    built = []
+    of = TruncatedQuad._of.__func__
+    monkeypatch.setattr(
+        TruncatedQuad, "_of", classmethod(lambda cls, *a: built.append(a) or of(cls, *a))
+    )
     rec = _run_orbit(x0, params, 25)
     assert rec.termination == Completed(_QUAD_CAP)
     assert calls == {"inv": _QUAD_CAP, "div": 0}
+    # only the start is a TruncatedQuad until a judge reads a point
+    assert len(built) == 1
+    assert rec.points[3] is rec.points[3] and len(built) == 2
 
 
 def test_lift_point_reuses_the_lift_of_the_maps_radicand(monkeypatch):
