@@ -14,8 +14,8 @@ retained digits cannot settle.  Its moduli p**k are computed once per
 (p, k) and cached.  The digit rules of a lift, a sum and a quotient are
 integer kernels on (val, unit, digits), ``_lift_units``, ``_add_units`` and
 ``_div_units``, shared by the operators and the fused steps of f in
-``mapengine``.  They serve every
-shape: an input of digits 0 is O(p**val), which p**0 = 1 carries through.
+``mapengine``.  They serve every shape: an input of digits 0 is O(p**val),
+which p**0 = 1 carries through.
 Division Newton-lifts (Hensel-lifts) the inverse of the divisor's unit from
 modulo p to modulo p**ceil(k/2) only, then corrects the half-precision
 quotient once to k digits; the square-root lifts use the same Newton

@@ -581,8 +581,10 @@ def _exact_end(x: Point, params: MapParams, n: int, digits: int) -> Optional[Orb
     to exact zero, its own image.  The start lifted to ``digits`` digits
     would only exhaust the precision at step 1.  None for any other
     start, or for n = 0."""
-    pole = n > 0 and _is_neg(x, params.c)
-    if not pole and not (n > 0 and _is_neg(x, params.b)):
+    if not n:
+        return None
+    pole = _is_neg(x, params.c)
+    if not pole and not _is_neg(x, params.b):
         return None
     start = lift_point(x, params, digits)
     points, vals = (start,), (point_val(start, params.p),)
@@ -676,11 +678,6 @@ def _quad_orbit(x: QuadExt, params: MapParams, n: int, digits: int) -> OrbitReco
     start = lift_point(x, params, digits)
     u, v, r = _tri(start.u), _tri(start.v), _tri(start.a)
     norm = _quad_norm(p, u, v, r)
-
-    def make(state):
-        u, v, norm = state
-        return TruncatedQuad._of(_padic(p, u), _padic(p, v), start.a, start.rad, _padic(p, norm))
-
     if not norm[2]:
         return OrbitRecord((), (), PrecisionExhaustedAt(0))
     a, b, c = (_tri(t) for t in params.lifted(max(digits, 32)))
@@ -696,6 +693,11 @@ def _quad_orbit(x: QuadExt, params: MapParams, n: int, digits: int) -> OrbitReco
             break
         states.append((u, v, norm))
         vals.append(Fraction(norm[0], 2))
+
+    def make(state):
+        u, v, norm = state
+        return TruncatedQuad._of(_padic(p, u), _padic(p, v), start.a, start.rad, _padic(p, norm))
+
     return OrbitRecord(_LazyPoints(states, make, start), tuple(vals), end)
 
 
