@@ -25,11 +25,14 @@ holds one sha256 per case over the radius walks themselves on that roster
 ``check_radius_lemmas``), written before the walks ran on bare exponents.
 ``radius_window_p3.json`` holds one sha256 per case over the
 ``check_radius_lemmas`` entries of every spec of an enumerated window
-(``radius_window_specs``), written before the radius orbits ran on bare
+(``radius_window_p3_specs``), written before the radius orbits ran on bare
 exponents.  The T3.IV digest of all three was written again when
 ``limit_classify`` stopped calling a radius of the two-cycle interval
 outside its core ``TwoCycleRegion``, which removed the window's
-``radius:classify-vs-orbit`` FAILs.
+``radius:classify-vs-orbit`` FAILs.  ``radius_window.json`` holds the
+same digests over ``radius_window_specs`` (p in {2, 3, 5} and every
+valuation triple in [-4, 4]**3), written before the spec lost its
+supplied critical values.
 ``verify_grid_digests.json`` holds one sha256 per ``default_grid()`` row and
 seed in ``DIGEST_SEEDS`` over the sorted-key ``run_verification`` JSON at
 default settings, written before the sampled orbits of rational and
@@ -314,8 +317,19 @@ def sweep_rows(seed: int = 0, per_leaf: int = 20) -> dict:
 
 
 def radius_window_specs() -> list:
-    """The 8,820 specs of the radius-layer window: p = 3, vc = 0 and va, vb
-    in [-4, 4].  Off the EQ regime (vb != 0) each of the 72 triples takes
+    """The 2,187 specs of the radius-layer window: p in {2, 3, 5} and
+    va, vb, vc in [-4, 4], in that order (p, then va, vb, vc)."""
+    from udyn.radiusmaps import RadiusMapSpec
+
+    vals = range(-4, 5)
+    return [
+        RadiusMapSpec(p, va, vb, vc) for p in (2, 3, 5) for va in vals for vb in vals for vc in vals
+    ]
+
+
+def radius_window_p3_specs() -> list:
+    """The 8,820 specs of the p = 3 window with critical values: p = 3,
+    vc = 0 and va, vb in [-4, 4].  Off the EQ regime (vb != 0) each of the 72 triples takes
     every pair of crit_b in {None, zero, bound_b * p**(-k/2) for k = 0..8}
     and crit_c in {None, infinity, bound_c * p**(k/2) for k = 0..8}: 121
     pairs.  In the EQ regime (vb = 0) each of the 9 triples takes crit_b in
@@ -511,6 +525,13 @@ def test_verify_grid_digests_match_golden():
 
 def test_radius_window_digests_match_golden():
     specs = radius_window_specs()
+    assert len(specs) == 2187
+    expected = json.loads((GOLDEN / "radius_window.json").read_text(encoding="utf-8"))
+    assert radius_lemma_digests(specs) == expected
+
+
+def test_radius_window_p3_digests_match_golden():
+    specs = radius_window_p3_specs()
     assert len(specs) == 8820
     expected = json.loads((GOLDEN / "radius_window_p3.json").read_text(encoding="utf-8"))
     assert radius_lemma_digests(specs) == expected
@@ -551,7 +572,8 @@ def write_golden() -> None:
         ("roster_seed0.json", roster_digests(classify(pr) for pr in roster())),
         ("radius_lemmas_seed0.json", radius_lemma_digests(pr.radius_spec() for pr in roster())),
         ("radius_walks_seed0.json", radius_walk_digests(roster())),
-        ("radius_window_p3.json", radius_lemma_digests(radius_window_specs())),
+        ("radius_window.json", radius_lemma_digests(radius_window_specs())),
+        ("radius_window_p3.json", radius_lemma_digests(radius_window_p3_specs())),
         ("verify_grid_digests.json", verify_grid_digests()),
     ):
         (GOLDEN / name).write_text(

@@ -931,7 +931,8 @@ def test_seeded_sweep_over_every_case_has_no_failures():
 
 
 def test_radius_lemmas_have_no_failures():
-    # the grid's specs and every spec of the p = 3 window (8,820)
+    # the grid's specs and every spec of the window (2,187: p in {2, 3, 5},
+    # valuations in [-4, 4])
     specs = [params.radius_spec() for params in default_grid()] + radius_window_specs()
     entries = check_radius_lemmas(specs)
     assert entries
