@@ -631,7 +631,10 @@ def projective_orbit(
     and digits of ``_Bound._step`` and no unit inverse; reading a point
     spends the inverse of w.  A point of Q_p(sqrt(a)) runs through
     :func:`_quad_orbit`.  An exact zero is its own image, and a start at the
-    pole -c or at -b ends as the exact orbit does (:func:`_exact_end`)."""
+    pole -c or at -b ends as the exact orbit does (:func:`_exact_end`).
+    A negative n is refused, as by :func:`orbit`."""
+    if n < 0:
+        raise InvalidArgument("orbit length must be >= 0")
     end = _exact_end(x, params, n, digits)
     if end is not None:
         return end

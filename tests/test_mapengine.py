@@ -914,6 +914,26 @@ def test_projective_orbit_at_the_pole_is_the_exact_pole_hit():
     assert start.termination == Completed(0)
 
 
+@pytest.mark.parametrize(
+    "row, x0",
+    [
+        ((3, 9, 3, 1), F(7, 5)),
+        ((3, F(1, 3), 3, 1), QuadExt(1, 2, F(1, 3))),  # a start in Q_p(sqrt(a))
+        ((3, 9, 3, 1), F(0)),
+        ((3, 9, 3, 1), F(-3)),  # -b
+    ],
+    ids=["rational", "quad", "zero", "minus-b"],
+)
+def test_projective_orbit_refuses_a_negative_length(row, x0):
+    params = validate_params(*row)
+    for run in (
+        lambda: orbit(x0, params, -2, precision=16),
+        lambda: projective_orbit(x0, params, -2, 16),
+    ):
+        with pytest.raises(InvalidArgument, match="orbit length must be >= 0"):
+            run()
+
+
 def test_an_exact_start_at_minus_b_maps_to_exact_zero():
     # x + b = 0 exactly, so f(-b) = 0, its own image; the lifted -b has an
     # uncertified x + b and only exhausted the precision at step 1
