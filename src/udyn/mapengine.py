@@ -189,8 +189,8 @@ class MapParams:
         return RadiusMapSpec(self.p, self.val_a, self.val_b, self.val_c)
 
     def radius_spec(self) -> RadiusMapSpec:
-        """The induced dynamics on radii for these parameters, with no
-        critical value; built once and kept (not as a field)."""
+        """The induced dynamics on radii for these parameters: p and the
+        valuations of a, b and c; built once and kept (not as a field)."""
         return self._radius_spec
 
     @functools.cached_property

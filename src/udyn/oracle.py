@@ -710,7 +710,7 @@ def _judge_bridge(ctx, claim, t, i, radius, x0, rec):
     for j in range(len(rec.points) - 1):
         if type(r) is int:
             r = _image(r, spec)
-            if type(r) is not int:  # a critical sphere's row (q2, name, None)
+            if type(r) is not int:  # a critical sphere's row (q2, name)
                 try:
                     crit = critical_value_at(rec.points[j], ctx.params, r[1])
                 except PrecisionExhausted:
@@ -1055,11 +1055,11 @@ def _lambda_two_cycle(spec: RadiusMapSpec, orbits, lam: LambdaInterval):
         if back == q2:
             continue
         r = Radius.from_exponent(spec.p, q2)
-        if lam.in_core(r) and (type(back) is int or back[2] is not None):
-            after = Radius.from_exponent(spec.p, back) if type(back) is int else back[2]
+        if lam.in_core(r) and type(back) is int:
+            after = Radius.from_exponent(spec.p, back)
             bad = {"radius": str(r), "after_two_steps": str(after)}
             break
-        flagged += 1  # outside the core, or on a sphere with no supplied image
+        flagged += 1  # outside the core, or onto a critical sphere
     status = "FAIL" if bad else ("FLAGGED" if flagged else "PASS")
     note = f"{flagged} member(s) outside the certified core misbehave" if flagged else ""
     return len(lam.q2s), status, bad, note
@@ -1113,7 +1113,7 @@ def check_radius_lemmas(specs: Sequence[RadiusMapSpec]) -> List[CheckEntry]:
     entries: List[CheckEntry] = []
     for spec in specs:
         label = f"p={spec.p}(va={spec.val_a},vb={spec.val_b},vc={spec.val_c})"
-        (lo, _, _), (hi, _, _) = spec.spheres  # the probes reach five beyond them
+        (lo, _), (hi, _) = spec.spheres  # the probes reach five beyond them
         probes = [Radius.zero(spec.p), Radius.infinite(spec.p)] + [
             Radius.from_exponent(spec.p, q2) for q2 in range(lo - 5, hi + 6)
         ]

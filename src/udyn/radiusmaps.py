@@ -8,17 +8,19 @@ critical spheres the induced map is affine in q2.  So a
 :class:`RadiusMapSpec` carries two small tables, and every radius walk
 runs on bare integer exponents from them:
 
-* ``spheres``: the lower and upper critical spheres as (q2, name, supplied
-  image radius); in the EQ regime both rows are the |b| sphere;
+* ``spheres``: the lower and upper critical spheres as (q2, name); in the
+  EQ regime both rows are the |b| sphere;
 * ``zones``: the map q2 -> m*q2 + k below, between and above them, as
   (m, k): (1, delta_bottom), then (3, 2(2 v_c - v_a)) in LT or
   (-1, -2(v_a + 2 v_b)) in GT, then (1, delta_top).
 
 On top of them sit one step rule on exponents, which the one-step map wraps
 and the orbits run on ints, and a closed-form limit classifier that crosses
-each scaling zone in one jump.  The other case facts are read off the same
-tables: the admissible critical values (``bound_b``/``bound_c``, the middle
-zone's map at each sphere, where the outer zone agrees), the radius the
+each scaling zone in one jump.  A walk that reaches a critical sphere ends
+there: the sphere's image is a property of the point, not of the radius.
+The other case facts are read off the same tables: the bounds on the
+critical images (``bound_b``/``bound_c``, the middle zone's map at each
+sphere, where the outer zone agrees), the radius the
 middle zone fixes (``mid_fixed``), and the ladders of radii that land
 exactly on a critical sphere (``ExceptionalSet.on``: the sphere's exponent,
 stepped by the shift of the zone beyond it).  Two facts keep their own case
@@ -86,10 +88,7 @@ class CriticalValueNeeded(ExactError):
     """
 
     def __init__(self, sphere: str, radius: "Radius") -> None:
-        super().__init__(
-            f"radius map undetermined on the critical sphere |x| = {radius}; "
-            f"supply crit_{sphere}"
-        )
+        super().__init__(f"radius map undetermined on the critical sphere |x| = {radius}")
         self.sphere = sphere
         self.radius = radius
 
@@ -218,13 +217,8 @@ _BELOW, _MID, _ABOVE = 0, 1, 2  # rows of RadiusMapSpec.zones
 
 @dataclass(frozen=True)
 class RadiusMapSpec:
-    """Everything the radius map needs: the three valuations and
-    (optionally) the image radii chosen on the critical spheres.
-
-    The image of the critical sphere |x| = |b| is only constrained to a
-    closed ball, and the image of |x| = |c| to the complement of an open
-    ball; ``crit_b``/``crit_c`` pin the actual image radius for the orbit
-    under study.  Field types and bounds are validated on construction.
+    """Everything the radius map needs: the prime and the valuations of
+    a, b and c, checked to be ints on construction.
 
     The regime, the two walk tables (``spheres`` and ``zones``), the
     critical radii and the two-cycle interval are computed from the fields
@@ -236,46 +230,11 @@ class RadiusMapSpec:
     val_a: int
     val_b: int
     val_c: int
-    crit_b: Optional[Radius] = None
-    crit_c: Optional[Radius] = None
 
     def __post_init__(self) -> None:
         ints = (self.p, self.val_a, self.val_b, self.val_c)
         if not all(isinstance(v, int) for v in ints):
             raise InvalidArgument(f"p and the valuations must be ints, got {ints}")
-        for name, r in (("crit_b", self.crit_b), ("crit_c", self.crit_c)):
-            if r is not None and not isinstance(r, Radius):
-                raise InvalidArgument(f"{name} must be a Radius or None, got {r!r}")
-        if self.crit_c is not None and self.regime is Regime.EQ:
-            raise InvalidArgument(
-                "the EQ regime has a single critical sphere; use crit_b"
-            )
-        if self.crit_b is not None:
-            r = self.crit_b
-            if r.p != self.p:
-                raise InvalidArgument("crit_b prime mismatch")
-            if r.is_infinite and self.regime is not Regime.EQ:
-                # Off the EQ regime the pole lies strictly inside or outside
-                # the sphere, so the image of |x| = |b| stays finite.
-                raise InvalidArgument("the image of |x|=|b| is never infinite")
-            if (
-                self.regime is not Regime.EQ
-                and r.is_finite
-                and r > self.bound_b
-            ):
-                raise InvalidArgument(
-                    f"crit_b = {r} exceeds the admissible bound {self.bound_b}"
-                )
-        if self.crit_c is not None:
-            r = self.crit_c
-            if r.p != self.p:
-                raise InvalidArgument("crit_c prime mismatch")
-            if r.is_zero:
-                raise InvalidArgument("the image of |x|=|c| is never zero")
-            if r.is_finite and r < self.bound_c:
-                raise InvalidArgument(
-                    f"crit_c = {r} is below the admissible bound {self.bound_c}"
-                )
 
     # ------------------------------------------------------------ derived data
 
@@ -297,11 +256,11 @@ class RadiusMapSpec:
         return self.regime is Regime.GT and self.val_a > 0 and self.s < 0
 
     @cached_property
-    def spheres(self) -> Tuple[Tuple[int, str, Optional[Radius]], ...]:
-        """The lower and upper critical spheres as (q2, name, supplied
-        image radius); in the EQ regime both rows are the |b| sphere."""
-        b = (-2 * self.val_b, "b", self.crit_b)
-        c = (-2 * self.val_c, "c", self.crit_c)
+    def spheres(self) -> Tuple[Tuple[int, str], ...]:
+        """The lower and upper critical spheres as (q2, name); in the EQ
+        regime both rows are the |b| sphere."""
+        b = (-2 * self.val_b, "b")
+        c = (-2 * self.val_c, "c")
         return {Regime.LT: (b, c), Regime.EQ: (b, b), Regime.GT: (c, b)}[self.regime]
 
     @cached_property
@@ -335,16 +294,18 @@ class RadiusMapSpec:
 
     @property
     def bound_b(self) -> Radius:
-        """Largest admissible crit_b (the closed ball containing f(S_|b|)):
-        the middle zone's map at |b|, where the outer zone agrees."""
+        """Largest radius |f(x)| can take on |x| = |b| (f maps that sphere
+        into the closed ball of this radius): the middle zone's map at |b|,
+        where the outer zone agrees."""
         if self.regime is Regime.EQ:
-            raise InvalidRegime("crit_b is unbounded in the EQ regime")
+            raise InvalidRegime("the image of |x| = |b| is unbounded in the EQ regime")
         return self._mid_image(-2 * self.val_b)
 
     @property
     def bound_c(self) -> Radius:
-        """Smallest admissible crit_c (f(S_|c|) avoids the open ball below
-        it): the middle zone's map at |c|, where the outer zone agrees."""
+        """Smallest radius |f(x)| can take on |x| = |c| (f maps that sphere
+        outside the open ball of this radius): the middle zone's map at
+        |c|, where the outer zone agrees."""
         if self.regime is Regime.EQ:
             raise InvalidRegime("the EQ regime has no |c| critical sphere")
         return self._mid_image(-2 * self.val_c)
@@ -379,25 +340,20 @@ def _locate(q2: int, spec: RadiusMapSpec):
 
 
 def _image(q2: int, spec: RadiusMapSpec):
-    """The step rule on a finite exponent: q2 -> m*q2 + k in its zone, the
-    supplied image on a critical sphere.  A finite image comes back as its
-    exponent, any other as the sphere's row (q2, name, crit), crit then
-    being None (not supplied), zero or infinite."""
+    """The step rule on a finite exponent: q2 -> m*q2 + k in its zone.  On
+    a critical sphere, where the image depends on the point, it returns
+    the sphere's row (q2, name) instead."""
     zone, sphere = _locate(q2, spec)
     if sphere is None:
         m, k = spec.zones[zone]
         return m * q2 + k
-    crit = sphere[2]
-    if crit is not None and crit.kind is RadiusKind.FINITE:
-        return crit.q2
     return sphere
 
 
 def radius_step(r: Radius, spec: RadiusMapSpec) -> Radius:
     """One application of the induced radius map.
 
-    Raises :class:`CriticalValueNeeded` on a critical sphere whose image
-    radius was not supplied.
+    Raises :class:`CriticalValueNeeded` on a critical sphere.
     """
     if r.p != spec.p:
         raise InvalidArgument("radius prime does not match the spec")
@@ -406,10 +362,7 @@ def radius_step(r: Radius, spec: RadiusMapSpec) -> Radius:
     nxt = _image(r.q2, spec)
     if type(nxt) is int:
         return Radius.from_exponent(spec.p, nxt)
-    _, name, crit = nxt
-    if crit is None:
-        raise CriticalValueNeeded(name, r)
-    return crit
+    raise CriticalValueNeeded(nxt[1], r)
 
 
 # ------------------------------------------------------------------- verdicts
@@ -490,7 +443,8 @@ class EventuallyConstantAt(Verdict):
 
 @dataclass(frozen=True)
 class NeedsCriticalValue(Verdict):
-    """Classification stops on a critical sphere with no image supplied."""
+    """Classification stops on a critical sphere, whose image depends on
+    the point."""
 
     kind: ClassVar[str] = "needs-critical-value"
     sphere: str = ""
@@ -522,8 +476,9 @@ class EventuallyInLambda(Verdict):
 @dataclass(frozen=True)
 class RadiusOrbitResult:
     """A radius orbit from ``start``: the exponents ``q2s`` of the finite
-    radii it visits, in order, then the zero or infinite radius ``end`` it
-    ends on, if any.  ``trajectory`` holds all as radii, built on first read."""
+    radii it visits, in order; ``end`` is the start itself when that is the
+    zero or infinite radius, else None.  ``trajectory`` holds all as radii,
+    built on first read."""
 
     start: Radius
     q2s: Tuple[int, ...]
@@ -552,24 +507,22 @@ def radius_orbit(
     can only shrink to zero, and above the upper sphere with an expanding
     top zone it can only blow up; both are certified without stepping.
     Otherwise steps are taken until a repeat (fixed radius or cycle), a
-    critical sphere with no supplied image, or the iteration horizon.
-    Each step is one application of the map to the last exponent.
+    critical sphere, or the iteration horizon.  Each step is one
+    application of the map to the last exponent.
     """
     if r.p != spec.p:
         raise InvalidArgument("radius prime does not match the spec")
-    (lo, _, _), (hi, _, _) = spec.spheres
+    (lo, _), (hi, _) = spec.spheres
     (_, d_bottom), _, (_, d_top) = spec.zones
-    finite = r.is_finite
-    q2s: List[int] = [r.q2] if finite else []
-    end = None if finite else r  # zero and infinity are fixed
+    if not r.is_finite:  # zero and infinity are fixed
+        return RadiusOrbitResult(r, (), r, FixedAt(r) if max_iter else HorizonExceeded())
+    q2s: List[int] = [r.q2]
     seen: Dict[int, int] = {}  # q2 -> its index in q2s
 
     def result(verdict: Verdict) -> RadiusOrbitResult:
-        return RadiusOrbitResult(r, tuple(q2s), end, verdict)
+        return RadiusOrbitResult(r, tuple(q2s), None, verdict)
 
     for i in range(max_iter):
-        if end is not None:
-            return result(FixedAt(end) if i == 0 else EventuallyConstantAt(end, i))
         q = q2s[-1]
         seen[q] = i
         if d_bottom < 0 and q < lo:
@@ -578,16 +531,13 @@ def radius_orbit(
             return result(ToInfinity())
         nxt = _image(q, spec)
         if type(nxt) is not int:
-            _, name, end = nxt
-            if end is None:
-                return result(NeedsCriticalValue(name))
-        elif nxt == q:
+            return result(NeedsCriticalValue(nxt[1]))
+        if nxt == q:
             here = Radius.from_exponent(spec.p, q)
             return result(FixedAt(here) if i == 0 else EventuallyConstantAt(here, i))
-        elif nxt in seen:
+        if nxt in seen:
             return result(_cycle(spec.p, q2s[seen[nxt] :]))
-        else:
-            q2s.append(nxt)
+        q2s.append(nxt)
     return result(HorizonExceeded())
 
 
@@ -657,11 +607,11 @@ class RadiusRay:
 class FixSet:
     """Fixed radii of the radius map.
 
-    ``members`` are the isolated finite fixed radii: the one the middle
-    zone fixes, and a critical sphere whose supplied image is itself.
-    ``rays`` are whole zones fixed pointwise.  The zero and infinite radii
-    are always fixed and are not listed; a critical sphere with no
-    supplied image is not listed either.
+    ``members`` holds the isolated finite fixed radius, the one the
+    middle zone fixes, where there is one.  ``rays`` are whole zones fixed
+    pointwise.  The zero and infinite radii are always fixed and are not
+    listed; a critical sphere, whose image depends on the point, is not
+    listed either.
     """
 
     members: Tuple[Radius, ...]
@@ -669,6 +619,7 @@ class FixSet:
 
 
 def fix_set(spec: RadiusMapSpec) -> FixSet:
+    """The fixed radii (:class:`FixSet`), by cases on the regime, val(a) and s."""
     members: List[Radius] = []
     rays: List[RadiusRay] = []
     va, s, p = spec.val_a, spec.s, spec.p
@@ -690,12 +641,6 @@ def fix_set(spec: RadiusMapSpec) -> FixSet:
             rays.append(RadiusRay(spec.sphere_b(), "above"))
         if va > 0 and s < 0:
             members.append(Radius.from_exponent(p, -va - 2 * spec.val_b))
-    # a critical sphere is fixed when its supplied image is itself (the EQ
-    # regime takes no crit_c, so only |b| can be fixed there)
-    for sphere, crit in ((spec.sphere_b(), spec.crit_b), (spec.sphere_c(), spec.crit_c)):
-        if crit == sphere:
-            members.append(sphere)
-    members.sort(key=lambda r: r.q2)
     return FixSet(tuple(members), tuple(rays))
 
 
@@ -834,16 +779,13 @@ def lambda_interval(spec: RadiusMapSpec) -> LambdaInterval:
 # ------------------------------------------------------- closed-form classifier
 
 
-_CYCLE_CAP = 100_000  # longest cycle limit_classify spells out radius by radius
-
-
 def _missing_crit_shortcut(name: str, spec: RadiusMapSpec) -> Optional[Verdict]:
-    """When every admissible critical value provably leads to the same
-    limit, classification proceeds without one: every image of the sphere
-    lies in a contracting bottom zone, or in an expanding top zone."""
+    """The limit of a walk onto the |name| sphere when every image its
+    bound allows provably leads there: every image of the sphere lies in a
+    contracting bottom zone, or in an expanding top zone."""
     if spec.regime is Regime.EQ:
-        return None  # crit_b is unconstrained there
-    (lo, _, _), (hi, _, _) = spec.spheres
+        return None  # the image of |x| = |b| is unbounded there
+    (lo, _), (hi, _) = spec.spheres
     (_, d_bottom), _, (_, d_top) = spec.zones
     if name == "b":
         return ToZero() if d_bottom < 0 and spec.bound_b.q2 < lo else None
@@ -854,14 +796,14 @@ def limit_classify(r: Radius, spec: RadiusMapSpec) -> Verdict:
     """Classify the fate of a radius orbit in closed form.
 
     Scaling zones are crossed in one exact jump, so the answer does not
-    depend on any iteration horizon.  On a critical sphere the supplied
-    critical value is followed; with none supplied the verdict is
-    :class:`NeedsCriticalValue` unless every admissible value provably
-    yields the same limit.  In the two-cycle regime (|b| > |c|, |a| < 1,
-    s < 0) a radius in the certified core of the symmetric interval is on a
-    two-cycle, and a walk that reaches the core after step 0 ends there as
-    :class:`EventuallyInLambda`.  A member of the interval outside the core
-    may be on no two-cycle, so it is walked like any other radius.
+    depend on any iteration horizon.  A walk that reaches a critical sphere
+    ends there, as :class:`NeedsCriticalValue`, unless every image the
+    sphere's bound allows provably yields the same limit.  In the two-cycle
+    regime (|b| > |c|, |a| < 1, s < 0) a radius in the certified core of
+    the symmetric interval is on a two-cycle, and a walk that reaches the
+    core after step 0 ends there as :class:`EventuallyInLambda`.  A member
+    of the interval outside the core may be on no two-cycle, so it is
+    walked like any other radius.
     """
     if r.p != spec.p:
         raise InvalidArgument("radius prime does not match the spec")
@@ -872,10 +814,8 @@ def limit_classify(r: Radius, spec: RadiusMapSpec) -> Verdict:
         return TwoCycleRegion(lam)
 
     p = spec.p
-    (lo, _, _), (hi, _, _) = spec.spheres
+    (lo, _), (hi, _) = spec.spheres
     q, j = r.q2, 0
-    hits: Dict[str, int] = {}  # sphere name -> its index in ``log``
-    log: Optional[List[int]] = None  # exponents from the first sphere hit on
 
     def fixed_here() -> Verdict:
         here = Radius.from_exponent(p, q)
@@ -886,32 +826,14 @@ def limit_classify(r: Radius, spec: RadiusMapSpec) -> Verdict:
             return EventuallyInLambda(lam)
         zone, sphere = _locate(q, spec)
         if sphere is not None:
-            _, name, crit = sphere
-            if crit is None:
-                shortcut = _missing_crit_shortcut(name, spec)
-                return shortcut if shortcut is not None else NeedsCriticalValue(name)
-            if crit.is_finite and crit.q2 == q:
-                return fixed_here()
-            if name in hits:
-                # log[-1] is the re-hit sphere itself; the cycle runs from
-                # the first hit up to (not including) it.
-                return _cycle(p, log[hits[name] : -1])
-            if not crit.is_finite:
-                return EventuallyConstantAt(crit, j + 1)
-            if log is None:
-                log = [q]
-            hits[name] = len(log) - 1
-            q, j = crit.q2, j + 1
-            log.append(q)
-            continue
+            shortcut = _missing_crit_shortcut(sphere[1], spec)
+            return shortcut if shortcut is not None else NeedsCriticalValue(sphere[1])
         m, k = spec.zones[zone]
         if zone == _MID:
             nxt = m * q + k
             if nxt == q:
                 return fixed_here()
             q, j = nxt, j + 1
-            if log is not None:
-                log.append(q)
             continue
         # scaling zone: q2 -> q2 + k, crossed in one jump onto or past the
         # sphere it moves towards
@@ -922,9 +844,5 @@ def limit_classify(r: Radius, spec: RadiusMapSpec) -> Verdict:
         if zone == _ABOVE and k > 0:
             return ToInfinity()
         n = max(1, -((q - (lo if zone == _BELOW else hi)) // k))  # ceil(gap / k)
-        if log is not None:
-            if len(log) + n > _CYCLE_CAP:
-                return HorizonExceeded()
-            log.extend(q + i * k for i in range(1, n + 1))
         q, j = q + n * k, j + n
     return HorizonExceeded()  # defensive; the walk always terminates sooner

@@ -23,16 +23,12 @@ radius lemmas became a table.  ``radius_walks_seed0.json``
 holds one sha256 per case over the radius walks themselves on that roster
 (``radius_orbit`` and ``limit_classify`` from every probe radius of
 ``check_radius_lemmas``), written before the walks ran on bare exponents.
-``radius_window_p3.json`` holds one sha256 per case over the
-``check_radius_lemmas`` entries of every spec of an enumerated window
-(``radius_window_p3_specs``), written before the radius orbits ran on bare
-exponents.  The T3.IV digest of all three was written again when
-``limit_classify`` stopped calling a radius of the two-cycle interval
-outside its core ``TwoCycleRegion``, which removed the window's
-``radius:classify-vs-orbit`` FAILs.  ``radius_window.json`` holds the
-same digests over ``radius_window_specs`` (p in {2, 3, 5} and every
-valuation triple in [-4, 4]**3), written before the spec lost its
-supplied critical values.
+The T3.IV digest of both was written again when ``limit_classify``
+stopped calling a radius of the two-cycle interval outside its core
+``TwoCycleRegion``.  ``radius_window.json`` holds the same digests over
+every spec of an enumerated window (``radius_window_specs``: p in
+{2, 3, 5} and every valuation triple in [-4, 4]**3), written before the
+spec lost its supplied critical values.
 ``verify_grid_digests.json`` holds one sha256 per ``default_grid()`` row and
 seed in ``DIGEST_SEEDS`` over the sorted-key ``run_verification`` JSON at
 default settings, written before the sampled orbits of rational and
@@ -327,40 +323,6 @@ def radius_window_specs() -> list:
     ]
 
 
-def radius_window_p3_specs() -> list:
-    """The 8,820 specs of the p = 3 window with critical values: p = 3,
-    vc = 0 and va, vb in [-4, 4].  Off the EQ regime (vb != 0) each of the 72 triples takes
-    every pair of crit_b in {None, zero, bound_b * p**(-k/2) for k = 0..8}
-    and crit_c in {None, infinity, bound_c * p**(k/2) for k = 0..8}: 121
-    pairs.  In the EQ regime (vb = 0) each of the 9 triples takes crit_b in
-    {None, zero, infinity, |b| * p**(d/2) for d = -4..4}: 12 specs.  Order:
-    va, then vb, then crit_b, then crit_c, each as listed."""
-    from udyn.radiusmaps import Radius, RadiusMapSpec, Regime
-
-    p = 3
-    specs = []
-    for va in range(-4, 5):
-        for vb in range(-4, 5):
-            base = RadiusMapSpec(p, va, vb, 0)
-            if base.regime is Regime.EQ:
-                crits_b = [None, Radius.zero(p), Radius.infinite(p)] + [
-                    Radius.from_exponent(p, -2 * vb + d) for d in range(-4, 5)
-                ]
-                specs.extend(RadiusMapSpec(p, va, vb, 0, cb) for cb in crits_b)
-                continue
-            top, bottom = base.bound_b.q2, base.bound_c.q2
-            crits_b = [None, Radius.zero(p)] + [
-                Radius.from_exponent(p, top - k) for k in range(9)
-            ]
-            crits_c = [None, Radius.infinite(p)] + [
-                Radius.from_exponent(p, bottom + k) for k in range(9)
-            ]
-            specs.extend(
-                RadiusMapSpec(p, va, vb, 0, cb, cc) for cb in crits_b for cc in crits_c
-            )
-    return specs
-
-
 def radius_lemma_digests(specs) -> dict:
     """sha256 per case over the ``check_radius_lemmas`` entry lines of
     these specs, in order."""
@@ -530,13 +492,6 @@ def test_radius_window_digests_match_golden():
     assert radius_lemma_digests(specs) == expected
 
 
-def test_radius_window_p3_digests_match_golden():
-    specs = radius_window_p3_specs()
-    assert len(specs) == 8820
-    expected = json.loads((GOLDEN / "radius_window_p3.json").read_text(encoding="utf-8"))
-    assert radius_lemma_digests(specs) == expected
-
-
 # ------------------------------------------------------------------ writer
 
 
@@ -573,7 +528,6 @@ def write_golden() -> None:
         ("radius_lemmas_seed0.json", radius_lemma_digests(pr.radius_spec() for pr in roster())),
         ("radius_walks_seed0.json", radius_walk_digests(roster())),
         ("radius_window.json", radius_lemma_digests(radius_window_specs())),
-        ("radius_window_p3.json", radius_lemma_digests(radius_window_p3_specs())),
         ("verify_grid_digests.json", verify_grid_digests()),
     ):
         (GOLDEN / name).write_text(

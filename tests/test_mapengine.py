@@ -129,13 +129,11 @@ def test_radius_spec_is_built_once():
     # the kept spec is not a field: equality, hashing and repr are unchanged
     assert params == fresh
     assert (hash(params), repr(params)) == before == (hash(fresh), repr(fresh))
-    # a spec with a critical value is built fresh, on the same valuations
-    crit = Radius.from_exponent(3, 4)
-    given = dataclasses.replace(params.radius_spec(), crit_c=crit)
-    assert given is not params.radius_spec() and given.crit_c == crit
-    assert given == RadiusMapSpec(3, 2, 1, 0, crit_c=crit)
+    # a spec built anew on the same valuations equals the kept one
+    again = dataclasses.replace(params.radius_spec())
+    assert again is not params.radius_spec() and again == RadiusMapSpec(3, 2, 1, 0)
     with pytest.raises(InvalidArgument):
-        dataclasses.replace(params.radius_spec(), crit_c=Radius.zero(3))
+        dataclasses.replace(params.radius_spec(), val_c=F(0))
 
 
 # ------------------------------------------------------------------ evaluation

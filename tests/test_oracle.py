@@ -166,25 +166,24 @@ def test_lemma1_bridge_branches_are_pinned(monkeypatch, attr, patch, expected):
 
 def _reference_bridge(ctx, claim, t, i, radius, x0, rec):
     """The bridge as it stood before it walked exponents: ``Radius``
-    objects stepped by ``radius_step``, a fresh spec with the supplied
-    critical value at each critical-sphere visit."""
+    objects stepped by ``radius_step`` off the critical spheres, and the
+    point's own critical value (``critical_value_at``) on them."""
     if not rec.points:
         return oracle._PENDING
     params, spec = ctx.params, ctx.spec
     vals = rec.valuations
     r = Radius.from_val(params.p, vals[0])
     for j in range(len(rec.points) - 1):
-        use = next((name for q2, name, _ in spec.spheres if r.is_finite and r.q2 == q2), None)
-        step_spec = spec
-        if use is not None:
+        use = next((name for q2, name in spec.spheres if r.is_finite and r.q2 == q2), None)
+        if use is None:
+            r = radius_step(r, spec)
+        else:
             try:
-                crit = oracle.critical_value_at(rec.points[j], params, use)
+                r = oracle.critical_value_at(rec.points[j], params, use)
             except PrecisionExhausted:
                 return oracle._PENDING
             except PoleHit:
                 return None
-            step_spec = dataclasses.replace(params.radius_spec(), **{f"crit_{use}": crit})
-        r = radius_step(r, step_spec)
         got = Radius.from_val(params.p, vals[j + 1])
         if got != r:
             return {"x": str(x0), "step": j + 1, "expected": str(r), "got": str(got)}
@@ -214,7 +213,7 @@ def _critical_value_off_admissibly(x, params, which):
 @pytest.mark.parametrize("off", [False, True], ids=["true-critical-values", "off-admissibly"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_bridge_matches_the_radius_walk_over_the_grid(monkeypatch, seed, off):
-    if off:  # a wrong critical value the reference walk's spec still admits
+    if off:  # a wrong critical value, still inside its sphere's bound
         monkeypatch.setattr(oracle, "critical_value_at", _critical_value_off_admissibly)
     verdicts = [v for params in default_grid() for v in _bridge_verdicts(context(params, seed=seed))]
     assert [(new, str(x0)) for x0, new, _ in verdicts] == [(ref, str(x0)) for x0, _, ref in verdicts]

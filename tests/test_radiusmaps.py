@@ -33,7 +33,6 @@ from udyn.radiusmaps import (
     radius_step,
 )
 from udyn import radiusmaps
-from udyn.oracle import _verdicts_compatible  # what radius:classify-vs-orbit accepts
 from udyn.portrait import _CASES, case_of  # the ladder a case row attaches
 from udyn.radiusmaps import _RadExpr  # the exact ends the exponent window comes from
 
@@ -42,10 +41,9 @@ def rad(p, q2):
     return Radius.from_exponent(p, q2)
 
 
-def spec_of(p, a, b, c, **crit):
-    """The radius spec of the map (p, a, b, c), built as the CLI builds it,
-    with the critical values ``crit`` supplied."""
-    return dataclasses.replace(validate_params(p, a, b, c).radius_spec(), **crit)
+def spec_of(p, a, b, c):
+    """The radius spec of the map (p, a, b, c), built as the CLI builds it."""
+    return validate_params(p, a, b, c).radius_spec()
 
 
 # ---------------------------------------------------------------- Radius model
@@ -113,11 +111,11 @@ def test_spec_from_params():
     assert spec.s == 4
     assert spec.sphere_b() == rad(3, -2)
     assert spec.sphere_c() == rad(3, 0)
-    assert spec.spheres == ((-2, "b", None), (0, "c", None))
-    gt = spec_of(3, 4, 1, 3, crit_b=rad(3, -4))
-    assert gt.spheres == ((-2, "c", None), (0, "b", rad(3, -4)))
+    assert spec.spheres == ((-2, "b"), (0, "c"))
+    gt = spec_of(3, 4, 1, 3)
+    assert gt.spheres == ((-2, "c"), (0, "b"))
     eq = spec_of(5, 2, 1, 3)
-    assert eq.spheres == ((0, "b", None), (0, "b", None))
+    assert eq.spheres == ((0, "b"), (0, "b"))
 
 
 def test_zone_tables():
@@ -141,7 +139,7 @@ def test_spec_regime_follows_the_valuations():
     spec = RadiusMapSpec(p=3, val_a=0, val_b=0, val_c=2)
     assert spec.regime is Regime.GT
     assert "regime" not in {f.name for f in dataclasses.fields(RadiusMapSpec)}
-    assert spec.spheres == ((-4, "c", None), (0, "b", None))
+    assert spec.spheres == ((-4, "c"), (0, "b"))
     with pytest.raises(CriticalValueNeeded) as exc:
         radius_step(rad(3, -4), spec)
     assert exc.value.sphere == "c"
@@ -149,45 +147,23 @@ def test_spec_regime_follows_the_valuations():
     assert RadiusMapSpec(3, 0, 1, 1).regime is Regime.EQ
 
 
-def test_spec_critical_value_bounds():
-    # LT (3,9,3,1): crit_b <= |ab^3/c^2| = 3^-5, crit_c >= |ac| = 3^-2
-    spec_of(3, 9, 3, 1, crit_b=rad(3, -10))
-    spec_of(3, 9, 3, 1, crit_b=Radius.zero(3))
-    spec_of(3, 9, 3, 1, crit_c=rad(3, -4))
-    spec_of(3, 9, 3, 1, crit_c=Radius.infinite(3))
-    with pytest.raises(InvalidArgument):
-        spec_of(3, 9, 3, 1, crit_b=rad(3, -9))
-    with pytest.raises(InvalidArgument):
-        spec_of(3, 9, 3, 1, crit_b=Radius.infinite(3))
-    with pytest.raises(InvalidArgument):
-        spec_of(3, 9, 3, 1, crit_c=rad(3, -5))
-    with pytest.raises(InvalidArgument):
-        spec_of(3, 9, 3, 1, crit_c=Radius.zero(3))
-    # GT (3,4,1,3): crit_b <= |ab| = 1, crit_c >= |ab^2/c| = 3
-    spec_of(3, 4, 1, 3, crit_b=rad(3, 0))
-    with pytest.raises(InvalidArgument):
-        spec_of(3, 4, 1, 3, crit_b=rad(3, 1))
-    with pytest.raises(InvalidArgument):
-        spec_of(3, 4, 1, 3, crit_c=rad(3, 0))
-    # EQ takes any crit_b (the pole sits on the sphere), never a crit_c
-    spec_of(5, 2, 1, 3, crit_b=Radius.infinite(5))
-    spec_of(5, 2, 1, 3, crit_b=rad(5, 20))
-    with pytest.raises(InvalidArgument):
-        spec_of(5, 2, 1, 3, crit_c=rad(5, 2))
-
-
 def test_spec_rejects_fields_of_the_wrong_type():
     # a positional call in an older field order: Regime.LT lands in val_a
-    # and 2 in crit_b
     with pytest.raises(InvalidArgument):
-        RadiusMapSpec(3, Regime.LT, 0, 0, 2)
+        RadiusMapSpec(3, Regime.LT, 0, 0)
     with pytest.raises(InvalidArgument):
         RadiusMapSpec(3, 0, F(1), 0)
+    spec = RadiusMapSpec(3, 2, 1, 0)
     with pytest.raises(InvalidArgument):
-        RadiusMapSpec(3, 2, 1, 0, crit_b=rad(3, -10), crit_c=2)
-    spec = RadiusMapSpec(3, 2, 1, 0, crit_b=rad(3, -10))
-    with pytest.raises(InvalidArgument):
-        dataclasses.replace(spec, crit_b=-10)
+        dataclasses.replace(spec, val_b=1.0)
+
+
+def test_spec_is_p_and_three_valuations():
+    # no critical value is part of the spec: a critical sphere's image
+    # depends on the point, so a walk that reaches one ends there
+    assert [f.name for f in dataclasses.fields(RadiusMapSpec)] == ["p", "val_a", "val_b", "val_c"]
+    with pytest.raises(TypeError):
+        RadiusMapSpec(3, 2, 1, 0, crit_b=rad(3, -10))
 
 
 # ------------------------------------------------------------------ radius map
@@ -211,8 +187,6 @@ def test_radius_step_lt():
     with pytest.raises(CriticalValueNeeded) as exc:
         radius_step(rad(3, 0), spec)
     assert exc.value.sphere == "c"
-    given = spec_of(3, 9, 3, 1, crit_c=rad(3, 4))
-    assert radius_step(rad(3, 0), given) == rad(3, 4)
 
 
 def test_radius_step_eq():
@@ -240,6 +214,23 @@ def test_radius_step_gt():
     assert exc.value.sphere == "b"
 
 
+@pytest.mark.parametrize(
+    "row, regime",
+    [((3, 9, 3, 1), Regime.LT), ((3, 9, 1, 2), Regime.EQ), ((3, 4, 1, 3), Regime.GT)],
+    ids=["LT", "EQ", "GT"],
+)
+def test_radius_step_refuses_every_critical_sphere(row, regime):
+    # both rows of the sphere table, the one |b| sphere twice in EQ
+    spec = spec_of(*row)
+    assert spec.regime is regime
+    for q2, name in spec.spheres:
+        with pytest.raises(CriticalValueNeeded) as exc:
+            radius_step(rad(3, q2), spec)
+        assert (exc.value.sphere, exc.value.radius) == (name, rad(3, q2))
+        assert "supply" not in str(exc.value)
+        assert radius_orbit(rad(3, q2), spec).verdict == NeedsCriticalValue(name)
+
+
 # --------------------------------------------------------------- radius orbits
 
 
@@ -260,19 +251,25 @@ def test_radius_orbit_to_infinity():
 def test_radius_orbit_fixed_and_constant():
     spec = spec_of(5, 2, 1, 3)  # EQ with |a| = 1
     assert radius_orbit(rad(5, 3), spec).verdict == FixedAt(rad(5, 3))
-    withb = spec_of(5, 2, 1, 3, crit_b=rad(5, -4))
-    res = radius_orbit(rad(5, 0), withb)
-    assert res.verdict == EventuallyConstantAt(rad(5, -4), 1)
-    assert res.trajectory == (rad(5, 0), rad(5, -4))
+    flat = spec_of(3, 4, 1, 3)  # GT with |a| = 1: the inversion lands in the fixed top zone
+    res = radius_orbit(rad(3, -1), flat)
+    assert res.verdict == EventuallyConstantAt(rad(3, 1), 1)
+    assert res.trajectory == (rad(3, -1), rad(3, 1))
+    # zero and infinity are fixed, and the only radii an orbit ends on
+    for r in (Radius.zero(5), Radius.infinite(5)):
+        res = radius_orbit(r, spec)
+        assert (res.verdict, res.q2s, res.end, res.trajectory) == (FixedAt(r), (), r, (r,))
+    assert radius_orbit(rad(5, 3), spec).end is None
 
 
 def test_radius_orbit_cycle():
-    spec = spec_of(3, 9, 3, 1, crit_c=rad(3, 4))
-    res = radius_orbit(rad(3, 0), spec)
-    assert res.verdict == Cycle((rad(3, 4), rad(3, 0)))
-    # entering the cycle from above keeps the same canonical tuple
-    res2 = radius_orbit(rad(3, 8), spec)
-    assert res2.verdict == Cycle((rad(3, 4), rad(3, 0)))
+    spec = spec_of(3, 9, 1, 27)  # GT: inversion through 3^-1 between 3^-3 and 1
+    res = radius_orbit(rad(3, -1), spec)
+    assert res.verdict == Cycle((rad(3, -1), rad(3, -3)))
+    # entering the cycle from above |b| keeps the same canonical tuple
+    res2 = radius_orbit(rad(3, -5), spec)
+    assert res2.trajectory == (rad(3, -5), rad(3, 1), rad(3, -3), rad(3, -1))
+    assert res2.verdict == Cycle((rad(3, -1), rad(3, -3)))
 
 
 def test_radius_orbit_needs_critical_value():
@@ -383,10 +380,6 @@ def test_fix_set_members():
     fs = fix_set(gt)
     assert fs.members == (rad(3, -1),)
     assert radius_step(rad(3, -1), gt) == rad(3, -1)
-    # a critical value equal to its sphere makes the sphere fixed
-    pinned = spec_of(5, 2, 1, 3, crit_b=rad(5, 0))
-    fs = fix_set(pinned)
-    assert fs.members == (rad(5, 0),)
 
 
 # ------------------------------------------------------------- Lambda interval
@@ -504,12 +497,6 @@ def test_limit_classify_lt_attracting():
     # landing on |b| resolves without a critical value: every admissible
     # image lies in the contracting bottom zone
     assert limit_classify(rad(3, -2), spec) == ToZero()
-    cyc = spec_of(3, 9, 3, 1, crit_c=rad(3, 4))
-    assert limit_classify(rad(3, 0), cyc) == Cycle((rad(3, 4), rad(3, 0)))
-    assert limit_classify(rad(3, 8), cyc) == Cycle((rad(3, 4), rad(3, 0)))
-    fixed = spec_of(3, 9, 3, 1, crit_c=rad(3, 0))
-    assert limit_classify(rad(3, 0), fixed) == FixedAt(rad(3, 0))
-    assert limit_classify(rad(3, 4), fixed) == EventuallyConstantAt(rad(3, 0), 1)
 
 
 def test_limit_classify_lt_indifferent_a():
@@ -518,8 +505,6 @@ def test_limit_classify_lt_indifferent_a():
     assert limit_classify(rad(3, -2), spec) == ToZero()  # sphere |b|, forced
     assert limit_classify(rad(3, 2), spec) == FixedAt(rad(3, 2))
     assert limit_classify(rad(3, 0), spec) == NeedsCriticalValue("c")
-    up = spec_of(3, 2, 3, 1, crit_c=rad(3, 5))
-    assert limit_classify(rad(3, 0), up) == EventuallyConstantAt(rad(3, 5), 1)
 
 
 def test_limit_classify_lt_threshold():
@@ -548,8 +533,7 @@ def test_limit_classify_gt_two_cycle_region():
     spec = spec_of(3, 3, 1, 6)  # val_a = 1, s = -1
     lam = lambda_interval(spec)
     assert limit_classify(rad(3, -1), spec) == TwoCycleRegion(lam)
-    # |c| = 1/3 is the open lower endpoint and a critical sphere with no
-    # critical value supplied
+    # |c| = 1/3 is the open lower endpoint and a critical sphere
     assert limit_classify(rad(3, -2), spec) == NeedsCriticalValue("c")
     assert limit_classify(rad(3, 5), spec) == EventuallyInLambda(lam)
     assert limit_classify(Radius.zero(3), spec) == FixedAt(Radius.zero(3))
@@ -567,7 +551,8 @@ def test_limit_classify_gt_to_infinity():
     assert limit_classify(rad(3, 4), spec) == ToInfinity()
     assert limit_classify(rad(3, -4), spec) == ToInfinity()  # off the L ladder
     assert limit_classify(rad(3, -6), spec) == NeedsCriticalValue("b")  # L_1
-    # |c|-hits resolve without crit_c: all admissible values blow up
+    # |c|-hits resolve without a critical value: every image the bound
+    # allows blows up
     assert limit_classify(rad(3, -8), spec) == ToInfinity()
     assert limit_classify(rad(3, -2), spec) == ToInfinity()
 
@@ -579,8 +564,6 @@ def test_limit_classify_gt_flat_top():
     assert limit_classify(rad(3, -1), spec) == EventuallyConstantAt(rad(3, 1), 1)
     # the L ladder climbs onto |b| exactly
     assert limit_classify(rad(3, -4), spec) == NeedsCriticalValue("b")
-    cyc = spec_of(3, 4, 1, 3, crit_b=rad(3, -4))
-    assert limit_classify(rad(3, -4), cyc) == Cycle((rad(3, 0), rad(3, -4)))
 
 
 def test_limit_classify_to_infinity_case():
@@ -609,29 +592,6 @@ GRID_PARAMS = [
     (3, 4, 1, 3),  # GT, |a| = 1
     (3, F(1, 3), 1, 3),  # GT, |a| > 1
 ]
-
-
-def _crit_configs(spec):
-    yield None, None
-    low, high = (rad(spec.p, q2) for q2, _, _ in spec.spheres)
-    candidates_b = [Radius.zero(spec.p), low, high]
-    candidates_c = [Radius.infinite(spec.p), low, high]
-    for name in dict.fromkeys(name for _, name, _ in spec.spheres):
-        eset = ExceptionalSet.on(spec, name)
-        if eset.step_q2 != 0:
-            candidates_b.append(eset.element(1))
-            candidates_c.append(eset.element(1))
-            candidates_c.append(eset.element(2))
-    if spec.regime is not Regime.EQ:
-        candidates_b.append(spec.bound_b)
-        candidates_c.append(spec.bound_c)
-    if spec.regime is Regime.EQ:
-        candidates_b.append(Radius.infinite(spec.p))
-    for cb in candidates_b:
-        yield cb, None
-    for cc in candidates_c:
-        yield None, cc
-    yield candidates_b[-1], candidates_c[-1]
 
 
 def _probe_radii(spec):
@@ -667,19 +627,13 @@ def _compatible(spec, r, orbit_v, limit_v):
 
 @pytest.mark.parametrize("params", GRID_PARAMS)
 def test_orbit_and_classifier_agree(params):
-    base = spec_of(*params)
-    for crit_b, crit_c in _crit_configs(base):
-        try:
-            spec = spec_of(*params, crit_b=crit_b, crit_c=crit_c)
-        except InvalidArgument:
-            continue
-        for r in _probe_radii(spec):
-            orbit_v = radius_orbit(r, spec, max_iter=80).verdict
-            limit_v = limit_classify(r, spec)
-            assert _compatible(spec, r, orbit_v, limit_v), (
-                f"params={params} crit_b={crit_b} crit_c={crit_c} r={r}: "
-                f"orbit={orbit_v} classifier={limit_v}"
-            )
+    spec = spec_of(*params)
+    for r in _probe_radii(spec):
+        orbit_v = radius_orbit(r, spec, max_iter=80).verdict
+        limit_v = limit_classify(r, spec)
+        assert _compatible(spec, r, orbit_v, limit_v), (
+            f"params={params} r={r}: orbit={orbit_v} classifier={limit_v}"
+        )
 
 
 @pytest.mark.parametrize("params", GRID_PARAMS)
@@ -783,109 +737,52 @@ def test_verdict_serialization():
 # ------------------------------------------------- closed-form zone crossing
 
 
-def _fixed_sphere_specs(va):
+def _sphere_approach(va):
     """An LT spec (|b| = 3^-1, |c| = 1) whose scaling zone next to one
-    sphere moves towards it, with that sphere fixed by its critical value:
-    the top zone for val(a) > 0, the bottom zone for val(a) <= -3."""
-    a = F(3) ** va
-    if va > 0:
-        return spec_of(3, a, 3, 1, crit_c=rad(3, 0)), 0
-    return spec_of(3, a, 3, 1, crit_b=rad(3, -2)), -2
+    sphere moves towards it, with that sphere's exponent and name: the top
+    zone onto |c| for val(a) > 0, the bottom zone onto |b| for
+    val(a) <= -3.  No image bound settles the sphere's fate."""
+    spec = RadiusMapSpec(3, va, 1, 0)
+    return (spec, 0, "c") if va > 0 else (spec, -2, "b")
 
 
 @settings(max_examples=150, deadline=None)
 @given(va=st.sampled_from((-7, -5, -3, 1, 2, 5)), n=st.integers(1, 2000))
 @example(va=1, n=1)
 def test_limit_classify_jump_matches_stepping(va, n):
-    spec, sphere_q2 = _fixed_sphere_specs(va)
+    spec, sphere_q2, name = _sphere_approach(va)
     m, k = spec.zones[2 if va > 0 else 0]
     assert m == 1 and (k < 0) == (va > 0)
     start = rad(3, sphere_q2 - n * k)  # n steps of the zone from the sphere
-    landed = EventuallyConstantAt(rad(3, sphere_q2), n)
-    assert limit_classify(start, spec) == landed
-    assert radius_orbit(start, spec, max_iter=n + 1).verdict == landed
+    assert limit_classify(start, spec) == NeedsCriticalValue(name)
+    res = radius_orbit(start, spec, max_iter=n + 1)
+    assert res.verdict == NeedsCriticalValue(name)
+    assert res.q2s == tuple(sphere_q2 - i * k for i in range(n, -1, -1))
+    # the jump keeps its step count: GT with a flat top zone, up the bottom
+    # zone q2 -> q2 + 4 to 3^-1/2, then the middle zone's q2 -> -q2 onto
+    # 3^1/2, which the top zone fixes
+    flat = RadiusMapSpec(3, 0, 0, 1)
+    landed = EventuallyConstantAt(rad(3, 1), n + 1)
+    assert limit_classify(rad(3, -1 - 4 * n), flat) == landed
+    assert radius_orbit(rad(3, -1 - 4 * n), flat, max_iter=n + 2).verdict == landed
 
 
 def test_limit_classify_jumps_a_huge_gap_at_once():
-    # 10**12 exponents in each direction: one jump, not 10**11 steps
-    down, _ = _fixed_sphere_specs(2)  # top zone q2 -> q2 - 4 onto |c|
+    # 10**12 exponents in each direction: one jump, not 10**11 steps (the
+    # walk gives up after 256 moves)
+    down, _, _ = _sphere_approach(2)  # top zone q2 -> q2 - 4 onto |c|
     n = 10**12 // 4
-    assert limit_classify(rad(3, 4 * n), down) == EventuallyConstantAt(rad(3, 0), n)
-    up, _ = _fixed_sphere_specs(-5)  # bottom zone q2 -> q2 + 6 onto |b|
+    assert limit_classify(rad(3, 4 * n), down) == NeedsCriticalValue("c")
+    up, _, _ = _sphere_approach(-5)  # bottom zone q2 -> q2 + 6 onto |b|
     n = 10**12 // 6 + 1
-    assert limit_classify(rad(3, -2 - 6 * n), up) == EventuallyConstantAt(rad(3, -2), n)
+    assert limit_classify(rad(3, -2 - 6 * n), up) == NeedsCriticalValue("b")
     # a start that passes the sphere instead of landing on it
     assert limit_classify(rad(3, -3 - 6 * n), up) == ToInfinity()
 
 
-@st.composite
-def admissible_specs(draw):
-    """Specs outside the two-cycle regime, with p in {2, 3, 5, 7, 11},
-    valuations in [-4, 4], and random admissible critical values (zero and
-    infinity included): crit_b at or below bound_b, crit_c at or above
-    bound_c, and any crit_b in the EQ regime."""
-    p = draw(st.sampled_from((2, 3, 5, 7, 11)))
-    va, vb, vc = (draw(st.integers(-4, 4)) for _ in range(3))
-    base = RadiusMapSpec(p, va, vb, vc)
-    if base.two_cycle_regime:
-        va = -va  # |a| > 1 there, so the regime is left
-        base = RadiusMapSpec(p, va, vb, vc)
-    eq = base.regime is Regime.EQ
-    crit_b = crit_c = None
-    if draw(st.booleans()):
-        if eq:
-            crit_b = draw(
-                st.sampled_from((Radius.zero(p), Radius.infinite(p)))
-                | st.integers(-20, 20).map(lambda q2: rad(p, q2))
-            )
-        else:
-            top = base.bound_b.q2
-            crit_b = draw(
-                st.just(Radius.zero(p)) | st.integers(top - 12, top).map(lambda q2: rad(p, q2))
-            )
-    if not eq and draw(st.booleans()):
-        bottom = base.bound_c.q2
-        crit_c = draw(
-            st.just(Radius.infinite(p))
-            | st.integers(bottom, bottom + 12).map(lambda q2: rad(p, q2))
-        )
-    return RadiusMapSpec(p, va, vb, vc, crit_b, crit_c)
-
-
 @settings(max_examples=300, deadline=None)
-@given(spec=admissible_specs())
-@example(spec=spec_of(3, 9, 3, 1, crit_c=rad(3, 4)))
-@example(spec=spec_of(3, 4, 1, 3, crit_b=rad(3, -4)))
-@example(spec=spec_of(5, 2, 1, 3, crit_b=Radius.infinite(5)))
-def test_orbit_and_classifier_agree_on_critical_values(spec):
-    for r in _probe_radii(spec):
-        orbit_v = radius_orbit(r, spec).verdict
-        assert _verdicts_compatible(r, orbit_v, limit_classify(r, spec)), (spec, r)
-
-
-@st.composite
-def orbit_specs(draw):
-    """Specs with p in {2, 3, 5}, valuations in [-6, 6], and admissible
-    critical images drawn from None, zero, infinity and finite radii:
-    crit_b at or below bound_b, crit_c at or above bound_c, and any crit_b
-    in the EQ regime.  The two-cycle regime is included."""
-    p = draw(st.sampled_from((2, 3, 5)))
-    va, vb, vc = (draw(st.integers(-6, 6)) for _ in range(3))
-    base = RadiusMapSpec(p, va, vb, vc)
-    finite = lambda lo, hi: st.integers(lo, hi).map(lambda q2: rad(p, q2))
-    if base.regime is Regime.EQ:
-        zero_inf = st.sampled_from((Radius.zero(p), Radius.infinite(p)))
-        crit_b = draw(st.none() | zero_inf | finite(-30, 30))
-        return RadiusMapSpec(p, va, vb, vc, crit_b)
-    top, bottom = base.bound_b.q2, base.bound_c.q2
-    crit_b = draw(st.none() | st.just(Radius.zero(p)) | finite(top - 16, top))
-    crit_c = draw(st.none() | st.just(Radius.infinite(p)) | finite(bottom, bottom + 16))
-    return RadiusMapSpec(p, va, vb, vc, crit_b, crit_c)
-
-
-@settings(max_examples=300, deadline=None)
-@given(spec=orbit_specs(), max_iter=st.integers(0, 40), q2=st.integers(-60, 60))
-@example(spec=spec_of(3, 9, 3, 1, crit_c=Radius.infinite(3)), max_iter=1, q2=0)
+@given(spec=valuation_specs(), max_iter=st.integers(0, 40), q2=st.integers(-60, 60))
+@example(spec=spec_of(3, 9, 3, 1), max_iter=1, q2=0)
 def test_radius_orbit_is_mechanical(spec, max_iter, q2):
     # radius:classify-vs-orbit holds limit_classify to radius_orbit, so the
     # orbit must take exactly one application of the map per step
