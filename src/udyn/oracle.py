@@ -69,7 +69,9 @@ from .exactnum import (
 )
 from .mapengine import (
     MAX_DIGITS,
+    Completed,
     MapParams,
+    OrbitRecord,
     PoleHit,
     PrecisionExhaustedAt,
     UnsupportedRadius,
@@ -234,15 +236,26 @@ def _sample(radius: Radius, params: MapParams, count: int, seed: int) -> list:
 
 
 def _run_orbit(x0, params: MapParams, steps: int):
-    """Orbit record with certified valuations.  Every start, rational or in
-    Q_p(sqrt(a)), runs as a ``projective_orbit`` from ``_START_DIGITS``
-    digits, retried with twice the digits while the precision runs out;
-    extension starts keep the ``_QUAD_CAP`` horizon.  The valuations are
-    exact at any width, so the width decides only whether the steps finish.
-    The judges read valuations and only a few points, and
+    """Orbit record with certified valuations.  A start of valuation in
+    1/2 + Z is its radius walk: v(x + w) = min(v(x), v(w)) for every w in
+    Q_p, so its radii are the radius map's walk from the odd exponent
+    q2 = -2*v(x0), which never meets a critical sphere.  Its record holds
+    the walk's valuations, ``Completed(steps)`` and the start as its only
+    point.  Every other start runs as a ``projective_orbit`` from
+    ``_START_DIGITS`` digits, retried with twice the digits while the
+    precision runs out; extension starts keep the ``_QUAD_CAP`` horizon.
+    The valuations are exact at any width, so the width decides only whether
+    the steps finish.  The judges read valuations and only a few points, and
     ``projective_orbit`` builds a point only when it is read."""
     if isinstance(x0, QuadExt):
         steps = min(steps, _QUAD_CAP)
+    v = point_val(x0, params.p)
+    if v is not TOP and v % 1:
+        spec, q2, vals = params.radius_spec(), int(-2 * v), [v]
+        for _ in range(steps):
+            q2 = _image(q2, spec)
+            vals.append(Fraction(-q2, 2))
+        return OrbitRecord((x0,), tuple(vals), Completed(steps))
     digits = _START_DIGITS
     while True:
         rec = projective_orbit(x0, params, steps, digits)
@@ -703,11 +716,11 @@ def _judge_bridge(ctx, claim, t, i, radius, x0, rec):
     critical sphere's image is the point-level critical value |f(x)|
     (``critical_value_at``); no spec is built.  A start, critical value or
     later point beyond the working precision leaves the sample pending."""
-    if not rec.points:
-        return _PENDING  # start valuation not certified
     p, spec, vals = ctx.params.p, ctx.spec, rec.valuations
+    if not vals:
+        return _PENDING  # start valuation not certified
     r = Radius.zero(p) if vals[0] is TOP else int(-2 * vals[0])
-    for j in range(len(rec.points) - 1):
+    for j in range(len(vals) - 1):
         if type(r) is int:
             r = _image(r, spec)
             if type(r) is not int:  # a critical sphere's row (q2, name)

@@ -11,7 +11,9 @@ seed and sample count; they were written while those samples still ran
 as exact quadratic-extension orbits.  ``tests/golden/orbit/``
 holds the ``orbit --force-truncated`` JSON of ``ORBIT_ROWS``, written before
 the truncated kernel was sped up; it prints every point's unit, so it pins
-the kernel bit for bit; it also holds the exact ``orbit`` JSON of
+the kernel bit for bit (its two rows from a sqrt(a) start were written
+while ``orbit`` stepped them by a fused Q_p(sqrt(a)) kernel); it also
+holds the exact ``orbit`` JSON of
 ``EXACT_ORBIT_ROWS``.  ``tests/golden/fixed_points/`` holds the
 ``fixed-points`` JSON of ``FIXED_POINT_ROWS``, whose truncated roots no grid
 row reaches.  Both were written before f was bound to one scalar-domain
@@ -84,12 +86,16 @@ RAMIFIED_VERIFY_ROWS = (
 
 # (p, a, b, c, x, n, precision) for ``orbit --force-truncated``.  The first
 # row loses a digit per step to cancellation on the |c| sphere and ends
-# precision-exhausted at index 64.
+# precision-exhausted at index 64.  The last two start in the ramified
+# extension by sqrt(a), at p = 2 with a unit a = 3 (mod 4) and at p = 3 with
+# v(a) odd, and pin the truncated Q_p(sqrt(a)) orbit of ``orbit``.
 ORBIT_ROWS = (
     (3, "9", "3", "1", "7/5", 100, 64),
     (3, "9", "3", "1", "7/5", 200, 1536),
     (2, "20", "4", "1", "3/5", 200, 1536),
     (5, "2", "1", "3", "7/3", 200, 1536),
+    (2, "3", "4", "1", "1+sqrt(a)", 25, 16),
+    (3, "1/3", "1", "3", "1+2*sqrt(a)", 25, 16),
 )
 # (p, a, b, c, x, n) for an exact ``orbit``: a rational start and a point
 # of the ramified extension by sqrt(a).

@@ -793,10 +793,14 @@ def test_verify_statuses_are_invariant_under_scaling(case):
 
 
 def test_ramified_samples_run_no_exact_quad_arithmetic(monkeypatch):
+    # a start of half-integer valuation is its radius walk: no exact quad
+    # product, no engine orbit and no TruncatedQuad, and the engine's
+    # valuations
     params = validate_params(3, F(1, 3), 3, 1)
     x0 = _sample(Radius.from_val(3, F(-1, 2)), params, 1, 0)[0]
     assert isinstance(x0, QuadExt)
     exact = orbit(x0, params, 6)
+    engine = mapengine.projective_orbit(x0, params, 25, 64)
     calls = []
     mul = QuadExt.__mul__
 
@@ -806,12 +810,18 @@ def test_ramified_samples_run_no_exact_quad_arithmetic(monkeypatch):
 
     monkeypatch.setattr(QuadExt, "__mul__", counted)
     monkeypatch.setattr(QuadExt, "__rmul__", counted)
+    monkeypatch.setattr(oracle, "projective_orbit", lambda *a: calls.append(a))
+    of = TruncatedQuad._of.__func__
+    monkeypatch.setattr(
+        TruncatedQuad, "_of", classmethod(lambda cls, *a: calls.append(a) or of(cls, *a))
+    )
     rec = _run_orbit(x0, params, 25)
     assert calls == []
-    assert all(isinstance(pt, TruncatedQuad) for pt in rec.points)
     # the _QUAD_CAP horizon of 6 steps; the exact orbit meets its size
     # budget sooner, and agrees on its prefix
+    assert rec.termination == Completed(oracle._QUAD_CAP)
     assert len(rec.valuations) == 7
+    assert rec.valuations == engine.valuations[:7]
     assert rec.valuations[: len(exact.valuations)] == exact.valuations
 
 

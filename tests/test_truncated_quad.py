@@ -18,11 +18,13 @@ from udyn.exactnum import (
     TruncatedQuad,
     is_qp_square,
     quad_val,
+    vp_rat,
 )
 from udyn.mapengine import (
     Completed,
     DegenerateParams,
     PoleHit,
+    PrecisionExhaustedAt,
     _Bound,
     _is_zero,
     eval_f,
@@ -34,7 +36,7 @@ from udyn.mapengine import (
     validate_params,
 )
 from udyn.oracle import _QUAD_CAP, _run_orbit
-from udyn.radiusmaps import Radius
+from udyn.radiusmaps import Radius, _image
 
 PRIMES = (2, 3, 5, 7)
 
@@ -213,6 +215,70 @@ def test_truncated_orbits_agree_with_exact(case):
 
 
 
+# ------------------------------------------------------ the half-integer walk
+
+
+@st.composite
+def half_integer_starts(draw):
+    """(p, a, b, c, u, v): nondegenerate parameters whose sqrt(a) is
+    ramified, and a start u + v*sqrt(a) of valuation in 1/2 + Z.  Either
+    v(a) is odd and v(u) > v(v*sqrt(a)) (u possibly zero), or p = 2, a is a
+    unit = 3 (mod 4) and u, v are a common p-power times units, so the norm
+    u**2 - a*v**2 is twice a unit times an even power of 2."""
+    p = draw(st.sampled_from(PRIMES))
+    if p == 2 and draw(st.booleans()):
+        a = F(4 * draw(st.integers(-12, 12)) + 3, 4 * draw(st.integers(0, 12)) + 1)
+        scale = draw(_rational(2))
+        u, v = (scale * draw(_rational(2, 0, 0)) for _ in range(2))
+    else:
+        a = draw(_rational(p))
+        assume(vp_rat(a, p) % 2)
+        v = draw(_rational(p))
+        floor = vp_rat(v, p) + (vp_rat(a, p) + 1) // 2  # v(u) > v(v) + v(a)/2
+        deeper = st.builds(lambda t, j: t * F(p) ** (floor - vp_rat(t, p) + j), _rational(p), st.integers(0, 3))
+        u = draw(st.one_of(st.just(F(0)), deeper))
+    b, c = draw(_rational(p)), draw(_rational(p))
+    try:
+        validate_params(p, a, b, c)
+    except DegenerateParams:
+        assume(False)
+    return p, a, b, c, u, v
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=half_integer_starts())
+@example(case=(2, F(3), F(4), F(1), F(1), F(1)))  # 1 + sqrt(3) over Q_2: v = 1/2
+@example(case=(2, F(7), F(1, 3), F(5), F(6), F(-2, 3)))
+@example(case=(2, F(2), F(1), F(3), F(0), F(3, 5)))  # v(a) odd at p = 2
+@example(case=(3, F(1, 3), F(3), F(1), F(0), F(5, 7)))  # a grid row
+@example(case=(3, F(27), F(1), F(6), F(9), F(2, 7)))  # a grid row
+@example(case=(7, F(7, 2), F(1, 7), F(49), F(0), F(1)))
+def test_half_integer_orbits_are_the_radius_walk(case):
+    # v(x + w) = min(v(x), v(w)) for w in Q_p, so a point of valuation in
+    # 1/2 + Z has the radius map's walk from q2 = -2*v(x) as its radii, off
+    # every critical sphere: both drivers give its valuations.  At 64 digits
+    # they finish; at 16 they may run out first, as a coordinate can lose a
+    # digit per step (at p = 2 with a = 3 (mod 4), the norm's leading digit)
+    p, a, b, c, u, v = case
+    params = validate_params(p, a, b, c)
+    x0 = QuadExt(u, v, a)
+    q2, spec, n = -2 * quad_val(x0, p), params.radius_spec(), 25
+    assert q2.denominator == 1 and q2 % 2
+    walk = [q2]
+    for _ in range(n):
+        walk.append(_image(walk[-1], spec))
+    want = tuple(F(-q, 2) for q in walk)
+    for digits in (16, 64):
+        for rec in (
+            projective_orbit(x0, params, n, digits),
+            orbit(x0, params, n, precision=digits),
+        ):
+            k = len(rec.valuations)
+            assert rec.valuations == want[:k]
+            ran_out = digits == 16 and rec.termination == PrecisionExhaustedAt(k)
+            assert ran_out or rec.termination == Completed(n)
+
+
 # ------------------------------------------------------------ the fused step
 
 
@@ -327,10 +393,12 @@ def test_fused_quad_step_exhausts_on_an_uncertified_norm():
 
 
 def test_ramified_sampled_orbit_spends_one_inverse_per_step(monkeypatch):
-    # a sampled half-integer start of the ramified row (3, 1/3, 1, 3): one
-    # inverse of the norm per step, and no TruncatedPadic quotient
+    # a start -b + d of the ramified row (3, 1/3, 1, 3), v(d) = 1/2, on the
+    # unit sphere, as critical-targeted samples are built: one inverse of the
+    # norm per step, and no TruncatedPadic quotient
     params = validate_params(3, F(1, 3), 1, 3)
-    x0 = sample_sphere(Radius.from_exponent(3, 1), params, 1, 5)[0]
+    x0 = -params.b + sample_sphere(Radius.from_exponent(3, -1), params, 1, 0)[0]
+    assert point_val(x0, 3) == 0
     calls = {"inv": 0, "div": 0}
     inv_unit, truediv = exactnum._inv_unit, TruncatedPadic.__truediv__
 
