@@ -63,7 +63,6 @@ from .exactnum import (
     TOP,
     InvalidArgument,
     PrecisionExhausted,
-    QuadExt,
     TruncatedPadic,
     vp_rat,
 )
@@ -111,11 +110,6 @@ from .radiusmaps import (
 _THRESH = 20
 # the radius orbits of the radius lemmas run at most this many steps
 _RADIUS_HORIZON = 80
-# the horizon and sample count of the half-integer spheres: they bound the
-# ramified tail, the slowest ops of a grid pass (with both lifted, verify-grid
-# op_p90 went 27.7 -> 78.3 cal), and they hold the frozen verify output
-_QUAD_CAP = 6
-_QUAD_SAMPLES = 2
 # sampled orbits start at this width and double while the precision runs
 # out, the last try at MAX_DIGITS or wider; verdicts read certified valuations
 _START_DIGITS = 16
@@ -227,8 +221,6 @@ def _probe_radii(params: MapParams) -> List[Radius]:
 
 
 def _sample(radius: Radius, params: MapParams, count: int, seed: int) -> list:
-    if radius.is_finite and radius.q2 % 2 != 0:
-        count = min(count, _QUAD_SAMPLES)  # the frozen ramified sample count
     try:
         return sample_sphere(radius, params, count, seed)
     except UnsupportedRadius:
@@ -243,12 +235,10 @@ def _run_orbit(x0, params: MapParams, steps: int):
     the walk's valuations, ``Completed(steps)`` and the start as its only
     point.  Every other start runs as a ``projective_orbit`` from
     ``_START_DIGITS`` digits, retried with twice the digits while the
-    precision runs out; extension starts keep the ``_QUAD_CAP`` horizon.
-    The valuations are exact at any width, so the width decides only whether
-    the steps finish.  The judges read valuations and only a few points, and
-    ``projective_orbit`` builds a point only when it is read."""
-    if isinstance(x0, QuadExt):
-        steps = min(steps, _QUAD_CAP)
+    precision runs out.  The valuations are exact at any width, so the
+    width decides only whether the steps finish.  The judges read valuations
+    and only a few points, and ``projective_orbit`` builds a point only when
+    it is read."""
     v = point_val(x0, params.p)
     if v is not TOP and v % 1:
         spec, q2, vals = params.radius_spec(), int(-2 * v), [v]

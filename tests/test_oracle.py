@@ -817,11 +817,9 @@ def test_ramified_samples_run_no_exact_quad_arithmetic(monkeypatch):
     )
     rec = _run_orbit(x0, params, 25)
     assert calls == []
-    # the _QUAD_CAP horizon of 6 steps; the exact orbit meets its size
-    # budget sooner, and agrees on its prefix
-    assert rec.termination == Completed(oracle._QUAD_CAP)
-    assert len(rec.valuations) == 7
-    assert rec.valuations == engine.valuations[:7]
+    assert rec.termination == Completed(25)
+    assert len(rec.valuations) == 26 and rec.valuations == engine.valuations
+    # the exact orbit meets its size budget sooner, and agrees on its prefix
     assert rec.valuations[: len(exact.valuations)] == exact.valuations
 
 

@@ -35,7 +35,7 @@ from udyn.mapengine import (
     sample_sphere,
     validate_params,
 )
-from udyn.oracle import _QUAD_CAP, _run_orbit
+from udyn.oracle import _run_orbit
 from udyn.radiusmaps import Radius, _image
 
 PRIMES = (2, 3, 5, 7)
@@ -419,8 +419,8 @@ def test_ramified_sampled_orbit_spends_one_inverse_per_step(monkeypatch):
         TruncatedQuad, "_of", classmethod(lambda cls, *a: built.append(a) or of(cls, *a))
     )
     rec = _run_orbit(x0, params, 25)
-    assert rec.termination == Completed(_QUAD_CAP)
-    assert calls == {"inv": _QUAD_CAP, "div": 0}
+    assert rec.termination == Completed(25)
+    assert calls == {"inv": 25, "div": 0}
     # only the start is a TruncatedQuad until a judge reads a point
     assert len(built) == 1
     assert rec.points[3] is rec.points[3] and len(built) == 2
