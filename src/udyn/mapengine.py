@@ -35,18 +35,19 @@ zero is its own image, and an uncertified x (digits 0) runs through the
 same kernels, which carry it as O(p**val).  Capped-relative arithmetic
 never gives f(x) more digits than x (X. Caruso, *Computations with p-adic
 numbers*, arXiv:1701.06794), so this gives the digits of the composed
-operators.  A ``TruncatedQuad`` point gets a fused step too
-(:func:`_quad_step`): the composed ``_QuadField`` operators replayed on the
-integer triples of its two coordinates, each coordinate with its own
-valuation and digits, and one inverse of the norm of x + c per step.  The
-composed operators serve the exact domains (``Fraction`` and ``QuadExt``)
-and the judges' remaining arithmetic on truncated points.
+operators.  Every other point, ``TruncatedQuad`` included, goes through
+the composed operators, which also serve the judges' remaining arithmetic
+on truncated points.  :func:`_quad_step` replays the composed
+``_QuadField`` operators of one ``TruncatedQuad`` step on the integer
+triples of its two coordinates, each coordinate with its own valuation and
+digits, and one inverse of the norm of x + c per step.
 
 Two drivers run these steps.  :func:`orbit` binds f to its start point
 (``_Bound``) and returns every point built, as ``udyn orbit`` prints them
 all.  The verifier's sampled orbits, from a rational start or a start in
-Q_p(sqrt(a)), run :func:`projective_orbit`: one loop on plain integers,
-with no object per step.  A rational x is carried as p**v * U/W with U and
+Q_p(sqrt(a)) of integer valuation (one of half-integer valuation is
+judged by its radius walk), run :func:`projective_orbit`: one loop on
+plain integers, with no object per step.  A rational x is carried as p**v * U/W with U and
 W units, so a step spends no unit inverse; a point of Q_p(sqrt(a)) as the
 triples of its coordinates and its norm, stepped by ``_quad_step``.  A
 point is built only when it is read, as most judges read valuations
@@ -260,12 +261,12 @@ class _Bound:
     ``MapParams.lifted`` keeps per width.
 
     f of any ``TruncatedPadic`` of this prime is one fused step on
-    (val, unit, digits) integers (:meth:`_step`), and f of any
-    ``TruncatedQuad`` is one on the triples of its coordinates
-    (:meth:`_qstep`); points of the exact domains go through the composed
-    operators, whose digits both fused steps keep.  :func:`orbit` runs
-    :meth:`f`; the verifier's :func:`projective_orbit` runs the same steps
-    on integer states, without a ``_Bound``.
+    (val, unit, digits) integers (:meth:`_step`); every other point,
+    ``TruncatedQuad`` included, goes through the composed operators, whose
+    digits the fused step keeps.  :func:`orbit` runs :meth:`f`; the
+    verifier's :func:`projective_orbit` runs the same digits on integer
+    states, without a ``_Bound``: ``_step``'s for a rational start and
+    :func:`_quad_step`'s for one in Q_p(sqrt(a)).
     """
 
     def __init__(self, params: MapParams, x: Point) -> None:
@@ -295,8 +296,6 @@ class _Bound:
     def f(self, x: Point) -> Point:
         if type(x) is TruncatedPadic and x.p == self.params.p:
             return self._step(x)
-        if type(x) is TruncatedQuad and x.p == self.params.p:
-            return self._qstep(x)
         q = (x + self.b) / self._den(x)
         return self.a * x * (q * q)
 
@@ -320,17 +319,6 @@ class _Bound:
         unit = a.unit * xu % m * (q * q % m) % m
         return TruncatedPadic._of(p, a.val + xv + 2 * (nv - dv), unit, k)
 
-    def _qstep(self, x: TruncatedQuad) -> TruncatedQuad:
-        """f(x) for x = u + v*s, s**2 = r, by :func:`_quad_step` on the
-        triples of its coordinates; the image carries its norm."""
-        if x.exact_zero:
-            return x
-        p = x.p
-        fu, fv, fn = _quad_step(
-            p, _tri(x.u), _tri(x.v), _tri(x.a), _tri(self.a), _tri(self.b), _tri(self.c)
-        )
-        return TruncatedQuad._of(_padic(p, fu), _padic(p, fv), x.a, x.rad, _padic(p, fn))
-
     def df(self, x: Point) -> Point:
         den = self._den(x)
         num = x + self.b
@@ -353,7 +341,7 @@ class _Bound:
 
 
 # The operators of ``TruncatedPadic`` on (val, unit, digits) triples, None
-# for an exact zero, as the fused step of a ``TruncatedQuad`` runs them.
+# for an exact zero, as the fused step :func:`_quad_step` runs them.
 
 
 def _tri(t: TruncatedPadic) -> Optional[Tuple[int, int, int]]:
@@ -496,22 +484,14 @@ def _bits(x: Point) -> int:
 
 def lift_point(x: Point, params: MapParams, digits: int) -> Point:
     """An exact point in truncated arithmetic at ``digits`` digits: a
-    rational as ``TruncatedPadic``, a ``QuadExt`` as ``TruncatedQuad``.
-    A point of Q_p(sqrt(a)) for the map's own nonsquare a, the field of
-    every sampled half-integer start, takes the lift of a that
-    ``params.lifted`` keeps, and its radicand is not checked again:
-    ``params`` holds the square class of a.  Truncated points are
-    returned unchanged."""
+    rational as ``TruncatedPadic``, a ``QuadExt`` as ``TruncatedQuad``
+    (:meth:`TruncatedQuad.from_quad`, which lifts its radicand and refuses
+    a square of Q_p).  Truncated points are returned unchanged."""
     p = params.p
     if isinstance(x, (int, Fraction)):
         return TruncatedPadic.from_rational(x, p, digits)
     if isinstance(x, QuadExt):
-        if x.a != params.a or params.sqrt_mode.kind is not SqrtKind.QP_NONSQUARE:
-            return TruncatedQuad.from_quad(x, p, digits)
-        lift = TruncatedPadic.from_rational
-        return TruncatedQuad._of(
-            lift(x.u, p, digits), lift(x.v, p, digits), params.lifted(digits)[0], x.a
-        )
+        return TruncatedQuad.from_quad(x, p, digits)
     return x
 
 

@@ -27,6 +27,9 @@ from udyn.mapengine import (
     PrecisionExhaustedAt,
     _Bound,
     _is_zero,
+    _padic,
+    _quad_step,
+    _tri,
     eval_f,
     lift_point,
     orbit,
@@ -97,6 +100,8 @@ def test_rejects_a_qp_square_radicand():
     params = validate_params(3, 7, 1, 3)
     with pytest.raises(InvalidExtension):
         orbit(QuadExt(0, 1, 7), params, 3, precision=24)
+    # a point of a field other than the map's is checked and lifted alike
+    assert lift_point(QuadExt(0, 1, 2), params, 96) == lift(QuadExt(0, 1, 2), 3, 96)
 
 
 def test_uncertified_norm_exhausts_precision():
@@ -235,7 +240,9 @@ def half_integer_starts(draw):
         assume(vp_rat(a, p) % 2)
         v = draw(_rational(p))
         floor = vp_rat(v, p) + (vp_rat(a, p) + 1) // 2  # v(u) > v(v) + v(a)/2
-        deeper = st.builds(lambda t, j: t * F(p) ** (floor - vp_rat(t, p) + j), _rational(p), st.integers(0, 3))
+        deeper = st.builds(
+            lambda t, j: t * F(p) ** (floor - vp_rat(t, p) + j), _rational(p), st.integers(0, 3)
+        )
         u = draw(st.one_of(st.just(F(0)), deeper))
     b, c = draw(_rational(p)), draw(_rational(p))
     try:
@@ -282,6 +289,15 @@ def test_half_integer_orbits_are_the_radius_walk(case):
 # ------------------------------------------------------------ the fused step
 
 
+def fused_f(f: _Bound, x: TruncatedQuad) -> TruncatedQuad:
+    """f(x) by :func:`_quad_step` on the triples of x's coordinates and of
+    the coefficients, as ``projective_orbit`` steps a point of
+    Q_p(sqrt(a)); the image carries its norm."""
+    p = x.p
+    fu, fv, fn = _quad_step(p, *(_tri(t) for t in (x.u, x.v, x.a, f.a, f.b, f.c)))
+    return TruncatedQuad._of(_padic(p, fu), _padic(p, fv), x.a, x.rad, _padic(p, fn))
+
+
 def composed_f(f: _Bound, x: TruncatedQuad) -> TruncatedQuad:
     """f(x) by the composed ``_QuadField`` operators and the pole rule of
     ``_Bound._den``: the reference the fused step keeps digit for digit."""
@@ -326,15 +342,15 @@ def step_cases(draw):
 @example(case=(2, F(5), F(1), F(3), F(-2), F(1), 2))  # |x + c| uncertified at step 1
 @example(case=(2, F(5), F(1, 3), F(7), F(1), F(1), 1))
 def test_fused_quad_step_is_the_composed_step(case):
-    # four steps of _qstep against the composed operators: the same (val,
-    # unit, digits, exact_zero) of u, v and the norm, or the same error
+    # four steps of _quad_step against the composed operators: the same
+    # (val, unit, digits, exact_zero) of u, v and the norm, or the same error
     p, a, b, c, u, v, digits = case
     params = validate_params(p, a, b, c)
     x = TruncatedQuad.from_quad(QuadExt(u, v, a), p, digits)
     f = _Bound(params, x)
     for _ in range(4):
         want, ref = outcome(lambda y: composed_f(f, y), x)
-        got, x = outcome(f._qstep, x)
+        got, x = outcome(lambda y: fused_f(f, y), x)
         assert got == want
         if x is None:
             break
@@ -356,7 +372,7 @@ def quad_shape(t: TruncatedQuad):
 @example(case=(3, F(12), F(1, 36), F(-4), F(8, 3), F(-3), 1))  # f(x)'s norm uncertified at step 2
 def test_lazy_quad_orbit_is_the_stepped_orbit(case):
     # the verifier's driver keeps integer triples and builds points on
-    # read; orbit() steps TruncatedQuad points by _qstep: the same
+    # read; orbit() steps TruncatedQuad points by the composed operators: the same
     # valuations, termination and (val, unit, digits) of u, v and the norm
     p, a, b, c, u, v, digits = case
     params = validate_params(p, a, b, c)
@@ -387,6 +403,8 @@ def test_fused_quad_step_exhausts_on_an_uncertified_norm():
     f = _Bound(params, x)
     with pytest.raises(PrecisionExhausted):
         composed_f(f, x)
+    with pytest.raises(PrecisionExhausted):
+        fused_f(f, x)
     with pytest.raises(PrecisionExhausted):
         f.f(x)
     assert orbit(x, params, 3).termination.kind == "precision-exhausted"
@@ -424,19 +442,3 @@ def test_ramified_sampled_orbit_spends_one_inverse_per_step(monkeypatch):
     # only the start is a TruncatedQuad until a judge reads a point
     assert len(built) == 1
     assert rec.points[3] is rec.points[3] and len(built) == 2
-
-
-def test_lift_point_reuses_the_lift_of_the_maps_radicand(monkeypatch):
-    # the start is the checked from_quad lift, but its radicand is the
-    # params' kept lift of a, and the square class is not tested again
-    params = validate_params(3, F(1, 3), 1, 3)
-    own, other = QuadExt(0, F(7, 5), F(1, 3)), QuadExt(0, 1, 2)
-    want = [TruncatedQuad.from_quad(x, 3, 96) for x in (own, other)]
-    checks = []
-    monkeypatch.setattr(exactnum, "_require_extension", lambda *a: checks.append(a))
-    got = lift_point(own, params, 96)
-    assert got == want[0] and got.a is params.lifted(96)[0]
-    assert checks == []
-    # a point of another field is checked and lifted as before
-    assert lift_point(other, params, 96) == want[1]
-    assert checks == [(F(2), 3)]
