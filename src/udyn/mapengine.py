@@ -847,8 +847,9 @@ def sample_sphere(
 
     A finite radius is p**(q2/2).  Integer-valuation spheres (even q2) are
     sampled as p**v * m/n with unit numerator and denominator drawn from
-    [1, 10**4]; half-integer valuations (odd q2) need sqrt(a) ramified (a
-    of odd valuation, not a square of Q_p) and use multiples of sqrt(a).
+    [1, 10**4].  Half-integer valuations (odd q2) are drawn only as
+    multiples of sqrt(a), so v(a) must be odd; other ramified fields, such
+    as Q_2(sqrt(3)) where 1 + sqrt(3) has valuation 1/2, are not sampled.
     """
     p = params.p
     if radius.p != p:
@@ -866,10 +867,10 @@ def sample_sphere(
             if not _is_neg(x, params.c):
                 out.append(x)
         return out
-    if params.sqrt_mode.kind is not SqrtKind.QP_NONSQUARE or params.val_a % 2 == 0:
+    if params.val_a % 2 == 0:
         raise UnsupportedRadius(
-            "half-integer valuations need sqrt(a) ramified: a must be a"
-            f" nonsquare of Q_{p} with odd valuation"
+            "half-integer valuations are drawn only as multiples of sqrt(a),"
+            f" so v(a) must be odd; here v_{p}(a) = {params.val_a}"
         )
     j = (-radius.q2 - params.val_a) // 2
     while len(out) < count:

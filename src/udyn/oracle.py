@@ -2,10 +2,19 @@
 
 The harness samples points with exactly known absolute values, runs the
 map with certified truncated arithmetic (p-adics for rational points,
-their pairs over Q_p(sqrt(a)) for ramified ones), and compares
-the observed valuations against the radius-map predictions and the
-phase-portrait claims.  Every check is exact: a PASS is an identity of
-valuations, never a float comparison.
+their pairs over Q_p(sqrt(a)) for the critical-targeted starts near -b or
+-c), and compares the observed valuations against the radius-map
+predictions and the phase-portrait claims.  Every check is exact: a PASS
+is an identity of valuations, never a float comparison.
+
+A sample of half-integer valuation (a multiple of sqrt(a), v(a) odd) is
+judged by its radius walk and runs no arithmetic: v(x + w) = min(v(x),
+v(w)) for every w in Q_p, so its radii are the radius map's walk from its
+odd exponent, which never meets a critical sphere (``_run_orbit``).  The
+lemma-1 bridge on such a sample compares the radius map with itself; the
+engine's side of that lemma is the property test
+``test_half_integer_orbits_are_the_radius_walk``, which holds both orbit
+drivers to the walk.
 
 One run builds one ``_Context`` (``_Context.of``): it checks the counts,
 classifies the parameters once, with fixed points at max(64, precision)
@@ -231,14 +240,14 @@ def _run_orbit(x0, params: MapParams, steps: int):
     """Orbit record with certified valuations.  A start of valuation in
     1/2 + Z is its radius walk: v(x + w) = min(v(x), v(w)) for every w in
     Q_p, so its radii are the radius map's walk from the odd exponent
-    q2 = -2*v(x0), which never meets a critical sphere.  Its record holds
-    the walk's valuations, ``Completed(steps)`` and the start as its only
-    point.  Every other start runs as a ``projective_orbit`` from
-    ``_START_DIGITS`` digits, retried with twice the digits while the
-    precision runs out.  The valuations are exact at any width, so the
-    width decides only whether the steps finish.  The judges read valuations
-    and only a few points, and ``projective_orbit`` builds a point only when
-    it is read."""
+    q2 = -2*v(x0), which never meets a critical sphere; a test holds both
+    orbit drivers to that walk.  Its record holds the walk's valuations,
+    ``Completed(steps)`` and the start as its only point.  Every other
+    start runs as a ``projective_orbit`` from ``_START_DIGITS`` digits,
+    retried with twice the digits while the precision runs out.  The
+    valuations are exact at any width, so the width decides only whether
+    the steps finish.  The judges read valuations and only a few points,
+    and ``projective_orbit`` builds a point only when it is read."""
     v = point_val(x0, params.p)
     if v is not TOP and v % 1:
         spec, q2, vals = params.radius_spec(), int(-2 * v), [v]
@@ -1170,7 +1179,8 @@ def run_verification(
     lemmas for this spec, all on one context.  ``sample_count``, ``horizon``
     and ``precision`` must be at least 1; ``precision`` sets only the
     digits of the fixed points, at least 64.  The sampled orbits start at
-    ``_START_DIGITS`` (16) digits and double while the precision runs out."""
+    ``_START_DIGITS`` (16) digits and double while the precision runs out;
+    a sample of half-integer valuation walks its radii instead."""
     ctx = _Context.of(params, sample_count, horizon, seed, precision)
     report = VerificationReport(params, seed, horizon, flags=ctx.portrait.flags)
     report.checks.extend(check_fixed_points(ctx))

@@ -544,6 +544,11 @@ def test_sample_sphere_half_integer():
         sample_sphere(rad(3, -1), validate_params(3, 2, 3, 1), 3, seed=1)
     with pytest.raises(UnsupportedRadius):
         sample_sphere(rad(5, -1), validate_params(5, 6, 1, 3), 3, seed=1)
+    # Q_2(sqrt(3)) is ramified, 1 + sqrt(3) has valuation 1/2, but the
+    # draws are multiples of sqrt(a), which has valuation 0
+    message = r"drawn only as multiples of sqrt\(a\), so v\(a\) must be odd; here v_2\(a\) = 0"
+    with pytest.raises(UnsupportedRadius, match=message):
+        sample_sphere(rad(2, 1), validate_params(2, 3, 4, 1), 3, seed=1)
 
 
 def test_sample_sphere_avoids_pole():
