@@ -47,14 +47,14 @@ Two drivers run these steps.  :func:`orbit` binds f to its start point
 all.  The verifier's sampled orbits, from a rational start or a start in
 Q_p(sqrt(a)) of integer valuation (one of half-integer valuation is
 judged by its radius walk), run :func:`projective_orbit`: one loop on
-plain integers, with no object per step.  A rational x is carried as p**v * U/W with U and
-W units, so a step spends no unit inverse; a point of Q_p(sqrt(a)) as the
-triples of its coordinates and its norm, stepped by ``_quad_step``.  A
-point is built only when it is read, as most judges read valuations
-alone.  Normalising every rational point that way would cost more than
-``_Bound._step``, so ``orbit`` keeps that step.  Both drivers check an
-exact start against the pole -c and against -b, which f maps to exact
-zero, before they lift it.
+plain integers, with no object per step.  A rational x is carried as
+p**v * U/W with U and W units, so a step spends no unit inverse; a point
+of Q_p(sqrt(a)) as the triples of its coordinates and its norm, stepped
+by ``_quad_step``.  A point is built only when it is read, as most judges
+read valuations alone.  Normalising every rational point that way would
+cost more than ``_Bound._step``, so ``orbit`` keeps that step.  Both
+drivers check an exact start against the pole -c and against -b, which f
+maps to exact zero, before they lift it.
 
 ``MapParams`` keeps a, b and c lifted per width (``MapParams.lifted``), so
 a run lifts each coefficient once per width however many orbits and

@@ -5,16 +5,12 @@ map with certified truncated arithmetic (p-adics for rational points,
 their pairs over Q_p(sqrt(a)) for the critical-targeted starts near -b or
 -c), and compares the observed valuations against the radius-map
 predictions and the phase-portrait claims.  Every check is exact: a PASS
-is an identity of valuations, never a float comparison.
-
-A sample of half-integer valuation (a multiple of sqrt(a), v(a) odd) is
-judged by its radius walk and runs no arithmetic: v(x + w) = min(v(x),
-v(w)) for every w in Q_p, so its radii are the radius map's walk from its
-odd exponent, which never meets a critical sphere (``_run_orbit``).  The
-lemma-1 bridge on such a sample compares the radius map with itself; the
-engine's side of that lemma is the property test
-``test_half_integer_orbits_are_the_radius_walk``, which holds both orbit
-drivers to the walk.
+is an identity of valuations, never a float comparison.  A sample of
+half-integer valuation (a multiple of sqrt(a), v(a) odd) runs no
+arithmetic: its radii are the radius map's walk (``_run_orbit``), so the
+lemma-1 bridge on it compares the radius map with itself, and the
+property test ``test_half_integer_orbits_are_the_radius_walk`` holds both
+orbit drivers to that walk.
 
 One run builds one ``_Context`` (``_Context.of``): it checks the counts,
 classifies the parameters once, with fixed points at max(64, precision)
@@ -240,14 +236,14 @@ def _run_orbit(x0, params: MapParams, steps: int):
     """Orbit record with certified valuations.  A start of valuation in
     1/2 + Z is its radius walk: v(x + w) = min(v(x), v(w)) for every w in
     Q_p, so its radii are the radius map's walk from the odd exponent
-    q2 = -2*v(x0), which never meets a critical sphere; a test holds both
-    orbit drivers to that walk.  Its record holds the walk's valuations,
-    ``Completed(steps)`` and the start as its only point.  Every other
-    start runs as a ``projective_orbit`` from ``_START_DIGITS`` digits,
-    retried with twice the digits while the precision runs out.  The
-    valuations are exact at any width, so the width decides only whether
-    the steps finish.  The judges read valuations and only a few points,
-    and ``projective_orbit`` builds a point only when it is read."""
+    q2 = -2*v(x0), which never meets a critical sphere.  Its record holds
+    the walk's valuations, ``Completed(steps)`` and the start as its only
+    point.  Every other start runs as a ``projective_orbit`` from
+    ``_START_DIGITS`` digits, retried with twice the digits while the
+    precision runs out.  The valuations are exact at any width, so the
+    width decides only whether the steps finish.  The judges read
+    valuations and only a few points, and ``projective_orbit`` builds a
+    point only when it is read."""
     v = point_val(x0, params.p)
     if v is not TOP and v % 1:
         spec, q2, vals = params.radius_spec(), int(-2 * v), [v]

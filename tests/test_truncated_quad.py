@@ -263,13 +263,14 @@ def half_integer_starts(draw):
 def test_half_integer_orbits_are_the_radius_walk(case):
     # v(x + w) = min(v(x), v(w)) for w in Q_p, so a point of valuation in
     # 1/2 + Z has the radius map's walk from q2 = -2*v(x) as its radii, off
-    # every critical sphere: both drivers give its valuations.  At 64 digits
-    # they finish; at 16 they may run out first, as a coordinate can lose a
-    # digit per step (at p = 2 with a = 3 (mod 4), the norm's leading digit)
+    # every critical sphere: both drivers give its valuations.  They finish,
+    # but at 16 digits a unit a = 3 (mod 4) over Q_2 may run out first, as the
+    # norm loses its leading digit at every step
     p, a, b, c, u, v = case
     params = validate_params(p, a, b, c)
     x0 = QuadExt(u, v, a)
     q2, spec, n = -2 * quad_val(x0, p), params.radius_spec(), 25
+    short = p == 2 and vp_rat(a, p) == 0
     assert q2.denominator == 1 and q2 % 2
     walk = [q2]
     for _ in range(n):
@@ -282,7 +283,7 @@ def test_half_integer_orbits_are_the_radius_walk(case):
         ):
             k = len(rec.valuations)
             assert rec.valuations == want[:k]
-            ran_out = digits == 16 and rec.termination == PrecisionExhaustedAt(k)
+            ran_out = short and digits == 16 and rec.termination == PrecisionExhaustedAt(k)
             assert ran_out or rec.termination == Completed(n)
 
 
