@@ -52,6 +52,21 @@ def test_run_verification_calls_each_family_by_its_module_name(monkeypatch):
     assert calls == ["check_fixed_points", "check_lemma1", "check_portrait", "check_radius_lemmas"]
 
 
+@pytest.mark.parametrize("row", [(3, "1/3", 1, 3), (3, 27, 1, 6)], ids=str)
+def test_verifier_orbits_do_not_pass_through_the_traced_orbit(monkeypatch, row):
+    # the tracer wraps every binding of mapengine.orbit, and its wrapper reads
+    # exact coordinates off a QuadExt start; these two grid rows run sampled
+    # orbits in Q_p(sqrt(a)), which must not reach orbit() by its module name
+    params = validate_params(*row)
+    want = oracle.run_verification(params, seed=0).to_dict()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a verifier orbit went through mapengine.orbit")
+
+    monkeypatch.setattr(mapengine, "orbit", refused)
+    assert oracle.run_verification(params, seed=0).to_dict() == want
+
+
 def test_exact_quadratic_points_stay_apart_from_truncated_ones():
     # the tracer takes an orbit's domain from isinstance(start, QuadExt) and
     # then reads exact coordinates, and it wraps QuadExt's own __mul__ with
