@@ -13,8 +13,8 @@ digits; it tracks what is certified and refuses to answer questions the
 retained digits cannot settle.  Its moduli p**k are computed once per
 (p, k) and cached.  The digit rules of a lift, a sum and a quotient are
 integer kernels on (val, unit, digits), ``_lift_units``, ``_add_units`` and
-``_div_units``, shared by the operators and the fused steps of f in
-``mapengine``.  They serve every shape: an input of digits 0 is O(p**val),
+``_div_units``, shared by the operators and by ``mapengine``'s steps of f
+on points of Q_p.  They serve every shape: an input of digits 0 is O(p**val),
 which p**0 = 1 carries through.
 Division Newton-lifts (Hensel-lifts) the inverse of the divisor's unit from
 modulo p to modulo p**ceil(k/2) only, then corrects the half-precision
@@ -804,20 +804,12 @@ class TruncatedQuad(_QuadField):
 
     @classmethod
     def _of(
-        cls,
-        u: TruncatedPadic,
-        v: TruncatedPadic,
-        a: TruncatedPadic,
-        rad: Fraction,
-        norm: Optional[TruncatedPadic] = None,
+        cls, u: TruncatedPadic, v: TruncatedPadic, a: TruncatedPadic, rad: Fraction
     ) -> "TruncatedQuad":
         """u + v*sqrt(rad), ``a`` the lift of rad, built without the
-        dataclass ``__init__``; a given ``norm`` (u**2 - a*v**2 by the
-        operators' digits) is kept as the computed one."""
+        dataclass ``__init__``."""
         out = object.__new__(cls)
         out.__dict__.update(u=u, v=v, a=a, rad=rad)
-        if norm is not None:
-            out.__dict__["norm"] = norm
         return out
 
     @property

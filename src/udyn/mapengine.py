@@ -37,24 +37,20 @@ never gives f(x) more digits than x (X. Caruso, *Computations with p-adic
 numbers*, arXiv:1701.06794), so this gives the digits of the composed
 operators.  Every other point, ``TruncatedQuad`` included, goes through
 the composed operators, which also serve the judges' remaining arithmetic
-on truncated points.  :func:`_quad_step` replays the composed
-``_QuadField`` operators of one ``TruncatedQuad`` step on the integer
-triples of its two coordinates, each coordinate with its own valuation and
-digits, and one inverse of the norm of x + c per step.
+on truncated points.
 
-Two drivers run these steps.  :func:`orbit` binds f to its start point
-(``_Bound``) and returns every point built, as ``udyn orbit`` prints them
-all.  The verifier's sampled orbits, from a rational start or a start in
-Q_p(sqrt(a)) of integer valuation (one of half-integer valuation is
-judged by its radius walk), run :func:`projective_orbit`: one loop on
-plain integers, with no object per step.  A rational x is carried as
-p**v * U/W with U and W units, so a step spends no unit inverse; a point
-of Q_p(sqrt(a)) as the triples of its coordinates and its norm, stepped
-by ``_quad_step``.  A point is built only when it is read, as most judges
-read valuations alone.  Normalising every rational point that way would
-cost more than ``_Bound._step``, so ``orbit`` keeps that step.  Both
-drivers check an exact start against the pole -c and against -b, which f
-maps to exact zero, before they lift it.
+:func:`orbit` binds f to its start point (``_Bound``) and keeps every
+point built, as ``udyn orbit`` prints them all.  The verifier's sampled
+orbits run :func:`projective_orbit`.  From a rational start it is one loop
+on plain integers with no object per step: x is carried as p**v * U/W with
+U and W units, so a step spends no unit inverse, and a point is built only
+when it is read, as most judges read valuations alone.  Normalising every
+rational point that way would cost more than ``_Bound._step``, so
+``orbit`` keeps that step.  A start in Q_p(sqrt(a)) of integer valuation
+(one of half-integer valuation is judged by its radius walk) is lifted and
+stepped by ``orbit``'s own loop, :func:`_iterate`.  Both check an exact
+start against the pole -c and against -b, which f maps to exact zero,
+before they lift it.
 
 ``MapParams`` keeps a, b and c lifted per width (``MapParams.lifted``), so
 a run lifts each coefficient once per width however many orbits and
@@ -86,7 +82,6 @@ from .exactnum import (
     TruncatedQuad,
     _add_units,
     _div_units,
-    _inv_unit,
     _lift_units,
     _pk,
     hensel_sqrt,
@@ -263,10 +258,9 @@ class _Bound:
     f of any ``TruncatedPadic`` of this prime is one fused step on
     (val, unit, digits) integers (:meth:`_step`); every other point,
     ``TruncatedQuad`` included, goes through the composed operators, whose
-    digits the fused step keeps.  :func:`orbit` runs :meth:`f`; the
-    verifier's :func:`projective_orbit` runs the same digits on integer
-    states, without a ``_Bound``: ``_step``'s for a rational start and
-    :func:`_quad_step`'s for one in Q_p(sqrt(a)).
+    digits the fused step keeps.  :func:`orbit` runs :meth:`f`; from a
+    rational start the verifier's :func:`projective_orbit` runs ``_step``'s
+    digits on integer states, without a ``_Bound``.
     """
 
     def __init__(self, params: MapParams, x: Point) -> None:
@@ -338,75 +332,6 @@ class _Bound:
             - 2 * point_val(den, p)
         )
         return Radius.from_val(p, v)
-
-
-# The operators of ``TruncatedPadic`` on (val, unit, digits) triples, None
-# for an exact zero, as the fused step :func:`_quad_step` runs them.
-
-
-def _tri(t: TruncatedPadic) -> Optional[Tuple[int, int, int]]:
-    return None if t.exact_zero else (t.val, t.unit, t.digits)
-
-
-def _padic(p: int, t: Optional[Tuple[int, int, int]]) -> TruncatedPadic:
-    return TruncatedPadic.zero(p) if t is None else TruncatedPadic._of(p, *t)
-
-
-def _add3(p: int, x, y):
-    if x is None:
-        return y
-    if y is None:
-        return x
-    return _add_units(p, *x, *y)
-
-
-def _mul3(p: int, x, y):
-    if x is None or y is None:
-        return None
-    k = min(x[2], y[2])
-    return x[0] + y[0], x[1] * y[1] % _pk(p, k), k
-
-
-def _neg3(p: int, x):
-    if x is None or not x[2]:
-        return x
-    return x[0], _pk(p, x[2]) - x[1], x[2]
-
-
-def _quad_step(p: int, u, v, r, a, b, c):
-    """The triples (u', v', n') of f(x) and its norm for x = u + v*s,
-    s**2 = r, not an exact zero, with the digits of the composed
-    ``_QuadField`` operators, coordinate by coordinate.  x + c = d + v*s
-    never is an exact zero (c is certified), so the pole shows only as an
-    uncertified norm d**2 - r*v**2, which exhausts the precision.  The
-    quotient (x + b)*conj(x + c)/norm spends one inverse of the norm, at
-    the wider of its coordinates' digits: a/n modulo p**k is unique, so
-    each coordinate gets the digits of ``_div_units``."""
-    d, nb = _add3(p, u, c), _add3(p, u, b)
-    rvv = _neg3(p, _mul3(p, r, _mul3(p, v, v)))  # r*v*(-v)
-    norm = _add3(p, _mul3(p, d, d), rvv)
-    if not norm[2]:
-        raise PrecisionExhausted(_POLE_UNRULED)
-    pu = _add3(p, _mul3(p, nb, d), rvv)
-    pv = _add3(p, _mul3(p, nb, _neg3(p, v)), _mul3(p, v, d))
-    nv, nu, nk = norm
-    ku = min(pu[2], nk)
-    kv = 0 if pv is None else min(pv[2], nk)
-    y = _inv_unit(nu, p, max(ku, kv))
-    qu = pu[0] - nv, pu[1] * y % _pk(p, ku), ku
-    qv = None if pv is None else (pv[0] - nv, pv[1] * y % _pk(p, kv), kv)
-    quv = _mul3(p, qu, qv)
-    su = _add3(p, _mul3(p, qu, qu), _mul3(p, r, _mul3(p, qv, qv)))
-    sv = _add3(p, quv, quv)
-    xu, xv = _mul3(p, u, a), _mul3(p, v, a)
-    fu = _add3(p, _mul3(p, xu, su), _mul3(p, r, _mul3(p, xv, sv)))
-    fv = _add3(p, _mul3(p, xu, sv), _mul3(p, xv, su))
-    return fu, fv, _quad_norm(p, fu, fv, r)
-
-
-def _quad_norm(p: int, u, v, r):
-    """The triple of u**2 - r*v**2, as ``TruncatedQuad.norm`` computes it."""
-    return _add3(p, _mul3(p, u, u), _neg3(p, _mul3(p, r, _mul3(p, v, v))))
 
 
 def eval_f(x: Point, params: MapParams) -> Point:
@@ -517,12 +442,21 @@ def orbit(
         raise InvalidArgument("orbit length must be >= 0")
     if isinstance(x, int):
         x = Fraction(x)
-    p = params.p
     if precision is not None and not isinstance(x, _TRUNCATED):
         end = _exact_end(x, params, n, precision)
         if end is not None:
             return end
         x = lift_point(x, params, precision)
+    return _iterate(x, params, n)
+
+
+def _iterate(x: Point, params: MapParams, n: int) -> OrbitRecord:
+    """Up to n steps of f from x, bound once at x, keeping every point
+    built: the loop of :func:`orbit`, which :func:`projective_orbit` also
+    runs on a lifted start in Q_p(sqrt(a)).  ``projective_orbit`` calls
+    this loop rather than ``orbit``, so a wrapper of ``orbit`` (the
+    benchmark's tracer installs one) sees only the orbits asked of it."""
+    p = params.p
     f, sized = _Bound(params, x).f, not isinstance(x, _TRUNCATED)
     try:
         vals = [point_val(x, p)]
@@ -580,9 +514,9 @@ class _LazyPoints(Sequence):
 
     __slots__ = ("_states", "_make", "_points")
 
-    def __init__(self, states: list, make, first: Optional[Point] = None) -> None:
+    def __init__(self, states: list, make) -> None:
         self._states, self._make = states, make
-        self._points: list = [first] + [None] * (len(states) - 1)
+        self._points: list = [None] * len(states)
 
     def __len__(self) -> int:
         return len(self._states)
@@ -600,19 +534,20 @@ def projective_orbit(
     x: Union[Rational, QuadExt], params: MapParams, n: int, digits: int
 ) -> OrbitRecord:
     """``orbit(x, params, n, precision=digits)`` for a rational start or a
-    start in Q_p(sqrt(a)), with the same valuations, termination and
-    points, run in one loop on plain integers with the coefficients bound
-    once.  A point is built from its state only when it is read
-    (:class:`_LazyPoints`).
+    start in Q_p(sqrt(a)): the same valuations, termination and points.  A
+    negative n is refused, as by :func:`orbit`; a start at the pole -c or
+    at -b ends as the exact orbit does (:func:`_exact_end`), and an exact
+    zero is its own image.
 
-    A rational point is carried as p**v * u/w with u and w units modulo
-    p**k.  x + c is p**dv * du/w by the sum kernel on (u, c*w), and x + b
-    likewise, so f(x) = p**v' * (a*u*nu**2)/(w*du**2) with the valuation
-    and digits of ``_Bound._step`` and no unit inverse; reading a point
-    spends the inverse of w.  A point of Q_p(sqrt(a)) runs through
-    :func:`_quad_orbit`.  An exact zero is its own image, and a start at the
-    pole -c or at -b ends as the exact orbit does (:func:`_exact_end`).
-    A negative n is refused, as by :func:`orbit`."""
+    A start in Q_p(sqrt(a)) is lifted and stepped by ``orbit``'s own loop,
+    :func:`_iterate`.  A rational start runs in one loop on plain integers
+    with the coefficients bound once, and a point is built from its state
+    only when it is read (:class:`_LazyPoints`).  It is carried as
+    p**v * u/w with u and w units modulo p**k.  x + c is p**dv * du/w by the
+    sum kernel on (u, c*w), and x + b likewise, so
+    f(x) = p**v' * (a*u*nu**2)/(w*du**2) with the valuation and digits of
+    ``_Bound._step`` and no unit inverse; reading a point spends the
+    inverse of w."""
     if n < 0:
         raise InvalidArgument("orbit length must be >= 0")
     end = _exact_end(x, params, n, digits)
@@ -622,7 +557,7 @@ def projective_orbit(
         zero = lift_point(x, params, digits)
         return OrbitRecord((zero,) * (n + 1), (TOP,) * (n + 1), Completed(n))
     if isinstance(x, QuadExt):
-        return _quad_orbit(x, params, n, digits)
+        return _iterate(lift_point(x, params, digits), params, n)
     p = params.p
     a, b, c = params.lifted(max(digits, 32))
     av, au, ak = a.val, a.unit, a.digits
@@ -650,38 +585,6 @@ def projective_orbit(
         return TruncatedPadic._of(p, v, _div_units(p, u, w, k), k)
 
     return OrbitRecord(_LazyPoints(states, make), tuple(vals), end)
-
-
-def _quad_orbit(x: QuadExt, params: MapParams, n: int, digits: int) -> OrbitRecord:
-    """:func:`projective_orbit` of a nonzero start in Q_p(sqrt(a)): the
-    states are the triples (u, v, norm), None for a zero coordinate, and a
-    point read is one ``TruncatedQuad`` on the start's lift of the
-    radicand."""
-    p = params.p
-    start = lift_point(x, params, digits)
-    u, v, r = _tri(start.u), _tri(start.v), _tri(start.a)
-    norm = _quad_norm(p, u, v, r)
-    if not norm[2]:
-        return OrbitRecord((), (), PrecisionExhaustedAt(0))
-    a, b, c = (_tri(t) for t in params.lifted(max(digits, 32)))
-    states, vals, end = [(u, v, norm)], [Fraction(norm[0], 2)], Completed(n)
-    for i in range(n):
-        try:
-            u, v, norm = _quad_step(p, u, v, r, a, b, c)
-        except PrecisionExhausted:
-            end = PrecisionExhaustedAt(i + 1)
-            break
-        if not norm[2]:
-            end = PrecisionExhaustedAt(i + 1)
-            break
-        states.append((u, v, norm))
-        vals.append(Fraction(norm[0], 2))
-
-    def make(state):
-        u, v, norm = state
-        return TruncatedQuad._of(_padic(p, u), _padic(p, v), start.a, start.rad, _padic(p, norm))
-
-    return OrbitRecord(_LazyPoints(states, make, start), tuple(vals), end)
 
 
 # -------------------------------------------------------------- fixed points

@@ -243,7 +243,7 @@ def _run_orbit(x0, params: MapParams, steps: int):
     precision runs out.  The valuations are exact at any width, so the
     width decides only whether the steps finish.  The judges read
     valuations and only a few points, and ``projective_orbit`` builds a
-    point only when it is read."""
+    rational point only when it is read."""
     v = point_val(x0, params.p)
     if v is not TOP and v % 1:
         spec, q2, vals = params.radius_spec(), int(-2 * v), [v]
