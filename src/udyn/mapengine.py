@@ -48,9 +48,9 @@ when it is read, as most judges read valuations alone.  Normalising every
 rational point that way would cost more than ``_Bound._step``, so
 ``orbit`` keeps that step.  A start in Q_p(sqrt(a)) of integer valuation
 (one of half-integer valuation is judged by its radius walk) is lifted and
-stepped by ``orbit``'s own loop, :func:`_iterate`.  Both check an exact
-start against the pole -c and against -b, which f maps to exact zero,
-before they lift it.
+stepped by ``orbit``'s own loop, :func:`_iterate`.  ``orbit`` and
+``projective_orbit`` both check an exact start against the pole -c and
+against -b, which f maps to exact zero, before they lift it.
 
 ``MapParams`` keeps a, b and c lifted per width (``MapParams.lifted``), so
 a run lifts each coefficient once per width however many orbits and
@@ -393,7 +393,8 @@ class OrbitRecord:
 
     ``valuations[i]`` is always the exact valuation of ``points[i]``; a
     point whose valuation cannot be certified is not recorded.  ``points``
-    is a tuple, or the read-only sequence of a :func:`projective_orbit`.
+    is a tuple, or the read-only sequence of a rational
+    :func:`projective_orbit`.
     """
 
     points: Sequence[Point]
@@ -509,8 +510,8 @@ def _exact_end(x: Point, params: MapParams, n: int, digits: int) -> Optional[Orb
 
 
 class _LazyPoints(Sequence):
-    """The points of a :func:`projective_orbit`, read-only.  Point i is
-    built from its state by ``make`` when it is first read, and kept."""
+    """The points of a rational :func:`projective_orbit`, read-only.  Point
+    i is built from its state by ``make`` when it is first read, and kept."""
 
     __slots__ = ("_states", "_make", "_points")
 
