@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Optional, Tuple, Union
+
+from ._value import Value, _set, unfrozen
 
 Rational = Union[int, Fraction]
 
@@ -313,16 +314,18 @@ class SqrtKind(enum.Enum):
     QP_NONSQUARE = "qp-nonsquare"
 
 
-@dataclass(frozen=True)
-class SqrtClass:
+class SqrtClass(Value):
     """Square classification of a rational in Q_p.
 
     ``root`` is the exact nonnegative rational root when the number is a
     perfect rational square, and None otherwise.
     """
 
-    kind: SqrtKind
-    root: Optional[Fraction] = None
+    __slots__ = ("kind", "root")
+
+    def __init__(self, kind: SqrtKind, root: Optional[Fraction] = None) -> None:
+        _set(self, "kind", kind)
+        _set(self, "root", root)
 
 
 def _rational_square_root(q: Fraction) -> Optional[Fraction]:
@@ -465,7 +468,7 @@ def hensel_sqrt(a: Rational, p: int, digits: int) -> "TruncatedPadic":
     return TruncatedPadic(p=p, val=v // 2, unit=unit, digits=digits)
 
 
-class _QuadField:
+class _QuadField(Value):
     """Field operations on u + v*sqrt(a), for exact and truncated coordinates.
 
     A subclass supplies ``_split`` ((u, v) of a point of its field, (s,
@@ -475,6 +478,8 @@ class _QuadField:
     u*v' + v*u'), a scalar acts on each coordinate, and x/y is
     x*conj(y)/norm(y), a division by a base-field scalar.
     """
+
+    __slots__ = ()
 
     def __add__(self, other: object):
         o = self._split(other)
@@ -533,7 +538,6 @@ class _QuadField:
         return self.conj() * other / self.norm
 
 
-@dataclass(frozen=True)
 class QuadExt(_QuadField):
     """u + v*sqrt(a) with exact rational coordinates.
 
@@ -545,24 +549,24 @@ class QuadExt(_QuadField):
     ``Fraction``) mix in directly.
     """
 
-    u: Fraction
-    v: Fraction
-    a: Fraction
+    __slots__ = ("u", "v", "a")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u", Fraction(self.u))
-        object.__setattr__(self, "v", Fraction(self.v))
-        object.__setattr__(self, "a", Fraction(self.a))
-        if self.a == 0 or _rational_square_root(self.a) is not None:
-            raise InvalidExtension(
-                f"sqrt({self.a}) is rational; the extension is degenerate"
-            )
+    def __init__(self, u: Rational, v: Rational, a: Rational) -> None:
+        u, v, a = Fraction(u), Fraction(v), Fraction(a)
+        if a == 0 or _rational_square_root(a) is not None:
+            raise InvalidExtension(f"sqrt({a}) is rational; the extension is degenerate")
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "a", a)
 
     def _new(self, u: Fraction, v: Fraction) -> "QuadExt":
         """u + v*sqrt(a) in this element's field; u and v must already be
         Fractions.  Skips the radicand check and the coercions."""
-        out = object.__new__(QuadExt)
-        out.__dict__.update(u=u, v=v, a=self.a)
+        out = object.__new__(_QuadExtBlank)
+        out.u = u
+        out.v = v
+        out.a = self.a
+        out.__class__ = QuadExt
         return out
 
     @property
@@ -590,6 +594,9 @@ class QuadExt(_QuadField):
         return f"({self.u} + {self.v}*sqrt({self.a}))"
 
 
+_QuadExtBlank = unfrozen(QuadExt)
+
+
 def quad_val(x: QuadExt, p: int):
     """Valuation of x in Q_p(sqrt(a)), normalized to extend vp on Q_p.
 
@@ -614,8 +621,7 @@ def _require_extension(a: Fraction, p: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class TruncatedPadic:
+class TruncatedPadic(Value):
     """Capped-relative-precision p-adic number with certified valuation.
 
     Three shapes:
@@ -632,34 +638,42 @@ class TruncatedPadic:
     shape rather than inventing digits.
     """
 
-    p: int
-    val: int = 0
-    unit: int = 0
-    digits: int = 0
-    exact_zero: bool = False
+    __slots__ = ("p", "val", "unit", "digits", "exact_zero")
 
-    def __post_init__(self) -> None:
-        if self.exact_zero:
-            if self.val != 0 or self.unit != 0 or self.digits != 0:
+    def __init__(
+        self, p: int, val: int = 0, unit: int = 0, digits: int = 0, exact_zero: bool = False
+    ) -> None:
+        if exact_zero:
+            if val != 0 or unit != 0 or digits != 0:
                 raise InvalidArgument("exact zero must have val=unit=digits=0")
-        elif self.digits == 0:
-            if self.unit != 0:
+        elif digits == 0:
+            if unit != 0:
                 raise InvalidArgument("uncertified numbers carry no unit")
         else:
-            if self.digits < 0:
+            if digits < 0:
                 raise InvalidArgument("digits must be >= 0")
-            if not 0 < self.unit < _pk(self.p, self.digits):
+            if not 0 < unit < _pk(p, digits):
                 raise InvalidArgument("unit must lie in (0, p**digits)")
-            if self.unit % self.p == 0:
+            if unit % p == 0:
                 raise InvalidArgument("unit must be coprime to p")
+        _set(self, "p", p)
+        _set(self, "val", val)
+        _set(self, "unit", unit)
+        _set(self, "digits", digits)
+        _set(self, "exact_zero", exact_zero)
 
     @classmethod
     def _of(cls, p: int, val: int, unit: int, digits: int) -> "TruncatedPadic":
         """A number from a kernel's (val, unit, digits), already in shape
-        (certified, or uncertified with digits 0): skips ``__post_init__``
-        and the modulus its range check reads."""
-        out = object.__new__(cls)
-        out.__dict__.update(p=p, val=val, unit=unit, digits=digits, exact_zero=False)
+        (certified, or uncertified with digits 0): skips ``__init__``'s
+        checks and the modulus its range check reads."""
+        out = object.__new__(_TruncatedPadicBlank)
+        out.p = p
+        out.val = val
+        out.unit = unit
+        out.digits = digits
+        out.exact_zero = False
+        out.__class__ = cls
         return out
 
     @classmethod
@@ -776,7 +790,9 @@ class TruncatedPadic:
         return f"{self.unit}*{self.p}^{self.val} + O({self.p}^{self.val + self.digits})"
 
 
-@dataclass(frozen=True)
+_TruncatedPadicBlank = unfrozen(TruncatedPadic)
+
+
 class TruncatedQuad(_QuadField):
     """u + v*sqrt(a) in Q_p(sqrt(a)) with capped-relative coordinates.
 
@@ -789,10 +805,15 @@ class TruncatedQuad(_QuadField):
     certified or :class:`PrecisionExhausted`.
     """
 
-    u: TruncatedPadic
-    v: TruncatedPadic
-    a: TruncatedPadic
-    rad: Fraction
+    __slots__ = ("u", "v", "a", "rad", "__dict__")
+
+    def __init__(
+        self, u: TruncatedPadic, v: TruncatedPadic, a: TruncatedPadic, rad: Fraction
+    ) -> None:
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "a", a)
+        _set(self, "rad", rad)
 
     @classmethod
     def from_quad(cls, x: QuadExt, p: int, digits: int) -> "TruncatedQuad":
@@ -806,10 +827,13 @@ class TruncatedQuad(_QuadField):
     def _of(
         cls, u: TruncatedPadic, v: TruncatedPadic, a: TruncatedPadic, rad: Fraction
     ) -> "TruncatedQuad":
-        """u + v*sqrt(rad), ``a`` the lift of rad, built without the
-        dataclass ``__init__``."""
-        out = object.__new__(cls)
-        out.__dict__.update(u=u, v=v, a=a, rad=rad)
+        """u + v*sqrt(rad), ``a`` the lift of rad, built without ``__init__``."""
+        out = object.__new__(_TruncatedQuadBlank)
+        out.u = u
+        out.v = v
+        out.a = a
+        out.rad = rad
+        out.__class__ = cls
         return out
 
     @property
@@ -859,3 +883,6 @@ class TruncatedQuad(_QuadField):
 
     def __str__(self) -> str:
         return f"(({self.u}) + ({self.v})*sqrt({self.rad}))"
+
+
+_TruncatedQuadBlank = unfrozen(TruncatedQuad)

@@ -65,10 +65,11 @@ import enum
 import functools
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
+from ._value import Value, _set
 from .exactnum import (
     TOP,
     ExactError,
@@ -125,8 +126,7 @@ class DegenerateParams(InvalidArgument):
 # --------------------------------------------------------------- parameters
 
 
-@dataclass(frozen=True)
-class MapParams:
+class MapParams(Value):
     """Validated parameters (p, a, b, c) of the map.
 
     Degeneracy is rejected at construction: each of a, a-1, b, c, b-c and
@@ -134,21 +134,14 @@ class MapParams:
     genuine degree-(3,2) rational map with three distinct fixed points.
     """
 
-    p: int
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    sqrt_mode: SqrtClass = field(init=False)
+    __slots__ = ("p", "a", "b", "c", "sqrt_mode", "__dict__")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int):
-            raise InvalidArgument(f"p must be an int, got {self.p!r}")
-        if not is_prime(self.p):
-            raise InvalidArgument(f"p must be prime, got {self.p}")
-        a, b, c = (Fraction(q) for q in (self.a, self.b, self.c))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+    def __init__(self, p: int, a: Rational, b: Rational, c: Rational) -> None:
+        if not isinstance(p, int):
+            raise InvalidArgument(f"p must be an int, got {p!r}")
+        if not is_prime(p):
+            raise InvalidArgument(f"p must be prime, got {p}")
+        a, b, c = Fraction(a), Fraction(b), Fraction(c)
         for factor, value in (
             ("a", a),
             ("a-1", a - 1),
@@ -159,7 +152,11 @@ class MapParams:
         ):
             if value == 0:
                 raise DegenerateParams(factor)
-        object.__setattr__(self, "sqrt_mode", sqrt_class(a, self.p))
+        _set(self, "p", p)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "sqrt_mode", sqrt_class(a, p))
 
     @functools.cached_property
     def val_a(self) -> int:
@@ -353,35 +350,43 @@ def derivative_at(x: Point, params: MapParams) -> Point:
 # -------------------------------------------------------------------- orbits
 
 
-@dataclass(frozen=True)
 class Completed(Verdict):
-    kind: ClassVar[str] = "completed"
-    steps: int
+    __slots__ = ("steps",)
+    kind = "completed"
+
+    def __init__(self, steps: int) -> None:
+        _set(self, "steps", steps)
 
 
-@dataclass(frozen=True)
-class PoleHitAt(Verdict):
+class _StopAt(Verdict):
+    """An orbit that stopped at orbit index ``index``."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        _set(self, "index", index)
+
+
+class PoleHitAt(_StopAt):
     """f is undefined at orbit index ``index`` (that point is the pole)."""
 
-    kind: ClassVar[str] = "pole-hit"
-    index: int
+    __slots__ = ()
+    kind = "pole-hit"
 
 
-@dataclass(frozen=True)
-class PrecisionExhaustedAt(Verdict):
+class PrecisionExhaustedAt(_StopAt):
     """Orbit point ``index`` could not be produced with certified digits."""
 
-    kind: ClassVar[str] = "precision-exhausted"
-    index: int
+    __slots__ = ()
+    kind = "precision-exhausted"
 
 
-@dataclass(frozen=True)
-class SizeBudgetAt(Verdict):
+class SizeBudgetAt(_StopAt):
     """Exact orbit point ``index`` outgrew ``EXACT_BITS`` bits and was not
     kept; a truncated orbit (``precision``) runs deeper."""
 
-    kind: ClassVar[str] = "size-budget"
-    index: int
+    __slots__ = ()
+    kind = "size-budget"
 
 
 Termination = Union[Completed, PoleHitAt, PrecisionExhaustedAt, SizeBudgetAt]
@@ -614,15 +619,34 @@ def val_str(v) -> str:
     return "TOP" if v is TOP else str(v)
 
 
-@dataclass(frozen=True)
-class FixedPointInfo:
-    which: str
-    location: Point
-    location_val: object
-    multiplier: Point
-    multiplier_val: object
-    multiplier_abs: Radius
-    character: Character
+class FixedPointInfo(Value):
+    __slots__ = (
+        "which",
+        "location",
+        "location_val",
+        "multiplier",
+        "multiplier_val",
+        "multiplier_abs",
+        "character",
+    )
+
+    def __init__(
+        self,
+        which: str,
+        location: Point,
+        location_val: object,
+        multiplier: Point,
+        multiplier_val: object,
+        multiplier_abs: Radius,
+        character: Character,
+    ) -> None:
+        _set(self, "which", which)
+        _set(self, "location", location)
+        _set(self, "location_val", location_val)
+        _set(self, "multiplier", multiplier)
+        _set(self, "multiplier_val", multiplier_val)
+        _set(self, "multiplier_abs", multiplier_abs)
+        _set(self, "character", character)
 
     def to_dict(self) -> dict:
         return {
@@ -695,7 +719,7 @@ def _exact_pair(
         first = _info("x1", x1, x1._new(m, -n), p)
         # s -> -s fixes Q_p and commutes with f, so it maps x1 to x2 and m1
         # to m2: both pairs have equal norms, so equal valuations and characters
-        return first, replace(first, which="x2", location=x1._new(u, -v), multiplier=x1._new(m, n))
+        return first, first._replace(which="x2", location=x1._new(u, -v), multiplier=x1._new(m, n))
     if s is None:
         s = mode.root
     else:

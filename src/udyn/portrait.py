@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Tuple
 
+from ._value import Value, _set
 from .exactnum import InvalidArgument, vp_rat
 from .mapengine import (
     FixedPointInfo,
@@ -62,8 +63,7 @@ def _ladder_dict(eset: ExceptionalSet) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Value):
     """A set of (finite) radii a claim quantifies over.
 
     kinds: sphere | ball | closed-ball | above | all-but-sphere |
@@ -71,10 +71,19 @@ class Region:
     zero radius; every other kind excludes it.
     """
 
-    kind: str
-    radius: Optional[Radius] = None
-    ladder: Optional[ExceptionalSet] = None
-    interval: Optional[LambdaInterval] = None
+    __slots__ = ("kind", "radius", "ladder", "interval")
+
+    def __init__(
+        self,
+        kind: str,
+        radius: Optional[Radius] = None,
+        ladder: Optional[ExceptionalSet] = None,
+        interval: Optional[LambdaInterval] = None,
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "radius", radius)
+        _set(self, "ladder", ladder)
+        _set(self, "interval", interval)
 
     def contains(self, r: Radius) -> bool:
         if r.is_infinite:
@@ -115,14 +124,18 @@ class Region:
 # -------------------------------------------------------------------- claims
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(Value):
     """One machine-checkable statement, tagged with its case item."""
 
-    tag: str
-    kind: str
-    region: Optional[Region] = None
-    details: tuple = ()
+    __slots__ = ("tag", "kind", "region", "details")
+
+    def __init__(
+        self, tag: str, kind: str, region: Optional[Region] = None, details: tuple = ()
+    ) -> None:
+        _set(self, "tag", tag)
+        _set(self, "kind", kind)
+        _set(self, "region", region)
+        _set(self, "details", details)
 
     @classmethod
     def make(cls, tag: str, kind: str, region: Optional[Region] = None, **details) -> "Claim":

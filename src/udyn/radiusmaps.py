@@ -32,14 +32,13 @@ check the tables against themselves.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import ClassVar, Dict, List, Optional, Tuple
 
+from ._value import Value, _set, unfrozen
 from .exactnum import (
     TOP,
     ExactError,
@@ -102,8 +101,7 @@ class RadiusKind(enum.Enum):
 _RANK = {RadiusKind.ZERO: 0, RadiusKind.FINITE: 1, RadiusKind.INFINITE: 2}
 
 
-@dataclass(frozen=True)
-class Radius:
+class Radius(Value):
     """An exact radius ``p**(q2/2)`` (plus the zero and infinite ones).
 
     Every absolute value a point of Q_p or of a quadratic extension can take
@@ -111,13 +109,12 @@ class Radius:
     half-integer exponents (ramified extensions) included.
     """
 
-    p: int
-    kind: RadiusKind = RadiusKind.FINITE
-    q2: int = 0
+    __slots__ = ("p", "kind", "q2")
 
-    def __post_init__(self) -> None:
-        if self.kind is not RadiusKind.FINITE:
-            object.__setattr__(self, "q2", 0)
+    def __init__(self, p: int, kind: RadiusKind = RadiusKind.FINITE, q2: int = 0) -> None:
+        _set(self, "p", p)
+        _set(self, "kind", kind)
+        _set(self, "q2", q2 if kind is RadiusKind.FINITE else 0)
 
     # ------------------------------------------------------------ constructors
 
@@ -132,7 +129,12 @@ class Radius:
     @classmethod
     def from_exponent(cls, p: int, q2: int) -> "Radius":
         """The radius p**(q2/2)."""
-        return cls(p, RadiusKind.FINITE, q2)
+        out = object.__new__(_RadiusBlank)
+        out.p = p
+        out.kind = RadiusKind.FINITE
+        out.q2 = q2
+        out.__class__ = cls
+        return out
 
     @classmethod
     def from_val(cls, p: int, v) -> "Radius":
@@ -142,7 +144,7 @@ class Radius:
         q2 = Fraction(-2 * v)
         if q2.denominator != 1:
             raise InvalidArgument(f"valuation must lie in (1/2)Z, got {v}")
-        return cls(p, RadiusKind.FINITE, int(q2))
+        return cls.from_exponent(p, int(q2))
 
     # ------------------------------------------------------------- inspectors
 
@@ -164,7 +166,7 @@ class Radius:
         """Multiply by p**(e2/2)."""
         if not self.is_finite:
             return self
-        return Radius(self.p, RadiusKind.FINITE, self.q2 + e2)
+        return Radius.from_exponent(self.p, self.q2 + e2)
 
     # -------------------------------------------------------------- ordering
 
@@ -198,6 +200,9 @@ class Radius:
         return f"{self.p}^{self.q2}/2"
 
 
+_RadiusBlank = unfrozen(Radius)
+
+
 class Regime(enum.Enum):
     """Relative position of the two critical spheres |b| and |c|."""
 
@@ -215,8 +220,7 @@ def _regime(val_b: int, val_c: int) -> Regime:
 _BELOW, _MID, _ABOVE = 0, 1, 2  # rows of RadiusMapSpec.zones
 
 
-@dataclass(frozen=True)
-class RadiusMapSpec:
+class RadiusMapSpec(Value):
     """Everything the radius map needs: the prime and the valuations of
     a, b and c, checked to be ints on construction.
 
@@ -226,15 +230,16 @@ class RadiusMapSpec:
     equality and hashing see only the fields below.
     """
 
-    p: int
-    val_a: int
-    val_b: int
-    val_c: int
+    __slots__ = ("p", "val_a", "val_b", "val_c", "__dict__")
 
-    def __post_init__(self) -> None:
-        ints = (self.p, self.val_a, self.val_b, self.val_c)
+    def __init__(self, p: int, val_a: int, val_b: int, val_c: int) -> None:
+        ints = (p, val_a, val_b, val_c)
         if not all(isinstance(v, int) for v in ints):
             raise InvalidArgument(f"p and the valuations must be ints, got {ints}")
+        _set(self, "p", p)
+        _set(self, "val_a", val_a)
+        _set(self, "val_b", val_b)
+        _set(self, "val_c", val_c)
 
     # ------------------------------------------------------------ derived data
 
@@ -368,16 +373,17 @@ def radius_step(r: Radius, spec: RadiusMapSpec) -> Radius:
 # ------------------------------------------------------------------- verdicts
 
 
-class Verdict:
+class Verdict(Value):
     """Base class for radius-orbit classifications and orbit terminations:
-    a ``kind`` and the dataclass fields, serialized by ``_serialize``."""
+    a ``kind`` and the fields, serialized by ``_serialize``."""
 
+    __slots__ = ()
     kind: ClassVar[str] = ""
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
-        for f in dataclasses.fields(self):  # type: ignore[arg-type]
-            out[f.name] = _serialize(getattr(self, f.name))
+        for name in self._fields:
+            out[name] = _serialize(getattr(self, name))
         return out
 
 
@@ -400,27 +406,28 @@ def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
 class ToZero(Verdict):
     """The radius orbit converges to (possibly lands exactly on) zero."""
 
-    kind: ClassVar[str] = "to-zero"
+    __slots__ = ()
+    kind = "to-zero"
 
 
-@dataclass(frozen=True)
 class ToInfinity(Verdict):
-    kind: ClassVar[str] = "to-infinity"
+    __slots__ = ()
+    kind = "to-infinity"
 
 
-@dataclass(frozen=True)
 class FixedAt(Verdict):
     """The starting radius itself is fixed."""
 
-    kind: ClassVar[str] = "fixed"
-    radius: Radius = None  # type: ignore[assignment]
+    __slots__ = ("radius",)
+    kind = "fixed"
+
+    def __init__(self, radius: Optional[Radius] = None) -> None:
+        _set(self, "radius", radius)
 
 
-@dataclass(frozen=True)
 class Cycle(Verdict):
     """The orbit enters an exact cycle of radii (period = len(radii)).
 
@@ -428,62 +435,77 @@ class Cycle(Verdict):
     order preserved.
     """
 
-    kind: ClassVar[str] = "cycle"
-    radii: Tuple[Radius, ...] = ()
+    __slots__ = ("radii",)
+    kind = "cycle"
+
+    def __init__(self, radii: Tuple[Radius, ...] = ()) -> None:
+        _set(self, "radii", radii)
 
 
-@dataclass(frozen=True)
 class EventuallyConstantAt(Verdict):
     """The orbit lands exactly on a fixed radius at the given index."""
 
-    kind: ClassVar[str] = "eventually-constant"
-    radius: Radius = None  # type: ignore[assignment]
-    index: int = 0
+    __slots__ = ("radius", "index")
+    kind = "eventually-constant"
+
+    def __init__(self, radius: Optional[Radius] = None, index: int = 0) -> None:
+        _set(self, "radius", radius)
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
 class NeedsCriticalValue(Verdict):
     """Classification stops on a critical sphere, whose image depends on
     the point."""
 
-    kind: ClassVar[str] = "needs-critical-value"
-    sphere: str = ""
+    __slots__ = ("sphere",)
+    kind = "needs-critical-value"
+
+    def __init__(self, sphere: str = "") -> None:
+        _set(self, "sphere", sphere)
 
 
-@dataclass(frozen=True)
 class HorizonExceeded(Verdict):
-    kind: ClassVar[str] = "horizon-exceeded"
+    __slots__ = ()
+    kind = "horizon-exceeded"
 
 
-@dataclass(frozen=True)
 class TwoCycleRegion(Verdict):
     """The radius lies in the certified core of the two-cycle interval,
     so it is on a two-cycle of radii."""
 
-    kind: ClassVar[str] = "two-cycle-region"
-    region: "LambdaInterval" = None  # type: ignore[assignment]
+    __slots__ = ("region",)
+    kind = "two-cycle-region"
+
+    def __init__(self, region: Optional["LambdaInterval"] = None) -> None:
+        _set(self, "region", region)
 
 
-@dataclass(frozen=True)
 class EventuallyInLambda(Verdict):
     """The orbit reaches the certified core of the two-cycle interval
     after at least one step."""
 
-    kind: ClassVar[str] = "eventually-in-lambda"
-    region: "LambdaInterval" = None  # type: ignore[assignment]
+    __slots__ = ("region",)
+    kind = "eventually-in-lambda"
+
+    def __init__(self, region: Optional["LambdaInterval"] = None) -> None:
+        _set(self, "region", region)
 
 
-@dataclass(frozen=True)
-class RadiusOrbitResult:
+class RadiusOrbitResult(Value):
     """A radius orbit from ``start``: the exponents ``q2s`` of the finite
     radii it visits, in order; ``end`` is the start itself when that is the
     zero or infinite radius, else None.  ``trajectory`` holds all as radii,
     built on first read."""
 
-    start: Radius
-    q2s: Tuple[int, ...]
-    end: Optional[Radius]
-    verdict: Verdict
+    __slots__ = ("start", "q2s", "end", "verdict", "__dict__")
+
+    def __init__(
+        self, start: Radius, q2s: Tuple[int, ...], end: Optional[Radius], verdict: Verdict
+    ) -> None:
+        _set(self, "start", start)
+        _set(self, "q2s", q2s)
+        _set(self, "end", end)
+        _set(self, "verdict", verdict)
 
     @cached_property
     def trajectory(self) -> Tuple[Radius, ...]:
@@ -544,8 +566,7 @@ def radius_orbit(
 # ---------------------------------------------------------- exceptional sets
 
 
-@dataclass(frozen=True)
-class ExceptionalSet:
+class ExceptionalSet(Value):
     """A ladder of lattice radii that land exactly on a critical sphere.
 
     Element k has exponent ``base_q2 + k * step_q2`` for k = 0, 1, 2, ...
@@ -554,10 +575,13 @@ class ExceptionalSet:
     onto |b| in the EQ regime, "L" onto |b| otherwise.
     """
 
-    kind: str
-    p: int
-    base_q2: int
-    step_q2: int
+    __slots__ = ("kind", "p", "base_q2", "step_q2")
+
+    def __init__(self, kind: str, p: int, base_q2: int, step_q2: int) -> None:
+        _set(self, "kind", kind)
+        _set(self, "p", p)
+        _set(self, "base_q2", base_q2)
+        _set(self, "step_q2", step_q2)
 
     @classmethod
     def on(cls, spec: RadiusMapSpec, sphere: str) -> "ExceptionalSet":
@@ -590,21 +614,20 @@ class ExceptionalSet:
 # ------------------------------------------------------------------ fixed set
 
 
-@dataclass(frozen=True)
-class RadiusRay:
+class RadiusRay(Value):
     """An open zone of radii: all finite r < bound ("below") or > bound
     ("above")."""
 
-    bound: Radius
-    side: str
+    __slots__ = ("bound", "side")
 
-    def __post_init__(self) -> None:
-        if self.side not in ("below", "above"):
+    def __init__(self, bound: Radius, side: str) -> None:
+        if side not in ("below", "above"):
             raise InvalidArgument("side must be 'below' or 'above'")
+        _set(self, "bound", bound)
+        _set(self, "side", side)
 
 
-@dataclass(frozen=True)
-class FixSet:
+class FixSet(Value):
     """Fixed radii of the radius map.
 
     ``members`` holds the isolated finite fixed radius, the one the
@@ -614,8 +637,11 @@ class FixSet:
     listed either.
     """
 
-    members: Tuple[Radius, ...]
-    rays: Tuple[RadiusRay, ...]
+    __slots__ = ("members", "rays")
+
+    def __init__(self, members: Tuple[Radius, ...], rays: Tuple[RadiusRay, ...]) -> None:
+        _set(self, "members", members)
+        _set(self, "rays", rays)
 
 
 def fix_set(spec: RadiusMapSpec) -> FixSet:
@@ -647,8 +673,7 @@ def fix_set(spec: RadiusMapSpec) -> FixSet:
 # --------------------------------------------------------- the Lambda interval
 
 
-@dataclass(frozen=True)
-class _RadExpr:
+class _RadExpr(Value):
     """Exact number x + y*sqrt(p) with rational x, y.
 
     Radii are single terms of this shape; differences and reflected
@@ -656,9 +681,12 @@ class _RadExpr:
     mixed-sign terms are ordered by comparing x**2 against p*y**2.
     """
 
-    p: int
-    x: Fraction
-    y: Fraction
+    __slots__ = ("p", "x", "y")
+
+    def __init__(self, p: int, x: Fraction, y: Fraction) -> None:
+        _set(self, "p", p)
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     @classmethod
     def from_radius(cls, r: Radius) -> "_RadExpr":
@@ -700,8 +728,7 @@ class _RadExpr:
         return f"{self.x} + {self.y}*sqrt({self.p})"
 
 
-@dataclass(frozen=True)
-class LambdaInterval:
+class LambdaInterval(Value):
     """The open interval of radii symmetric about the inversion-fixed radius,
     together with the core window on which the pairing r <-> center**2/r is
     guaranteed to stay inside the inversion zone.
@@ -715,13 +742,25 @@ class LambdaInterval:
     verification layer flags those members instead of trusting them.
     """
 
-    p: int
-    lo: _RadExpr
-    hi: _RadExpr
-    center: Radius
-    core_lo: Radius
-    core_hi: Radius
-    q2s: range
+    __slots__ = ("p", "lo", "hi", "center", "core_lo", "core_hi", "q2s")
+
+    def __init__(
+        self,
+        p: int,
+        lo: _RadExpr,
+        hi: _RadExpr,
+        center: Radius,
+        core_lo: Radius,
+        core_hi: Radius,
+        q2s: range,
+    ) -> None:
+        _set(self, "p", p)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "center", center)
+        _set(self, "core_lo", core_lo)
+        _set(self, "core_hi", core_hi)
+        _set(self, "q2s", q2s)
 
     def contains(self, r: Radius) -> bool:
         return r.is_finite and r.q2 in self.q2s

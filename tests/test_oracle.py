@@ -281,17 +281,17 @@ def test_bridge_records_match_the_radius_walk(points, vals, end, expected):
 def test_bridge_builds_no_spec(monkeypatch):
     ctx = context(_W, sample_count=12, horizon=10, seed=3)
     built, visits = [], []
-    post_init = RadiusMapSpec.__post_init__
+    init = RadiusMapSpec.__init__
 
-    def counted_init(self):
+    def counted_init(self, *args):
         built.append(self)
-        post_init(self)
+        init(self, *args)
 
     def counted_crit(x, params, which):
         visits.append(which)
         return _TRUE_CRITICAL_VALUE(x, params, which)
 
-    monkeypatch.setattr(RadiusMapSpec, "__post_init__", counted_init)
+    monkeypatch.setattr(RadiusMapSpec, "__init__", counted_init)
     monkeypatch.setattr(oracle, "critical_value_at", counted_crit)
     (result,) = check_lemma1(ctx)
     assert result.status == "PASS"
@@ -469,7 +469,7 @@ def test_wrong_x0_multiplier_fails_fp_lambda0(monkeypatch):
     right = mapengine._fp_zero
 
     def wrong(params):
-        return dataclasses.replace(right(params), multiplier=right(params).multiplier + 1)
+        return right(params)._replace(multiplier=right(params).multiplier + 1)
 
     monkeypatch.setattr(mapengine, "_fp_zero", wrong)
     params = validate_params(3, 4, 1, 3)
