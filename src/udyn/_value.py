@@ -18,13 +18,25 @@ _set = object.__setattr__
 
 
 def _getter(fields: Tuple[str, ...]):
-    """The function from a value to the tuple of its ``fields``."""
+    """The class attribute that maps a value to the tuple of its ``fields``.
+
+    An ``attrgetter`` is no descriptor, so the class hands it out as it is,
+    faster than it calls a ``staticmethod``."""
     if len(fields) > 1:
         return attrgetter(*fields)
     if fields:
         one = attrgetter(fields[0])
-        return lambda obj: (one(obj),)
-    return lambda obj: ()
+        return staticmethod(lambda obj: (one(obj),))
+    return staticmethod(lambda obj: ())
+
+
+def _rebuild(cls: type, values: tuple):
+    """The value of ``cls`` with field tuple ``values``: what ``copy`` and
+    ``pickle`` call, since ``__setattr__`` refuses the fields."""
+    out = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        _set(out, name, value)
+    return out
 
 
 class Value:
@@ -37,7 +49,8 @@ class Value:
     equal when they have the same type and equal fields, the hash is the
     hash of the field tuple and the repr is ``Name(field=value, ...)``, as
     for a frozen dataclass.  Assigning or deleting an attribute raises
-    ``AttributeError``.
+    ``AttributeError``; ``copy`` and ``pickle`` rebuild a value from its
+    fields.
     """
 
     __slots__ = ()
@@ -47,9 +60,9 @@ class Value:
         super().__init_subclass__(**kwargs)
         own = cls.__dict__.get("__slots__", ())
         cls._fields += tuple(name for name in own if name != "__dict__")
-        cls._values = staticmethod(_getter(cls._fields))
+        cls._values = _getter(cls._fields)
 
-    def __init__(self) -> None:
+    def __init__(self) -> None:  # a fieldless value; _replace reads the signature
         pass
 
     def __eq__(self, other: object):
@@ -71,6 +84,9 @@ class Value:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        return _rebuild, (type(self), self._values(self))
+
     def _replace(self, **changes):
         """A copy with ``changes`` applied, built by ``__init__``, so it is
         validated again; a field ``__init__`` does not take is derived
@@ -89,9 +105,5 @@ def unfrozen(cls: type) -> type:
     ``out.__class__ = cls``; the shared layout is what allows the switch.
     It skips ``__init__``, so its caller passes fields already in shape.
     """
-    namespace = {
-        "__slots__": cls.__slots__,
-        "__setattr__": object.__setattr__,
-        "__delattr__": object.__delattr__,
-    }
+    namespace = {"__slots__": cls.__slots__, "__setattr__": object.__setattr__}
     return type(cls.__name__, (cls.__base__,), namespace)

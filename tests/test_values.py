@@ -3,6 +3,8 @@ equality by type and fields, the field-tuple hash, the dataclass repr,
 frozen fields, and caches that stay out of all three.  Also guards the
 import cost those classes were moved off ``@dataclass`` for."""
 
+import copy
+import pickle
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -126,6 +128,14 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
     with pytest.raises(AttributeError):
         value.not_a_field = 1
     assert repr(value) == before
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_copy_and_pickle_rebuild_the_value(cls):
+    value = BUILDERS[cls]()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
 
 
 def test_types_with_equal_fields_differ():
