@@ -104,6 +104,13 @@ def unfrozen(cls: type) -> type:
     which run about twice as fast as ``_set``, then seals it with
     ``out.__class__ = cls``; the shared layout is what allows the switch.
     It skips ``__init__``, so its caller passes fields already in shape.
+    ``__setattr__`` and ``__delattr__`` share one type slot, so both are
+    ``object``'s: with either one inherited from :class:`Value`, every store
+    goes through a Python-level lookup and the twin is slower than ``_set``.
     """
-    namespace = {"__slots__": cls.__slots__, "__setattr__": object.__setattr__}
+    namespace = {
+        "__slots__": cls.__slots__,
+        "__setattr__": object.__setattr__,
+        "__delattr__": object.__delattr__,
+    }
     return type(cls.__name__, (cls.__base__,), namespace)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import udyn
+from udyn import exactnum, radiusmaps
 from udyn._value import Value
 from udyn.exactnum import (
     InvalidArgument,
@@ -190,6 +191,20 @@ def test_fast_constructors_build_the_validated_value():
         with pytest.raises(AttributeError):
             setattr(fast, type(fast)._fields[0], None)
     assert t._new(t.u, t.v).norm == t.norm  # the twin kept the cache dict
+
+
+def test_twins_store_through_the_c_slot():
+    # __setattr__ and __delattr__ share a type slot: if a twin inherited
+    # either from Value, each store would take the slow Python path
+    twins = (
+        exactnum._QuadExtBlank,
+        exactnum._TruncatedPadicBlank,
+        exactnum._TruncatedQuadBlank,
+        radiusmaps._RadiusBlank,
+    )
+    for twin in twins:
+        assert twin.__setattr__ is object.__setattr__
+        assert twin.__delattr__ is object.__delattr__
 
 
 def test_replace_runs_the_validation_again():
