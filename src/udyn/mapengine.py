@@ -77,7 +77,6 @@ from .exactnum import (
     PrecisionExhausted,
     QuadExt,
     Rational,
-    SqrtClass,
     SqrtKind,
     TruncatedPadic,
     TruncatedQuad,
